@@ -38,7 +38,7 @@ from scipy.optimize import least_squares, minimize
 from scipy.special import expit, xlogy
 
 from .params import HeraldtimeError, TemporalCovariance
-from .sampler import EventSet
+from .sampler import EventSet, bootstrap_rows
 
 __all__ = [
     "DegenerateDataError",
@@ -454,10 +454,9 @@ def bootstrap_errors(events: EventSet, cfg: FitConfig | None = None,
     """
     if cfg is None:
         cfg = FitConfig()
-    rng = np.random.default_rng(seed)
     rows = []
-    for _ in range(n_resamples):
-        idx = rng.integers(0, events.count, size=events.count)
+    for idx in bootstrap_rows(np.random.default_rng(seed), events.count,
+                              n_resamples):
         res = fit(EventSet(events.events[idx], events.metadata), cfg)
         rows.append([res.cov.rho_t, res.cov.tau1, res.cov.tau2,
                      res.cov.mu1, res.cov.mu2, res.amplitude,

@@ -16,6 +16,10 @@ Every curve function accepts either an :class:`~heraldtime.sampler.EventSet`
 conditional moments propagated through the truncated-normal window).
 Statistics are always computed on raw counts; any display scaling is left to
 presentation code.
+
+Error bars are bootstraps drawn row by row from the ``default_rng(seed)``
+stream of release 0.1.0; the nested windows of a narrowing curve take each
+resample's moments from prefix sums of weighted counts, times and squares.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .params import HeraldtimeError, TemporalCovariance
-from .sampler import EventSet
+from .sampler import EventSet, bootstrap_rows
 
 __all__ = [
     "TooFewEventsError",
@@ -91,8 +95,7 @@ def select(events: EventSet, w: HeraldWindow) -> EventSet:
     """
     oriented = _oriented(events, w)
     lo, hi = w.bounds
-    mask = (oriented.t2 >= lo) & (oriented.t2 <= hi) if math.isfinite(w.width) \
-        else np.ones(events.count, dtype=bool)
+    mask = (oriented.t2 >= lo) & (oriented.t2 <= hi)
     meta = dict(events.metadata)
     meta["selection"] = {
         "herald_on": w.herald_on,
@@ -103,12 +106,6 @@ def select(events: EventSet, w: HeraldWindow) -> EventSet:
         "empty": not bool(mask.any()),
     }
     return EventSet(events.events[mask], meta)
-
-
-def _bootstrap_std(x: np.ndarray, n_boot: int, seed: int) -> float:
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, x.size, size=(n_boot, x.size))
-    return float(np.std(np.std(x[idx], axis=1, ddof=1), ddof=1))
 
 
 def heralded_width(events: EventSet, w: HeraldWindow, n_boot: int = 200,
@@ -129,9 +126,9 @@ def heralded_width(events: EventSet, w: HeraldWindow, n_boot: int = 200,
             f"window (center={w.center!r}, width={w.width!r}) selected "
             f"{x.size} events; need at least {MIN_EVENTS}")
     if estimator == "std":
-        width = float(np.std(x, ddof=1))
-        err = _bootstrap_std(x, n_boot, seed)
-        return width, err
+        rows = bootstrap_rows(np.random.default_rng(seed), x.size, n_boot)
+        boot = [np.std(x[idx], ddof=1) for idx in rows]
+        return float(np.std(x, ddof=1)), float(np.std(boot, ddof=1))
     if estimator == "gaussian":
         return _gaussian_fit_width(x)
     raise ValueError(f"estimator must be 'std' or 'gaussian', got {estimator!r}")
@@ -267,31 +264,36 @@ def narrowing_curve(source, center: float, widths, herald_on: int = 2,
 
     oriented = _oriented(source, HeraldWindow(center, math.inf, herald_on))
     t1 = oriented.t1
-    t2 = oriented.t2
-    for w in grid:
-        n_sel = int(np.count_nonzero(np.abs(t2 - center) <= 0.5 * w)) \
-            if math.isfinite(w) else t1.size
+    # The windows share one center, so they are nested: shell j holds the
+    # events of window j but of no narrower one.  Moments are prefix sums,
+    # taken about the narrowest window's mean so that they do not cancel.
+    halves = np.unique(0.5 * grid)
+    shell = np.searchsorted(halves, np.abs(oriented.t2 - center))
+    at = np.searchsorted(halves, 0.5 * grid)
+    counts = np.cumsum(np.bincount(shell, minlength=halves.size + 1))
+    for w, n_sel in zip(grid, counts[at]):
         if n_sel < MIN_EVENTS:
             raise TooFewEventsError(
                 f"window width {w!r} selects {n_sel} events; need at least "
                 f"{MIN_EVENTS}")
+    x = t1 - np.mean(t1[shell == 0])
+    x2 = x * x
 
-    def ratios_of(tt1, tt2):
-        full = np.std(tt1, ddof=1)
-        out = np.empty(grid.size)
-        for i, w in enumerate(grid):
-            sel = tt1 if not math.isfinite(w) \
-                else tt1[np.abs(tt2 - center) <= 0.5 * w]
-            out[i] = np.std(sel, ddof=1) / full
-        return out
+    def ratios_of(weight):
+        """Width ratios of the sample that holds event i weight[i] times."""
+        weight = weight.astype(float)  # cast once, not in every product
+        m, s1, s2 = (np.cumsum(np.bincount(shell, v, halves.size + 1))
+                     for v in (weight, weight * x, weight * x2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            var = np.maximum(s2 - s1 * s1 / m, 0.0) / (m - 1)
+        var[m < 2] = np.nan  # as np.std(ddof=1) of fewer than two events
+        return np.sqrt(var[at] / var[-1])
 
-    ratios = ratios_of(t1, t2)
-    rng = np.random.default_rng(seed)
-    boot = np.empty((n_boot, grid.size))
-    for k in range(n_boot):
-        idx = rng.integers(0, t1.size, size=t1.size)
-        boot[k] = ratios_of(t1[idx], t2[idx])
-    r_hat = np.clip(np.corrcoef(t1, t2)[0, 1], -0.999999, 0.999999)
+    ratios = ratios_of(np.ones(t1.size))
+    rows = bootstrap_rows(np.random.default_rng(seed), t1.size, n_boot)
+    boot = np.array([ratios_of(np.bincount(idx, minlength=t1.size))
+                     for idx in rows]).reshape(n_boot, grid.size)
+    r_hat = np.clip(np.corrcoef(t1, oriented.t2)[0, 1], -0.999999, 0.999999)
     return NarrowingCurve(widths=grid, ratios=ratios,
                           std_errors=np.std(boot, axis=0, ddof=1),
                           asymptote=math.sqrt(1.0 - r_hat ** 2))
@@ -317,17 +319,15 @@ def centroid_curve(source, width: float, centers, herald_on: int = 2,
     oriented = _oriented(source, HeraldWindow(0.0, width, herald_on))
     t1 = oriented.t1
     t2 = oriented.t2
-    means = np.empty(grid.size)
-    errs = np.empty(grid.size)
+    means, errs = np.empty(grid.size), np.empty(grid.size)
     rng = np.random.default_rng(seed)
     for i, c in enumerate(grid):
-        sel = t1 if not math.isfinite(width) \
-            else t1[np.abs(t2 - c) <= 0.5 * width]
+        sel = t1[np.abs(t2 - c) <= 0.5 * width]
         if sel.size < MIN_EVENTS:
             raise TooFewEventsError(
                 f"window center {c!r} selects {sel.size} events; need at "
                 f"least {MIN_EVENTS}")
         means[i] = np.mean(sel)
-        idx = rng.integers(0, sel.size, size=(n_boot, sel.size))
-        errs[i] = np.std(np.mean(sel[idx], axis=1), ddof=1)
+        errs[i] = np.std([np.mean(sel[idx]) for idx in
+                          bootstrap_rows(rng, sel.size, n_boot)], ddof=1)
     return CentroidCurve(centers=grid, means=means, std_errors=errs)

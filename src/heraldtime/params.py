@@ -186,20 +186,22 @@ def to_rho_form(p: SourceParams) -> SourceParamsRho:
     pump corresponds to the boundary rho -> -1 and is therefore not
     representable; it is rejected.
 
-    Precision note: sigma0 is evaluated from sigma*tau_p directly (with
-    g = (sigma tau_p / 2)^2, 1 - rho equals 2g/(1+g) exactly, giving
-    sigma0 = sqrt(1+g) / (sqrt(2) tau_p)) instead of re-deriving 1 - rho
-    from the rounded correlation.  The stored rho itself still resolves
-    1 -+ rho only down to the floating-point spacing around one, so extreme
-    products sigma*tau_p far outside [1e-2, 1e2] round-trip at reduced
-    precision; the (sigma, tau_p) description has no such limit.
+    Precision note: with g = (sigma tau_p / 2)^2, 1 - rho = 2g/(1+g) and
+    1 + rho = 2/(1+g).  Whichever of the two is below one has a small
+    relative error, so rho computed from it is within about half a unit in
+    the last place (``(1-g)/(1+g)`` is off by up to three), and
+    sigma0 = sqrt(1+g) / (sqrt(2) tau_p) is evaluated from sigma*tau_p
+    directly instead of from the rounded correlation.  The stored rho still
+    resolves 1 -+ rho only down to the floating-point spacing around one, so
+    extreme products sigma*tau_p far outside [1e-2, 1e2] round-trip at
+    reduced precision; the (sigma, tau_p) description has no such limit.
     """
     if p.cw:
         raise CWPumpError(
             "a CW pump corresponds to the boundary rho -> -1 and has no "
             "valid spectral-correlation representation")
     g = (0.5 * p.sigma * p.tau_p) ** 2
-    rho = (1.0 - g) / (1.0 + g)
+    rho = 1.0 - 2.0 * g / (1.0 + g) if g < 1.0 else 2.0 / (1.0 + g) - 1.0
     sigma0 = math.sqrt(1.0 + g) / (math.sqrt(2.0) * p.tau_p)
     return SourceParamsRho(sigma0=sigma0, rho=rho)
 

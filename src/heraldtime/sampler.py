@@ -156,6 +156,17 @@ def _sample_chunk(cov: TemporalCovariance, det: DetectorModel, m: int,
     return out
 
 
+def bootstrap_rows(rng: np.random.Generator, n: int, n_boot: int):
+    """Yield ``n_boot`` rows of ``n`` indices into ``range(n)``, with replacement.
+
+    Row k equals row k of ``rng.integers(0, n, size=(n_boot, n))``: the rows
+    come from the same stream, one at a time, so only one row is held in
+    memory.  Every bootstrap in the package draws its resamples here.
+    """
+    for _ in range(n_boot):
+        yield rng.integers(0, n, size=n)
+
+
 def sample(cov: TemporalCovariance, det: DetectorModel, n: int,
            seed: int) -> EventSet:
     """Draw ``n`` coincidence events; deterministic for a fixed seed."""

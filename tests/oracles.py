@@ -219,3 +219,66 @@ def fourier_time_moments(sigma: float, tau_p: float, beta: float,
     var_minus = _chirped_profile_var(sigma, chirp)
     var_plus = _chirped_profile_var(2.0 / tau_p, chirp)
     return (var_plus + var_minus, var_plus - var_minus)
+
+
+# --------------------------------------------------------------------------
+# Reference bootstrap loops: the resampling code of release 0.1.0
+# --------------------------------------------------------------------------
+# Each draws its resamples as one (n_boot, n) block (or row by row, as the
+# refit loop always did) and masks the events window by window.  The
+# package's resampling kernel must reproduce these outputs.
+
+def narrowing_bootstrap_loop(t1, t2, center, widths, n_boot, seed):
+    """Width ratios and their bootstrap errors by masking every window."""
+    def ratios_of(tt1, tt2):
+        full = np.std(tt1, ddof=1)
+        out = np.empty(len(widths))
+        for i, w in enumerate(widths):
+            sel = tt1 if not math.isfinite(w) \
+                else tt1[np.abs(tt2 - center) <= 0.5 * w]
+            out[i] = np.std(sel, ddof=1) / full
+        return out
+
+    rng = np.random.default_rng(seed)
+    boot = np.empty((n_boot, len(widths)))
+    for k in range(n_boot):
+        idx = rng.integers(0, t1.size, size=t1.size)
+        boot[k] = ratios_of(t1[idx], t2[idx])
+    return ratios_of(t1, t2), np.std(boot, axis=0, ddof=1)
+
+
+def centroid_bootstrap_block(t1, t2, width, centers, n_boot, seed):
+    """Window means and their bootstrap errors from one index block each."""
+    rng = np.random.default_rng(seed)
+    means, errs = [], []
+    for c in centers:
+        sel = t1[np.abs(t2 - c) <= 0.5 * width]
+        means.append(np.mean(sel))
+        idx = rng.integers(0, sel.size, size=(n_boot, sel.size))
+        errs.append(np.std(np.mean(sel[idx], axis=1), ddof=1))
+    return np.array(means), np.array(errs)
+
+
+def std_bootstrap_block(x, n_boot, seed):
+    """Sample std of x and its bootstrap error from one index block."""
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, x.size, size=(n_boot, x.size))
+    return (float(np.std(x, ddof=1)),
+            float(np.std(np.std(x[idx], axis=1, ddof=1), ddof=1)))
+
+
+def refit_bootstrap_loop(events, cfg, n_resamples, seed):
+    """Spread of refitted parameters over resamples drawn row by row."""
+    from heraldtime.fitting import PARAM_NAMES, fit
+    from heraldtime.sampler import EventSet
+
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(n_resamples):
+        idx = rng.integers(0, events.count, size=events.count)
+        res = fit(EventSet(events.events[idx], events.metadata), cfg)
+        rows.append([res.cov.rho_t, res.cov.tau1, res.cov.tau2,
+                     res.cov.mu1, res.cov.mu2, res.amplitude,
+                     res.background_level])
+    spread = np.std(np.asarray(rows), axis=0, ddof=1)
+    return dict(zip(PARAM_NAMES, map(float, spread)))

@@ -1,8 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from heraldtime import herald
+from heraldtime.fitting import FitConfig, bootstrap_errors
 from heraldtime.herald import (
     HeraldWindow,
     TooFewEventsError,
@@ -16,7 +19,13 @@ from heraldtime.params import TemporalCovariance
 from heraldtime.sampler import DetectorModel, EventSet, sample
 
 from conftest import REFERENCE_SETS
-from oracles import conditional_moments_quad
+from oracles import (
+    centroid_bootstrap_block,
+    conditional_moments_quad,
+    narrowing_bootstrap_loop,
+    refit_bootstrap_loop,
+    std_bootstrap_block,
+)
 
 
 class TestWindow:
@@ -232,3 +241,109 @@ class TestDirectionSymmetry:
         two = narrowing_curve(cov.swapped(), center=0.0, widths=widths,
                               herald_on=2)
         np.testing.assert_array_equal(one.ratios, two.ratios)
+
+
+class TestResamplingMatchesReference:
+    """The resampling kernel against the 0.1.0 loops kept in oracles.py.
+
+    Narrowing ratios use prefix sums instead of per-window std calls, so
+    they match within 1e-12 absolute and their errors within 1e-10
+    relative; everything else draws and sums exactly as before and must be
+    bit-identical.
+    """
+
+    DETECTOR = DetectorModel(jitter1=3e-11, jitter2=3e-11,
+                             reference_jitter=1e-11, background_rate=0.01,
+                             window=(-4e-9, 4e-9))
+
+    @pytest.fixture(scope="class")
+    def events(self):
+        return sample(REFERENCE_SETS[0], self.DETECTOR, 20000, seed=21)
+
+    @staticmethod
+    def check_narrowing(es, center, widths, herald_on=2, n_boot=40, seed=3,
+                        err_atol=0.0):
+        curve = narrowing_curve(es, center, widths, herald_on=herald_on,
+                                n_boot=n_boot, seed=seed)
+        oriented = es.transposed() if herald_on == 1 else es
+        ratios, errs = narrowing_bootstrap_loop(
+            oriented.t1, oriented.t2, center, np.asarray(widths, float),
+            n_boot, seed)
+        np.testing.assert_allclose(curve.ratios, ratios, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(curve.std_errors, errs, rtol=1e-10,
+                                   atol=err_atol)
+        return curve
+
+    def test_narrowing_with_background_and_infinite_width(self, events):
+        widths = np.append(np.geomspace(2e-11, 3e-9, 12), math.inf)
+        curve = self.check_narrowing(events, 0.0, widths)
+        assert curve.ratios[-1] == 1.0 and curve.std_errors[-1] == 0.0
+
+    def test_narrowing_off_center(self, events):
+        self.check_narrowing(events, 3e-10, np.geomspace(5e-11, 2e-9, 9))
+
+    def test_narrowing_far_from_time_origin(self):
+        # arrival times offset by 1000 widths: the moments are taken about
+        # a window mean, so the offset does not cancel away the digits
+        cov = TemporalCovariance(rho_t=0.9, tau1=2e-10, tau2=2.5e-10,
+                                 mu1=2e-7, mu2=-1e-7)
+        es = sample(cov, DetectorModel.ideal(), 20000, seed=23)
+        self.check_narrowing(es, -1e-7, np.geomspace(2e-11, 1e-9, 9))
+
+    def test_narrowing_window_of_identical_times(self):
+        # the narrowest window holds one repeated t1, so its width and the
+        # error of that width are 0; the reference loop's error there is
+        # the rounding of np.mean over copies, far below any real error
+        rng = np.random.default_rng(24)
+        ev = rng.normal(0.0, 1e-9, size=(3000, 2))
+        ev[:40] = [1.1e-9, 0.0]
+        curve = self.check_narrowing(EventSet(ev), 0.0, [1e-13, 1e-9, 1e-8],
+                                     err_atol=1e-15)
+        assert curve.ratios[0] == 0.0
+
+    def test_narrowing_herald_on_one(self, events):
+        self.check_narrowing(events, 0.0, np.geomspace(2e-11, 2e-9, 9),
+                             herald_on=1)
+
+    def test_narrowing_unsorted_repeated_widths(self, events):
+        self.check_narrowing(events, 1e-10,
+                             [1e-9, 1e-10, math.inf, 1e-10, 3e-10, 2e-8])
+
+    def test_resamples_with_fewer_than_two_events_give_nan(self, events,
+                                                          monkeypatch):
+        # A window of three events: about one resample in five catches
+        # fewer than two of them.  The event floor is lowered to reach it.
+        monkeypatch.setattr(herald, "MIN_EVENTS", 2)
+        center = 1e-10
+        third = np.sort(np.abs(events.t2 - center))[2]
+        widths = [2 * third, 1e-10, 1e-9]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            curve = self.check_narrowing(events, center, widths)
+        assert np.isnan(curve.std_errors[0])
+        assert np.all(np.isfinite(curve.std_errors[1:]))
+
+    def test_centroid_bit_identical(self, events):
+        centers = np.linspace(-3e-10, 3e-10, 7)
+        for herald_on in (1, 2):
+            curve = centroid_curve(events, 1e-10, centers,
+                                   herald_on=herald_on, n_boot=30, seed=5)
+            oriented = events.transposed() if herald_on == 1 else events
+            means, errs = centroid_bootstrap_block(
+                oriented.t1, oriented.t2, 1e-10, centers, 30, 5)
+            np.testing.assert_array_equal(curve.means, means)
+            np.testing.assert_array_equal(curve.std_errors, errs)
+
+    def test_heralded_width_bit_identical(self, events):
+        for window in (HeraldWindow(0.0, 1e-10), HeraldWindow(2e-10, 3e-10),
+                       HeraldWindow(-1e-10, 2e-10, herald_on=1)):
+            analyzed = 0 if window.herald_on == 2 else 1
+            x = select(events, window).events[:, analyzed]
+            assert heralded_width(events, window, n_boot=50, seed=7) == \
+                std_bootstrap_block(x, 50, 7)
+
+    def test_refit_bootstrap_bit_identical(self):
+        es = sample(REFERENCE_SETS[1], DetectorModel.ideal(), 3000, seed=22)
+        cfg = FitConfig()
+        assert bootstrap_errors(es, cfg, n_resamples=4, seed=8) == \
+            refit_bootstrap_loop(es, cfg, 4, 8)

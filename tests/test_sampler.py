@@ -10,6 +10,7 @@ from heraldtime.sampler import (
     CHUNK_SIZE,
     DetectorModel,
     EventSet,
+    bootstrap_rows,
     sample,
     sample_from_source,
 )
@@ -106,6 +107,16 @@ class TestDeterminism:
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError):
             sample(REFERENCE_SETS[0], DetectorModel.ideal(), 0, seed=1)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30, 1001])
+    def test_bootstrap_rows_follow_the_block_stream(self, n):
+        # rows drawn one at a time are the rows of one block draw, also
+        # for odd row lengths; a following draw continues the same stream
+        rng_rows, rng_block = np.random.default_rng(3), np.random.default_rng(3)
+        rows = np.array(list(bootstrap_rows(rng_rows, n, 9)))
+        np.testing.assert_array_equal(
+            rows, rng_block.integers(0, n, size=(9, n)))
+        assert rng_rows.integers(0, 10**6) == rng_block.integers(0, 10**6)
 
 
 class TestStatistics:
