@@ -9,11 +9,15 @@ Event files are plain CSV with a ``#``-prefixed key=value header block::
     -12.5,100.25
     ...
 
-The ``units`` declaration is mandatory and applies to both columns; times are
-converted to seconds on read.  Values are written with shortest round-trip
-float formatting, so a file written and re-read in the same unit preserves
-every value bit-for-bit (and converting units is exact whenever the product
-is exactly representable).
+The header block comes first.  The ``units`` declaration is mandatory and
+applies to both columns; times are converted to seconds on read, and the
+``units`` line wins over any ``units`` key inside ``meta`` (the writer does
+not repeat it there).  Values are written with shortest round-trip float
+formatting, so a file written and re-read in the same unit preserves every
+value bit-for-bit (and converting units is exact whenever the product is
+exactly representable).  The reader parses the data rows in one vectorized
+call; a body that call refuses is read line by line, which also honours
+``#`` lines among the rows, and every read error names the file line.
 
 Run configuration is a flat ``key = value`` text file with explicit unit
 suffixes on dimensioned quantities::
@@ -66,6 +70,8 @@ __all__ = [
 ]
 
 EVENT_MAGIC = "# heraldtime events v1"
+# Rows formatted per write call: bounds the strings held at once.
+_WRITE_BLOCK_ROWS = 65536
 
 TIME_UNITS = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "ps": 1e-12,
               "fs": 1e-15}
@@ -148,19 +154,29 @@ def parse_quantity(text: str, kind: str) -> float:
 # --------------------------------------------------------------------------
 
 def write_events(events: EventSet, path, unit: str = "s") -> None:
-    """Write an event set as CSV with a header block; deterministic output."""
+    """Write an event set as CSV with a header block; deterministic output.
+
+    The ``units`` line states the unit, so a ``units`` metadata key is not
+    repeated in the ``meta`` JSON.
+    """
     if unit not in TIME_UNITS:
         raise ValueError(f"unknown time unit {unit!r}; known: {sorted(TIME_UNITS)}")
     scale = TIME_UNITS[unit]
     path = Path(path)
-    lines = [EVENT_MAGIC, f"# units = {unit}", f"# count = {events.count}"]
-    if events.metadata:
-        lines.append("# meta = " + json.dumps(events.metadata, sort_keys=True,
+    header = [EVENT_MAGIC, f"# units = {unit}", f"# count = {events.count}"]
+    meta = {k: v for k, v in events.metadata.items() if k != "units"}
+    if meta:
+        header.append("# meta = " + json.dumps(meta, sort_keys=True,
                                               allow_nan=False, default=str))
-    for t1, t2 in events.events:
-        lines.append(f"{float(t1 / scale)!r},{float(t2 / scale)!r}")
+    data = events.events
     try:
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with path.open("w", encoding="utf-8") as fh:
+            fh.write("\n".join(header) + "\n")
+            for start in range(0, len(data), _WRITE_BLOCK_ROWS):
+                # Same IEEE division and shortest repr as one row at a time.
+                flat = (data[start:start + _WRITE_BLOCK_ROWS]
+                        / scale).ravel().tolist()
+                fh.write("%r,%r\n" * (len(flat) // 2) % tuple(flat))
     except OSError as exc:
         raise ReportError(f"cannot write event file {path}: {exc}") from exc
 
@@ -180,74 +196,121 @@ def read_events(path) -> EventSet:
     if not lines or lines[0].strip() != EVENT_MAGIC:
         raise EventFileError(
             f"{path}:1: missing magic header {EVENT_MAGIC!r}")
-    unit_scale = None
-    declared_count = None
-    metadata: dict = {}
-    rows: list[tuple[float, float]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" not in body:
-                raise EventFileError(
-                    f"{path}:{lineno}: header line must be '# key = value'")
-            key, _, value = body.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key == "units":
-                if value not in TIME_UNITS:
-                    raise EventFileError(
-                        f"{path}:{lineno}: unknown unit {value!r}; known: "
-                        f"{sorted(TIME_UNITS)}")
-                unit_scale = TIME_UNITS[value]
-                metadata["units"] = value
-            elif key == "count":
-                try:
-                    declared_count = int(value)
-                except ValueError:
-                    raise EventFileError(
-                        f"{path}:{lineno}: count must be an integer, got "
-                        f"{value!r}") from None
-            elif key == "meta":
-                try:
-                    parsed = json.loads(value)
-                except json.JSONDecodeError as exc:
-                    raise EventFileError(
-                        f"{path}:{lineno}: meta is not valid JSON: {exc}") from exc
-                if not isinstance(parsed, dict):
-                    raise EventFileError(
-                        f"{path}:{lineno}: meta must be a JSON object")
-                metadata.update(parsed)
-            else:
-                metadata[key] = value
-            continue
-        if unit_scale is None:
-            raise EventFileError(
-                f"{path}:{lineno}: data row before the mandatory "
-                f"'# units = ...' declaration")
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise EventFileError(
-                f"{path}:{lineno}: expected two comma-separated numbers, got "
-                f"{line!r}")
-        try:
-            t1, t2 = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise EventFileError(
-                f"{path}:{lineno}: non-numeric row {line!r}") from None
-        if not (math.isfinite(t1) and math.isfinite(t2)):
-            raise EventFileError(f"{path}:{lineno}: non-finite row {line!r}")
-        rows.append((t1 * unit_scale, t2 * unit_scale))
-    if unit_scale is None:
+    # The header block runs up to the first data row.
+    body_start = next((i for i in range(1, len(lines))
+                       if lines[i].strip()[:1] not in ("", "#")), len(lines))
+    reader = _EventReader(path)
+    reader.walk(lines[1:body_start], first_lineno=2)
+    body = lines[body_start:]
+    arr = _parse_body(body) if body and reader.scale is not None else None
+    if arr is not None:
+        arr *= reader.scale
+    else:
+        arr = np.array(reader.walk(body, first_lineno=body_start + 1),
+                       dtype=float).reshape(-1, 2)
+    if reader.scale is None:
         raise EventFileError(f"{path}: missing mandatory '# units = ...' line")
-    if declared_count is not None and declared_count != len(rows):
+    if reader.count is not None and reader.count != len(arr):
         raise EventFileError(
-            f"{path}: header declares count = {declared_count} but file has "
-            f"{len(rows)} rows")
-    arr = np.array(rows, dtype=float).reshape(len(rows), 2)
-    return EventSet(arr, metadata)
+            f"{path}: header declares count = {reader.count} but file has "
+            f"{len(arr)} rows")
+    return EventSet(arr, reader.metadata)
+
+
+def _parse_body(body: list[str]) -> np.ndarray | None:
+    """All rows of an event-file body in one call, in file units.
+
+    Returns None when any line is not two finite comma-separated numbers
+    that NumPy parses; the per-line walk then decides, so it alone reports
+    errors and reads what only ``float()`` accepts (``1_0``, non-ASCII
+    digits) or what needs line order (``#`` lines among the rows).
+    """
+    try:
+        arr = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    # A line loadtxt skips (a blank one) sends the body to the walk too.
+    if arr.shape != (len(body), 2) or not np.isfinite(arr).all():
+        return None
+    return arr
+
+
+class _EventReader:
+    """Header state of an event file, fed its lines in file order."""
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.scale: float | None = None
+        self.count: int | None = None
+        self.metadata: dict = {}
+
+    def walk(self, lines: list[str], first_lineno: int) -> list[tuple[float, float]]:
+        """Apply header lines and parse data rows (in seconds) one by one."""
+        path = self.path
+        rows: list[tuple[float, float]] = []
+        for lineno, line in enumerate(lines, start=first_lineno):
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                self._header_line(lineno, line)
+                continue
+            if self.scale is None:
+                raise EventFileError(
+                    f"{path}:{lineno}: data row before the mandatory "
+                    f"'# units = ...' declaration")
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise EventFileError(
+                    f"{path}:{lineno}: expected two comma-separated numbers, "
+                    f"got {line!r}")
+            try:
+                t1, t2 = float(parts[0]), float(parts[1])
+            except ValueError:
+                raise EventFileError(
+                    f"{path}:{lineno}: non-numeric row {line!r}") from None
+            if not (math.isfinite(t1) and math.isfinite(t2)):
+                raise EventFileError(f"{path}:{lineno}: non-finite row {line!r}")
+            rows.append((t1 * self.scale, t2 * self.scale))
+        return rows
+
+    def _header_line(self, lineno: int, line: str) -> None:
+        path = self.path
+        body = line[1:].strip()
+        if "=" not in body:
+            raise EventFileError(
+                f"{path}:{lineno}: header line must be '# key = value'")
+        key, _, value = body.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key == "units":
+            if value not in TIME_UNITS:
+                raise EventFileError(
+                    f"{path}:{lineno}: unknown unit {value!r}; known: "
+                    f"{sorted(TIME_UNITS)}")
+            self.scale = TIME_UNITS[value]
+            self.metadata["units"] = value
+        elif key == "count":
+            try:
+                self.count = int(value)
+            except ValueError:
+                raise EventFileError(
+                    f"{path}:{lineno}: count must be an integer, got "
+                    f"{value!r}") from None
+        elif key == "meta":
+            try:
+                parsed = json.loads(value)
+            except json.JSONDecodeError as exc:
+                raise EventFileError(
+                    f"{path}:{lineno}: meta is not valid JSON: {exc}") from exc
+            if not isinstance(parsed, dict):
+                raise EventFileError(
+                    f"{path}:{lineno}: meta must be a JSON object")
+            # The mandatory units line states the unit of the data.
+            parsed.pop("units", None)
+            self.metadata.update(parsed)
+        else:
+            self.metadata[key] = value
 
 
 # --------------------------------------------------------------------------

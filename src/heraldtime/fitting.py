@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
 from scipy.special import expit, xlogy
 
 from .params import HeraldtimeError, TemporalCovariance
@@ -291,6 +290,8 @@ def _fit_hist_ls(u, scales, cfg: FitConfig, guess: TemporalCovariance):
         dev = 2.0 * (m - counts + xlogy(counts, counts / m))
         return (np.sign(m - counts) * np.sqrt(np.maximum(dev, 0.0))).ravel()
 
+    from scipy.optimize import least_squares  # ~0.25 s; only fits need it
+
     res = least_squares(residuals, x0, method="trf", xtol=cfg.tolerance,
                         ftol=cfg.tolerance, gtol=cfg.tolerance,
                         max_nfev=cfg.max_iterations)
@@ -363,6 +364,8 @@ def _fit_ml(u, scales, cfg: FitConfig, guess: TemporalCovariance):
         dens = (1.0 - w) * _gauss2(u[:, 0], u[:, 1], rho, w1, w2, cc1, cc2) \
             + w / area_box
         return -float(np.sum(np.log(np.maximum(dens, 1e-300))))
+
+    from scipy.optimize import minimize
 
     res = minimize(nll, x0, method="L-BFGS-B", bounds=bounds, options={
         "maxiter": cfg.max_iterations,

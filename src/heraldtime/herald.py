@@ -156,9 +156,16 @@ def _gaussian_fit_width(x: np.ndarray) -> tuple[float, float]:
 
 def _truncated_normal_moments(mu: float, sd: float, lo: float,
                               hi: float) -> tuple[float, float]:
-    """Mean and variance of N(mu, sd^2) restricted to [lo, hi]."""
+    """Mean and variance of N(mu, sd^2) restricted to [lo, hi].
+
+    A window above the mean is reflected below it: there ``ndtr`` keeps full
+    relative precision, so the mass difference does not cancel.
+    """
     a = (lo - mu) / sd
     b = (hi - mu) / sd
+    sign = 1.0
+    if a > 0.0:
+        a, b, sign = -b, -a, -1.0
     mass = ndtr(b) - ndtr(a)
     if mass <= 0.0:
         raise ValueError(
@@ -169,7 +176,7 @@ def _truncated_normal_moments(mu: float, sd: float, lo: float,
     tb = b * pb if pb > 0.0 else 0.0
     mean_shift = (pa - pb) / mass
     var_factor = 1.0 + (ta - tb) / mass - mean_shift ** 2
-    return mu + sd * mean_shift, sd * sd * var_factor
+    return mu + sign * sd * mean_shift, sd * sd * var_factor
 
 
 def conditional_moments(cov: TemporalCovariance, center: float,

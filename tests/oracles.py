@@ -98,6 +98,25 @@ def conditional_moments_quad(cov: TemporalCovariance, center: float,
 # Spectral-intensity moments of the two-photon Gaussian amplitude
 # --------------------------------------------------------------------------
 
+def truncated_normal_moments_mp(mu: float, sd: float, lo: float,
+                                hi: float, dps: int = 50):
+    """Mean and variance of N(mu, sd^2) on [lo, hi] at ``dps`` digits."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        mu, sd = mpmath.mpf(mu), mpmath.mpf(sd)
+        a, b = (mpmath.mpf(lo) - mu) / sd, (mpmath.mpf(hi) - mu) / sd
+        # mpf carries an exponent, so only the tail away from 1 cancels.
+        mass = (mpmath.ncdf(b) - mpmath.ncdf(a) if a + b < 0
+                else mpmath.ncdf(-a) - mpmath.ncdf(-b))
+        pa, pb = mpmath.npdf(a), mpmath.npdf(b)
+        ta = a * pa if mpmath.isfinite(a) else 0
+        tb = b * pb if mpmath.isfinite(b) else 0
+        shift = (pa - pb) / mass
+        var = 1 + (ta - tb) / mass - shift ** 2
+        return float(mu + sd * shift), float(sd ** 2 * var)
+
+
 def spectral_intensity_moments(sigma: float, tau_p: float):
     """(Var(nu1), Cov(nu1, nu2)) of |phi|^2 by 2-D quadrature.
 
@@ -282,3 +301,124 @@ def refit_bootstrap_loop(events, cfg, n_resamples, seed):
                      res.background_level])
     spread = np.std(np.asarray(rows), axis=0, ddof=1)
     return dict(zip(PARAM_NAMES, map(float, spread)))
+
+
+# --------------------------------------------------------------------------
+# Reference event-file codec: the row-by-row loops of release 0.1.0
+# --------------------------------------------------------------------------
+# The package's block writer must produce the same bytes and its one-call
+# body parse the same arrays, decisions and error lines.  One departure from
+# 0.1.0, which the package shares: a ``units`` key in ``meta`` does not
+# override the ``# units`` line on read and is not written.
+
+def write_events_loop(events, path, unit="s"):
+    """Format an event file one row at a time."""
+    import json
+    from pathlib import Path
+
+    from heraldtime.dataio import EVENT_MAGIC, TIME_UNITS, ReportError
+
+    if unit not in TIME_UNITS:
+        raise ValueError(f"unknown time unit {unit!r}; known: {sorted(TIME_UNITS)}")
+    scale = TIME_UNITS[unit]
+    path = Path(path)
+    meta = {k: v for k, v in events.metadata.items() if k != "units"}
+    lines = [EVENT_MAGIC, f"# units = {unit}", f"# count = {events.count}"]
+    if meta:
+        lines.append("# meta = " + json.dumps(meta, sort_keys=True,
+                                              allow_nan=False, default=str))
+    for t1, t2 in events.events:
+        lines.append(f"{float(t1 / scale)!r},{float(t2 / scale)!r}")
+    try:
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise ReportError(f"cannot write event file {path}: {exc}") from exc
+
+
+def read_events_loop(path):
+    """Parse an event file one line at a time, header and rows alike."""
+    import json
+    from pathlib import Path
+
+    from heraldtime.dataio import EVENT_MAGIC, TIME_UNITS, EventFileError
+    from heraldtime.sampler import EventSet
+
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise EventFileError(f"cannot read event file {path}: {exc}") from exc
+
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != EVENT_MAGIC:
+        raise EventFileError(
+            f"{path}:1: missing magic header {EVENT_MAGIC!r}")
+    unit_scale = None
+    declared_count = None
+    metadata: dict = {}
+    rows: list[tuple[float, float]] = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if "=" not in body:
+                raise EventFileError(
+                    f"{path}:{lineno}: header line must be '# key = value'")
+            key, _, value = body.partition("=")
+            key = key.strip()
+            value = value.strip()
+            if key == "units":
+                if value not in TIME_UNITS:
+                    raise EventFileError(
+                        f"{path}:{lineno}: unknown unit {value!r}; known: "
+                        f"{sorted(TIME_UNITS)}")
+                unit_scale = TIME_UNITS[value]
+                metadata["units"] = value
+            elif key == "count":
+                try:
+                    declared_count = int(value)
+                except ValueError:
+                    raise EventFileError(
+                        f"{path}:{lineno}: count must be an integer, got "
+                        f"{value!r}") from None
+            elif key == "meta":
+                try:
+                    parsed = json.loads(value)
+                except json.JSONDecodeError as exc:
+                    raise EventFileError(
+                        f"{path}:{lineno}: meta is not valid JSON: {exc}") from exc
+                if not isinstance(parsed, dict):
+                    raise EventFileError(
+                        f"{path}:{lineno}: meta must be a JSON object")
+                parsed.pop("units", None)
+                metadata.update(parsed)
+            else:
+                metadata[key] = value
+            continue
+        if unit_scale is None:
+            raise EventFileError(
+                f"{path}:{lineno}: data row before the mandatory "
+                f"'# units = ...' declaration")
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise EventFileError(
+                f"{path}:{lineno}: expected two comma-separated numbers, got "
+                f"{line!r}")
+        try:
+            t1, t2 = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise EventFileError(
+                f"{path}:{lineno}: non-numeric row {line!r}") from None
+        if not (math.isfinite(t1) and math.isfinite(t2)):
+            raise EventFileError(f"{path}:{lineno}: non-finite row {line!r}")
+        rows.append((t1 * unit_scale, t2 * unit_scale))
+    if unit_scale is None:
+        raise EventFileError(f"{path}: missing mandatory '# units = ...' line")
+    if declared_count is not None and declared_count != len(rows):
+        raise EventFileError(
+            f"{path}: header declares count = {declared_count} but file has "
+            f"{len(rows)} rows")
+    arr = np.array(rows, dtype=float).reshape(len(rows), 2)
+    return EventSet(arr, metadata)

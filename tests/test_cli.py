@@ -256,3 +256,19 @@ def test_module_entry_point(config_path, tmp_path):
         capture_output=True, text=True, timeout=120)
     assert res.returncode == 0
     assert "15.2 ps" in res.stdout
+
+
+def test_model_commands_leave_optimizer_unloaded(config_path, tmp_path):
+    # scipy.optimize costs ~0.25 s of import; only the event fits need it.
+    import subprocess
+    import sys
+    script = ("import sys, heraldtime.cli as cli\n"
+              "print('scipy.optimize' in sys.modules)\n"
+              f"cli.main(['optimize', '--config', {str(config_path)!r}, "
+              f"'--out', {str(tmp_path)!r}])\n"
+              "print('scipy.optimize' in sys.modules)\n")
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert lines[0] == "False" and lines[-1] == "False"

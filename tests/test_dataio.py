@@ -1,11 +1,14 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from heraldtime.dataio import (
+    EVENT_MAGIC,
+    TIME_UNITS,
     ConfigError,
     EventFileError,
     ReportError,
@@ -20,6 +23,9 @@ from heraldtime.dataio import (
 from heraldtime.sampler import DetectorModel, EventSet, sample
 
 from conftest import REFERENCE_SETS
+from oracles import read_events_loop, write_events_loop
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestParseQuantity:
@@ -144,6 +150,161 @@ class TestEventFiles:
         path = tmp_path / "rt.csv"
         write_events(es, path, unit="s")
         np.testing.assert_array_equal(read_events(path).events, es.events)
+
+
+def _read_outcome(reader, path):
+    """What a reader makes of a file: its exact error or its exact result."""
+    try:
+        es = reader(path)
+    except EventFileError as exc:
+        return "error", str(exc)
+    return "ok", es.events.shape, es.events.tobytes(), es.metadata
+
+
+# Wide enough for every exponent a unit conversion keeps finite.
+_FINITE = st.floats(min_value=-1e290, max_value=1e290)
+_ODD_TOKENS = ["1_0", "\uff11\uff12", "\u0663", "nan", "1e400", "-inf", "-0.0",
+               "0x1p3", "", " ", "abc", "5e-324", " 7 ", "1e-400", "+.5",
+               "1\u3000", "\xa02"]
+_TOKEN = st.one_of(_FINITE.map(repr), st.sampled_from(_ODD_TOKENS))
+_ODD_LINE = st.one_of(
+    st.lists(_TOKEN, min_size=1, max_size=3).map(",".join),
+    st.sampled_from(["", "   ", "\t", "# units = ns", "# units = parsec",
+                     "# count = 2", '# meta = {"units": "fs", "k": 1}',
+                     "# meta = [1]", "# note = hi", "#", "# broken"]))
+_HEADER_LINE = st.sampled_from(
+    ["# count = 3", '# meta = {"seed": 1, "units": "ns"}', "# tag = x", "",
+     "  ", "# count = three"])
+# Every break str.splitlines honours; the last three split nowhere else.
+_BREAKS = ["\n", "\r\n", "\r", "\x0c", "\u2028", "\x85"]
+
+
+@st.composite
+def _event_files(draw):
+    """Mostly well-formed event files, some with odd lines mixed in."""
+    header = draw(st.lists(_HEADER_LINE, max_size=3))
+    unit = draw(st.sampled_from(["ps", "s", "ns", None]))
+    if unit is not None:
+        header.insert(draw(st.integers(0, len(header))), f"# units = {unit}")
+    rows = draw(st.lists(st.tuples(_FINITE, _FINITE), max_size=12))
+    body = [f"{t1!r},{t2!r}" for t1, t2 in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        body.insert(draw(st.integers(0, len(body))), draw(_ODD_LINE))
+    lines = [EVENT_MAGIC] + header + body
+    breaks = draw(st.lists(st.sampled_from(_BREAKS), min_size=len(lines),
+                           max_size=len(lines)))
+    text = "".join(line + brk for line, brk in zip(lines, breaks))
+    return text if draw(st.booleans()) else text.rstrip("\r\n\x0c\u2028\x85")
+
+
+class TestEventCodecMatchesReference:
+    """The block writer and one-call reader against the 0.1.0 loops."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.tuples(_FINITE, _FINITE), max_size=30),
+           unit=st.sampled_from(sorted(TIME_UNITS)),
+           meta=st.dictionaries(st.sampled_from(["seed", "units", "tag"]),
+                                st.integers() | st.text(max_size=5),
+                                max_size=3))
+    @example(rows=[(-0.0, 0.0), (5e-324, -2.2250738585072014e-308),
+                   (1e290, 1e-300), (1e22, 1e-7)],
+             unit="fs", meta={})
+    @example(rows=[(1.7976931348623157e308, -5e-324)], unit="s",
+             meta={"units": "ps"})
+    def test_write_bytes_identical(self, tmp_path, rows, unit, meta):
+        es = EventSet(np.array(rows, dtype=float).reshape(len(rows), 2), meta)
+        write_events(es, tmp_path / "new.csv", unit=unit)
+        write_events_loop(es, tmp_path / "ref.csv", unit=unit)
+        assert (tmp_path / "new.csv").read_bytes() \
+            == (tmp_path / "ref.csv").read_bytes()
+
+    def test_many_blocks_identical_both_ways(self, tmp_path):
+        # Crosses the writer's block boundary and takes the one-call read.
+        rng = np.random.default_rng(3)
+        es = EventSet(rng.normal(scale=1e-9, size=(2 * 65536 + 3, 2)),
+                      {"seed": 3})
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        write_events(es, new, unit="ps")
+        write_events_loop(es, ref, unit="ps")
+        assert new.read_bytes() == ref.read_bytes()
+        assert _read_outcome(read_events, new) \
+            == _read_outcome(read_events_loop, new)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_event_files())
+    def test_read_same_decision_and_bits(self, tmp_path, text):
+        path = tmp_path / "ev.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert _read_outcome(read_events, path) \
+            == _read_outcome(read_events_loop, path)
+
+    @pytest.mark.parametrize("body", [
+        "1,2\n# note = x\n3,4\n",           # header line among the rows
+        "1,2\n# units = ns\n3,4\n",          # unit switch mid-body
+        "1,2\n\n3,4\n",
+        "1,2\n   \n3,4\n",
+        "1,2\n3,4\n\n",
+        "1,2\r\n3,4\r\n",
+        "1,2\x0c3,4\n",
+        "1,2\u20283,4\n",
+        "1\x0c,2\n",
+        "1,2\u20283,4\n",
+        "1\u2028,2\n",
+        "1_0,2\n",
+        "\uff11,\uff12\n",
+        "1,2,3\n4\n",
+        "4\n1,2,3\n",
+        "1,2\n1,2,3\n",
+        "nan,1\n",
+        "1,2\n3,1e400\n",
+        "0x1p3,1\n",
+        "1 , 2\n\t3,4 \n",
+        "-0.0,5e-324\n",
+        "",
+    ])
+    @pytest.mark.parametrize("count", [None, 2])
+    def test_read_listed_inputs(self, tmp_path, body, count):
+        header = "# heraldtime events v1\n# units = ps\n"
+        if count is not None:
+            header += f"# count = {count}\n"
+        path = tmp_path / "ev.csv"
+        path.write_text(header + body, encoding="utf-8", newline="")
+        assert _read_outcome(read_events, path) \
+            == _read_outcome(read_events_loop, path)
+
+
+class TestGoldenEventFiles:
+    """Event files written by release 0.1.0 from 200 sampled events."""
+
+    @pytest.mark.parametrize("unit", ["ps", "s"])
+    def test_writer_reproduces_golden_bytes(self, tmp_path, unit):
+        # Seconds round-trip exactly, so the s file carries the events.
+        es = read_events(DATA / "golden_events_s.csv")
+        assert es.count == 200
+        write_events(es, tmp_path / "out.csv", unit=unit)
+        assert (tmp_path / "out.csv").read_bytes() \
+            == (DATA / f"golden_events_{unit}.csv").read_bytes()
+
+    def test_units_line_wins_over_meta(self, tmp_path):
+        ps = read_events(DATA / "golden_events_ps.csv")
+        assert ps.metadata["units"] == "ps"
+        path = tmp_path / "s.csv"
+        write_events(ps, path, unit="s")
+        meta_line = next(line for line in path.read_text().splitlines()
+                         if line.startswith("# meta"))
+        assert "units" not in json.loads(meta_line.partition("=")[2])
+        back = read_events(path)
+        assert back.metadata["units"] == "s"
+        np.testing.assert_allclose(back.events, ps.events, rtol=1e-15)
+
+        stale = tmp_path / "stale.csv"
+        stale.write_text('# heraldtime events v1\n# units = s\n'
+                         '# meta = {"units": "ps", "seed": 4}\n1e-12,2e-12\n')
+        es = read_events(stale)
+        assert es.metadata == {"units": "s", "seed": 4}
+        assert es.events[0, 0] == 1e-12
 
 
 class TestReports:

@@ -25,6 +25,7 @@ from oracles import (
     narrowing_bootstrap_loop,
     refit_bootstrap_loop,
     std_bootstrap_block,
+    truncated_normal_moments_mp,
 )
 
 
@@ -141,6 +142,42 @@ class TestConditionalMoments:
         for width in np.geomspace(1e-12, 1e-8, 25):
             _, std = conditional_moments(cov, 0.0, float(width))
             assert floor - 1e-15 <= std <= cov.tau1 * (1 + 1e-12)
+
+
+class TestTruncatedNormalTails:
+    """Window moments against 50-digit mpmath, mirrored in both tails."""
+
+    @pytest.mark.parametrize("lo,hi", [
+        (-1.0, 2.0), (0.0, 0.3), (2.0, 3.0), (3.0, 4.0), (6.0, 6.01),
+        (8.0, 8.1), (10.0, 10.5), (20.0, 20.5), (30.0, math.inf),
+        # Whether rounding lands inside 1e-6 here depends on mu and sd.
+        pytest.param(20.0, 20.001, marks=pytest.mark.xfail(
+            strict=False, reason="a window of 1e-3 sd loses its variance to "
+            "the cancellation in 1 + (ta - tb)/mass - shift**2")),
+    ])
+    @pytest.mark.parametrize("mirror", [False, True])
+    @pytest.mark.parametrize("mu,sd", [(0.0, 1.0), (3e-11, 2e-10)])
+    def test_matches_mpmath(self, lo, hi, mirror, mu, sd):
+        pytest.importorskip("mpmath")
+        if mirror:
+            lo, hi = -hi, -lo
+        mean, var = herald._truncated_normal_moments(mu, sd, mu + sd * lo,
+                                                     mu + sd * hi)
+        mean_mp, var_mp = truncated_normal_moments_mp(mu, sd, mu + sd * lo,
+                                                      mu + sd * hi)
+        assert mean == pytest.approx(mean_mp, rel=1e-13, abs=1e-13 * sd)
+        assert var == pytest.approx(var_mp, rel=1e-6)
+
+    @pytest.mark.parametrize("lo,hi", [(3.0, 4.0), (8.0, 8.1), (10.0, 10.5)])
+    def test_upper_tail_mirrors_lower_tail(self, lo, hi):
+        upper = herald._truncated_normal_moments(0.0, 1.0, lo, hi)
+        lower = herald._truncated_normal_moments(0.0, 1.0, -hi, -lo)
+        assert upper == (-lower[0], lower[1])
+
+    @pytest.mark.parametrize("lo,hi", [(50.0, 51.0), (-51.0, -50.0)])
+    def test_underflowing_mass_still_raises(self, lo, hi):
+        with pytest.raises(ValueError, match="no probability mass"):
+            herald._truncated_normal_moments(0.0, 1.0, lo, hi)
 
 
 class TestNarrowingCurve:
