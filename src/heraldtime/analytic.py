@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import ndtr
 
 from .params import (
     CWPumpError,
@@ -68,8 +68,6 @@ __all__ = [
     "landscape",
 ]
 
-_SQRT2 = math.sqrt(2.0)
-
 
 class WidthDivergesError(CWPumpError):
     """The requested temporal width is infinite for a CW pump."""
@@ -97,6 +95,18 @@ def joint_density(t1, t2, cov: TemporalCovariance):
     return norm * np.exp(-0.5 * q)
 
 
+def _normal_mass(lo, hi):
+    """P(lo <= Z <= hi) for a standard normal Z, elementwise.
+
+    A window above the mean is reflected below it, where ``ndtr`` keeps full
+    relative precision, so the difference of the two tail masses does not
+    cancel in either tail.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    up = lo > 0.0
+    return ndtr(np.where(up, -lo, hi)) - ndtr(np.where(up, -hi, lo))
+
+
 def conditional_density(t1, center: float, width: float, cov: TemporalCovariance):
     """Arrival-time density of photon one given photon two landed in a window.
 
@@ -106,9 +116,11 @@ def conditional_density(t1, center: float, width: float, cov: TemporalCovariance
     integrated over the window to the total mass in the window; the t2
     integral has the closed form
 
-        pdf(t1; tau1) * [erf((b - m)/(sqrt(2) s)) - erf((a - m)/(sqrt(2) s))] / 2
+        pdf(t1; tau1) * [Phi((b - m)/s) - Phi((a - m)/s)]
 
     with m = rho_t (tau2/tau1) (t1 - mu1) + mu2 and s = tau2 sqrt(1 - rho_t^2).
+    Both normal masses are taken with windows reflected to the lower tail,
+    so windows far out in either tail keep their relative precision.
 
     Raises ValueError for a degenerate window (width <= 0) and for windows so
     deep in the tail that the window mass underflows to zero.
@@ -125,8 +137,8 @@ def conditional_density(t1, center: float, width: float, cov: TemporalCovariance
     b = center + 0.5 * width - cov.mu2
     m = r * (cov.tau2 / cov.tau1) * x1
     s = cov.tau2 * math.sqrt(1.0 - r * r)
-    window_factor = 0.5 * (erf((b - m) / (_SQRT2 * s)) - erf((a - m) / (_SQRT2 * s)))
-    mass = 0.5 * (erf(b / (_SQRT2 * cov.tau2)) - erf(a / (_SQRT2 * cov.tau2)))
+    window_factor = _normal_mass((a - m) / s, (b - m) / s)
+    mass = float(_normal_mass(a / cov.tau2, b / cov.tau2))
     if mass <= 0.0:
         raise ValueError(
             "window mass underflows to zero; the window lies too far in the "

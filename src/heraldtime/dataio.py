@@ -166,8 +166,12 @@ def write_events(events: EventSet, path, unit: str = "s") -> None:
     header = [EVENT_MAGIC, f"# units = {unit}", f"# count = {events.count}"]
     meta = {k: v for k, v in events.metadata.items() if k != "units"}
     if meta:
-        header.append("# meta = " + json.dumps(meta, sort_keys=True,
-                                              allow_nan=False, default=str))
+        try:
+            header.append("# meta = " + json.dumps(meta, sort_keys=True,
+                                                  allow_nan=False, default=str))
+        except ValueError as exc:
+            raise ReportError(
+                f"event metadata contains non-finite values: {exc}") from exc
     data = events.events
     try:
         with path.open("w", encoding="utf-8") as fh:

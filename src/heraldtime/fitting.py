@@ -20,9 +20,19 @@ Implementation notes, all of which matter for robustness:
 * parameters are transformed so every iterate stays in-domain: atanh for the
   correlation, log for the widths and the amplitude;
 * the default histogram range is the 0.5-99.5 percentile box, robust against
-  background tails;
-* uncertainties come from the inverse curvature at the optimum (a bootstrap
-  cross-check is provided separately);
+  background tails; events are binned by direct bin index and
+  ``np.bincount``, with the same counts as ``np.histogram2d``;
+* both optimizers get closed-form derivatives in the transformed
+  coordinates, never finite differences: the least-squares fit the Jacobian
+  of its signed-root deviance residuals (through the bivariate normal's
+  scores at the quadrature nodes), the likelihood fit the score of the
+  mixture and, at the optimum, its exact Hessian;
+* uncertainties come from the inverse curvature at the optimum -- J^T J for
+  least squares, the observed information for maximum likelihood, falling
+  back to its 5x5 shape block when the background weight is unidentified --
+  mapped to physical units by the delta method in the one helper that
+  assembles every FitResult, which records the path taken as ``se_path``
+  (a bootstrap cross-check is provided separately);
 * no jitter deconvolution: fitting jittered data returns the jitter-broadened
   widths.  If the jitter j of a channel is known, the bare width is the
   post-processing formula sqrt(tau_fit^2 - j^2).
@@ -120,6 +130,12 @@ class FitResult:
     loss:              which estimator produced this result.
     n_events:          number of events fitted.
     message:           optimizer diagnostics.
+    nfev, njev:        loss and gradient (ml) or residual and Jacobian
+                       (hist-ls) evaluations the optimizer made.
+    se_path:           where std_errors came from: "full" (inverse of the
+                       whole curvature), "shape-block" (ml only: inverse of
+                       the 5x5 shape block, without amplitude and background
+                       errors) or "none".
     """
 
     cov: TemporalCovariance
@@ -133,6 +149,9 @@ class FitResult:
     loss: str
     n_events: int
     message: str = ""
+    nfev: int = 0
+    njev: int = 0
+    se_path: str = "none"
 
     def summary(self) -> dict:
         """Flat mapping of everything worth serializing."""
@@ -151,6 +170,9 @@ class FitResult:
             "degenerate_signal": self.degenerate_signal,
             "loss": self.loss,
             "n_events": self.n_events,
+            "nfev": self.nfev,
+            "njev": self.njev,
+            "se_path": self.se_path,
         }
         if self.std_errors is not None:
             out["std_errors"] = dict(self.std_errors)
@@ -199,12 +221,41 @@ def _box_in_u(cfg: FitConfig, u: np.ndarray, scales) -> tuple[np.ndarray, np.nda
     return (np.percentile(u[:, 0], [lo, hi]), np.percentile(u[:, 1], [lo, hi]))
 
 
-def _gauss2(u1, u2, rho, w1, w2, c1, c2):
-    x = (u1 - c1) / w1
-    y = (u2 - c2) / w2
-    om = 1.0 - rho * rho
-    return np.exp(-0.5 * (x * x + y * y - 2.0 * rho * x * y) / om) / (
-        2.0 * math.pi * w1 * w2 * math.sqrt(om))
+def _bin_counts(u, box1, box2, bins1, bins2):
+    """``np.histogram2d(u[:, 0], u[:, 1], (bins1, bins2), (box1, box2))``.
+
+    Each event's bin comes straight from its offset in the box, then moves
+    one bin down or up where the linspace edges disagree, as np.histogram
+    does for uniform bins.  That reproduces the edge search of
+    np.histogram2d exactly: bins are closed on the left, the last one also
+    on the right, and events outside the box are dropped.
+    """
+    flat, outside, edges = None, False, []
+    for v, (lo, hi), n in ((u[:, 0], box1, bins1), (u[:, 1], box2, bins2)):
+        lo, hi = float(lo), float(hi)
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ValueError(f"histogram range [{lo!r}, {hi!r}] is not a "
+                             "finite interval")
+        if lo == hi:
+            lo, hi = lo - 0.5, hi + 0.5
+        e = np.linspace(lo, hi, n + 1)
+        f = v - lo
+        f *= n / (hi - lo)
+        k = np.clip(f, 0, n - 1, out=f).astype(np.intp)
+        del f
+        k -= v < e[k]
+        k += (v >= e[1:][k]) & (k != n - 1)
+        if flat is None:
+            flat = k
+        else:
+            flat *= n
+            flat += k
+        outside = outside | (v < lo) | (v > hi)
+        edges.append(e)
+    nbins = bins1 * bins2
+    flat[outside] = nbins
+    counts = np.bincount(flat, minlength=nbins + 1)[:nbins]
+    return counts.reshape(bins1, bins2).astype(float), edges[0], edges[1]
 
 
 def _theta_to_shape(theta):
@@ -212,27 +263,76 @@ def _theta_to_shape(theta):
     return rho, math.exp(theta[1]), math.exp(theta[2]), theta[3], theta[4]
 
 
-def _finite_diff_hessian(f, x, step=1e-5):
-    n = x.size
-    h = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            ei = np.zeros(n); ei[i] = step
-            ej = np.zeros(n); ej[j] = step
-            h[i, j] = h[j, i] = (
-                f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
-            ) / (4.0 * step * step)
-    return h
+def _gauss_terms(u1, u2, c1, c2, rho, w1, w2, out=(None,) * 6):
+    """Bivariate normal centered on (c1, c2) at (u1, u2), with the terms its
+    derivatives are built from.
+
+    Returns x = (u1 - c1)/w1, y = (u2 - c2)/w2, a = x - rho y,
+    b = y - rho x and the density phi, whose quadratic form is x a + y b.
+    ``out`` may hold six same-shaped arrays to write x, y, a, b, phi and a
+    scratch term into, so that repeated passes over the events allocate
+    nothing.
+    """
+    x, y, a, b, phi, tmp = out
+    x = np.subtract(u1, c1, out=x)
+    x /= w1
+    y = np.subtract(u2, c2, out=y)
+    y /= w2
+    a = np.subtract(x, np.multiply(y, rho, out=a), out=a)
+    b = np.subtract(y, np.multiply(x, rho, out=b), out=b)
+    phi = np.add(np.multiply(x, a, out=phi), np.multiply(y, b, out=tmp),
+                 out=phi)
+    om = 1.0 - rho * rho
+    phi *= -0.5 / om
+    np.exp(phi, out=phi)
+    phi *= 1.0 / (2.0 * math.pi * w1 * w2 * math.sqrt(om))
+    return x, y, a, b, phi
+
+
+def _shape_scores(x, y, a, b, rho, w1, w2):
+    """Gradient of log phi in (atanh rho, log w1, log w2, c1, c2)."""
+    om = 1.0 - rho * rho
+    ax = a * x
+    by = b * y
+    return (x * y - (rho / om) * (ax + by) + rho, ax / om - 1.0,
+            by / om - 1.0, a / (om * w1), b / (om * w2))
+
+
+def _wsum(*factors) -> float:
+    """Sum over events of the product of the factors, with no temporaries.
+
+    ``np.einsum`` without ``optimize`` runs its own loops; ``np.dot`` would
+    hand vectors this long to BLAS threads, many times slower there.
+    """
+    return float(np.einsum(",".join("i" * len(factors)) + "->", *factors))
 
 
 def _theta_std(cov_theta):
     """Per-coordinate standard errors from an internal covariance, or None."""
-    if cov_theta is None:
-        return None
     var = np.diag(cov_theta)
     if not np.all(np.isfinite(var)) or np.any(var < 0):
         return None
     return np.sqrt(var)
+
+
+def _theta_errors(curvature, shape_block: bool):
+    """Standard errors of theta from the inverse curvature, and their path.
+
+    The path is "full", "shape-block" (the inverse of the 5x5 shape block
+    alone, tried only when ``shape_block`` and the full inverse failed) or
+    "none".
+    """
+    blocks = [("full", curvature)]
+    if shape_block:
+        blocks.append(("shape-block", curvature[:5, :5]))
+    for path, block in blocks:
+        try:
+            se = _theta_std(np.linalg.inv(block))
+        except np.linalg.LinAlgError:
+            continue
+        if se is not None:
+            return se, path
+    return None, "none"
 
 
 def _reduced_chisq(model, counts, n_params):
@@ -247,20 +347,109 @@ def _reduced_chisq(model, counts, n_params):
     return float(np.sum((model[used] - counts[used]) ** 2 / model[used]) / dof)
 
 
+def _fit_result(loss, opt, iterations, scales, curvature, weight_grads,
+                shape_block, amplitude, background_level, reduced_chisq,
+                n_events) -> FitResult:
+    """Assemble a FitResult from the optimum ``opt.x`` of either loss.
+
+    Standard errors follow from the inverse curvature by the delta method
+    through the diagonal internal-to-external transform of the shape
+    coordinates; ``weight_grads`` maps "amplitude" and "background" to the
+    (theta index, derivative) their errors come from, used on the full
+    path only.
+    """
+    m1, m2, s1, s2 = scales
+    rho, w1, w2, cc1, cc2 = _theta_to_shape(opt.x)
+    se, se_path = _theta_errors(curvature, shape_block)
+    errors = None
+    if se is not None:
+        grads = dict(zip(PARAM_NAMES, ((0, 1.0 - rho * rho), (1, w1 * s1),
+                                       (2, w2 * s2), (3, s1), (4, s2))))
+        if se_path == "full":
+            grads.update(weight_grads)
+        errors = {name: float(se[i] * abs(d)) for name, (i, d) in grads.items()}
+    return FitResult(
+        cov=TemporalCovariance(rho_t=rho, tau1=w1 * s1, tau2=w2 * s2,
+                               mu1=m1 + cc1 * s1, mu2=m2 + cc2 * s2),
+        background_level=float(background_level),
+        amplitude=float(amplitude),
+        std_errors=errors,
+        reduced_chisq=reduced_chisq,
+        converged=bool(opt.success),
+        iterations=int(iterations),
+        degenerate_signal=background_level > _DEGENERATE_BACKGROUND,
+        loss=loss,
+        n_events=n_events,
+        message=str(opt.message),
+        nfev=int(opt.nfev),
+        njev=int(opt.njev),
+        se_path=se_path,
+    )
+
+
 # --------------------------------------------------------------------------
 # Histogram least squares
 # --------------------------------------------------------------------------
 
+def _hist_ls_loss(counts, nodes, area):
+    """Residual and Jacobian callables of the histogram fit.
+
+    ``nodes`` holds the (bins1, 1) and (1, bins2) coordinates of the four
+    Gauss-Legendre nodes per bin.  Both callables read the node densities
+    of one theta from a one-entry cache, so the Jacobian at an accepted
+    step costs no second model evaluation.
+    """
+    cache = {}
+
+    def model_terms(theta):
+        key = theta.tobytes()
+        if cache.get("key") != key:
+            rho, w1, w2, cc1, cc2 = _theta_to_shape(theta)
+            terms = [_gauss_terms(g1, g2, cc1, cc2, rho, w1, w2)
+                     for g1, g2 in nodes]
+            scale = math.exp(theta[5]) * area / 4.0
+            model = scale * sum(t[4] for t in terms) + theta[6]
+            m = np.maximum(model, 1e-12)
+            dev = 2.0 * (m - counts + xlogy(counts, counts / m))
+            res = np.sign(m - counts) * np.sqrt(np.maximum(dev, 0.0))
+            cache.update(key=key, shape=(rho, w1, w2), terms=terms,
+                         scale=scale, model=model, res=res)
+        return cache
+
+    def residuals(theta):
+        return model_terms(theta)["res"].ravel()
+
+    def jac(theta):
+        c = model_terms(theta)
+        model, res = c["model"], c["res"]
+        dm = np.zeros((7,) + model.shape)
+        for x, y, a, b, phi in c["terms"]:
+            for k, s in enumerate(_shape_scores(x, y, a, b, *c["shape"])):
+                dm[k] += phi * s
+        dm[:5] *= c["scale"]
+        dm[5] = model - theta[6]
+        dm[6] = 1.0
+        # d(signed root deviance)/dm = (1 - counts/m) / res; where m and
+        # the counts agree to 1e-5 that ratio cancels, and its limit
+        # 1/sqrt(m) is closer than the rounding; clipped bins are flat
+        m = np.maximum(model, 1e-12)
+        close = np.abs(m - counts) <= 1e-5 * m
+        drdm = np.where(close, 1.0 / np.sqrt(m),
+                        (1.0 - counts / m) / np.where(close, 1.0, res))
+        drdm[model < 1e-12] = 0.0
+        return (drdm * dm).reshape(7, -1).T
+
+    return residuals, jac, model_terms
+
+
 def _fit_hist_ls(u, scales, cfg: FitConfig, guess: TemporalCovariance):
     m1, m2, s1, s2 = scales
     box1, box2 = _box_in_u(cfg, u, scales)
-    counts, e1, e2 = np.histogram2d(u[:, 0], u[:, 1], bins=(cfg.bins1, cfg.bins2),
-                                    range=(tuple(box1), tuple(box2)))
+    counts, e1, e2 = _bin_counts(u, box1, box2, cfg.bins1, cfg.bins2)
     c1 = 0.5 * (e1[:-1] + e1[1:])
     c2 = 0.5 * (e2[:-1] + e2[1:])
     h1 = e1[1] - e1[0]
     h2 = e2[1] - e2[0]
-    area = h1 * h2
     n_box = counts.sum()
     nbins = counts.size
 
@@ -270,7 +459,7 @@ def _fit_hist_ls(u, scales, cfg: FitConfig, guess: TemporalCovariance):
     # binning; the quadrature nodes remove that error.
     d1 = 0.5 * h1 / math.sqrt(3.0)
     d2 = 0.5 * h2 / math.sqrt(3.0)
-    nodes = [(np.meshgrid(c1 + o1, c2 + o2, indexing="ij"))
+    nodes = [((c1 + o1)[:, None], (c2 + o2)[None, :])
              for o1 in (-d1, d1) for o2 in (-d2, d2)]
 
     # theta = [atanh rho, log w1, log w2, c1, c2, log A, B]
@@ -278,77 +467,133 @@ def _fit_hist_ls(u, scales, cfg: FitConfig, guess: TemporalCovariance):
     x0 = np.array([math.atanh(rho0), math.log(guess.tau1 / s1),
                    math.log(guess.tau2 / s2), (guess.mu1 - m1) / s1,
                    (guess.mu2 - m2) / s2, math.log(max(n_box, 1.0)), 0.0])
-
-    def model_counts(theta):
-        rho, w1, w2, cc1, cc2 = _theta_to_shape(theta)
-        dens = sum(_gauss2(u1g, u2g, rho, w1, w2, cc1, cc2)
-                   for u1g, u2g in nodes) / 4.0
-        return math.exp(theta[5]) * dens * area + theta[6]
-
-    def residuals(theta):
-        m = np.maximum(model_counts(theta), 1e-12)
-        dev = 2.0 * (m - counts + xlogy(counts, counts / m))
-        return (np.sign(m - counts) * np.sqrt(np.maximum(dev, 0.0))).ravel()
+    residuals, jac, model_terms = _hist_ls_loss(counts, nodes, h1 * h2)
 
     from scipy.optimize import least_squares  # ~0.25 s; only fits need it
 
-    res = least_squares(residuals, x0, method="trf", xtol=cfg.tolerance,
-                        ftol=cfg.tolerance, gtol=cfg.tolerance,
-                        max_nfev=cfg.max_iterations)
+    res = least_squares(residuals, x0, jac=jac, method="trf",
+                        xtol=cfg.tolerance, ftol=cfg.tolerance,
+                        gtol=cfg.tolerance, max_nfev=cfg.max_iterations)
     theta = res.x
-    rho, w1, w2, cc1, cc2 = _theta_to_shape(theta)
-    amp = math.exp(theta[5])
-    bg = theta[6]
-
-    model = np.maximum(model_counts(theta), 1e-12)
-    red_chisq = _reduced_chisq(model, counts, theta.size)
-    bg_counts = bg * nbins
+    model = np.maximum(model_terms(theta)["model"], 1e-12)
     total_model = float(model.sum())
-    bg_level = float(np.clip(bg_counts / total_model, 0.0, 1.0)) \
+    bg_level = float(np.clip(theta[6] * nbins / total_model, 0.0, 1.0)) \
         if total_model > 0 else 1.0
-
-    try:
-        se = _theta_std(np.linalg.inv(res.jac.T @ res.jac))
-    except np.linalg.LinAlgError:
-        se = None
-    errors = None
-    if se is not None:
-        # delta method through the (diagonal) internal-to-external transform
-        jac_diag = (1.0 - rho * rho, w1 * s1, w2 * s2, s1, s2, amp, 1.0)
-        errors = {name: float(s * abs(g))
-                  for name, s, g in zip(PARAM_NAMES, se, jac_diag)}
-
-    cov = TemporalCovariance(rho_t=rho, tau1=w1 * s1, tau2=w2 * s2,
-                             mu1=m1 + cc1 * s1, mu2=m2 + cc2 * s2)
-    return FitResult(
-        cov=cov,
-        background_level=bg_level,
-        amplitude=amp,
-        std_errors=errors,
-        reduced_chisq=red_chisq,
-        converged=bool(res.status > 0),
-        iterations=int(res.nfev),
-        degenerate_signal=bg_level > _DEGENERATE_BACKGROUND,
-        loss="hist-ls",
-        n_events=u.shape[0],
-        message=str(res.message),
-    )
+    amp = math.exp(theta[5])
+    return _fit_result(
+        "hist-ls", res, res.nfev, scales, res.jac.T @ res.jac,
+        {"amplitude": (5, amp), "background": (6, 1.0)}, shape_block=False,
+        amplitude=amp, background_level=bg_level,
+        reduced_chisq=_reduced_chisq(model, counts, theta.size),
+        n_events=u.shape[0])
 
 
 # --------------------------------------------------------------------------
 # Event-wise maximum likelihood
 # --------------------------------------------------------------------------
 
+_ML_CHUNK = 8192     # events per pass; the work arrays stay in cache
+
+
+def _ml_sums(u1, u2, shape, wb, ws, area_box, work, curvature):
+    """Per-event sums the mixture NLL and its derivatives are built from.
+
+    With r = (1-w) phi / g the signal responsibility of each event, the
+    score needs the NLL, r-weighted sums of 1, a, b, a x, b y and x y and
+    the sum of 1/g.  The curvature adds r-weighted x, y, x^2 and y^2, the
+    weight-coordinate sums, and the r (1-r)-weighted products of the shape
+    scores s = grad log phi.  Where the density clips at 1e-300 the loss
+    is flat, so those events add nothing to the derivatives.
+    """
+    rho, w1, w2, cc1, cc2 = shape
+    x, y, a, b, phi = _gauss_terms(u1, u2, cc1, cc2, rho, w1, w2, work[:6])
+    g = np.multiply(phi, ws, out=work[5])
+    g += wb / area_box
+    kept = g >= 1e-300
+    np.maximum(g, 1e-300, out=g)
+    nll = -float(np.log(g, out=work[6]).sum())
+    inv = np.divide(kept, g, out=g)
+    r = np.multiply(phi, inv, out=phi)
+    r *= ws
+    sums = [nll, float(r.sum()), _wsum(r, a), _wsum(r, b), _wsum(r, a, x),
+            _wsum(r, b, y), _wsum(r, x, y), float(inv.sum())]
+    if not curvature:
+        return np.array(sums)
+    sums += [_wsum(r, x), _wsum(r, y), _wsum(r, x, x), _wsum(r, y, y)]
+    s = _shape_scores(x, y, a, b, rho, w1, w2)
+    # G_w = d log g / d logit w = w ((1-w)/(A g) - r)
+    g_w = np.subtract(inv * (ws / area_box), r, out=inv)
+    g_w *= wb
+    sums += [_wsum(g_w, g_w), float(g_w.sum())]
+    g_w += wb
+    sums += [_wsum(r, sk, g_w) for sk in s]
+    rr = np.multiply(r, 1.0 - r, out=g_w)
+    sums += [_wsum(rr, s[k], s[j]) for k in range(5) for j in range(k, 5)]
+    return np.array(sums)
+
+
+def _ml_loss(theta, u1, u2, area_box, curvature=False):
+    """Negative log-likelihood of the Gaussian-plus-uniform mixture and its
+    gradient; with ``curvature``, also its Hessian (observed information).
+
+    theta = [atanh rho, log w1, log w2, c1, c2, logit background-weight].
+    The events are summed in chunks of ``_ML_CHUNK``, all written into one
+    set of seven chunk-long work arrays.
+    """
+    work = np.empty((7, _ML_CHUNK))
+    shape = _theta_to_shape(theta)
+    rho, w1, w2 = shape[:3]
+    wb, ws = float(expit(theta[5])), float(expit(-theta[5]))
+    om = 1.0 - rho * rho
+    n = u1.shape[0]
+    total = sum(_ml_sums(u1[i:i + _ML_CHUNK], u2[i:i + _ML_CHUNK], shape, wb,
+                         ws, area_box, work[:, :min(_ML_CHUNK, n - i)],
+                         curvature)
+                for i in range(0, n, _ML_CHUNK))
+    nll, sr, sa, sb, sax, sby, sxy, sinv = total[:8]
+    grad = -np.array([sxy - (rho / om) * (sax + sby) + rho * sr,
+                      sax / om - sr, sby / om - sr,
+                      sa / (om * w1), sb / (om * w2),
+                      wb * ws / area_box * sinv - wb * sr])
+    if not curvature:
+        return nll, grad
+
+    # H = sum G G^T - sum (Hessian of g)/g with G = grad log g.  On the
+    # shape block that is -sum r (1-r) s s^T - sum r T, with T the Hessian
+    # of log phi, whose entries are polynomials in x, y, a, b.  Across the
+    # shape and weight coordinates it is sum r s (G_w + w), on the weight
+    # sum G_w^2 - (1 - 2w) G_w.
+    sx, sy, sxx, syy, gww, gw = total[8:14]
+    p = rho / om
+    hess = np.zeros((6, 6))
+    hess[0, :5] = (2 * rho * sxy - (1 + rho * rho) / om * (sax + sby) + om * sr,
+                   2 * p * sax - sxy, 2 * p * sby - sxy,
+                   (2 * p * sa - sy) / w1, (2 * p * sb - sx) / w2)
+    hess[1, 1:5] = (-(sxx + sax) / om, p * sxy, -(sx + sa) / (om * w1),
+                    p * sx / w2)
+    hess[2, 2:5] = (-(syy + sby) / om, p * sy / w1, -(sy + sb) / (om * w2))
+    hess[3, 3:5] = (-sr / (om * w1 * w1), p * sr / (w1 * w2))
+    hess[4, 4] = -sr / (om * w2 * w2)
+    iu = np.triu_indices(5)
+    hess[iu] = -hess[iu] - total[19:]
+    hess[:5, 5] = total[14:19]
+    hess[5, 5] = gww - (ws - wb) * gw
+    il = np.tril_indices(6, -1)
+    hess[il] = hess.T[il]
+    return nll, grad, hess
+
+
 def _fit_ml(u, scales, cfg: FitConfig, guess: TemporalCovariance):
     m1, m2, s1, s2 = scales
     n = u.shape[0]
+    u1, u2 = u[:, 0], u[:, 1]
     # the uniform component must cover every event, otherwise far background
     # events are forced onto the Gaussian tail and inflate the widths; use
     # the (slightly padded) data bounding box as its support
-    pad1 = 1e-9 * max(1.0, float(np.ptp(u[:, 0])))
-    pad2 = 1e-9 * max(1.0, float(np.ptp(u[:, 1])))
-    lo1, hi1 = u[:, 0].min() - pad1, u[:, 0].max() + pad1
-    lo2, hi2 = u[:, 1].min() - pad2, u[:, 1].max() + pad2
+    pad1 = 1e-9 * max(1.0, float(np.ptp(u1)))
+    pad2 = 1e-9 * max(1.0, float(np.ptp(u2)))
+    lo1, hi1 = u1.min() - pad1, u1.max() + pad1
+    lo2, hi2 = u2.min() - pad2, u2.max() + pad2
     area_box = (hi1 - lo1) * (hi2 - lo2)
 
     rho0 = float(np.clip(guess.rho_t, -_RHO_CLAMP, _RHO_CLAMP))
@@ -358,75 +603,37 @@ def _fit_ml(u, scales, cfg: FitConfig, guess: TemporalCovariance):
                    (guess.mu2 - m2) / s2, math.log(1e-3 / (1 - 1e-3))])
     bounds = [(None, None)] * 5 + [(-30.0, 30.0)]
 
-    def nll(theta):
-        rho, w1, w2, cc1, cc2 = _theta_to_shape(theta)
-        w = float(expit(theta[5]))
-        dens = (1.0 - w) * _gauss2(u[:, 0], u[:, 1], rho, w1, w2, cc1, cc2) \
-            + w / area_box
-        return -float(np.sum(np.log(np.maximum(dens, 1e-300))))
-
     from scipy.optimize import minimize
 
-    res = minimize(nll, x0, method="L-BFGS-B", bounds=bounds, options={
-        "maxiter": cfg.max_iterations,
-        "ftol": cfg.tolerance,
-        "gtol": 1e-8,
-    })
+    res = minimize(_ml_loss, x0, args=(u1, u2, area_box), jac=True,
+                   method="L-BFGS-B", bounds=bounds, options={
+                       "maxiter": cfg.max_iterations,
+                       "ftol": cfg.tolerance,
+                       "gtol": 1e-8,
+                   })
     theta = res.x
     rho, w1, w2, cc1, cc2 = _theta_to_shape(theta)
     w = float(expit(theta[5]))
-
-    hess = _finite_diff_hessian(nll, theta)
-    se = None
-    try:
-        se = _theta_std(np.linalg.inv(hess))
-    except np.linalg.LinAlgError:
-        se = None
-    errors = None
-    include_weight_errors = se is not None
-    if se is None:
-        # the background weight is often unidentifiable on clean data (it
-        # runs to the boundary); fall back to the shape-parameter block
-        try:
-            se = _theta_std(np.linalg.inv(hess[:5, :5]))
-        except np.linalg.LinAlgError:
-            se = None
-    if se is not None:
-        jac_diag = (1.0 - rho * rho, w1 * s1, w2 * s2, s1, s2)
-        errors = {name: float(s * abs(g))
-                  for name, s, g in zip(PARAM_NAMES[:5], se[:5], jac_diag)}
-        if include_weight_errors:
-            # amplitude (1-w)*n and background w share the logit coordinate
-            errors["amplitude"] = float(se[5] * n * w * (1.0 - w))
-            errors["background"] = float(se[5] * w * (1.0 - w))
+    hess = _ml_loss(theta, u1, u2, area_box, curvature=True)[2]
 
     # histogram goodness of fit for reporting, same binning as hist-ls
-    counts, e1, e2 = np.histogram2d(u[:, 0], u[:, 1],
-                                    bins=(cfg.bins1, cfg.bins2),
-                                    range=((lo1, hi1), (lo2, hi2)))
+    counts, e1, e2 = _bin_counts(u, (lo1, hi1), (lo2, hi2),
+                                 cfg.bins1, cfg.bins2)
     c1 = 0.5 * (e1[:-1] + e1[1:])
     c2 = 0.5 * (e2[:-1] + e2[1:])
     area = (e1[1] - e1[0]) * (e2[1] - e2[0])
-    u1g, u2g = np.meshgrid(c1, c2, indexing="ij")
-    model = n * ((1.0 - w) * _gauss2(u1g, u2g, rho, w1, w2, cc1, cc2)
-                 + w / area_box) * area
-    red_chisq = _reduced_chisq(np.maximum(model, 1e-12), counts, theta.size)
+    phi = _gauss_terms(c1[:, None], c2[None, :], cc1, cc2, rho, w1, w2)[4]
+    model = n * ((1.0 - w) * phi + w / area_box) * area
 
-    cov = TemporalCovariance(rho_t=rho, tau1=w1 * s1, tau2=w2 * s2,
-                             mu1=m1 + cc1 * s1, mu2=m2 + cc2 * s2)
-    return FitResult(
-        cov=cov,
-        background_level=float(w),
-        amplitude=float((1.0 - w) * n),
-        std_errors=errors,
-        reduced_chisq=red_chisq,
-        converged=bool(res.success),
-        iterations=int(res.nit),
-        degenerate_signal=w > _DEGENERATE_BACKGROUND,
-        loss="ml",
-        n_events=n,
-        message=str(res.message),
-    )
+    # the background weight is often unidentifiable on clean data (it runs
+    # to the boundary); the errors then fall back to the shape block
+    return _fit_result(
+        "ml", res, res.nit, scales, hess,
+        {"amplitude": (5, n * w * (1.0 - w)), "background": (5, w * (1.0 - w))},
+        shape_block=True, amplitude=(1.0 - w) * n, background_level=w,
+        reduced_chisq=_reduced_chisq(np.maximum(model, 1e-12), counts,
+                                     theta.size),
+        n_events=n)
 
 
 def fit(events: EventSet, cfg: FitConfig | None = None) -> FitResult:

@@ -117,6 +117,32 @@ def truncated_normal_moments_mp(mu: float, sd: float, lo: float,
         return float(mu + sd * shift), float(sd ** 2 * var)
 
 
+def conditional_density_mp(t1: float, center: float, width: float,
+                           cov: TemporalCovariance, dps: int = 50) -> float:
+    """Windowed conditional density from its closed form at ``dps`` digits.
+
+    pdf(t1; tau1) times the normal mass of the window about the regression
+    mean of t2, divided by the window's own mass.
+    """
+    import mpmath
+
+    def mass(lo, hi):
+        return (mpmath.ncdf(hi) - mpmath.ncdf(lo) if lo + hi < 0
+                else mpmath.ncdf(-lo) - mpmath.ncdf(-hi))
+
+    with mpmath.workdps(dps):
+        rho = mpmath.mpf(cov.rho_t)
+        tau1, tau2 = mpmath.mpf(cov.tau1), mpmath.mpf(cov.tau2)
+        x1 = mpmath.mpf(t1) - mpmath.mpf(cov.mu1)
+        half = mpmath.mpf(width) / 2
+        a = mpmath.mpf(center) - half - mpmath.mpf(cov.mu2)
+        b = mpmath.mpf(center) + half - mpmath.mpf(cov.mu2)
+        m = rho * (tau2 / tau1) * x1
+        s = tau2 * mpmath.sqrt(1 - rho ** 2)
+        return float(mpmath.npdf(x1, 0, tau1) * mass((a - m) / s, (b - m) / s)
+                     / mass(a / tau2, b / tau2))
+
+
 def spectral_intensity_moments(sigma: float, tau_p: float):
     """(Var(nu1), Cov(nu1, nu2)) of |phi|^2 by 2-D quadrature.
 
@@ -422,3 +448,163 @@ def read_events_loop(path):
             f"{len(rows)} rows")
     arr = np.array(rows, dtype=float).reshape(len(rows), 2)
     return EventSet(arr, metadata)
+
+
+# --------------------------------------------------------------------------
+# Reference fits: the finite-difference fit paths of release 0.1.0
+# --------------------------------------------------------------------------
+# Both losses as 0.1.0 ran them: finite-difference optimizer derivatives,
+# np.histogram2d binning and, for ML, a fixed-step finite-difference Hessian
+# of the negative log-likelihood.  Each returns the fitted parameters and
+# the standard errors keyed like ``fitting.PARAM_NAMES`` (None when the
+# curvature was singular).  The package's analytic-derivative fits must
+# land on the same optimum and reproduce these errors.
+
+def _gauss2_ref(u1, u2, rho, w1, w2, c1, c2):
+    x = (u1 - c1) / w1
+    y = (u2 - c2) / w2
+    om = 1.0 - rho * rho
+    return np.exp(-0.5 * (x * x + y * y - 2.0 * rho * x * y) / om) / (
+        2.0 * math.pi * w1 * w2 * math.sqrt(om))
+
+
+def _theta_std_ref(cov_theta):
+    var = np.diag(cov_theta)
+    if not np.all(np.isfinite(var)) or np.any(var < 0):
+        return None
+    return np.sqrt(var)
+
+
+def _fit_params_ref(theta, scales, amplitude, background_level):
+    from heraldtime.fitting import PARAM_NAMES
+
+    m1, m2, s1, s2 = scales
+    rho = math.tanh(theta[0])
+    w1, w2 = math.exp(theta[1]), math.exp(theta[2])
+    values = (rho, w1 * s1, w2 * s2, m1 + theta[3] * s1, m2 + theta[4] * s2,
+              amplitude, background_level)
+    return dict(zip(PARAM_NAMES, values)), (1.0 - rho * rho, w1 * s1,
+                                            w2 * s2, s1, s2)
+
+
+def fit_hist_ls_reference(events, cfg):
+    """Histogram least squares with a 2-point finite-difference Jacobian."""
+    from scipy.optimize import least_squares
+    from scipy.special import xlogy
+
+    from heraldtime.fitting import (PARAM_NAMES, _box_in_u, _standardize,
+                                    initial_guess)
+
+    guess = initial_guess(events)
+    u, scales = _standardize(events)
+    m1, m2, s1, s2 = scales
+    box1, box2 = _box_in_u(cfg, u, scales)
+    counts, e1, e2 = np.histogram2d(u[:, 0], u[:, 1], bins=(cfg.bins1, cfg.bins2),
+                                    range=(tuple(box1), tuple(box2)))
+    c1 = 0.5 * (e1[:-1] + e1[1:])
+    c2 = 0.5 * (e2[:-1] + e2[1:])
+    h1, h2 = e1[1] - e1[0], e2[1] - e2[0]
+    d1, d2 = 0.5 * h1 / math.sqrt(3.0), 0.5 * h2 / math.sqrt(3.0)
+    nodes = [np.meshgrid(c1 + o1, c2 + o2, indexing="ij")
+             for o1 in (-d1, d1) for o2 in (-d2, d2)]
+    rho0 = float(np.clip(guess.rho_t, -0.999, 0.999))
+    x0 = np.array([math.atanh(rho0), math.log(guess.tau1 / s1),
+                   math.log(guess.tau2 / s2), (guess.mu1 - m1) / s1,
+                   (guess.mu2 - m2) / s2, math.log(max(counts.sum(), 1.0)),
+                   0.0])
+
+    def model_counts(theta):
+        rho, w1, w2 = math.tanh(theta[0]), math.exp(theta[1]), math.exp(theta[2])
+        dens = sum(_gauss2_ref(a, b, rho, w1, w2, theta[3], theta[4])
+                   for a, b in nodes) / 4.0
+        return math.exp(theta[5]) * dens * h1 * h2 + theta[6]
+
+    def residuals(theta):
+        m = np.maximum(model_counts(theta), 1e-12)
+        dev = 2.0 * (m - counts + xlogy(counts, counts / m))
+        return (np.sign(m - counts) * np.sqrt(np.maximum(dev, 0.0))).ravel()
+
+    res = least_squares(residuals, x0, method="trf", xtol=cfg.tolerance,
+                        ftol=cfg.tolerance, gtol=cfg.tolerance,
+                        max_nfev=cfg.max_iterations)
+    theta = res.x
+    model = np.maximum(model_counts(theta), 1e-12)
+    total = float(model.sum())
+    bg_level = float(np.clip(theta[6] * counts.size / total, 0.0, 1.0)) \
+        if total > 0 else 1.0
+    amp = math.exp(theta[5])
+    params, shape_jac = _fit_params_ref(theta, scales, amp, bg_level)
+    try:
+        se = _theta_std_ref(np.linalg.inv(res.jac.T @ res.jac))
+    except np.linalg.LinAlgError:
+        se = None
+    if se is None:
+        return params, None
+    return params, {name: float(s * abs(g)) for name, s, g in
+                    zip(PARAM_NAMES, se, shape_jac + (amp, 1.0))}
+
+
+def fit_ml_reference(events, cfg):
+    """Mixture maximum likelihood: L-BFGS-B on finite-difference gradients,
+    errors from a finite-difference Hessian (5x5 shape block as fallback)."""
+    from scipy.optimize import minimize
+    from scipy.special import expit
+
+    from heraldtime.fitting import PARAM_NAMES, _standardize, initial_guess
+
+    guess = initial_guess(events)
+    u, scales = _standardize(events)
+    m1, m2, s1, s2 = scales
+    n = u.shape[0]
+    pad1 = 1e-9 * max(1.0, float(np.ptp(u[:, 0])))
+    pad2 = 1e-9 * max(1.0, float(np.ptp(u[:, 1])))
+    area_box = ((u[:, 0].max() + pad1) - (u[:, 0].min() - pad1)) * (
+        (u[:, 1].max() + pad2) - (u[:, 1].min() - pad2))
+    rho0 = float(np.clip(guess.rho_t, -0.999, 0.999))
+    x0 = np.array([math.atanh(rho0), math.log(guess.tau1 / s1),
+                   math.log(guess.tau2 / s2), (guess.mu1 - m1) / s1,
+                   (guess.mu2 - m2) / s2, math.log(1e-3 / (1 - 1e-3))])
+
+    def nll(theta):
+        rho, w1, w2 = math.tanh(theta[0]), math.exp(theta[1]), math.exp(theta[2])
+        w = float(expit(theta[5]))
+        dens = (1.0 - w) * _gauss2_ref(u[:, 0], u[:, 1], rho, w1, w2,
+                                       theta[3], theta[4]) + w / area_box
+        return -float(np.sum(np.log(np.maximum(dens, 1e-300))))
+
+    res = minimize(nll, x0, method="L-BFGS-B",
+                   bounds=[(None, None)] * 5 + [(-30.0, 30.0)],
+                   options={"maxiter": cfg.max_iterations,
+                            "ftol": cfg.tolerance, "gtol": 1e-8})
+    theta = res.x
+    w = float(expit(theta[5]))
+    params, shape_jac = _fit_params_ref(theta, scales, (1.0 - w) * n, w)
+
+    step, k = 1e-5, theta.size
+    hess = np.empty((k, k))
+    for i in range(k):
+        for j in range(i, k):
+            ei = np.zeros(k); ei[i] = step
+            ej = np.zeros(k); ej[j] = step
+            hess[i, j] = hess[j, i] = (
+                nll(theta + ei + ej) - nll(theta + ei - ej)
+                - nll(theta - ei + ej) + nll(theta - ei - ej)) / (4 * step ** 2)
+
+    def std_of(block):
+        try:
+            return _theta_std_ref(np.linalg.inv(block))
+        except np.linalg.LinAlgError:
+            return None
+
+    se = std_of(hess)
+    full = se is not None
+    if not full:
+        se = std_of(hess[:5, :5])
+    if se is None:
+        return params, None
+    errors = {name: float(s * abs(g))
+              for name, s, g in zip(PARAM_NAMES[:5], se[:5], shape_jac)}
+    if full:
+        errors["amplitude"] = float(se[5] * n * w * (1.0 - w))
+        errors["background"] = float(se[5] * w * (1.0 - w))
+    return params, errors

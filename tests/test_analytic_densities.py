@@ -14,7 +14,8 @@ from heraldtime.analytic import (
 from heraldtime.params import TemporalCovariance
 
 from conftest import REFERENCE_SETS
-from oracles import conditional_pdf_quad, joint_total_mass
+from oracles import (conditional_density_mp, conditional_pdf_quad,
+                     joint_total_mass)
 
 
 def gaussian_pdf(x, mu, sd):
@@ -114,6 +115,36 @@ class TestConditionalDensity:
         ours = conditional_density(grid, 1e-10, 8e-11, cov.swapped())
         oracle = conditional_pdf_quad(grid, 1e-10, 8e-11, cov.swapped())
         assert np.max(np.abs(ours - oracle)) / np.max(np.abs(oracle)) < 1e-6
+
+
+class TestConditionalDensityTails:
+    """Windows deep in either tail against the closed form at 50 digits."""
+
+    COV = TemporalCovariance(rho_t=0.6, tau1=2e-10, tau2=3e-10)
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    @pytest.mark.parametrize("z, width", [(2.0, 0.5), (6.0, 0.01), (8.0, 0.1),
+                                          (10.0, 0.5), (20.0, 0.2),
+                                          (35.0, 0.01)])
+    def test_matches_mpmath(self, z, width, side):
+        cov = self.COV
+        center, w = side * z * cov.tau2, width * cov.tau2
+        mean = cov.rho_t * cov.tau1 / cov.tau2 * center
+        sd = cov.tau1 * math.sqrt(1.0 - cov.rho_t ** 2)
+        grid = mean + sd * np.linspace(-4.0, 4.0, 9)
+        ours = conditional_density(grid, center, w, cov)
+        want = [conditional_density_mp(t, center, w, cov) for t in grid]
+        np.testing.assert_allclose(ours, want, rtol=1e-9)
+
+    @pytest.mark.parametrize("z", [6.0, 10.0, 35.0])
+    def test_mirror_symmetric(self, z):
+        cov = self.COV
+        center = z * cov.tau2
+        grid = cov.rho_t * cov.tau1 / cov.tau2 * center \
+            + cov.tau1 * np.linspace(-3.0, 3.0, 13)
+        np.testing.assert_array_equal(
+            conditional_density(-grid, -center, 0.1 * cov.tau2, cov),
+            conditional_density(grid, center, 0.1 * cov.tau2, cov))
 
 
 class TestConditionalLimit:

@@ -328,6 +328,11 @@ class TestReports:
         with pytest.raises(ReportError):
             write_table(tmp_path / "t.csv", ["a"], [[math.nan]])
 
+    def test_event_metadata_nan_rejected(self, tmp_path):
+        with pytest.raises(ReportError, match="non-finite"):
+            write_events(EventSet(np.zeros((1, 2)), {"x": float("nan")}),
+                         tmp_path / "ev.csv")
+
 
 CONFIG_OK = """\
 # reference run

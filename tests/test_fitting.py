@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import OptimizeResult
 
+from heraldtime import fitting
 from heraldtime.fitting import (
+    PARAM_NAMES,
     DegenerateDataError,
     FitConfig,
     bootstrap_errors,
@@ -14,6 +18,7 @@ from heraldtime.params import TemporalCovariance
 from heraldtime.sampler import DetectorModel, EventSet, sample
 
 from conftest import REFERENCE_SETS
+from oracles import fit_hist_ls_reference, fit_ml_reference
 
 
 def synthetic(cov, n, seed, det=None):
@@ -144,15 +149,44 @@ class TestHistogramFit:
         assert math.isfinite(result.cov.tau1)
 
     def test_summary_fields(self):
-        result = fit(synthetic(REFERENCE_SETS[0], 5000, seed=2))
-        summary = result.summary()
-        for key in ("rho_t", "tau1", "tau2", "narrowing_ratio_limit",
-                    "amplitude", "background_level", "reduced_chisq",
-                    "converged", "std_errors"):
-            assert key in summary
+        check_summary_fields("hist-ls")
+
+    def test_summary_names_shape_block_errors(self):
+        # on clean data the ml background weight can run to its bound,
+        # where the curvature falls back to the shape block and the weight
+        # errors are left out; the summary says so instead of going silent
+        flat = np.zeros((6, 6))
+        flat[:5, :5] = np.eye(5)
+        assert fitting._theta_errors(flat, shape_block=False) == (None, "none")
+        opt = OptimizeResult(x=np.zeros(6), success=True, message="",
+                             nfev=1, njev=1)
+        shaped = fitting._fit_result(
+            "ml", opt, 1, (0.0, 0.0, 1.0, 1.0), flat,
+            {"amplitude": (5, 1.0), "background": (5, 1.0)}, True, 1.0, 0.0,
+            1.0, 100)
+        assert shaped.summary()["se_path"] == "shape-block"
+        assert set(shaped.std_errors) == set(PARAM_NAMES[:5])
+
+
+def check_summary_fields(loss):
+    result = fit(synthetic(REFERENCE_SETS[0], 5000, seed=2),
+                 FitConfig(loss=loss))
+    summary = result.summary()
+    for key in ("rho_t", "tau1", "tau2", "narrowing_ratio_limit",
+                "amplitude", "background_level", "reduced_chisq",
+                "converged", "std_errors", "nfev", "njev", "se_path"):
+        assert key in summary
+    # analytic derivatives: at most one gradient (Jacobian) per evaluation,
+    # none spent on finite differences
+    assert 1 <= summary["njev"] <= summary["nfev"] <= 200
+    assert summary["se_path"] == "full"
+    assert set(summary["std_errors"]) == set(PARAM_NAMES)
 
 
 class TestMaximumLikelihood:
+    def test_summary_fields(self):
+        check_summary_fields("ml")
+
     def test_round_trip(self):
         cov = REFERENCE_SETS[2]
         result = fit(synthetic(cov, 30000, seed=19), FitConfig(loss="ml"))
@@ -195,3 +229,240 @@ class TestBootstrap:
         boot = bootstrap_errors(events, n_resamples=40, seed=1)
         for key in ("rho_t", "tau1", "tau2"):
             assert boot[key] == pytest.approx(curvature[key], rel=0.6)
+
+    def test_ml_curvature_matches_bootstrap_roughly(self):
+        cov = REFERENCE_SETS[1]
+        events = synthetic(cov, 20000, seed=41)
+        cfg = FitConfig(loss="ml")
+        curvature = fit(events, cfg).std_errors
+        boot = bootstrap_errors(events, cfg, n_resamples=20, seed=1)
+        for key in ("rho_t", "tau1", "tau2"):
+            assert boot[key] == pytest.approx(curvature[key], rel=0.6)
+
+
+def central_diff(f, theta, step):
+    """Derivatives of f (scalar or vector valued) in each theta: central
+    differences at step and step/2, Richardson-extrapolated."""
+    def central(h):
+        cols = []
+        for k in range(theta.size):
+            e = np.zeros(theta.size)
+            e[k] = h
+            cols.append((np.asarray(f(theta + e)) - np.asarray(f(theta - e)))
+                        / (2 * h))
+        return np.stack(cols, axis=-1)
+
+    return (4 * central(step / 2) - central(step)) / 3
+
+
+class TestAnalyticDerivatives:
+    """Closed-form scores, curvature and Jacobian against finite differences."""
+
+    @staticmethod
+    def events(n=3000, seed=3):
+        rng = np.random.default_rng(seed)
+        u = rng.multivariate_normal([0.1, -0.2], [[1.0, 0.5], [0.5, 1.2]], n)
+        u = np.vstack([u, rng.uniform(-4, 4, size=(n // 20, 2))])
+        return np.ascontiguousarray(u[:, 0]), np.ascontiguousarray(u[:, 1])
+
+    @pytest.mark.parametrize("theta", [
+        [0.3, -0.1, 0.2, 0.05, -0.1, -3.0],
+        [math.atanh(0.999), 0.1, -0.3, 0.2, 0.1, -1.0],
+        [math.atanh(-0.999), -0.5, 0.4, -0.1, 0.3, 0.5],
+        [-0.4, 0.2, 0.1, 0.0, 0.0, -29.5],
+        [0.2, -0.2, 0.3, 0.1, 0.0, 29.5],
+    ])
+    def test_ml_score_and_curvature(self, theta):
+        u1, u2 = self.events()
+        theta = np.array(theta)
+        nll, grad, hess = fitting._ml_loss(theta, u1, u2, 64.0,
+                                           curvature=True)
+        assert nll == fitting._ml_loss(theta, u1, u2, 64.0)[0]
+
+        def f(t):
+            return fitting._ml_loss(t, u1, u2, 64.0)[0]
+
+        def g(t):
+            return fitting._ml_loss(t, u1, u2, 64.0)[1]
+
+        scale = np.abs(grad).max() + 1e-3 * abs(nll)
+        np.testing.assert_allclose(grad, central_diff(f, theta, 1e-5),
+                                   rtol=0, atol=1e-6 * scale)
+        fd_hess = central_diff(g, theta, 1e-5)
+        np.testing.assert_allclose(hess, 0.5 * (fd_hess + fd_hess.T), rtol=0,
+                                   atol=1e-6 * np.abs(hess).max())
+        np.testing.assert_array_equal(hess, hess.T)
+
+    def test_ml_clipped_density_adds_no_gradient(self):
+        # a background this diluted puts every far event below the 1e-300
+        # floor, where the loss is flat
+        u1, u2 = self.events()
+        u1[:40] += 60.0
+        area = 1e295
+        theta = np.array([0.2, 0.0, 0.0, 0.0, 0.0, -25.0])
+        phi = fitting._gauss_terms(u1, u2, 0.0, 0.0, math.tanh(0.2), 1.0,
+                                   1.0)[4]
+        assert np.sum(phi < 1e-300) >= 40
+
+        def f(t):
+            return fitting._ml_loss(t, u1, u2, area)[0]
+
+        nll, grad, hess = fitting._ml_loss(theta, u1, u2, area,
+                                           curvature=True)
+        assert np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))
+        np.testing.assert_allclose(grad, central_diff(f, theta, 1e-5),
+                                   rtol=0, atol=1e-6 * np.abs(grad).max())
+        # the clipped events add exactly nothing
+        kept = np.ones(u1.size, bool)
+        kept[:40] = False
+        got = fitting._ml_loss(theta, u1[kept], u2[kept], area)
+        assert nll == pytest.approx(got[0] + 40 * 300 * math.log(10),
+                                    rel=1e-13)
+        np.testing.assert_allclose(grad, got[1], rtol=1e-12, atol=1e-12)
+
+    @staticmethod
+    def hist_ls(seed=5):
+        rng = np.random.default_rng(seed)
+        e1 = np.linspace(-3.0, 3.0, 17)
+        e2 = np.linspace(-2.5, 3.5, 13)
+        c1 = 0.5 * (e1[:-1] + e1[1:])
+        c2 = 0.5 * (e2[:-1] + e2[1:])
+        d1, d2 = (e1[1] - e1[0]) / (2 * math.sqrt(3)), \
+            (e2[1] - e2[0]) / (2 * math.sqrt(3))
+        nodes = [((c1 + o1)[:, None], (c2 + o2)[None, :])
+                 for o1 in (-d1, d1) for o2 in (-d2, d2)]
+        area = (e1[1] - e1[0]) * (e2[1] - e2[0])
+        counts = rng.poisson(30.0 * np.exp(-0.3 * (c1[:, None] ** 2
+                                                   + c2[None, :] ** 2)))
+        return counts.astype(float), nodes, area
+
+    @pytest.mark.parametrize("theta", [
+        [0.3, -0.1, 0.2, 0.05, -0.1, math.log(2000.0), 0.5],
+        [math.atanh(0.999), 0.1, -0.3, 0.2, 0.1, math.log(3000.0), 0.3],
+        [math.atanh(-0.999), -0.2, 0.1, -0.1, 0.3, math.log(500.0), 2.0],
+    ])
+    def test_hist_ls_jacobian(self, theta):
+        counts, nodes, area = self.hist_ls()
+        residuals, jac, model_terms = fitting._hist_ls_loss(counts, nodes,
+                                                            area)
+        theta = np.array(theta)
+        # a few bins whose counts equal the model exactly (zero residual)
+        model = model_terms(theta)["model"].ravel()
+        pick = np.flatnonzero(model > 1.0)[::3]
+        counts.flat[pick] = model[pick]
+        residuals, jac, model_terms = fitting._hist_ls_loss(counts, nodes,
+                                                            area)
+        zero = residuals(theta) == 0.0
+        assert zero.sum() >= 4
+        got = jac(theta)
+        fd = central_diff(residuals, theta, 1e-6)
+        np.testing.assert_allclose(got[~zero], fd[~zero], rtol=0,
+                                   atol=1e-6 * np.abs(fd).max())
+        # next to a zero residual its rounding swamps small steps
+        fd = central_diff(residuals, theta, 1e-3)
+        np.testing.assert_allclose(got[zero], fd[zero], rtol=0,
+                                   atol=1e-5 * np.abs(fd).max())
+
+    def test_hist_ls_clipped_bins_are_flat(self):
+        counts, nodes, area = self.hist_ls()
+        residuals, jac, model_terms = fitting._hist_ls_loss(counts, nodes,
+                                                            area)
+        theta = np.array([0.2, -0.5, -0.5, 0.0, 0.0, math.log(500.0), -2.0])
+        model = model_terms(theta)["model"].ravel()
+        clipped = model < 1e-12
+        assert 10 <= clipped.sum() < model.size - 10
+        got = jac(theta)
+        assert np.all(got[clipped] == 0.0)
+        # bins safely away from the floor match finite differences
+        far = np.abs(model - 1e-12) > 1e-3
+        fd = central_diff(residuals, theta, 1e-6)
+        np.testing.assert_allclose(got[far], fd[far], rtol=0,
+                                   atol=1e-6 * np.abs(fd).max())
+
+
+def _histogram2d(u, box1, box2, bins1, bins2):
+    return np.histogram2d(u[:, 0], u[:, 1], bins=(bins1, bins2),
+                          range=(tuple(box1), tuple(box2)))
+
+
+class TestDirectBinning:
+    def assert_same(self, u, box1, box2, bins1=8, bins2=11):
+        got = fitting._bin_counts(u, box1, box2, bins1, bins2)
+        want = _histogram2d(u, box1, box2, bins1, bins2)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
+    def test_edges_top_and_outside(self):
+        box1, box2 = (-1.3, 2.9), (0.1, 0.7)
+        e1 = np.linspace(*box1, 9)
+        e2 = np.linspace(*box2, 12)
+        rng = np.random.default_rng(0)
+        t1 = np.concatenate([e1, np.nextafter(e1, -np.inf),
+                             np.nextafter(e1, np.inf), [-7.0, 1e300, -1e300],
+                             rng.uniform(-2, 4, 500)])
+        t2 = np.concatenate([np.resize(e2, t1.size - 500),
+                             rng.uniform(0, 0.8, 500)])
+        u = np.column_stack([t1, t2])
+        self.assert_same(u, box1, box2)
+        self.assert_same(u[:, ::-1], box2, box1, 11, 8)
+
+    def test_sampled_events_in_percentile_box(self):
+        events = synthetic(REFERENCE_SETS[2], 20000, seed=4)
+        u, scales = fitting._standardize(events)
+        box1, box2 = fitting._box_in_u(FitConfig(), u, scales)
+        self.assert_same(u, box1, box2, 64, 64)
+
+    def test_point_box_widens_like_numpy(self):
+        u = np.array([[2.0, 2.0], [2.4, 1.6], [2.6, 2.0], [1.0, 2.5]])
+        self.assert_same(u, (2.0, 2.0), (1.6, 2.4), 8, 8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10)),
+                    min_size=1, max_size=60),
+           st.floats(-5, 5), st.floats(1e-6, 10), st.integers(1, 40))
+    def test_matches_histogram2d(self, rows, lo, span, bins):
+        u = np.array(rows, dtype=float)
+        box = (lo, lo + span)
+        # include the box edges themselves among the values
+        u = np.vstack([u, [[box[0], box[1]], [box[1], box[0]]]])
+        self.assert_same(u, box, box, bins, bins + 3)
+
+
+# Table 1 sets as the benchmark samples them: 30 ps jitter on each channel,
+# 10 ps reference jitter, 1 % flat background over +-5 widths
+def table1_events(cov, seed):
+    half = 5.0 * max(cov.tau1, cov.tau2)
+    det = DetectorModel(jitter1=30e-12, jitter2=30e-12,
+                        reference_jitter=10e-12, background_rate=0.01,
+                        window=(-half, half))
+    return synthetic(cov, 82000, seed, det)
+
+
+class TestMatchesFiniteDifferenceFits:
+    """The analytic-derivative fits land where the 0.1.0 fits did."""
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    @pytest.mark.parametrize("loss, reference", [
+        ("hist-ls", fit_hist_ls_reference), ("ml", fit_ml_reference)])
+    def test_table1_sets(self, which, seed, loss, reference):
+        events = table1_events(REFERENCE_SETS[which], seed)
+        cfg = FitConfig(loss=loss)
+        result = fit(events, cfg)
+        params, errors = reference(events, cfg)
+        assert result.converged and result.se_path == "full"
+        for key in PARAM_NAMES[:5]:
+            got = getattr(result.cov, key)
+            assert abs(got - params[key]) < 1e-3 * errors[key]
+        assert set(result.std_errors) == set(errors)
+        for key in PARAM_NAMES[:5]:
+            assert result.std_errors[key] == pytest.approx(errors[key],
+                                                           rel=1e-4)
+        # the 0.1.0 ml Hessian took fixed 1e-5 steps on an NLL of ~2e5,
+        # whose rounding moves its weight-coordinate curvature by up to a
+        # few 1e-4 relative; the amplitude and background errors rest on it
+        weight_rtol = 1e-3 if loss == "ml" else 1e-4
+        for key in PARAM_NAMES[5:]:
+            assert result.std_errors[key] == pytest.approx(
+                errors[key], rel=weight_rtol)
