@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .params import (
     CWPumpError,
@@ -102,6 +101,8 @@ def _normal_mass(lo, hi):
     relative precision, so the difference of the two tail masses does not
     cancel in either tail.
     """
+    from scipy.special import ndtr
+
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     up = lo > 0.0
     return ndtr(np.where(up, -lo, hi)) - ndtr(np.where(up, -hi, lo))

@@ -70,6 +70,8 @@ __all__ = [
 ]
 
 EVENT_MAGIC = "# heraldtime events v1"
+# Where str.splitlines() breaks an ASCII line besides "\n".
+_OTHER_BREAKS = b"\r\x0b\x0c\x1c\x1d\x1e"
 # Rows formatted per write call: bounds the strings held at once.
 _WRITE_BLOCK_ROWS = 65536
 
@@ -192,7 +194,22 @@ def read_events(path) -> EventSet:
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        with path.open("rb") as fh:
+            raw = fh.read()
+            reader = _EventReader(path)
+            start = _plain_body_start(raw, reader)
+            if start is not None:
+                rows = raw.count(b"\n", start) + (not raw.endswith(b"\n"))
+                raw = None  # loadtxt reads the rows from the file itself
+                fh.seek(start)
+                arr = _parse_body(fh, rows)
+                if arr is not None:
+                    arr *= reader.scale
+                    return _event_set(reader, arr)
+                fh.seek(0)
+                raw = fh.read()
+        text = raw.decode("utf-8")
+        del raw
     except (OSError, UnicodeDecodeError) as exc:
         raise EventFileError(f"cannot read event file {path}: {exc}") from exc
 
@@ -200,13 +217,12 @@ def read_events(path) -> EventSet:
     if not lines or lines[0].strip() != EVENT_MAGIC:
         raise EventFileError(
             f"{path}:1: missing magic header {EVENT_MAGIC!r}")
-    # The header block runs up to the first data row.
-    body_start = next((i for i in range(1, len(lines))
-                       if lines[i].strip()[:1] not in ("", "#")), len(lines))
+    body_start = _body_start(lines)
     reader = _EventReader(path)
     reader.walk(lines[1:body_start], first_lineno=2)
     body = lines[body_start:]
-    arr = _parse_body(body) if body and reader.scale is not None else None
+    arr = (_parse_body(body, len(body))
+           if body and reader.scale is not None else None)
     if arr is not None:
         arr *= reader.scale
     else:
@@ -214,16 +230,55 @@ def read_events(path) -> EventSet:
                        dtype=float).reshape(-1, 2)
     if reader.scale is None:
         raise EventFileError(f"{path}: missing mandatory '# units = ...' line")
+    return _event_set(reader, arr)
+
+
+def _body_start(lines: list[str]) -> int:
+    """Index of the first data row: the header block runs up to it."""
+    return next((i for i in range(1, len(lines))
+                 if lines[i].strip()[:1] not in ("", "#")), len(lines))
+
+
+def _plain_body_start(raw: bytes, reader: _EventReader) -> int | None:
+    """Byte offset of a body that ``np.loadtxt`` can read from the file.
+
+    Walks the header block into ``reader`` on the way.  Returns None, for the
+    decoded text to decide, unless the body is ASCII, breaks its lines only
+    at "\n" and starts where ``str.splitlines`` would start it.
+    """
+    start = 0
+    while start < len(raw):
+        end = raw.find(b"\n", start) + 1 or len(raw)
+        line = raw[start:end].strip()
+        if line and not line.startswith(b"#"):
+            break
+        start = end
+    else:
+        return None
+    if (np.frombuffer(raw, np.uint8, offset=start).max() >= 0x80
+            or any(raw.find(c, start) >= 0 for c in _OTHER_BREAKS)):
+        return None
+    lines = raw[:end].decode("utf-8").splitlines()
+    if (lines[0].strip() != EVENT_MAGIC
+            or _body_start(lines) != len(lines) - 1):
+        return None
+    reader.walk(lines[1:-1], first_lineno=2)
+    return start if reader.scale is not None else None
+
+
+def _event_set(reader: _EventReader, arr: np.ndarray) -> EventSet:
+    """The events, in seconds, once their number matches a declared count."""
     if reader.count is not None and reader.count != len(arr):
         raise EventFileError(
-            f"{path}: header declares count = {reader.count} but file has "
-            f"{len(arr)} rows")
+            f"{reader.path}: header declares count = {reader.count} but file "
+            f"has {len(arr)} rows")
     return EventSet(arr, reader.metadata)
 
 
-def _parse_body(body: list[str]) -> np.ndarray | None:
-    """All rows of an event-file body in one call, in file units.
+def _parse_body(body, rows: int) -> np.ndarray | None:
+    """All ``rows`` lines of an event-file body in one call, in file units.
 
+    ``body`` is the list of lines or the open file positioned at them.
     Returns None when any line is not two finite comma-separated numbers
     that NumPy parses; the per-line walk then decides, so it alone reports
     errors and reads what only ``float()`` accepts (``1_0``, non-ASCII
@@ -234,7 +289,7 @@ def _parse_body(body: list[str]) -> np.ndarray | None:
     except ValueError:
         return None
     # A line loadtxt skips (a blank one) sends the body to the walk too.
-    if arr.shape != (len(body), 2) or not np.isfinite(arr).all():
+    if arr.shape != (rows, 2) or not np.isfinite(arr).all():
         return None
     return arr
 

@@ -44,7 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, xlogy
 
 from .params import HeraldtimeError, TemporalCovariance
 from .sampler import EventSet, bootstrap_rows
@@ -399,6 +398,8 @@ def _hist_ls_loss(counts, nodes, area):
     of one theta from a one-entry cache, so the Jacobian at an accepted
     step costs no second model evaluation.
     """
+    from scipy.special import xlogy
+
     cache = {}
 
     def model_terms(theta):
@@ -540,6 +541,8 @@ def _ml_loss(theta, u1, u2, area_box, curvature=False):
     The events are summed in chunks of ``_ML_CHUNK``, all written into one
     set of seven chunk-long work arrays.
     """
+    from scipy.special import expit
+
     work = np.empty((7, _ML_CHUNK))
     shape = _theta_to_shape(theta)
     rho, w1, w2 = shape[:3]
@@ -604,6 +607,7 @@ def _fit_ml(u, scales, cfg: FitConfig, guess: TemporalCovariance):
     bounds = [(None, None)] * 5 + [(-30.0, 30.0)]
 
     from scipy.optimize import minimize
+    from scipy.special import expit
 
     res = minimize(_ml_loss, x0, args=(u1, u2, area_box), jac=True,
                    method="L-BFGS-B", bounds=bounds, options={

@@ -24,11 +24,12 @@ resample's moments from prefix sums of weighted counts, times and squares.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .params import HeraldtimeError, TemporalCovariance
 from .sampler import EventSet, bootstrap_rows
@@ -48,6 +49,10 @@ __all__ = [
 MIN_EVENTS = 30
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_SQRT2 = math.sqrt(2.0)
+
+# Windows narrower than this many sd take their moments by quadrature.
+_NARROW = 0.1
 
 
 class TooFewEventsError(HeraldtimeError):
@@ -154,24 +159,60 @@ def _gaussian_fit_width(x: np.ndarray) -> tuple[float, float]:
 # Exact conditional moments of the model
 # --------------------------------------------------------------------------
 
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 12-point rule on [-1, 1].
+
+    Computed on first use: ``leggauss`` runs LAPACK, whose first call costs
+    about 1 MiB of resident memory.
+    """
+    return np.polynomial.legendre.leggauss(12)
+
+
+def _normal_cdf_pdf(a: float) -> tuple[float, float]:
+    """Standard normal cdf and pdf at ``a``, both from one rounded a/sqrt(2).
+
+    Below the mean ``erfc`` keeps full relative precision.  The pdf is taken
+    at the point where the cdf was actually evaluated, so that the ratios of
+    densities to window masses carry no argument rounding of their own.
+    """
+    z = a / _SQRT2
+    return 0.5 * math.erfc(-z), _INV_SQRT_2PI * math.exp(-z * z)
+
+
 def _truncated_normal_moments(mu: float, sd: float, lo: float,
                               hi: float) -> tuple[float, float]:
     """Mean and variance of N(mu, sd^2) restricted to [lo, hi].
 
-    A window above the mean is reflected below it: there ``ndtr`` keeps full
-    relative precision, so the mass difference does not cancel.
+    A window above the mean is reflected below it, where the mass difference
+    does not cancel.  A window narrower than ``_NARROW`` sd takes its moments
+    about its midpoint by Gauss-Legendre quadrature, because there the closed
+    form's variance ``1 + (ta - tb)/mass - shift**2`` cancels.
     """
     a = (lo - mu) / sd
     b = (hi - mu) / sd
     sign = 1.0
     if a > 0.0:
         a, b, sign = -b, -a, -1.0
-    mass = ndtr(b) - ndtr(a)
-    if mass <= 0.0:
+    cdf_a, pa = _normal_cdf_pdf(a)
+    cdf_b, pb = _normal_cdf_pdf(b)
+    mass = cdf_b - cdf_a
+    # Past ~37.5 sd the mass is subnormal and has lost the precision that
+    # the closed form's ratios need.
+    if mass < sys.float_info.min:
         raise ValueError(
             f"window [{lo!r}, {hi!r}] carries no probability mass")
-    pa = _INV_SQRT_2PI * math.exp(-0.5 * a * a) if math.isfinite(a) else 0.0
-    pb = _INV_SQRT_2PI * math.exp(-0.5 * b * b) if math.isfinite(b) else 0.0
+    if b - a < _NARROW:
+        # hi - lo rounds at most once, so the half-width in sd keeps full
+        # precision; b - a would lose it to the rounding of a and b.
+        c = sign * (0.5 * (lo + hi) - mu) / sd
+        nodes, weights = _gauss_legendre()
+        d = (0.5 * (hi - lo) / sd) * nodes
+        weight = weights * np.exp(-d * (c + 0.5 * d))
+        norm = weight.sum()
+        shift = (weight @ d) / norm
+        var_factor = (weight @ (d - shift) ** 2) / norm
+        return mu + sign * sd * (c + shift), sd * sd * var_factor
     ta = a * pa if pa > 0.0 else 0.0
     tb = b * pb if pb > 0.0 else 0.0
     mean_shift = (pa - pb) / mass

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erf as scipy_erf
 
+from heraldtime import herald
 from heraldtime.analytic import (
     conditional_density,
     conditional_limit_density,
@@ -210,3 +211,22 @@ def test_erf_backend_accuracy():
     assert np.max(np.abs(ours - reference)) < 1e-12
     # beyond +/-6 the double-precision value saturates at +/-1 exactly
     assert scipy_erf(6.5) == 1.0 and scipy_erf(-7.0) == -1.0
+
+
+def test_herald_normal_cdf_accuracy():
+    """The math.erfc Phi of the herald moments: 1e-12 absolute on [-6, 6],
+    and relative precision down to -37 limited only by rounding x/sqrt(2)."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def phi(x):
+        return herald._normal_cdf_pdf(float(x))[0]
+
+    xs = np.linspace(-6.0, 6.0, 241)
+    reference = [float(mpmath.ncdf(mpmath.mpf(repr(float(x))))) for x in xs]
+    assert max(abs(phi(x) - r) for x, r in zip(xs, reference)) < 1e-12
+    with mpmath.workdps(40):
+        for x in np.linspace(-37.0, 0.0, 371):
+            exact = mpmath.ncdf(mpmath.mpf(float(x)))
+            # Rounding x/sqrt(2) moves Phi(x) by ~x^2 ulps (1.8e-13 at -37).
+            assert abs(phi(x) - exact) / exact < 5e-16 * (1.0 + x * x), x
+    assert phi(-math.inf) == 0.0 and phi(math.inf) == 1.0

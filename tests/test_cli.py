@@ -272,3 +272,41 @@ def test_model_commands_leave_optimizer_unloaded(config_path, tmp_path):
     assert res.returncode == 0, res.stderr
     lines = res.stdout.splitlines()
     assert lines[0] == "False" and lines[-1] == "False"
+
+
+def test_model_commands_run_without_scipy(config_path, tmp_path):
+    # The link-design commands and simulate need NumPy alone: with scipy
+    # blocked from import, each of them must still succeed.
+    import subprocess
+    import sys
+    base = ["--config", str(config_path)]
+    grids = {"herald.width_min": "10 ps", "herald.width_max": "1 ns",
+             "herald.width_points": "7", "herald.width": "100 ps",
+             "herald.center_min": "-300 ps", "herald.center_max": "300 ps",
+             "herald.center_points": "5",
+             "landscape.tau_p_min": "10 fs", "landscape.tau_p_max": "1 ns",
+             "landscape.tau_p_points": "20", "landscape.sigma_min": "10 GHz",
+             "landscape.sigma_max": "10 THz", "landscape.sigma_points": "20"}
+    for key, value in grids.items():
+        base += ["--set", f"{key}={value}"]
+    commands = [
+        ["herald", *base, "--curve", "both"],
+        ["optimize", *base],
+        ["optimize", *base, "--fix-sigma"],
+        ["landscape", *base, "--which", "tau1"],
+        ["reproduce", "fig4"],
+        ["reproduce", "fig5"],
+        ["simulate", *base],
+    ]
+    script = ("import sys\n"
+              "sys.modules['scipy'] = None\n"
+              "import heraldtime, heraldtime.cli as cli\n"
+              f"for i, argv in enumerate({commands!r}):\n"
+              f"    out = {str(tmp_path)!r} + f'/{{i}}'\n"
+              "    print('exit', argv[0], cli.main(argv + ['--out', out]))\n")
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    codes = [line.split()[1:] for line in res.stdout.splitlines()
+             if line.startswith("exit ")]
+    assert codes == [[c[0], "0"] for c in commands], res.stdout + res.stderr

@@ -19,6 +19,8 @@ from heraldtime.dataio import (
     write_events,
     write_report,
     write_table,
+    _EventReader,
+    _plain_body_start,
 )
 from heraldtime.sampler import DetectorModel, EventSet, sample
 
@@ -263,6 +265,11 @@ class TestEventCodecMatchesReference:
         "1 , 2\n\t3,4 \n",
         "-0.0,5e-324\n",
         "",
+        "1,2\r3,4\n",
+        "1,2\x1e3,4\n",
+        "\x1f1,2\n3,4\n",                  # str.strip() drops \x1f
+        "\x1f# note = x\n1,2\n",
+        "1,2\n3,\u00b54\n",
     ])
     @pytest.mark.parametrize("count", [None, 2])
     def test_read_listed_inputs(self, tmp_path, body, count):
@@ -273,6 +280,47 @@ class TestEventCodecMatchesReference:
         path.write_text(header + body, encoding="utf-8", newline="")
         assert _read_outcome(read_events, path) \
             == _read_outcome(read_events_loop, path)
+
+    @pytest.mark.parametrize("meta,last_break", [
+        ({"seed": 3}, True), ({"tag": "\u00b5s"}, True), ({}, False)])
+    def test_plain_body_read_holds_no_line_list(self, tmp_path, meta,
+                                                last_break):
+        # An ASCII body is parsed from the file: the peak is the file's
+        # bytes, where splitting it into lines took 4.5 times that.
+        import tracemalloc
+
+        rng = np.random.default_rng(5)
+        es = EventSet(rng.normal(scale=1e-9, size=(50000, 2)), meta)
+        path = tmp_path / "ev.csv"
+        write_events(es, path, unit="ps")
+        if not last_break:
+            path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        tracemalloc.start()
+        try:
+            back = read_events(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * path.stat().st_size
+        assert _read_outcome(read_events, path) \
+            == _read_outcome(read_events_loop, path)
+        assert back.metadata == {"units": "ps", **meta}
+
+    @pytest.mark.parametrize("text,plain", [
+        ("# units = ps\n1,2\n3,4", True),
+        ('# meta = {"tag": "\u00b5s"}\r\n# units = ps\n\n1,2\n', True),
+        *((f"# units = ps\n1,2\n3,4{c}5,6\n", False)
+          for c in "\r\x0b\x0c\x1c\x1d\x1e"),
+        ("# units = ps\n1,\u00b52\n", False),
+        ("# units = ps\n\x1f# note = x\n1,2\n", False),
+        ("# units = ps\x0c1,2\n", False),
+        ("# count = 1\n1,2\n", False),
+        ("# units = ps\n", False),
+    ])
+    def test_plain_body_start(self, text, plain):
+        raw = ("# heraldtime events v1\n" + text).encode()
+        start = _plain_body_start(raw, _EventReader(Path("ev.csv")))
+        assert start == (raw.index(b"1,2") if plain else None)
 
 
 class TestGoldenEventFiles:
