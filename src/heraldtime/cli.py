@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -129,7 +128,7 @@ def _cmd_fit(args) -> int:
     print(f"rho_t = {c.rho_t:+.4f}   tau1 = {_engineering(c.tau1, 's')}   "
           f"tau2 = {_engineering(c.tau2, 's')}")
     print(f"narrowing limit sqrt(1-rho_t^2) = "
-          f"{math.sqrt(1 - c.rho_t ** 2):.4f}")
+          f"{analytic.narrowing_ratio_limit(c):.4f}")
     print(f"background level = {result.background_level:.4g}   "
           f"reduced chi^2 = {result.reduced_chisq:.3f}")
     print(f"report: {path}")
@@ -338,9 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override a config key (repeatable)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the random seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker hint; results are deterministic and "
-                            "independent of this value")
         p.add_argument("--format", choices=("csv", "json"), default="json",
                        help="summary report format (fit, optimize); curve and "
                             "landscape tables are always CSV")

@@ -6,11 +6,11 @@ Poisson deviance residuals per bin.  Weighting each residual by the observed
 count's square root (the textbook shortcut) systematically shrinks the
 fitted widths by O(1%) at realistic event counts, several reported standard
 errors, because downward count fluctuations get the larger weights; the
-deviance residuals keep the trust-region least-squares machinery but are
-exact Poisson statistics, and recover widths without measurable bias.  An
-event-wise maximum-likelihood estimator for the Gaussian-plus-uniform
-mixture is available as the higher-fidelity alternative; on clean synthetic
-data the two agree within their mutual uncertainties.
+deviance residuals are exact Poisson statistics and recover widths without
+measurable bias.  An event-wise maximum-likelihood estimator for the
+Gaussian-plus-uniform mixture is available as the higher-fidelity
+alternative; on clean synthetic data the two agree within their mutual
+uncertainties.
 
 Implementation notes, all of which matter for robustness:
 
@@ -18,26 +18,33 @@ Implementation notes, all of which matter for robustness:
   the sample standard deviations), which makes the fit invariant under common
   time translations and well conditioned regardless of the absolute scale;
 * parameters are transformed so every iterate stays in-domain: atanh for the
-  correlation, log for the widths and the amplitude;
+  correlation, log for the widths and the amplitude, logit (kept in
+  [-30, 30]) for the likelihood's background weight;
 * the default histogram range is the 0.5-99.5 percentile box, robust against
   background tails; events are binned by direct bin index and
   ``np.bincount``, with the same counts as ``np.histogram2d``;
-* both optimizers get closed-form derivatives in the transformed
-  coordinates, never finite differences: the least-squares fit the Jacobian
-  of its signed-root deviance residuals (through the bivariate normal's
-  scores at the quadrature nodes), the likelihood fit the score of the
-  mixture and, at the optimum, its exact Hessian;
-* uncertainties come from the inverse curvature at the optimum -- J^T J for
-  least squares, the observed information for maximum likelihood, falling
-  back to its 5x5 shape block when the background weight is unidentified --
-  mapped to physical units by the delta method in the one helper that
-  assembles every FitResult, which records the path taken as ``se_path``
-  (a bootstrap cross-check is provided separately);
+* both losses get closed-form derivatives in the transformed coordinates,
+  never finite differences: the least-squares fit the Jacobian J of its
+  signed-root deviance residuals (through the bivariate normal's scores at
+  the quadrature nodes), the likelihood fit the score and the exact
+  Hessian (observed information) of the mixture;
+* one damped Newton solver minimizes both (Levenberg-Marquardt steps on
+  J^T J for least squares, on the observed information for maximum
+  likelihood).  For either loss the Newton decrement g^T H^-1 g / 2 is
+  half the squared distance to the optimum in standard errors, so the
+  solver stops once the Newton step would move none of the five shape
+  parameters (rho_t, widths, centers) by more than 1e-4 standard errors,
+  and the whole decrement is below ``tolerance`` times the loss;
+* uncertainties come from the inverse of that curvature at the optimum,
+  falling back to its 5x5 shape block when the likelihood's background
+  weight is unidentified -- mapped to physical units by the delta method in
+  the one helper that assembles every FitResult, which records the path
+  taken as ``se_path`` (a bootstrap cross-check is provided separately);
+* the fits need NumPy alone; SciPy is never imported;
 * no jitter deconvolution: fitting jittered data returns the jitter-broadened
   widths.  If the jitter j of a channel is known, the bare width is the
   post-processing formula sqrt(tau_fit^2 - j^2).
 """
-
 from __future__ import annotations
 
 import math
@@ -45,6 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import narrowing_ratio_limit
 from .params import HeraldtimeError, TemporalCovariance
 from .sampler import EventSet, bootstrap_rows
 
@@ -80,8 +88,12 @@ class FitConfig:
     loss:            "hist-ls" (histogram least squares, default) or "ml"
                      (event-wise maximum likelihood on the Gaussian-plus-
                      uniform mixture).
-    max_iterations:  cap on optimizer iterations / function evaluations.
-    tolerance:       convergence tolerance on relative parameter change.
+    max_iterations:  cap on the solver's work: residual evaluations for
+                     "hist-ls", steps for "ml".
+    tolerance:       relative convergence tolerance: the fit stops once the
+                     decrease a full Newton step still promises is below
+                     tolerance * |loss| (and the shape parameters are within
+                     1e-4 standard errors of the optimum).
     """
 
     bins1: int = 64
@@ -122,15 +134,19 @@ class FitResult:
     std_errors:        per-parameter standard errors keyed like PARAM_NAMES;
                        None when the curvature was singular.
     reduced_chisq:     histogram goodness of fit (also computed for ML fits).
-    converged:         optimizer reported convergence.
-    iterations:        function evaluations (hist-ls) or iterations (ml).
+    converged:         the solver met its stopping rule (see FitConfig's
+                       tolerance) rather than its evaluation cap or a stall.
+    iterations:        residual evaluations (hist-ls, equal to nfev) or
+                       accepted solver steps (ml).
     degenerate_signal: background swallowed the model; the Gaussian component
                        is not trustworthy.
     loss:              which estimator produced this result.
     n_events:          number of events fitted.
-    message:           optimizer diagnostics.
-    nfev, njev:        loss and gradient (ml) or residual and Jacobian
-                       (hist-ls) evaluations the optimizer made.
+    message:           why the solver stopped, in words.
+    nfev, njev:        evaluations of the loss (ml) or of the residuals
+                       (hist-ls), and of its gradient (ml) or Jacobian
+                       (hist-ls); every evaluation takes both, so they are
+                       equal.
     se_path:           where std_errors came from: "full" (inverse of the
                        whole curvature), "shape-block" (ml only: inverse of
                        the 5x5 shape block, without amplitude and background
@@ -160,7 +176,7 @@ class FitResult:
             "tau2": self.cov.tau2,
             "mu1": self.cov.mu1,
             "mu2": self.cov.mu2,
-            "narrowing_ratio_limit": math.sqrt(1.0 - self.cov.rho_t ** 2),
+            "narrowing_ratio_limit": narrowing_ratio_limit(self.cov),
             "amplitude": self.amplitude,
             "background_level": self.background_level,
             "reduced_chisq": self.reduced_chisq,
@@ -257,6 +273,12 @@ def _bin_counts(u, box1, box2, bins1, bins2):
     return counts.reshape(bins1, bins2).astype(float), edges[0], edges[1]
 
 
+def _expit(t: float) -> float:
+    """Logistic function 1 / (1 + e^-t); below -700 that is e^t to rounding,
+    and e^-t would overflow."""
+    return 1.0 / (1.0 + math.exp(-t)) if t > -700.0 else math.exp(t)
+
+
 def _theta_to_shape(theta):
     rho = math.tanh(theta[0])
     return rho, math.exp(theta[1]), math.exp(theta[2]), theta[3], theta[4]
@@ -346,20 +368,19 @@ def _reduced_chisq(model, counts, n_params):
     return float(np.sum((model[used] - counts[used]) ** 2 / model[used]) / dof)
 
 
-def _fit_result(loss, opt, iterations, scales, curvature, weight_grads,
-                shape_block, amplitude, background_level, reduced_chisq,
-                n_events) -> FitResult:
-    """Assemble a FitResult from the optimum ``opt.x`` of either loss.
+def _fit_result(loss, opt, scales, weight_grads, shape_block, amplitude,
+                background_level, reduced_chisq, n_events) -> FitResult:
+    """Assemble a FitResult from the solver's stop ``opt`` for either loss.
 
-    Standard errors follow from the inverse curvature by the delta method
-    through the diagonal internal-to-external transform of the shape
-    coordinates; ``weight_grads`` maps "amplitude" and "background" to the
-    (theta index, derivative) their errors come from, used on the full
+    Standard errors follow from the inverse curvature ``opt.hess`` by the
+    delta method through the diagonal internal-to-external transform of the
+    shape coordinates; ``weight_grads`` maps "amplitude" and "background" to
+    the (theta index, derivative) their errors come from, used on the full
     path only.
     """
     m1, m2, s1, s2 = scales
     rho, w1, w2, cc1, cc2 = _theta_to_shape(opt.x)
-    se, se_path = _theta_errors(curvature, shape_block)
+    se, se_path = _theta_errors(opt.hess, shape_block)
     errors = None
     if se is not None:
         grads = dict(zip(PARAM_NAMES, ((0, 1.0 - rho * rho), (1, w1 * s1),
@@ -374,16 +395,148 @@ def _fit_result(loss, opt, iterations, scales, curvature, weight_grads,
         amplitude=float(amplitude),
         std_errors=errors,
         reduced_chisq=reduced_chisq,
-        converged=bool(opt.success),
-        iterations=int(iterations),
+        converged=opt.converged,
+        iterations=opt.nfev if loss == "hist-ls" else opt.nit,
         degenerate_signal=background_level > _DEGENERATE_BACKGROUND,
         loss=loss,
         n_events=n_events,
-        message=str(opt.message),
-        nfev=int(opt.nfev),
-        njev=int(opt.njev),
+        message=opt.message,
+        nfev=opt.nfev,
+        njev=opt.nfev,
         se_path=se_path,
     )
+
+
+# --------------------------------------------------------------------------
+# The damped Newton (Levenberg-Marquardt) solver both losses share
+# --------------------------------------------------------------------------
+
+_MAX_STEP = 1.0           # largest step of any theta coordinate
+_N_SHAPE = 5              # theta starts with the five shape coordinates
+_SHAPE_DECREMENT = 5e-9   # half the squared distance, in standard errors,
+                          # of the shape coordinates from the optimum
+_LAMBDA0 = 1e-3
+_EIGEN_FLOOR = 1e-12      # smallest curvature eigenvalue, relative
+
+
+@dataclass(frozen=True)
+class _NewtonResult:
+    """Where :func:`_damped_newton` stopped.
+
+    x, fun, grad, hess: the last accepted point and the loss, gradient and
+    curvature there (one evaluation of ``full``).  nit counts accepted
+    steps and nfev evaluations of ``full``, each of which also returned the
+    gradient and the curvature.
+    """
+
+    x: np.ndarray
+    fun: float
+    grad: np.ndarray
+    hess: np.ndarray
+    converged: bool
+    message: str
+    nit: int
+    nfev: int
+
+
+def _newton_decrements(g, h, n_shape):
+    """Curvature |h| (eigenvalues of h by magnitude, floored at
+    ``_EIGEN_FLOOR`` of the largest), the Newton decrement g^T |h|^-1 g / 2,
+    and the shape decrement: half the squared length of the Newton step's
+    first ``n_shape`` coordinates, measured in their standard errors."""
+    eig, vec = np.linalg.eigh(h)
+    eig = np.abs(eig)
+    eig = np.maximum(eig, _EIGEN_FLOOR * eig.max(initial=1e-300))
+    cov = (vec / eig) @ vec.T
+    newton = -cov @ g
+    ds = newton[:n_shape]
+    shape = 0.5 * ds @ np.linalg.solve(cov[:n_shape, :n_shape], ds)
+    return (vec * eig) @ vec.T, -0.5 * g @ newton, shape
+
+
+def _damped_newton(full, x0, tolerance, max_nfev, lower=None, upper=None,
+                   max_step=math.inf) -> _NewtonResult:
+    """Minimize a smooth loss from ``x0`` within the box [lower, upper].
+
+    ``full(x)`` returns the loss f, its gradient g and its curvature H.
+    Each step solves (|H| + lambda D) p = -g (Levenberg-Marquardt): |H|
+    takes the eigenvalues of H by magnitude, so every step descends, and D
+    is the diagonal of |H| (Marquardt's scaling).  Lambda falls or rises
+    with the gain ratio of actual to predicted decrease (Nielsen's rule).
+    ``max_step`` caps every coordinate of a step, every trial point is
+    projected onto the box, and a coordinate at a bound whose gradient
+    points out of the box is held there.  Each trial point costs one call
+    of ``full``.
+
+    For a log-likelihood the Newton decrement g^T |H|^-1 g / 2 is half the
+    squared distance to the optimum in standard errors.  The solver stops,
+    converged, once the decrement over the free coordinates is at most
+    ``tolerance * max(|f|, 1)`` and the shape decrement of the first
+    ``_N_SHAPE`` coordinates is at most ``_SHAPE_DECREMENT``, that is, the
+    Newton step moves none of them by more than 1e-4 standard errors.
+    Where the loss has kinks (clipped histogram bins), the decrement need
+    not shrink; there a step damped to at most about half a Newton step
+    (lambda >= 1) that lowers f by at most ``tolerance * max(|f|, 1)`` also
+    counts as converged.  The solver stops unconverged after ``max_nfev``
+    calls of ``full``, or when a step no longer moves x.
+    """
+    n = len(x0)
+    lower = np.full(n, -np.inf) if lower is None else np.asarray(lower, float)
+    upper = np.full(n, np.inf) if upper is None else np.asarray(upper, float)
+    x = np.clip(np.asarray(x0, float), lower, upper)
+    f, g, h = full(x)
+    nfev, nit = 1, 0
+    lam, nu = _LAMBDA0, 2.0
+
+    def stop(converged, message):
+        return _NewtonResult(x=x, fun=f, grad=g, hess=h, converged=converged,
+                             message=message, nit=nit, nfev=nfev)
+
+    while True:
+        free = ~(((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0)))
+        if not free.any():
+            return stop(True, "every coordinate held at a bound")
+        gf = g[free]
+        habs, dec, shape_dec = _newton_decrements(
+            gf, h[np.ix_(free, free)], int(free[:_N_SHAPE].sum()))
+        if (dec <= tolerance * max(abs(f), 1.0)
+                and shape_dec <= _SHAPE_DECREMENT):
+            return stop(True, "Newton decrement below tolerance")
+        scale = np.diag(np.diag(habs))
+        step = np.zeros(n)
+        while True:
+            if nfev >= max_nfev:
+                return stop(False, "evaluation limit reached")
+            p = np.linalg.solve(habs + lam * scale, -gf)
+            p /= max(1.0, np.max(np.abs(p)) / max_step)
+            step[free] = p
+            trial = np.clip(x + step, lower, upper)
+            moved = (trial - x)[free]
+            if not moved.any():
+                return stop(False, "step too small to move x")
+            predicted = -(gf @ moved + 0.5 * moved @ habs @ moved)
+            f_new, g_new, h_new = full(trial)
+            nfev += 1
+            actual = f - f_new
+            # below the rounding of f the gain ratio is noise; take the
+            # step unless it clearly went uphill
+            noise = 64 * np.finfo(float).eps * abs(f)
+            if predicted <= noise:
+                ratio = 1.0 if actual >= -noise else -1.0
+            else:
+                ratio = actual / predicted
+            if ratio > 1e-4:
+                damped = lam >= 1.0
+                lam *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
+                nu = 2.0
+                x, f, g, h = trial, f_new, g_new, h_new
+                nit += 1
+                if damped and actual <= tolerance * max(abs(f), 1.0):
+                    return stop(True, "damped step lowered the loss by "
+                                      "less than the tolerance")
+                break
+            lam *= nu
+            nu *= 2.0
 
 
 # --------------------------------------------------------------------------
@@ -398,9 +551,8 @@ def _hist_ls_loss(counts, nodes, area):
     of one theta from a one-entry cache, so the Jacobian at an accepted
     step costs no second model evaluation.
     """
-    from scipy.special import xlogy
-
     cache = {}
+    counted = counts > 0
 
     def model_terms(theta):
         key = theta.tobytes()
@@ -411,7 +563,8 @@ def _hist_ls_loss(counts, nodes, area):
             scale = math.exp(theta[5]) * area / 4.0
             model = scale * sum(t[4] for t in terms) + theta[6]
             m = np.maximum(model, 1e-12)
-            dev = 2.0 * (m - counts + xlogy(counts, counts / m))
+            dev = 2.0 * (m - counts + counts * np.log(
+                np.where(counted, counts / m, 1.0)))
             res = np.sign(m - counts) * np.sqrt(np.maximum(dev, 0.0))
             cache.update(key=key, shape=(rho, w1, w2), terms=terms,
                          scale=scale, model=model, res=res)
@@ -470,11 +623,15 @@ def _fit_hist_ls(u, scales, cfg: FitConfig, guess: TemporalCovariance):
                    (guess.mu2 - m2) / s2, math.log(max(n_box, 1.0)), 0.0])
     residuals, jac, model_terms = _hist_ls_loss(counts, nodes, h1 * h2)
 
-    from scipy.optimize import least_squares  # ~0.25 s; only fits need it
+    def full(theta):
+        # f = |r|^2 / 2 is half the Poisson deviance, so J^T J is the
+        # Fisher information of the binned likelihood
+        r, jm = residuals(theta), jac(theta)
+        return (0.5 * _wsum(r, r), np.einsum("ik,i->k", jm, r),
+                np.einsum("ik,il->kl", jm, jm))
 
-    res = least_squares(residuals, x0, jac=jac, method="trf",
-                        xtol=cfg.tolerance, ftol=cfg.tolerance,
-                        gtol=cfg.tolerance, max_nfev=cfg.max_iterations)
+    res = _damped_newton(full, x0, cfg.tolerance, cfg.max_iterations,
+                         max_step=_MAX_STEP)
     theta = res.x
     model = np.maximum(model_terms(theta)["model"], 1e-12)
     total_model = float(model.sum())
@@ -482,7 +639,7 @@ def _fit_hist_ls(u, scales, cfg: FitConfig, guess: TemporalCovariance):
         if total_model > 0 else 1.0
     amp = math.exp(theta[5])
     return _fit_result(
-        "hist-ls", res, res.nfev, scales, res.jac.T @ res.jac,
+        "hist-ls", res, scales,
         {"amplitude": (5, amp), "background": (6, 1.0)}, shape_block=False,
         amplitude=amp, background_level=bg_level,
         reduced_chisq=_reduced_chisq(model, counts, theta.size),
@@ -541,12 +698,10 @@ def _ml_loss(theta, u1, u2, area_box, curvature=False):
     The events are summed in chunks of ``_ML_CHUNK``, all written into one
     set of seven chunk-long work arrays.
     """
-    from scipy.special import expit
-
     work = np.empty((7, _ML_CHUNK))
     shape = _theta_to_shape(theta)
     rho, w1, w2 = shape[:3]
-    wb, ws = float(expit(theta[5])), float(expit(-theta[5]))
+    wb, ws = _expit(theta[5]), _expit(-theta[5])
     om = 1.0 - rho * rho
     n = u1.shape[0]
     total = sum(_ml_sums(u1[i:i + _ML_CHUNK], u2[i:i + _ML_CHUNK], shape, wb,
@@ -604,21 +759,14 @@ def _fit_ml(u, scales, cfg: FitConfig, guess: TemporalCovariance):
     x0 = np.array([math.atanh(rho0), math.log(guess.tau1 / s1),
                    math.log(guess.tau2 / s2), (guess.mu1 - m1) / s1,
                    (guess.mu2 - m2) / s2, math.log(1e-3 / (1 - 1e-3))])
-    bounds = [(None, None)] * 5 + [(-30.0, 30.0)]
-
-    from scipy.optimize import minimize
-    from scipy.special import expit
-
-    res = minimize(_ml_loss, x0, args=(u1, u2, area_box), jac=True,
-                   method="L-BFGS-B", bounds=bounds, options={
-                       "maxiter": cfg.max_iterations,
-                       "ftol": cfg.tolerance,
-                       "gtol": 1e-8,
-                   })
+    # the logit weight is kept in [-30, 30]; max_iterations caps the steps
+    res = _damped_newton(
+        lambda t: _ml_loss(t, u1, u2, area_box, curvature=True), x0,
+        cfg.tolerance, cfg.max_iterations + 1, lower=[-np.inf] * 5 + [-30.0],
+        upper=[np.inf] * 5 + [30.0], max_step=_MAX_STEP)
     theta = res.x
     rho, w1, w2, cc1, cc2 = _theta_to_shape(theta)
-    w = float(expit(theta[5]))
-    hess = _ml_loss(theta, u1, u2, area_box, curvature=True)[2]
+    w = _expit(theta[5])
 
     # histogram goodness of fit for reporting, same binning as hist-ls
     counts, e1, e2 = _bin_counts(u, (lo1, hi1), (lo2, hi2),
@@ -632,7 +780,7 @@ def _fit_ml(u, scales, cfg: FitConfig, guess: TemporalCovariance):
     # the background weight is often unidentifiable on clean data (it runs
     # to the boundary); the errors then fall back to the shape block
     return _fit_result(
-        "ml", res, res.nit, scales, hess,
+        "ml", res, scales,
         {"amplitude": (5, n * w * (1.0 - w)), "background": (5, w * (1.0 - w))},
         shape_block=True, amplitude=(1.0 - w) * n, background_level=w,
         reduced_chisq=_reduced_chisq(np.maximum(model, 1e-12), counts,

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import narrowing_ratio_limit
 from .params import HeraldtimeError, TemporalCovariance
 from .sampler import EventSet, bootstrap_rows
 
@@ -114,13 +115,11 @@ def select(events: EventSet, w: HeraldWindow) -> EventSet:
 
 
 def heralded_width(events: EventSet, w: HeraldWindow, n_boot: int = 200,
-                   seed: int = 0, estimator: str = "std") -> tuple[float, float]:
+                   seed: int = 0) -> tuple[float, float]:
     """Width of the heralded coordinate within the window, with its error.
 
-    Returns (width, std_error) in seconds.  The primary estimator is the
-    sample standard deviation (for which the narrowing limit is exact); a
-    "gaussian" estimator fitting a Gaussian profile to the histogram is
-    available for comparison and agrees within errors on Gaussian data.
+    Returns (width, std_error) in seconds: the sample standard deviation
+    (for which the narrowing limit is exact) and its bootstrap error.
     Raises :class:`TooFewEventsError` below 30 selected events.
     """
     selected = select(_oriented(events, w),
@@ -130,29 +129,9 @@ def heralded_width(events: EventSet, w: HeraldWindow, n_boot: int = 200,
         raise TooFewEventsError(
             f"window (center={w.center!r}, width={w.width!r}) selected "
             f"{x.size} events; need at least {MIN_EVENTS}")
-    if estimator == "std":
-        rows = bootstrap_rows(np.random.default_rng(seed), x.size, n_boot)
-        boot = [np.std(x[idx], ddof=1) for idx in rows]
-        return float(np.std(x, ddof=1)), float(np.std(boot, ddof=1))
-    if estimator == "gaussian":
-        return _gaussian_fit_width(x)
-    raise ValueError(f"estimator must be 'std' or 'gaussian', got {estimator!r}")
-
-
-def _gaussian_fit_width(x: np.ndarray) -> tuple[float, float]:
-    from scipy.optimize import curve_fit
-
-    counts, edges = np.histogram(x, bins=max(16, min(64, x.size // 20)))
-    centers = 0.5 * (edges[:-1] + edges[1:])
-
-    def profile(t, amp, mu, sd):
-        return amp * np.exp(-0.5 * ((t - mu) / sd) ** 2)
-
-    p0 = [counts.max(), float(np.mean(x)), float(np.std(x, ddof=1))]
-    popt, pcov = curve_fit(profile, centers, counts, p0=p0,
-                           sigma=np.sqrt(np.maximum(counts, 1.0)),
-                           absolute_sigma=True, maxfev=10000)
-    return abs(float(popt[2])), float(np.sqrt(pcov[2, 2]))
+    rows = bootstrap_rows(np.random.default_rng(seed), x.size, n_boot)
+    boot = [np.std(x[idx], ddof=1) for idx in rows]
+    return float(np.std(x, ddof=1)), float(np.std(boot, ddof=1))
 
 
 # --------------------------------------------------------------------------
@@ -305,7 +284,7 @@ def narrowing_curve(source, center: float, widths, herald_on: int = 2,
         ratios = np.array([conditional_moments(cov, center, w)[1] / full
                            for w in grid])
         return NarrowingCurve(widths=grid, ratios=ratios, std_errors=None,
-                              asymptote=math.sqrt(1.0 - cov.rho_t ** 2))
+                              asymptote=narrowing_ratio_limit(cov))
     if not isinstance(source, EventSet):
         raise TypeError(f"source must be an EventSet or TemporalCovariance, "
                         f"got {type(source).__name__}")

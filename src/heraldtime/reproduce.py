@@ -135,7 +135,7 @@ def _recipe_table1(targets, seed) -> Bundle:
             tol = 3.0 * math.hypot(se.get(key, 0.0), terr)
             checks.append(_check(f"{name}.{key}", value, target, tol,
                                  entry["source"]))
-        ratio = math.sqrt(1.0 - result.cov.rho_t ** 2)
+        ratio = analytic.narrowing_ratio_limit(result.cov)
         ratio_se = (abs(result.cov.rho_t) / ratio) * se.get("rho_t", 0.0)
         tol = 3.0 * math.hypot(ratio_se, entry["ratio_err"])
         checks.append(_check(f"{name}.narrowing_limit", ratio, entry["ratio"],
@@ -169,7 +169,8 @@ def _recipe_fig3a(targets, seed) -> Bundle:
                                           emp.std_errors)])
         asym = curve.asymptote
         checks.append(_check(f"set{i + 1}.asymptote", asym,
-                             math.sqrt(1.0 - cov.rho_t ** 2), 1e-12, "derived"))
+                             analytic.narrowing_ratio_limit(cov), 1e-12,
+                             "derived"))
         if i == 0:
             flat_grid = np.linspace(1e-12, entry["flat_below_s"]["value"], 64)
             flat = herald.narrowing_curve(cov, center=0.0, widths=flat_grid)

@@ -310,3 +310,44 @@ def test_model_commands_run_without_scipy(config_path, tmp_path):
     codes = [line.split()[1:] for line in res.stdout.splitlines()
              if line.startswith("exit ")]
     assert codes == [[c[0], "0"] for c in commands], res.stdout + res.stderr
+
+
+def test_fit_pipeline_runs_without_scipy(config_path, tmp_path):
+    # simulate -> fit (both losses) -> empirical herald, and the bootstrap
+    # of the fit, with scipy blocked from import: none of them may need it
+    import subprocess
+    import sys
+    out = str(tmp_path)
+    events = f"{out}/sim/events.csv"
+    herald_grids = ["--set", "herald.width_min=50 ps",
+                    "--set", "herald.width_max=2 ns",
+                    "--set", "herald.width_points=6",
+                    "--set", "herald.width=300 ps",
+                    "--set", "herald.center_min=-200 ps",
+                    "--set", "herald.center_max=200 ps",
+                    "--set", "herald.center_points=5"]
+    commands = [
+        ["simulate", "--config", str(config_path), "--out", f"{out}/sim"],
+        ["fit", events, "--out", f"{out}/fit"],
+        ["fit", events, "--out", f"{out}/fit-ml", "--set", "fit.loss=ml"],
+        ["herald", events, "--curve", "both", "--out", f"{out}/herald",
+         *herald_grids],
+    ]
+    script = ("import sys\n"
+              "sys.modules['scipy'] = None\n"
+              "import heraldtime.cli as cli\n"
+              f"for argv in {commands!r}:\n"
+              "    print('exit', argv[0], cli.main(argv))\n"
+              "from heraldtime import FitConfig, bootstrap_errors, read_events\n"
+              f"events = read_events({events!r})\n"
+              "for loss in ('hist-ls', 'ml'):\n"
+              "    errors = bootstrap_errors(events, FitConfig(loss=loss), 3)\n"
+              "    print('bootstrap', loss, errors['rho_t'] > 0)\n")
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    codes = [line.split()[1:] for line in lines if line.startswith("exit ")]
+    assert codes == [[c[0], "0"] for c in commands], res.stdout + res.stderr
+    assert [line for line in lines if line.startswith("bootstrap ")] == [
+        "bootstrap hist-ls True", "bootstrap ml True"]

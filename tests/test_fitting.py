@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import OptimizeResult
 
 from heraldtime import fitting
 from heraldtime.fitting import (
@@ -158,10 +157,11 @@ class TestHistogramFit:
         flat = np.zeros((6, 6))
         flat[:5, :5] = np.eye(5)
         assert fitting._theta_errors(flat, shape_block=False) == (None, "none")
-        opt = OptimizeResult(x=np.zeros(6), success=True, message="",
-                             nfev=1, njev=1)
+        opt = fitting._NewtonResult(x=np.zeros(6), fun=0.0, grad=np.zeros(6),
+                                    hess=flat, converged=True, message="",
+                                    nit=1, nfev=1)
         shaped = fitting._fit_result(
-            "ml", opt, 1, (0.0, 0.0, 1.0, 1.0), flat,
+            "ml", opt, (0.0, 0.0, 1.0, 1.0),
             {"amplitude": (5, 1.0), "background": (5, 1.0)}, True, 1.0, 0.0,
             1.0, 100)
         assert shaped.summary()["se_path"] == "shape-block"
@@ -466,3 +466,116 @@ class TestMatchesFiniteDifferenceFits:
         for key in PARAM_NAMES[5:]:
             assert result.std_errors[key] == pytest.approx(
                 errors[key], rel=weight_rtol)
+
+
+class TestDampedNewton:
+    """The Levenberg-Marquardt solver both losses share."""
+
+    @staticmethod
+    def quadratic(minimum, seed=0):
+        rng = np.random.default_rng(seed)
+        q = rng.normal(size=(minimum.size, minimum.size))
+        a = q @ q.T + np.eye(minimum.size)
+
+        def full(x):
+            d = x - minimum
+            return 0.5 * d @ a @ d + 3.0, a @ d, a
+
+        return full
+
+    def test_quadratic_minimum(self):
+        # on a quadratic the Newton decrement is exactly f - min f
+        minimum = np.array([0.3, -1.2, 2.0, 0.0, 5.0, -0.7])
+        res = fitting._damped_newton(self.quadratic(minimum), np.zeros(6),
+                                     1e-10, 100)
+        assert res.converged
+        assert 0.0 <= res.fun - 3.0 <= 1e-10 * res.fun
+        _, dec, shape_dec = fitting._newton_decrements(res.grad, res.hess, 5)
+        assert dec == pytest.approx(res.fun - 3.0, rel=1e-6, abs=1e-15)
+        assert shape_dec <= fitting._SHAPE_DECREMENT
+        np.testing.assert_allclose(res.x, minimum, rtol=0, atol=1e-4)
+        # the first step is the Newton step damped by lambda = 1e-3 only
+        assert res.nfev <= 4 and res.nit == res.nfev - 1
+
+    def test_projection_holds_a_bound(self):
+        minimum = np.array([0.5, 2.0, -1.0])
+        res = fitting._damped_newton(self.quadratic(minimum, seed=1),
+                                     np.zeros(3), 1e-10, 100,
+                                     upper=[np.inf, 1.0, np.inf])
+        assert res.converged
+        assert res.x[1] == 1.0
+        # the free coordinates sit at their minimum with x[1] pinned, where
+        # the gradient points out of the box on x[1] only
+        free = [0, 2]
+        _, dec, _ = fitting._newton_decrements(
+            res.grad[free], res.hess[np.ix_(free, free)], 2)
+        assert dec <= 1e-10 * res.fun
+        assert res.grad[1] < 0
+
+    def test_evaluation_limit_not_converged(self):
+        minimum = np.array([1.0, 2.0])
+        res = fitting._damped_newton(self.quadratic(minimum), np.zeros(2),
+                                     1e-10, 1)
+        assert not res.converged and res.nfev == 1 and res.nit == 0
+        np.testing.assert_array_equal(res.x, 0.0)
+        assert "limit" in res.message
+
+    def test_indefinite_start_descends(self):
+        # double well (x^2 - 1)^2 / 4 + y^2: the curvature at x = 0.1 is
+        # negative along x, where a plain Newton step would climb to x = 0
+        losses = []
+
+        def full(v):
+            x, y = v
+            f = 0.25 * (x * x - 1.0) ** 2 + y * y
+            losses.append(f)
+            return f, np.array([x * (x * x - 1.0), 2.0 * y]), \
+                np.array([[3.0 * x * x - 1.0, 0.0], [0.0, 2.0]])
+
+        res = fitting._damped_newton(full, np.array([0.1, 0.0]), 1e-12, 100)
+        assert res.converged
+        np.testing.assert_allclose(res.x, [1.0, 0.0], atol=1e-4)
+        # the first step already descends, and the solver ends at the
+        # lowest point it evaluated
+        assert losses[1] < losses[0]
+        assert res.fun == min(losses)
+        assert res.nfev <= 30
+
+    def test_clean_data_weight_runs_to_bound_within_budget(self):
+        # without background the ml weight has its optimum at w -> 0: each
+        # Newton step moves the logit weight by about one unit, and the
+        # solver must still stop at a converged shape within a pass budget
+        events = synthetic(REFERENCE_SETS[0], 82000, seed=29)
+        result = fit(events, FitConfig(loss="ml"))
+        assert result.converged
+        assert result.background_level < 1e-6
+        assert result.nfev <= 25
+
+    def test_ml_iteration_cap_reported_not_raised(self):
+        result = fit(synthetic(REFERENCE_SETS[0], 5000, seed=2),
+                     FitConfig(loss="ml", max_iterations=1))
+        assert not result.converged
+        assert result.iterations <= 1 and result.nfev <= 2
+        assert math.isfinite(result.cov.tau1)
+
+
+@pytest.mark.parametrize("loss", ["hist-ls", "ml"])
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_fits_return_within_shape_decrement(monkeypatch, which, loss):
+    # on the Table 1 sets each fit stops with its shape coordinates within
+    # 1e-4 standard errors of the optimum its own Newton step points at
+    stops = []
+    solver = fitting._damped_newton
+
+    def recording(*args, **kwargs):
+        stops.append(solver(*args, **kwargs))
+        return stops[-1]
+
+    monkeypatch.setattr(fitting, "_damped_newton", recording)
+    result = fit(table1_events(REFERENCE_SETS[which], 5), FitConfig(loss=loss))
+    (res,) = stops
+    assert result.converged and res.converged
+    assert res.message == "Newton decrement below tolerance"
+    _, dec, shape_dec = fitting._newton_decrements(res.grad, res.hess, 5)
+    assert shape_dec <= fitting._SHAPE_DECREMENT
+    assert dec <= 1e-10 * abs(res.fun)

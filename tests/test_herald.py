@@ -99,14 +99,6 @@ class TestHeraldedWidth:
             heralded_width(es, HeraldWindow(center=10 * cov.tau2,
                                             width=1e-12))
 
-    def test_gaussian_estimator_agrees(self):
-        cov = REFERENCE_SETS[2]
-        es = sample(cov, DetectorModel.ideal(), 82000, seed=6)
-        w = HeraldWindow(center=0.0, width=1e-10)
-        std_w, std_e = heralded_width(es, w)
-        g_w, g_e = heralded_width(es, w, estimator="gaussian")
-        assert abs(std_w - g_w) < 3 * math.hypot(std_e, g_e)
-
     def test_matches_conditional_moments_on_random_windows(self):
         cov = REFERENCE_SETS[2]
         es = sample(cov, DetectorModel.ideal(), 200000, seed=7)
