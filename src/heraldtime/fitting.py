@@ -17,29 +17,49 @@ Implementation notes, all of which matter for robustness:
 * events are standardized internally (centered on the sample means, scaled by
   the sample standard deviations), which makes the fit invariant under common
   time translations and well conditioned regardless of the absolute scale;
+  the means, the SDs and the starting correlation come from one pass per
+  statistic, shared with ``initial_guess``;
 * parameters are transformed so every iterate stays in-domain: atanh for the
   correlation, log for the widths and the amplitude, logit (kept in
-  [-30, 30]) for the likelihood's background weight;
+  [-30, 30]) for the likelihood's background weight; the histogram's flat
+  background B is free in sign and starts at the mean count of the box's
+  outer ring of bins;
 * the default histogram range is the 0.5-99.5 percentile box, robust against
-  background tails; events are binned by direct bin index and
+  background tails; events are binned by direct bin index and one padded
   ``np.bincount``, with the same counts as ``np.histogram2d``;
 * both losses get closed-form derivatives in the transformed coordinates,
   never finite differences: the least-squares fit the Jacobian J of its
-  signed-root deviance residuals (through the bivariate normal's scores at
-  the quadrature nodes), the likelihood fit the score and the exact
-  Hessian (observed information) of the mixture;
-* one damped Newton solver minimizes both (Levenberg-Marquardt steps on
-  J^T J for least squares, on the observed information for maximum
-  likelihood).  For either loss the Newton decrement g^T H^-1 g / 2 is
-  half the squared distance to the optimum in standard errors, so the
-  solver stops once the Newton step would move none of the five shape
-  parameters (rho_t, widths, centers) by more than 1e-4 standard errors,
-  and the whole decrement is below ``tolerance`` times the loss;
-* uncertainties come from the inverse of that curvature at the optimum,
+  signed-root deviance residuals, the likelihood fit the score and the
+  exact Hessian (observed information) of the mixture.  The scores of the
+  bivariate normal are linear in seven per-point terms (1, a, b, xy,
+  x a + y b, a x, b y), so the histogram model and its derivatives take
+  all four quadrature nodes in one broadcast pass and one sum over the
+  nodes, and each likelihood chunk reduces to two matrix products over
+  stacked per-event rows;
+* one damped Newton solver minimizes both (Levenberg-Marquardt steps on the
+  Fisher information sum dm dm^T / m of the binned likelihood for least
+  squares, which J^T J underestimates in sparse bins; on the observed
+  information for maximum likelihood).  For either loss the Newton
+  decrement g^T H^-1 g / 2 is half the squared distance to the optimum in
+  standard errors, so the solver stops once the Newton step would move
+  none of the five shape parameters (rho_t, widths, centers) by more than
+  1e-4 standard errors, and the whole decrement is below ``tolerance``
+  times the loss.  For least squares those are the standard errors of
+  the Fisher information the steps take, not of the J^T J the errors
+  come from (on the Table 1 sets the step is no longer in the latter).
+  A least-squares trial point that drops a bin holding counts to the
+  model floor is refused: the floor hides that bin's infinite deviance,
+  and the loss there is flat and ~27 per count too high, a false
+  minimum.  A bounded coordinate that walks toward its bound in Newton
+  steps of constant length (the logit weight on data without background)
+  jumps to where that walk would end;
+* uncertainties come from the inverse curvature at the optimum, J^T J for
+  least squares and the observed information for maximum likelihood,
   falling back to its 5x5 shape block when the likelihood's background
   weight is unidentified -- mapped to physical units by the delta method in
   the one helper that assembles every FitResult, which records the path
-  taken as ``se_path`` (a bootstrap cross-check is provided separately);
+  taken as ``se_path`` and the curvature's condition number (a bootstrap
+  cross-check is provided separately);
 * the fits need NumPy alone; SciPy is never imported;
 * no jitter deconvolution: fitting jittered data returns the jitter-broadened
   widths.  If the jitter j of a channel is known, the bare width is the
@@ -48,7 +68,8 @@ Implementation notes, all of which matter for robustness:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -151,6 +172,9 @@ class FitResult:
                        whole curvature), "shape-block" (ml only: inverse of
                        the 5x5 shape block, without amplitude and background
                        errors) or "none".
+    condition_number:  largest over smallest eigenvalue magnitude of the
+                       curvature at the stop, the one the errors come from;
+                       None when that curvature is singular or not finite.
     """
 
     cov: TemporalCovariance
@@ -167,6 +191,7 @@ class FitResult:
     nfev: int = 0
     njev: int = 0
     se_path: str = "none"
+    condition_number: float | None = None
 
     def summary(self) -> dict:
         """Flat mapping of everything worth serializing."""
@@ -188,6 +213,8 @@ class FitResult:
             "nfev": self.nfev,
             "njev": self.njev,
             "se_path": self.se_path,
+            "message": self.message,
+            "condition_number": self.condition_number,
         }
         if self.std_errors is not None:
             out["std_errors"] = dict(self.std_errors)
@@ -202,28 +229,43 @@ def initial_guess(events: EventSet) -> TemporalCovariance:
     if events.count < 10:
         raise DegenerateDataError(
             f"need at least 10 events for a starting point, got {events.count}")
-    t1 = events.t1
-    t2 = events.t2
-    s1 = float(np.std(t1, ddof=1))
-    s2 = float(np.std(t2, ddof=1))
-    if s1 == 0.0 or s2 == 0.0:
-        raise DegenerateDataError("events have zero variance on a channel")
-    r = float(np.clip(np.corrcoef(t1, t2)[0, 1], -_RHO_CLAMP, _RHO_CLAMP))
-    return TemporalCovariance(rho_t=r, tau1=s1, tau2=s2,
-                              mu1=float(np.mean(t1)), mu2=float(np.mean(t2)))
+    _, (m1, m2, s1, s2), r = _moments(events.t1, events.t2)
+    return TemporalCovariance(rho_t=r, tau1=s1, tau2=s2, mu1=m1, mu2=m2)
 
 
 # --------------------------------------------------------------------------
 # Shared machinery
 # --------------------------------------------------------------------------
 
-def _standardize(events: EventSet):
-    m1, m2 = float(np.mean(events.t1)), float(np.mean(events.t2))
-    s1, s2 = float(np.std(events.t1, ddof=1)), float(np.std(events.t2, ddof=1))
+def _moments(t1, t2):
+    """Standardized events, their scales and their clamped correlation.
+
+    Returns u, an (n, 2) view of a (2, n) array, so that each channel
+    u[:, k] = (t_k - mean) / sd is contiguous; the scales (m1, m2, s1, s2),
+    the values np.mean and np.std(ddof=1) return; and the sample
+    correlation clamped to +-_RHO_CLAMP.
+    """
+    n = t1.shape[0]
+    u = np.empty((2, n))
+    sq = np.empty(n)
+    scales = []
+    for row, t in zip(u, (t1, t2)):
+        m = float(np.mean(t))
+        np.subtract(t, m, out=row)
+        scales.append((m, math.sqrt(
+            float(np.multiply(row, row, out=sq).sum()) / (n - 1))))
+    (m1, s1), (m2, s2) = scales
     if s1 == 0.0 or s2 == 0.0:
         raise DegenerateDataError("events have zero variance on a channel")
-    u = np.column_stack([(events.t1 - m1) / s1, (events.t2 - m2) / s2])
-    return u, (m1, m2, s1, s2)
+    u[0] /= s1
+    u[1] /= s2
+    r = float(np.einsum("i,i->", u[0], u[1])) / (n - 1)
+    return u.T, (m1, m2, s1, s2), min(max(r, -_RHO_CLAMP), _RHO_CLAMP)
+
+
+def _standardize(events: EventSet):
+    u, scales, _ = _moments(events.t1, events.t2)
+    return u, scales
 
 
 def _box_in_u(cfg: FitConfig, u: np.ndarray, scales) -> tuple[np.ndarray, np.ndarray]:
@@ -243,9 +285,11 @@ def _bin_counts(u, box1, box2, bins1, bins2):
     one bin down or up where the linspace edges disagree, as np.histogram
     does for uniform bins.  That reproduces the edge search of
     np.histogram2d exactly: bins are closed on the left, the last one also
-    on the right, and events outside the box are dropped.
+    on the right.  An event below the box lands in bin -1 and one above it
+    in bin n (the upper edge of the last bin is read as the next float
+    past the box), so one padded bincount drops them.
     """
-    flat, outside, edges = None, False, []
+    flat, edges = None, []
     for v, (lo, hi), n in ((u[:, 0], box1, bins1), (u[:, 1], box2, bins2)):
         lo, hi = float(lo), float(hi)
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
@@ -254,23 +298,25 @@ def _bin_counts(u, box1, box2, bins1, bins2):
         if lo == hi:
             lo, hi = lo - 0.5, hi + 0.5
         e = np.linspace(lo, hi, n + 1)
-        f = v - lo
+        upper = e[1:].copy()
+        upper[-1] = np.nextafter(hi, math.inf)
+        f = np.subtract(v, lo)
         f *= n / (hi - lo)
         k = np.clip(f, 0, n - 1, out=f).astype(np.intp)
         del f
         k -= v < e[k]
-        k += (v >= e[1:][k]) & (k != n - 1)
+        k += v >= upper[k]
+        # shift into the padded grid of (bins1 + 2) x (bins2 + 2)
+        k += 1
         if flat is None:
             flat = k
         else:
-            flat *= n
+            flat *= n + 2
             flat += k
-        outside = outside | (v < lo) | (v > hi)
         edges.append(e)
-    nbins = bins1 * bins2
-    flat[outside] = nbins
-    counts = np.bincount(flat, minlength=nbins + 1)[:nbins]
-    return counts.reshape(bins1, bins2).astype(float), edges[0], edges[1]
+    counts = np.bincount(flat, minlength=(bins1 + 2) * (bins2 + 2))
+    counts = counts.reshape(bins1 + 2, bins2 + 2)[1:-1, 1:-1]
+    return counts.astype(float), edges[0], edges[1]
 
 
 def _expit(t: float) -> float:
@@ -284,39 +330,50 @@ def _theta_to_shape(theta):
     return rho, math.exp(theta[1]), math.exp(theta[2]), theta[3], theta[4]
 
 
-def _gauss_terms(u1, u2, c1, c2, rho, w1, w2, out=(None,) * 6):
+def _gauss_terms(u1, u2, c1, c2, rho, w1, w2, out=(None,) * 8):
     """Bivariate normal centered on (c1, c2) at (u1, u2), with the terms its
     derivatives are built from.
 
     Returns x = (u1 - c1)/w1, y = (u2 - c2)/w2, a = x - rho y,
-    b = y - rho x and the density phi, whose quadratic form is x a + y b.
-    ``out`` may hold six same-shaped arrays to write x, y, a, b, phi and a
-    scratch term into, so that repeated passes over the events allocate
-    nothing.
+    b = y - rho x, the density phi, and the products ax = a x, by = b y
+    and c = ax + by, phi's quadratic form.  ``out`` may hold eight arrays
+    of the result shapes to write these into, so that repeated passes over
+    the events allocate nothing.
     """
-    x, y, a, b, phi, tmp = out
+    x, y, a, b, phi, ax, by, c = out
     x = np.subtract(u1, c1, out=x)
     x /= w1
     y = np.subtract(u2, c2, out=y)
     y /= w2
-    a = np.subtract(x, np.multiply(y, rho, out=a), out=a)
-    b = np.subtract(y, np.multiply(x, rho, out=b), out=b)
-    phi = np.add(np.multiply(x, a, out=phi), np.multiply(y, b, out=tmp),
-                 out=phi)
+    a = np.subtract(x, y * rho, out=a)
+    b = np.subtract(y, x * rho, out=b)
+    ax = np.multiply(x, a, out=ax)
+    by = np.multiply(y, b, out=by)
+    c = np.add(ax, by, out=c)
     om = 1.0 - rho * rho
-    phi *= -0.5 / om
+    phi = np.multiply(c, -0.5 / om, out=phi)
     np.exp(phi, out=phi)
     phi *= 1.0 / (2.0 * math.pi * w1 * w2 * math.sqrt(om))
-    return x, y, a, b, phi
+    return x, y, a, b, phi, ax, by, c
 
 
-def _shape_scores(x, y, a, b, rho, w1, w2):
-    """Gradient of log phi in (atanh rho, log w1, log w2, c1, c2)."""
+def _score_map(rho, w1, w2):
+    """The 5x7 matrix M with s = M q: the gradient s of log phi in
+    (atanh rho, log w1, log w2, c1, c2) as a linear map of the terms
+    q = (1, a, b, xy, c, ax, by) of :func:`_gauss_terms`.
+
+    s = (xy - rho c / om + rho, ax / om - 1, by / om - 1, a / (om w1),
+    b / (om w2)) with om = 1 - rho^2.  Sums of phi s or of r s s^T over
+    events or nodes are then M times the same sums of q or q q^T.
+    """
     om = 1.0 - rho * rho
-    ax = a * x
-    by = b * y
-    return (x * y - (rho / om) * (ax + by) + rho, ax / om - 1.0,
-            by / om - 1.0, a / (om * w1), b / (om * w2))
+    m = np.zeros((5, 7))
+    m[0, [0, 3, 4]] = rho, 1.0, -rho / om
+    m[1, [0, 5]] = -1.0, 1.0 / om
+    m[2, [0, 6]] = -1.0, 1.0 / om
+    m[3, 1] = 1.0 / (om * w1)
+    m[4, 2] = 1.0 / (om * w2)
+    return m
 
 
 def _wsum(*factors) -> float:
@@ -354,6 +411,16 @@ def _theta_errors(curvature, shape_block: bool):
         if se is not None:
             return se, path
     return None, "none"
+
+
+def _condition_number(curvature):
+    """max |eigenvalue| / min |eigenvalue| of a symmetric matrix, or None
+    when it is singular or not finite."""
+    if not np.all(np.isfinite(curvature)):
+        return None
+    eig = np.abs(np.linalg.eigvalsh(curvature))
+    cond = float(eig.max() / eig.min()) if eig.min() > 0 else math.inf
+    return cond if math.isfinite(cond) else None
 
 
 def _reduced_chisq(model, counts, n_params):
@@ -404,6 +471,7 @@ def _fit_result(loss, opt, scales, weight_grads, shape_block, amplitude,
         nfev=opt.nfev,
         njev=opt.nfev,
         se_path=se_path,
+        condition_number=_condition_number(opt.hess),
     )
 
 
@@ -454,6 +522,43 @@ def _newton_decrements(g, h, n_shape):
     return (vec * eig) @ vec.T, -0.5 * g @ newton, shape
 
 
+def _exponential_jump(x, g, h, last, lower, upper, candidates, small):
+    """A jump along one coordinate whose loss falls off exponentially.
+
+    Along a coordinate where the loss falls like c e^-kt toward a bound
+    (the likelihood's logit weight on data without background) every
+    Newton step has the same length 1/k, and the solver would walk toward
+    the bound one step at a time.  Its mark: convex along the coordinate,
+    and after a step toward the bound of about the previous 1-D Newton
+    step (within half of it), the new Newton step still points there and
+    is shorter than the previous one by at most a tenth of the distance
+    moved; on a quadratic it would be shorter by the whole distance.  The
+    jump goes as far as the exponential takes the coordinate's own Newton
+    decrement g^2 / 2h down to ``small``, or to the bound if that is
+    nearer.
+
+    ``last`` holds x and the 1-D Newton steps at the previous accepted
+    point; ``candidates`` masks the coordinates that may jump.  Returns
+    (index, target) or None, and the 1-D Newton steps at x.
+    """
+    hd = np.diag(h)
+    newton = np.divide(-g, hd, out=np.zeros_like(g), where=hd > 0)
+    if last is None:
+        return None, newton
+    x_old, n_old = last
+    moved = (x - x_old) * np.sign(n_old)
+    walk = (candidates & (newton * n_old > 0)
+            & (np.abs(moved - np.abs(n_old)) <= 0.5 * np.abs(n_old))
+            & (np.abs(newton) >= np.abs(n_old) - 0.1 * moved))
+    if not walk.any():
+        return None, newton
+    j = int(np.argmax(walk))
+    decrement = -0.5 * g[j] * newton[j]
+    distance = math.log(max(decrement / small, 1.0)) * abs(newton[j])
+    target = x[j] + math.copysign(distance, newton[j])
+    return (j, float(np.clip(target, lower[j], upper[j]))), newton
+
+
 def _damped_newton(full, x0, tolerance, max_nfev, lower=None, upper=None,
                    max_step=math.inf) -> _NewtonResult:
     """Minimize a smooth loss from ``x0`` within the box [lower, upper].
@@ -466,7 +571,11 @@ def _damped_newton(full, x0, tolerance, max_nfev, lower=None, upper=None,
     ``max_step`` caps every coordinate of a step, every trial point is
     projected onto the box, and a coordinate at a bound whose gradient
     points out of the box is held there.  Each trial point costs one call
-    of ``full``.
+    of ``full``; one where it returns f = inf (with any g and H) is
+    refused like one that raised f.  A coordinate that walks toward a
+    finite bound in Newton steps of constant length is tried once where
+    that walk would end (see :func:`_exponential_jump`), and kept there if
+    that lowers f and the gradient along it still points the same way.
 
     For a log-likelihood the Newton decrement g^T |H|^-1 g / 2 is half the
     squared distance to the optimum in standard errors.  The solver stops,
@@ -487,6 +596,9 @@ def _damped_newton(full, x0, tolerance, max_nfev, lower=None, upper=None,
     f, g, h = full(x)
     nfev, nit = 1, 0
     lam, nu = _LAMBDA0, 2.0
+    # coordinates with a finite bound that have not jumped yet
+    may_jump = np.isfinite(lower) | np.isfinite(upper)
+    last = None
 
     def stop(converged, message):
         return _NewtonResult(x=x, fun=f, grad=g, hess=h, converged=converged,
@@ -502,6 +614,23 @@ def _damped_newton(full, x0, tolerance, max_nfev, lower=None, upper=None,
         if (dec <= tolerance * max(abs(f), 1.0)
                 and shape_dec <= _SHAPE_DECREMENT):
             return stop(True, "Newton decrement below tolerance")
+        if may_jump.any():
+            jump, newton = _exponential_jump(
+                x, g, h, last, lower, upper, may_jump & free,
+                0.25 * tolerance * max(abs(f), 1.0))
+            last = x, newton
+            if jump is not None and nfev < max_nfev:
+                j, target = jump
+                may_jump[j] = False
+                trial = x.copy()
+                trial[j] = target
+                f_new, g_new, h_new = full(trial)
+                nfev += 1
+                # kept only if it lowers f without passing a minimum in j
+                if f_new < f and g_new[j] * g[j] > 0:
+                    x, f, g, h = trial, f_new, g_new, h_new
+                    nit += 1
+                    continue
         scale = np.diag(np.diag(habs))
         step = np.zeros(n)
         while True:
@@ -547,27 +676,47 @@ def _hist_ls_loss(counts, nodes, area):
     """Residual and Jacobian callables of the histogram fit.
 
     ``nodes`` holds the (bins1, 1) and (1, bins2) coordinates of the four
-    Gauss-Legendre nodes per bin.  Both callables read the node densities
-    of one theta from a one-entry cache, so the Jacobian at an accepted
-    step costs no second model evaluation.
+    Gauss-Legendre nodes per bin; all four are evaluated in one broadcast
+    (4, bins1, bins2) pass.  ``model_terms(theta)`` returns a one-entry
+    cache holding, among others, the model, its floor-clipped copy ``m``,
+    the residuals ``res`` and the model's derivatives ``dm`` (7, bins), so
+    the Jacobian at an accepted step costs no second model evaluation.
     """
+    g1 = np.stack([n1 for n1, _ in nodes])
+    g2 = np.stack([n2 for _, n2 in nodes])
     cache = {}
     counted = counts > 0
 
     def model_terms(theta):
         key = theta.tobytes()
-        if cache.get("key") != key:
-            rho, w1, w2, cc1, cc2 = _theta_to_shape(theta)
-            terms = [_gauss_terms(g1, g2, cc1, cc2, rho, w1, w2)
-                     for g1, g2 in nodes]
-            scale = math.exp(theta[5]) * area / 4.0
-            model = scale * sum(t[4] for t in terms) + theta[6]
-            m = np.maximum(model, 1e-12)
-            dev = 2.0 * (m - counts + counts * np.log(
-                np.where(counted, counts / m, 1.0)))
-            res = np.sign(m - counts) * np.sqrt(np.maximum(dev, 0.0))
-            cache.update(key=key, shape=(rho, w1, w2), terms=terms,
-                         scale=scale, model=model, res=res)
+        if cache.get("key") == key:
+            return cache
+        shape = _theta_to_shape(theta)
+        # the node terms q = (a, b, xy, c, ax, by) the scores are linear
+        # in, stacked for one sum over the nodes
+        q = np.empty((6, g1.shape[0]) + counts.shape)
+        x, y, _, _, phi, _, _, _ = _gauss_terms(
+            g1, g2, *shape[3:], *shape[:3],
+            out=(None, None, q[0], q[1], None, q[4], q[5], q[3]))
+        np.multiply(x, y, out=q[2])
+        # node sums of phi q, after the plain density sum, so that the
+        # model's shape derivatives are scale * M times them
+        z = np.empty((7,) + counts.shape)
+        phi.sum(axis=0, out=z[0])
+        np.einsum("knij,nij->kij", q, phi, out=z[1:])
+        scale = math.exp(theta[5]) * area / 4.0
+        model = scale * z[0] + theta[6]
+        dm = np.empty((7, counts.size))
+        np.matmul(scale * _score_map(*shape[:3]), z.reshape(7, -1),
+                  out=dm[:5])
+        dm[5] = (model - theta[6]).ravel()
+        dm[6] = 1.0
+        m = np.maximum(model, 1e-12)
+        ratio = counts / m
+        dev = 2.0 * (m - counts + counts * np.log(
+            np.where(counted, ratio, 1.0)))
+        res = np.sign(m - counts) * np.sqrt(np.maximum(dev, 0.0))
+        cache.update(key=key, model=model, m=m, ratio=ratio, res=res, dm=dm)
         return cache
 
     def residuals(theta):
@@ -575,29 +724,20 @@ def _hist_ls_loss(counts, nodes, area):
 
     def jac(theta):
         c = model_terms(theta)
-        model, res = c["model"], c["res"]
-        dm = np.zeros((7,) + model.shape)
-        for x, y, a, b, phi in c["terms"]:
-            for k, s in enumerate(_shape_scores(x, y, a, b, *c["shape"])):
-                dm[k] += phi * s
-        dm[:5] *= c["scale"]
-        dm[5] = model - theta[6]
-        dm[6] = 1.0
+        model, m, res = c["model"], c["m"], c["res"]
         # d(signed root deviance)/dm = (1 - counts/m) / res; where m and
         # the counts agree to 1e-5 that ratio cancels, and its limit
         # 1/sqrt(m) is closer than the rounding; clipped bins are flat
-        m = np.maximum(model, 1e-12)
         close = np.abs(m - counts) <= 1e-5 * m
         drdm = np.where(close, 1.0 / np.sqrt(m),
-                        (1.0 - counts / m) / np.where(close, 1.0, res))
+                        (1.0 - c["ratio"]) / np.where(close, 1.0, res))
         drdm[model < 1e-12] = 0.0
-        return (drdm * dm).reshape(7, -1).T
+        return (c["dm"] * drdm.ravel()).T
 
     return residuals, jac, model_terms
 
 
-def _fit_hist_ls(u, scales, cfg: FitConfig, guess: TemporalCovariance):
-    m1, m2, s1, s2 = scales
+def _fit_hist_ls(u, scales, cfg: FitConfig, rho0: float):
     box1, box2 = _box_in_u(cfg, u, scales)
     counts, e1, e2 = _bin_counts(u, box1, box2, cfg.bins1, cfg.bins2)
     c1 = 0.5 * (e1[:-1] + e1[1:])
@@ -616,24 +756,48 @@ def _fit_hist_ls(u, scales, cfg: FitConfig, guess: TemporalCovariance):
     nodes = [((c1 + o1)[:, None], (c2 + o2)[None, :])
              for o1 in (-d1, d1) for o2 in (-d2, d2)]
 
-    # theta = [atanh rho, log w1, log w2, c1, c2, log A, B]
-    rho0 = float(np.clip(guess.rho_t, -_RHO_CLAMP, _RHO_CLAMP))
-    x0 = np.array([math.atanh(rho0), math.log(guess.tau1 / s1),
-                   math.log(guess.tau2 / s2), (guess.mu1 - m1) / s1,
-                   (guess.mu2 - m2) / s2, math.log(max(n_box, 1.0)), 0.0])
+    # theta = [atanh rho, log w1, log w2, c1, c2, log A, B], starting from
+    # the sample moments and, for B, the mean count of the box's outer
+    # ring of bins (at least one count over the whole box, so that every
+    # bin's model starts positive): from B = 0 the empty bins' model tends
+    # to 0, where their curvature 1/m is huge and B would grow only a
+    # little per step
+    ring = np.concatenate([counts[0], counts[-1], counts[1:-1, 0],
+                           counts[1:-1, -1]])
+    x0 = np.array([math.atanh(rho0), 0.0, 0.0, 0.0, 0.0,
+                   math.log(max(n_box, 1.0)),
+                   max(float(ring.mean()), 1.0 / nbins)])
     residuals, jac, model_terms = _hist_ls_loss(counts, nodes, h1 * h2)
+    counted = (counts > 0).ravel()
 
     def full(theta):
-        # f = |r|^2 / 2 is half the Poisson deviance, so J^T J is the
-        # Fisher information of the binned likelihood
-        r, jm = residuals(theta), jac(theta)
-        return (0.5 * _wsum(r, r), np.einsum("ik,i->k", jm, r),
-                np.einsum("ik,il->kl", jm, jm))
+        # f = |r|^2 / 2 is half the Poisson deviance sum m - c + c log(c/m),
+        # whose gradient is sum (1 - c/m) dm.  Steps take its Fisher
+        # information sum dm dm^T / m as curvature: J^T J is that only
+        # where counts are large, and in sparse bins it underestimates the
+        # background's curvature so much that the steps in B overshoot and
+        # converge only linearly.  Clipped bins are flat.  A bin with counts
+        # c whose model falls to the floor has the deviance c log(c/m) ->
+        # inf that the floor hides; clipped, it would stay flat at a loss
+        # ~27 c too high, a false minimum, so such a trial point is refused.
+        c = model_terms(theta)
+        live = (c["model"] >= 1e-12).ravel()
+        if not live[counted].all():
+            return math.inf, None, None
+        dm, m = c["dm"], c["m"].ravel()
+        score = np.where(live, 1.0 - c["ratio"].ravel(), 0.0)
+        fisher = (dm * np.where(live, 1.0 / m, 0.0)) @ dm.T
+        r = c["res"].ravel()
+        return 0.5 * _wsum(r, r), dm @ score, 0.5 * (fisher + fisher.T)
 
     res = _damped_newton(full, x0, cfg.tolerance, cfg.max_iterations,
                          max_step=_MAX_STEP)
+    # the errors come from J^T J, the Gauss-Newton curvature of the
+    # residuals, as in a least-squares fit
+    jm = jac(res.x).T
+    res = replace(res, hess=jm @ jm.T)
     theta = res.x
-    model = np.maximum(model_terms(theta)["model"], 1e-12)
+    model = model_terms(theta)["m"]
     total_model = float(model.sum())
     bg_level = float(np.clip(theta[6] * nbins / total_model, 0.0, 1.0)) \
         if total_model > 0 else 1.0
@@ -652,42 +816,58 @@ def _fit_hist_ls(u, scales, cfg: FitConfig, guess: TemporalCovariance):
 
 _ML_CHUNK = 8192     # events per pass; the work arrays stay in cache
 
+# rows of the likelihood's per-chunk work array: the terms q = (1, a, b,
+# xy, c, ax, by) the shape scores are linear in, x and y, the per-event
+# weights G_w, r and r (G_w + w), the signal density (1-w) phi, the
+# mixture density g, and seven rows for r (1 - r) q
+_Q = slice(0, 7)
+_X, _Y, _GW, _R, _RG, _PHI, _G = range(7, 14)
+_RRQ = slice(14, 21)
 
-def _ml_sums(u1, u2, shape, wb, ws, area_box, work, curvature):
+
+def _ml_sums(u1, u2, shape, wb, ws, area_box, work, kept, curvature):
     """Per-event sums the mixture NLL and its derivatives are built from.
 
     With r = (1-w) phi / g the signal responsibility of each event, the
-    score needs the NLL, r-weighted sums of 1, a, b, a x, b y and x y and
-    the sum of 1/g.  The curvature adds r-weighted x, y, x^2 and y^2, the
-    weight-coordinate sums, and the r (1-r)-weighted products of the shape
-    scores s = grad log phi.  Where the density clips at 1e-300 the loss
-    is flat, so those events add nothing to the derivatives.
+    score needs the NLL, the sum of 1/g and the r-weighted sums of q.  The
+    curvature adds r-weighted x and y, the sums of G_w and G_w^2 with
+    G_w = d log g / d logit w, the (G_w + w) r-weighted sums of q and the
+    r (1-r)-weighted sums of q q^T.  Each group is one matrix product over
+    rows of ``work``.  Where the density clips at 1e-300 the loss is flat,
+    so those events add nothing to the derivatives.
+
+    Returns the flat vector (nll, sum 1/g, q-sums) or, with
+    ``curvature``, (nll, sum 1/g, the 3x10 sums of (G_w, r, r (G_w + w))
+    times rows 0-9 (q, x, y, G_w), the 7x7 sums of r (1-r) q q^T).
     """
     rho, w1, w2, cc1, cc2 = shape
-    x, y, a, b, phi = _gauss_terms(u1, u2, cc1, cc2, rho, w1, w2, work[:6])
-    g = np.multiply(phi, ws, out=work[5])
-    g += wb / area_box
-    kept = g >= 1e-300
+    x, y, _, _, phi, _, _, _ = _gauss_terms(
+        u1, u2, cc1, cc2, rho, w1, w2,
+        out=(work[_X], work[_Y], work[1], work[2], work[_PHI], work[5],
+             work[6], work[4]))
+    phi *= ws
+    g = np.add(phi, wb / area_box, out=work[_G])
+    np.greater_equal(g, 1e-300, out=kept)
     np.maximum(g, 1e-300, out=g)
-    nll = -float(np.log(g, out=work[6]).sum())
+    nll = -float(np.log(g, out=work[_R]).sum())
     inv = np.divide(kept, g, out=g)
-    r = np.multiply(phi, inv, out=phi)
-    r *= ws
-    sums = [nll, float(r.sum()), _wsum(r, a), _wsum(r, b), _wsum(r, a, x),
-            _wsum(r, b, y), _wsum(r, x, y), float(inv.sum())]
+    r = np.multiply(phi, inv, out=work[_R])
+    np.multiply(x, y, out=work[3])
+    q = work[_Q]
+    head = [nll, float(inv.sum())]
     if not curvature:
-        return np.array(sums)
-    sums += [_wsum(r, x), _wsum(r, y), _wsum(r, x, x), _wsum(r, y, y)]
-    s = _shape_scores(x, y, a, b, rho, w1, w2)
-    # G_w = d log g / d logit w = w ((1-w)/(A g) - r)
-    g_w = np.subtract(inv * (ws / area_box), r, out=inv)
+        return np.concatenate([head, q @ r])
+    # G_w = w ((1-w)/(A g) - r)
+    g_w = np.multiply(inv, ws / area_box, out=work[_GW])
+    g_w -= r
     g_w *= wb
-    sums += [_wsum(g_w, g_w), float(g_w.sum())]
-    g_w += wb
-    sums += [_wsum(r, sk, g_w) for sk in s]
-    rr = np.multiply(r, 1.0 - r, out=g_w)
-    sums += [_wsum(rr, s[k], s[j]) for k in range(5) for j in range(k, 5)]
-    return np.array(sums)
+    np.add(g_w, wb, out=work[_RG])
+    work[_RG] *= r
+    rr = np.subtract(1.0, r, out=work[_PHI])
+    rr *= r
+    rrq = np.multiply(q, rr, out=work[_RRQ])
+    return np.concatenate([head, (work[_GW:_RG + 1] @ work[:_R].T).ravel(),
+                           (rrq @ q.T).ravel()])
 
 
 def _ml_loss(theta, u1, u2, area_box, curvature=False):
@@ -696,9 +876,11 @@ def _ml_loss(theta, u1, u2, area_box, curvature=False):
 
     theta = [atanh rho, log w1, log w2, c1, c2, logit background-weight].
     The events are summed in chunks of ``_ML_CHUNK``, all written into one
-    set of seven chunk-long work arrays.
+    work array.
     """
-    work = np.empty((7, _ML_CHUNK))
+    work = np.empty((_RRQ.stop, _ML_CHUNK))
+    work[0] = 1.0
+    kept = np.empty(_ML_CHUNK, bool)
     shape = _theta_to_shape(theta)
     rho, w1, w2 = shape[:3]
     wb, ws = _expit(theta[5]), _expit(-theta[5])
@@ -706,9 +888,16 @@ def _ml_loss(theta, u1, u2, area_box, curvature=False):
     n = u1.shape[0]
     total = sum(_ml_sums(u1[i:i + _ML_CHUNK], u2[i:i + _ML_CHUNK], shape, wb,
                          ws, area_box, work[:, :min(_ML_CHUNK, n - i)],
-                         curvature)
+                         kept[:min(_ML_CHUNK, n - i)], curvature)
                 for i in range(0, n, _ML_CHUNK))
-    nll, sr, sa, sb, sax, sby, sxy, sinv = total[:8]
+    nll, sinv = total[:2]
+    if curvature:
+        sums = total[2:32].reshape(3, 10)
+        sr, sa, sb, sxy, _, sax, sby, sx, sy, _ = sums[1]
+        # x^2 = ax + rho xy and y^2 = by + rho xy
+        sxx, syy = sax + rho * sxy, sby + rho * sxy
+    else:
+        sr, sa, sb, sxy, _, sax, sby = total[2:]
     grad = -np.array([sxy - (rho / om) * (sax + sby) + rho * sr,
                       sax / om - sr, sby / om - sr,
                       sa / (om * w1), sb / (om * w2),
@@ -720,8 +909,7 @@ def _ml_loss(theta, u1, u2, area_box, curvature=False):
     # shape block that is -sum r (1-r) s s^T - sum r T, with T the Hessian
     # of log phi, whose entries are polynomials in x, y, a, b.  Across the
     # shape and weight coordinates it is sum r s (G_w + w), on the weight
-    # sum G_w^2 - (1 - 2w) G_w.
-    sx, sy, sxx, syy, gww, gw = total[8:14]
+    # sum G_w^2 - (1 - 2w) G_w.  The score sums are M times sums of q.
     p = rho / om
     hess = np.zeros((6, 6))
     hess[0, :5] = (2 * rho * sxy - (1 + rho * rho) / om * (sax + sby) + om * sr,
@@ -732,33 +920,33 @@ def _ml_loss(theta, u1, u2, area_box, curvature=False):
     hess[2, 2:5] = (-(syy + sby) / om, p * sy / w1, -(sy + sb) / (om * w2))
     hess[3, 3:5] = (-sr / (om * w1 * w1), p * sr / (w1 * w2))
     hess[4, 4] = -sr / (om * w2 * w2)
+    m = _score_map(rho, w1, w2)
+    rrss = m @ total[32:].reshape(7, 7) @ m.T
     iu = np.triu_indices(5)
-    hess[iu] = -hess[iu] - total[19:]
-    hess[:5, 5] = total[14:19]
-    hess[5, 5] = gww - (ws - wb) * gw
+    hess[iu] = -hess[iu] - rrss[iu]
+    hess[:5, 5] = m @ sums[2, :7]
+    hess[5, 5] = sums[0, 9] - (ws - wb) * sums[0, 0]
     il = np.tril_indices(6, -1)
     hess[il] = hess.T[il]
     return nll, grad, hess
 
 
-def _fit_ml(u, scales, cfg: FitConfig, guess: TemporalCovariance):
-    m1, m2, s1, s2 = scales
+def _fit_ml(u, scales, cfg: FitConfig, rho0: float):
     n = u.shape[0]
     u1, u2 = u[:, 0], u[:, 1]
     # the uniform component must cover every event, otherwise far background
     # events are forced onto the Gaussian tail and inflate the widths; use
     # the (slightly padded) data bounding box as its support
-    pad1 = 1e-9 * max(1.0, float(np.ptp(u1)))
-    pad2 = 1e-9 * max(1.0, float(np.ptp(u2)))
-    lo1, hi1 = u1.min() - pad1, u1.max() + pad1
-    lo2, hi2 = u2.min() - pad2, u2.max() + pad2
+    lo1, hi1, lo2, hi2 = u1.min(), u1.max(), u2.min(), u2.max()
+    pad1 = 1e-9 * max(1.0, float(hi1 - lo1))
+    pad2 = 1e-9 * max(1.0, float(hi2 - lo2))
+    lo1, hi1, lo2, hi2 = lo1 - pad1, hi1 + pad1, lo2 - pad2, hi2 + pad2
     area_box = (hi1 - lo1) * (hi2 - lo2)
 
-    rho0 = float(np.clip(guess.rho_t, -_RHO_CLAMP, _RHO_CLAMP))
-    # theta = [atanh rho, log w1, log w2, c1, c2, logit background-weight]
-    x0 = np.array([math.atanh(rho0), math.log(guess.tau1 / s1),
-                   math.log(guess.tau2 / s2), (guess.mu1 - m1) / s1,
-                   (guess.mu2 - m2) / s2, math.log(1e-3 / (1 - 1e-3))])
+    # theta = [atanh rho, log w1, log w2, c1, c2, logit background-weight],
+    # starting from the sample moments
+    x0 = np.array([math.atanh(rho0), 0.0, 0.0, 0.0, 0.0,
+                   math.log(1e-3 / (1 - 1e-3))])
     # the logit weight is kept in [-30, 30]; max_iterations caps the steps
     res = _damped_newton(
         lambda t: _ml_loss(t, u1, u2, area_box, curvature=True), x0,
@@ -800,11 +988,19 @@ def fit(events: EventSet, cfg: FitConfig | None = None) -> FitResult:
     if events.count < 100:
         raise DegenerateDataError(
             f"need at least 100 events to fit, got {events.count}")
-    guess = initial_guess(events)
-    u, scales = _standardize(events)
+    u, scales, rho0 = _moments(events.t1, events.t2)
     if cfg.loss == "ml":
-        return _fit_ml(u, scales, cfg, guess)
-    return _fit_hist_ls(u, scales, cfg, guess)
+        return _fit_ml(u, scales, cfg, rho0)
+    return _fit_hist_ls(u, scales, cfg, rho0)
+
+
+class _Resample(NamedTuple):
+    """One bootstrap resample's channels: all of an EventSet that
+    :func:`fit` reads, without an EventSet's validation and copy."""
+
+    t1: np.ndarray
+    t2: np.ndarray
+    count: int
 
 
 def bootstrap_errors(events: EventSet, cfg: FitConfig | None = None,
@@ -812,14 +1008,15 @@ def bootstrap_errors(events: EventSet, cfg: FitConfig | None = None,
     """Bootstrap standard errors of the fitted parameters (validation aid).
 
     Resamples events with replacement and refits; returns the standard
-    deviation of each recovered parameter across resamples.
+    deviation of each recovered parameter across resamples.  Each
+    resample's channels are gathered straight from the events, which were
+    checked when their EventSet was made, and fitted as they are.
     """
-    if cfg is None:
-        cfg = FitConfig()
+    t1, t2 = np.ascontiguousarray(events.t1), np.ascontiguousarray(events.t2)
     rows = []
     for idx in bootstrap_rows(np.random.default_rng(seed), events.count,
                               n_resamples):
-        res = fit(EventSet(events.events[idx], events.metadata), cfg)
+        res = fit(_Resample(t1[idx], t2[idx], events.count), cfg)
         rows.append([res.cov.rho_t, res.cov.tau1, res.cov.tau2,
                      res.cov.mu1, res.cov.mu2, res.amplitude,
                      res.background_level])

@@ -608,3 +608,129 @@ def fit_ml_reference(events, cfg):
         errors["amplitude"] = float(se[5] * n * w * (1.0 - w))
         errors["background"] = float(se[5] * w * (1.0 - w))
     return params, errors
+
+
+# --------------------------------------------------------------------------
+# Reference fit kernels: one pass per node and one sum per product
+# --------------------------------------------------------------------------
+# The histogram model and Jacobian evaluated node by node, and the
+# likelihood sums taken one weighted product at a time, as the fits computed
+# them before the kernels were batched and fused.  The package's kernels
+# must match these to rounding.
+
+def _gauss_terms_per_array(u1, u2, c1, c2, rho, w1, w2):
+    x = (u1 - c1) / w1
+    y = (u2 - c2) / w2
+    a = x - rho * y
+    b = y - rho * x
+    om = 1.0 - rho * rho
+    phi = np.exp((x * a + y * b) * (-0.5 / om)) * (
+        1.0 / (2.0 * math.pi * w1 * w2 * math.sqrt(om)))
+    return x, y, a, b, phi
+
+
+def _shape_scores_ref(x, y, a, b, rho, w1, w2):
+    """Gradient of log phi in (atanh rho, log w1, log w2, c1, c2)."""
+    om = 1.0 - rho * rho
+    ax = a * x
+    by = b * y
+    return (x * y - (rho / om) * (ax + by) + rho, ax / om - 1.0,
+            by / om - 1.0, a / (om * w1), b / (om * w2))
+
+
+def _theta_shape_ref(theta):
+    return (math.tanh(theta[0]), math.exp(theta[1]), math.exp(theta[2]),
+            theta[3], theta[4])
+
+
+def hist_ls_kernel_reference(counts, nodes, area, theta):
+    """Model counts, signed-root deviance residuals (per bin) and their
+    (bins, 7) Jacobian, with each Gauss-Legendre node evaluated on its
+    own."""
+    rho, w1, w2, cc1, cc2 = _theta_shape_ref(theta)
+    terms = [_gauss_terms_per_array(g1, g2, cc1, cc2, rho, w1, w2)
+             for g1, g2 in nodes]
+    scale = math.exp(theta[5]) * area / 4.0
+    model = scale * sum(t[4] for t in terms) + theta[6]
+    m = np.maximum(model, 1e-12)
+    counted = counts > 0
+    dev = 2.0 * (m - counts + counts * np.log(
+        np.where(counted, counts / m, 1.0)))
+    res = np.sign(m - counts) * np.sqrt(np.maximum(dev, 0.0))
+    dm = np.zeros((7,) + model.shape)
+    for x, y, a, b, phi in terms:
+        for k, s in enumerate(_shape_scores_ref(x, y, a, b, rho, w1, w2)):
+            dm[k] += phi * s
+    dm[:5] *= scale
+    dm[5] = model - theta[6]
+    dm[6] = 1.0
+    close = np.abs(m - counts) <= 1e-5 * m
+    drdm = np.where(close, 1.0 / np.sqrt(m),
+                    (1.0 - counts / m) / np.where(close, 1.0, res))
+    drdm[model < 1e-12] = 0.0
+    return model, res.ravel(), (drdm * dm).reshape(7, -1).T
+
+
+def _expit_ref(t):
+    return 1.0 / (1.0 + math.exp(-t)) if t > -700.0 else math.exp(t)
+
+
+def _ml_sums_ref(u1, u2, shape, wb, ws, area_box, curvature):
+    rho, w1, w2, cc1, cc2 = shape
+    x, y, a, b, phi = _gauss_terms_per_array(u1, u2, cc1, cc2, rho, w1, w2)
+    g = phi * ws + wb / area_box
+    kept = g >= 1e-300
+    g = np.maximum(g, 1e-300)
+    nll = -float(np.log(g).sum())
+    inv = kept / g
+    r = phi * inv * ws
+    sums = [nll, r.sum(), (r * a).sum(), (r * b).sum(), (r * a * x).sum(),
+            (r * b * y).sum(), (r * x * y).sum(), inv.sum()]
+    if not curvature:
+        return np.array(sums)
+    sums += [(r * x).sum(), (r * y).sum(), (r * x * x).sum(),
+             (r * y * y).sum()]
+    s = _shape_scores_ref(x, y, a, b, rho, w1, w2)
+    g_w = wb * (inv * (ws / area_box) - r)
+    sums += [(g_w * g_w).sum(), g_w.sum()]
+    sums += [(r * sk * (g_w + wb)).sum() for sk in s]
+    rr = r * (1.0 - r)
+    sums += [(rr * s[k] * s[j]).sum() for k in range(5) for j in range(k, 5)]
+    return np.array(sums)
+
+
+def ml_loss_reference(theta, u1, u2, area_box, curvature=False, chunk=8192):
+    """Mixture negative log-likelihood, its gradient and, with
+    ``curvature``, its Hessian, from one event sum per weighted product."""
+    shape = _theta_shape_ref(theta)
+    rho, w1, w2 = shape[:3]
+    wb, ws = _expit_ref(theta[5]), _expit_ref(-theta[5])
+    om = 1.0 - rho * rho
+    total = sum(_ml_sums_ref(u1[i:i + chunk], u2[i:i + chunk], shape, wb, ws,
+                             area_box, curvature)
+                for i in range(0, u1.shape[0], chunk))
+    nll, sr, sa, sb, sax, sby, sxy, sinv = total[:8]
+    grad = -np.array([sxy - (rho / om) * (sax + sby) + rho * sr,
+                      sax / om - sr, sby / om - sr,
+                      sa / (om * w1), sb / (om * w2),
+                      wb * ws / area_box * sinv - wb * sr])
+    if not curvature:
+        return nll, grad
+    sx, sy, sxx, syy, gww, gw = total[8:14]
+    p = rho / om
+    hess = np.zeros((6, 6))
+    hess[0, :5] = (2 * rho * sxy - (1 + rho * rho) / om * (sax + sby) + om * sr,
+                   2 * p * sax - sxy, 2 * p * sby - sxy,
+                   (2 * p * sa - sy) / w1, (2 * p * sb - sx) / w2)
+    hess[1, 1:5] = (-(sxx + sax) / om, p * sxy, -(sx + sa) / (om * w1),
+                    p * sx / w2)
+    hess[2, 2:5] = (-(syy + sby) / om, p * sy / w1, -(sy + sb) / (om * w2))
+    hess[3, 3:5] = (-sr / (om * w1 * w1), p * sr / (w1 * w2))
+    hess[4, 4] = -sr / (om * w2 * w2)
+    iu = np.triu_indices(5)
+    hess[iu] = -hess[iu] - total[19:]
+    hess[:5, 5] = total[14:19]
+    hess[5, 5] = gww - (ws - wb) * gw
+    il = np.tril_indices(6, -1)
+    hess[il] = hess.T[il]
+    return nll, grad, hess

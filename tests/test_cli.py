@@ -82,6 +82,21 @@ def test_fit_pipeline_report_fields(tmp_path, config_path):
     assert report["input_tau_p"] == pytest.approx(15.2e-12)
 
 
+def test_fit_report_records_stop_and_condition(tmp_path, config_path):
+    out = tmp_path / "out"
+    main(["simulate", "--config", str(config_path), "--out", str(out),
+          "--set", "sample.n=5000"])
+    for loss in ("hist-ls", "ml"):
+        assert main(["fit", str(out / "events.csv"), "--out", str(out / loss),
+                     "--set", f"fit.loss={loss}"]) == 0
+        report = json.loads((out / loss / "fit_report.json").read_text())
+        assert report["message"] == "Newton decrement below tolerance"
+        # finite, so the report stays valid JSON; on this config without
+        # background the ml weight is barely identified, and the number
+        # says so (~1e12)
+        assert report["condition_number"] >= 1.0
+
+
 def test_delta_lambda_annotation_flows_into_report(tmp_path, config_path):
     out = tmp_path / "out"
     main(["simulate", "--config", str(config_path), "--out", str(out),
