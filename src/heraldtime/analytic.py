@@ -36,6 +36,7 @@ left to the fitting layer where it is a free parameter anyway.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,18 +95,54 @@ def joint_density(t1, t2, cov: TemporalCovariance):
     return norm * np.exp(-0.5 * q)
 
 
-def _normal_mass(lo, hi):
-    """P(lo <= Z <= hi) for a standard normal Z, elementwise.
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_SQRT2 = math.sqrt(2.0)
 
-    A window above the mean is reflected below it, where ``ndtr`` keeps full
-    relative precision, so the difference of the two tail masses does not
-    cancel in either tail.
+
+def _normal_cdf_pdf(a: float) -> tuple[float, float]:
+    """Standard normal cdf and pdf at ``a``, both from one rounded a/sqrt(2).
+
+    Below the mean ``erfc`` keeps full relative precision.  The pdf is taken
+    at the point where the cdf was actually evaluated, so that the ratios of
+    densities to window masses carry no argument rounding of their own.
     """
-    from scipy.special import ndtr
+    z = a / _SQRT2
+    return 0.5 * math.erfc(-z), _INV_SQRT_2PI * math.exp(-z * z)
 
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    up = lo > 0.0
-    return ndtr(np.where(up, -lo, hi)) - ndtr(np.where(up, -hi, lo))
+
+def _lower_tail(lo: float, hi: float) -> tuple[float, float, float]:
+    """A standard-normal window [lo, hi] as (lo, hi, sign): one above the
+    mean is reflected below it (sign -1), so that the difference of its two
+    tail masses does not cancel."""
+    return (-hi, -lo, -1.0) if lo > 0.0 else (lo, hi, 1.0)
+
+
+def _window_mass(lo: float, hi: float) -> float:
+    """P(lo <= Z <= hi) for a standard normal Z."""
+    a, b, _ = _lower_tail(lo, hi)
+    return _normal_cdf_pdf(b)[0] - _normal_cdf_pdf(a)[0]
+
+
+# The same mass elementwise over arrays (NumPy has no erfc of its own).
+_normal_mass = np.frompyfunc(_window_mass, 2, 1)
+
+
+def _window(center: float, width: float) -> tuple[float, float]:
+    """Bounds center -/+ width/2 of a positive width and a finite center."""
+    if not width > 0:
+        raise ValueError(f"window width must be positive, got {width!r}")
+    if not math.isfinite(center):
+        raise ValueError(f"window center must be finite, got {float(center)!r}")
+    return center - 0.5 * width, center + 0.5 * width
+
+
+def _checked_mass(mass: float, lo: float, hi: float) -> float:
+    """The window [lo, hi]'s mass; ValueError where it is subnormal (past
+    ~37.5 sd) and lacks the precision that the closed forms' ratios need."""
+    if mass < sys.float_info.min:
+        raise ValueError(f"window [{lo!r}, {hi!r}] carries no probability "
+                         "mass: it lies too far in the tail")
+    return mass
 
 
 def conditional_density(t1, center: float, width: float, cov: TemporalCovariance):
@@ -123,27 +160,21 @@ def conditional_density(t1, center: float, width: float, cov: TemporalCovariance
     Both normal masses are taken with windows reflected to the lower tail,
     so windows far out in either tail keep their relative precision.
 
-    Raises ValueError for a degenerate window (width <= 0) and for windows so
-    deep in the tail that the window mass underflows to zero.
+    Raises ValueError for a degenerate window (width <= 0), a center that is
+    not finite, and a window so deep in the tail that its mass is subnormal.
     """
-    if not width > 0:
-        raise ValueError(f"window width must be positive, got {width!r}")
+    lo, hi = _window(center, width)
     x1 = np.asarray(t1, dtype=float) - cov.mu1
     marginal = np.exp(-0.5 * (x1 / cov.tau1) ** 2) / (math.sqrt(2.0 * math.pi) * cov.tau1)
     if math.isinf(width):
         return marginal
 
     r = cov.rho_t
-    a = center - 0.5 * width - cov.mu2
-    b = center + 0.5 * width - cov.mu2
+    a, b = lo - cov.mu2, hi - cov.mu2
     m = r * (cov.tau2 / cov.tau1) * x1
     s = cov.tau2 * math.sqrt(1.0 - r * r)
-    window_factor = _normal_mass((a - m) / s, (b - m) / s)
-    mass = float(_normal_mass(a / cov.tau2, b / cov.tau2))
-    if mass <= 0.0:
-        raise ValueError(
-            "window mass underflows to zero; the window lies too far in the "
-            f"tail (center={center!r}, width={width!r})")
+    window_factor = np.asarray(_normal_mass((a - m) / s, (b - m) / s), dtype=float)
+    mass = _checked_mass(_window_mass(a / cov.tau2, b / cov.tau2), lo, hi)
     return marginal * window_factor / mass
 
 

@@ -72,14 +72,37 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load(args) -> RunConfig:
-    if not args.config:
+def _load(args, optional: bool = False) -> RunConfig:
+    """The --config file and --set overrides, or if optional those alone."""
+    if args.config:
+        return load_config(args.config, args.set or ())
+    if not optional:
         raise ConfigError("--config is required for this command")
-    return load_config(args.config, args.set or ())
+    return RunConfig(parse_overrides(args.set or ()))
 
 
 def _seeded(cfg: RunConfig, args) -> int:
     return int(args.seed) if args.seed is not None else int(cfg.get("sample.seed"))
+
+
+def _write_summary(out: Path, stem: str, report: dict, fmt: str) -> Path:
+    """Write a key/value report as JSON, or its flat keys as a CSV table."""
+    path = out / f"{stem}.{fmt}"
+    if fmt == "csv":
+        flat = {k: v for k, v in report.items() if not isinstance(v, dict)}
+        write_table(path, ["key", "value"],
+                    [[k, json.dumps(v)] for k, v in sorted(flat.items())])
+    else:
+        write_report(report, path)
+    return path
+
+
+def _write_curve(path: Path, header: list[str], columns: list) -> Path:
+    """Write a curve's columns as a CSV table; None errors are left out."""
+    if columns[-1] is None:
+        header, columns = header[:-1], columns[:-1]
+    write_table(path, header, zip(*columns))
+    return path
 
 
 # --------------------------------------------------------------------------
@@ -103,8 +126,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    cfg = load_config(args.config, args.set or ()) if args.config \
-        else RunConfig(parse_overrides(args.set or ()))
+    cfg = _load(args, optional=True)
     events = read_events(args.events)
     result = run_fit(events, cfg.fit_config())
     out = _out_dir(args)
@@ -116,14 +138,7 @@ def _cmd_fit(args) -> int:
     for key in ("source", "link", "seed"):
         if key in meta:
             report[f"input_{key}"] = meta[key]
-    path = out / "fit_report.json"
-    if args.format == "csv":
-        path = out / "fit_report.csv"
-        flat = {k: v for k, v in report.items() if not isinstance(v, dict)}
-        write_table(path, ["key", "value"],
-                    [[k, json.dumps(v)] for k, v in sorted(flat.items())])
-    else:
-        write_report(report, path)
+    path = _write_summary(out, "fit_report", report, args.format)
     c = result.cov
     print(f"rho_t = {c.rho_t:+.4f}   tau1 = {_engineering(c.tau1, 's')}   "
           f"tau2 = {_engineering(c.tau2, 's')}")
@@ -140,8 +155,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_herald(args) -> int:
     out = _out_dir(args)
-    cfg = load_config(args.config, args.set or ()) if args.config \
-        else RunConfig(parse_overrides(args.set or ()))
+    cfg = _load(args, optional=True)
     if args.events:
         source = read_events(args.events)
     else:
@@ -155,32 +169,18 @@ def _cmd_herald(args) -> int:
         widths = cfg.grid("herald.width", scale="log")
         curve = herald.narrowing_curve(source, center=center, widths=widths,
                                        herald_on=direction)
-        rows = [[w, r] + ([e] if curve.std_errors is not None else [])
-                for w, r, e in zip(
-                    curve.widths, curve.ratios,
-                    curve.std_errors if curve.std_errors is not None
-                    else np.zeros_like(curve.ratios))]
-        header = ["width_s", "ratio"] + (
-            ["std_error"] if curve.std_errors is not None else [])
-        path = out / "narrowing_curve.csv"
-        write_table(path, header, rows)
-        written.append(path)
+        written.append(_write_curve(
+            out / "narrowing_curve.csv", ["width_s", "ratio", "std_error"],
+            [curve.widths, curve.ratios, curve.std_errors]))
         print(f"narrowing asymptote = {curve.asymptote:.4f}")
     if args.curve in ("centroid", "both"):
         centers = cfg.grid("herald.center", scale="linear")
         cfg.require("herald.width", why="centroid curve window width")
         curve = herald.centroid_curve(source, width=cfg.get("herald.width"),
                                       centers=centers, herald_on=direction)
-        rows = [[c, m] + ([e] if curve.std_errors is not None else [])
-                for c, m, e in zip(
-                    curve.centers, curve.means,
-                    curve.std_errors if curve.std_errors is not None
-                    else np.zeros_like(curve.means))]
-        header = ["center_s", "mean_s"] + (
-            ["std_error_s"] if curve.std_errors is not None else [])
-        path = out / "centroid_curve.csv"
-        write_table(path, header, rows)
-        written.append(path)
+        written.append(_write_curve(
+            out / "centroid_curve.csv", ["center_s", "mean_s", "std_error_s"],
+            [curve.centers, curve.means, curve.std_errors]))
         print(f"centroid slope = {curve.slope():+.5g}")
     for path in written:
         print(f"table: {path}")
@@ -218,13 +218,7 @@ def _cmd_optimize(args) -> int:
         "link_length_m": link.length,
         "sigma_fixed_per_s": sigma_fixed,
     }
-    if args.format == "csv":
-        path = out / "optimum.csv"
-        write_table(path, ["key", "value"],
-                    [[k, json.dumps(v)] for k, v in sorted(payload.items())])
-    else:
-        path = out / "optimum.json"
-        write_report(payload, path)
+    path = _write_summary(out, "optimum", payload, args.format)
     print(f"report: {path}")
     return EXIT_OK
 

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import narrowing_ratio_limit
+from .analytic import (_checked_mass, _lower_tail, _normal_cdf_pdf, _window,
+                       _window_mass, narrowing_ratio_limit)
 from .params import HeraldtimeError, TemporalCovariance
 from .sampler import EventSet, bootstrap_rows
 
@@ -48,9 +48,6 @@ __all__ = [
 ]
 
 MIN_EVENTS = 30
-
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-_SQRT2 = math.sqrt(2.0)
 
 # Windows narrower than this many sd take their moments by quadrature.
 _NARROW = 0.1
@@ -148,39 +145,17 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(12)
 
 
-def _normal_cdf_pdf(a: float) -> tuple[float, float]:
-    """Standard normal cdf and pdf at ``a``, both from one rounded a/sqrt(2).
-
-    Below the mean ``erfc`` keeps full relative precision.  The pdf is taken
-    at the point where the cdf was actually evaluated, so that the ratios of
-    densities to window masses carry no argument rounding of their own.
-    """
-    z = a / _SQRT2
-    return 0.5 * math.erfc(-z), _INV_SQRT_2PI * math.exp(-z * z)
-
-
 def _truncated_normal_moments(mu: float, sd: float, lo: float,
                               hi: float) -> tuple[float, float]:
     """Mean and variance of N(mu, sd^2) restricted to [lo, hi].
 
-    A window above the mean is reflected below it, where the mass difference
-    does not cancel.  A window narrower than ``_NARROW`` sd takes its moments
-    about its midpoint by Gauss-Legendre quadrature, because there the closed
-    form's variance ``1 + (ta - tb)/mass - shift**2`` cancels.
+    A window narrower than ``_NARROW`` sd takes its moments about its
+    midpoint by Gauss-Legendre quadrature, because there the closed form's
+    variance ``1 + (ta - tb)/mass - shift**2`` cancels.
     """
-    a = (lo - mu) / sd
-    b = (hi - mu) / sd
-    sign = 1.0
-    if a > 0.0:
-        a, b, sign = -b, -a, -1.0
-    cdf_a, pa = _normal_cdf_pdf(a)
-    cdf_b, pb = _normal_cdf_pdf(b)
-    mass = cdf_b - cdf_a
-    # Past ~37.5 sd the mass is subnormal and has lost the precision that
-    # the closed form's ratios need.
-    if mass < sys.float_info.min:
-        raise ValueError(
-            f"window [{lo!r}, {hi!r}] carries no probability mass")
+    a, b, sign = _lower_tail((lo - mu) / sd, (hi - mu) / sd)
+    mass = _checked_mass(_window_mass(a, b), lo, hi)
+    pa, pb = _normal_cdf_pdf(a)[1], _normal_cdf_pdf(b)[1]
     if b - a < _NARROW:
         # hi - lo rounds at most once, so the half-width in sd keeps full
         # precision; b - a would lose it to the rounding of a and b.
@@ -210,12 +185,11 @@ def conditional_moments(cov: TemporalCovariance, center: float,
                             + rho_t^2 (tau1/tau2)^2 Var[t2 | W]
 
     with the window moments of t2 those of a truncated normal.  Exact for
-    any window, including width=inf (the unconditional moments).
+    any window, including width=inf (the unconditional moments).  Raises
+    ValueError for a width that is not positive, a center that is not finite
+    and a window that carries no probability mass.
     """
-    if not width > 0:
-        raise ValueError(f"window width must be positive, got {width!r}")
-    lo = center - 0.5 * width
-    hi = center + 0.5 * width
+    lo, hi = _window(center, width)
     m2, v2 = _truncated_normal_moments(cov.mu2, cov.tau2, lo, hi)
     slope = cov.rho_t * cov.tau1 / cov.tau2
     mean = cov.mu1 + slope * (m2 - cov.mu2)

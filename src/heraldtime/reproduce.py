@@ -120,9 +120,8 @@ def _reference_link(targets) -> LinkParams:
 def _recipe_table1(targets, seed) -> Bundle:
     checks = []
     rows = []
-    for i, entry in enumerate(targets["table1"]):
-        cov = TemporalCovariance(rho_t=entry["rho_t"], tau1=entry["tau1_s"],
-                                 tau2=entry["tau2_s"])
+    for i, (entry, cov) in enumerate(zip(targets["table1"],
+                                         _reference_sets(targets))):
         events = sample(cov, DetectorModel.ideal(), n=82000, seed=seed + i)
         result = fit(events, FitConfig())
         se = result.std_errors or {}

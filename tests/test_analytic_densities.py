@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import erf as scipy_erf
 
-from heraldtime import herald
+from heraldtime import analytic, herald
 from heraldtime.analytic import (
     conditional_density,
     conditional_limit_density,
@@ -97,6 +96,43 @@ class TestConditionalDensity:
         cov = REFERENCE_SETS[0]
         with pytest.raises(ValueError, match="tail"):
             conditional_density(0.0, 50 * cov.tau2, 1e-13, cov)
+
+    @pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf])
+    def test_non_finite_center_rejected(self, center):
+        cov = REFERENCE_SETS[0]
+        for width in (1e-10, math.inf):
+            with pytest.raises(ValueError, match="center must be finite"):
+                conditional_density(np.zeros(3), center, width, cov)
+
+    def test_raises_on_the_same_windows_as_the_moments(self):
+        # One underflow rule: near 38 sd, where the window mass turns
+        # subnormal, the density and the window moments refuse exactly the
+        # same windows, in either tail.
+        cov = TemporalCovariance(rho_t=0.6, tau1=2e-10, tau2=3e-10,
+                                 mu1=1e-11, mu2=-2e-11)
+        refused = []
+        for side in (1.0, -1.0):
+            for z in np.arange(37.0, 38.6, 0.02):
+                for w in (0.003, 0.05, 0.6):
+                    center = cov.mu2 + side * z * cov.tau2
+                    width = w * cov.tau2
+                    lo, hi = center - 0.5 * width, center + 0.5 * width
+                    try:
+                        herald._truncated_normal_moments(cov.mu2, cov.tau2,
+                                                         lo, hi)
+                        moments_raise = False
+                    except ValueError:
+                        moments_raise = True
+                    try:
+                        conditional_density(cov.mu1, center, width, cov)
+                        density_raises = False
+                    except ValueError as exc:
+                        assert "no probability mass" in str(exc)
+                        density_raises = True
+                    assert density_raises == moments_raise, (z, w, side)
+                    refused.append(moments_raise)
+        # the scan crosses the threshold: some windows pass, some raise
+        assert 0 < sum(refused) < len(refused)
 
     def test_normalizes_over_t1(self):
         cov = REFERENCE_SETS[0]
@@ -202,24 +238,32 @@ class TestNarrowingLimit:
 
 
 def test_erf_backend_accuracy():
-    """The erf used in the closed forms must be good to 1e-12 on [-6, 6]."""
+    """The erf of the closed forms, erf(x) = P(|Z| <= x sqrt(2)) from the
+    package's normal kernel over arrays, must be good to 1e-12 on [-6, 6]."""
     mpmath = pytest.importorskip("mpmath")
+
+    def erf(x):
+        z = math.sqrt(2.0) * np.asarray(x, dtype=float)
+        return np.asarray(analytic._normal_mass(-z, z), dtype=float)
+
     xs = np.linspace(-6.0, 6.0, 241)
-    ours = scipy_erf(xs)
+    ours = erf(xs)
     reference = np.array([float(mpmath.erf(mpmath.mpf(repr(float(x)))))
                           for x in xs])
+    assert ours.dtype == float and ours.shape == xs.shape
     assert np.max(np.abs(ours - reference)) < 1e-12
     # beyond +/-6 the double-precision value saturates at +/-1 exactly
-    assert scipy_erf(6.5) == 1.0 and scipy_erf(-7.0) == -1.0
+    assert erf(6.5) == 1.0 and erf(-7.0) == -1.0
 
 
 def test_herald_normal_cdf_accuracy():
-    """The math.erfc Phi of the herald moments: 1e-12 absolute on [-6, 6],
-    and relative precision down to -37 limited only by rounding x/sqrt(2)."""
+    """The math.erfc Phi of the normal kernel (the herald moments' scalar
+    path): 1e-12 absolute on [-6, 6], and relative precision down to -37
+    limited only by rounding x/sqrt(2)."""
     mpmath = pytest.importorskip("mpmath")
 
     def phi(x):
-        return herald._normal_cdf_pdf(float(x))[0]
+        return analytic._normal_cdf_pdf(float(x))[0]
 
     xs = np.linspace(-6.0, 6.0, 241)
     reference = [float(mpmath.ncdf(mpmath.mpf(repr(float(x))))) for x in xs]

@@ -149,6 +149,23 @@ def test_herald_model_mode(tmp_path, config_path):
     assert len(centroid) == 6
 
 
+@pytest.mark.parametrize("key", ["herald.center", "herald.center_max"])
+def test_herald_non_finite_center_is_config_error(tmp_path, config_path,
+                                                  capsys, key):
+    # a NaN window center is a bad config, not a table that failed to write
+    with open(config_path, "a") as fh:
+        fh.write("herald.width_min = 10 ps\nherald.width_max = 1 ns\n"
+                 "herald.width_points = 7\nherald.width = 100 ps\n"
+                 "herald.center_min = -300 ps\nherald.center_max = 300 ps\n"
+                 "herald.center_points = 5\n")
+    code = main(["herald", "--config", str(config_path), "--out",
+                 str(tmp_path), "--set", f"{key}=nan ps"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert "center must be finite" in err["message"]
+
+
 def test_herald_event_mode(tmp_path, config_path):
     out = tmp_path / "out"
     main(["simulate", "--config", str(config_path), "--out", str(out),
@@ -290,8 +307,8 @@ def test_model_commands_leave_optimizer_unloaded(config_path, tmp_path):
 
 
 def test_model_commands_run_without_scipy(config_path, tmp_path):
-    # The link-design commands and simulate need NumPy alone: with scipy
-    # blocked from import, each of them must still succeed.
+    # The link-design commands, simulate and the closed forms need NumPy
+    # alone: with scipy blocked from import, each of them must still succeed.
     import subprocess
     import sys
     base = ["--config", str(config_path)]
@@ -315,16 +332,29 @@ def test_model_commands_run_without_scipy(config_path, tmp_path):
     ]
     script = ("import sys\n"
               "sys.modules['scipy'] = None\n"
+              "import numpy as np\n"
               "import heraldtime, heraldtime.cli as cli\n"
               f"for i, argv in enumerate({commands!r}):\n"
               f"    out = {str(tmp_path)!r} + f'/{{i}}'\n"
-              "    print('exit', argv[0], cli.main(argv + ['--out', out]))\n")
+              "    print('exit', argv[0], cli.main(argv + ['--out', out]))\n"
+              "cov = heraldtime.TemporalCovariance(rho_t=0.6, tau1=2e-10,\n"
+              "                                    tau2=3e-10)\n"
+              "grid = np.linspace(-6e-10, 6e-10, 5)\n"
+              "dens = [heraldtime.conditional_density(grid, 0.0, 1e-10, cov),\n"
+              "        heraldtime.conditional_density(1e-10, 0.0, 1e-10, cov),\n"
+              "        heraldtime.conditional_density(grid + 2.4e-9, 6e-9, 3e-11,\n"
+              "                                       cov)]\n"
+              "print('density', [float(d.min()) > 0 for d in dens])\n"
+              "mean, std = heraldtime.conditional_moments(cov, 6e-9, 3e-11)\n"
+              "print('moments', mean > 0, 0 < std < cov.tau1)\n")
     res = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, timeout=300)
     assert res.returncode == 0, res.stderr
-    codes = [line.split()[1:] for line in res.stdout.splitlines()
-             if line.startswith("exit ")]
+    lines = res.stdout.splitlines()
+    codes = [line.split()[1:] for line in lines if line.startswith("exit ")]
     assert codes == [[c[0], "0"] for c in commands], res.stdout + res.stderr
+    assert lines[-2:] == ["density [True, True, True]",
+                          "moments True True"], res.stdout + res.stderr
 
 
 def test_fit_pipeline_runs_without_scipy(config_path, tmp_path):

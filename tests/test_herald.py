@@ -128,6 +128,17 @@ class TestConditionalMoments:
         assert mean == cov.mu1
         assert std == pytest.approx(cov.tau1, rel=1e-12)
 
+    @pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf])
+    def test_non_finite_center_rejected(self, center):
+        cov = REFERENCE_SETS[0]
+        for width in (1e-10, math.inf):
+            with pytest.raises(ValueError, match="center must be finite"):
+                conditional_moments(cov, center, width)
+        with pytest.raises(ValueError, match="center must be finite"):
+            centroid_curve(cov, width=1e-10, centers=[-1e-10, center, 1e-10])
+        with pytest.raises(ValueError, match="center must be finite"):
+            narrowing_curve(cov, center=center, widths=[1e-11, 1e-10, 1e-9])
+
     def test_bounded_between_limit_and_tau1(self):
         cov = REFERENCE_SETS[0]
         floor = cov.tau1 * math.sqrt(1 - cov.rho_t ** 2)
