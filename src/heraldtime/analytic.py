@@ -130,7 +130,7 @@ _normal_mass = np.frompyfunc(_window_mass, 2, 1)
 def _window(center: float, width: float) -> tuple[float, float]:
     """Bounds center -/+ width/2 of a positive width and a finite center."""
     if not width > 0:
-        raise ValueError(f"window width must be positive, got {width!r}")
+        raise ValueError(f"window width must be positive, got {float(width)!r}")
     if not math.isfinite(center):
         raise ValueError(f"window center must be finite, got {float(center)!r}")
     return center - 0.5 * width, center + 0.5 * width

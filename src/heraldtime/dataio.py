@@ -74,6 +74,9 @@ EVENT_MAGIC = "# heraldtime events v1"
 _OTHER_BREAKS = b"\r\x0b\x0c\x1c\x1d\x1e"
 # Rows formatted per write call: bounds the strings held at once.
 _WRITE_BLOCK_ROWS = 65536
+# Body bytes checked per read before the one-call parse: bounds the bytes
+# held at once.
+_SCAN_BLOCK = 1 << 20
 
 TIME_UNITS = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "ps": 1e-12,
               "fs": 1e-15}
@@ -190,26 +193,29 @@ def write_events(events: EventSet, path, unit: str = "s") -> None:
 def read_events(path) -> EventSet:
     """Read an event file; all times are converted to seconds.
 
+    A body of ASCII lines broken only at "\\n" (what :func:`write_events`
+    writes) is checked in blocks of ``_SCAN_BLOCK`` bytes and then parsed
+    from the file in one call, so the reader holds one block or the parsed
+    array, never the file's text; the returned :class:`EventSet` takes that
+    array without a copy.  Any other body is decoded whole and read line by
+    line.
+
     Raises :class:`EventFileError` naming the line for any malformed content.
     """
     path = Path(path)
     try:
         with path.open("rb") as fh:
-            raw = fh.read()
             reader = _EventReader(path)
-            start = _plain_body_start(raw, reader)
-            if start is not None:
-                rows = raw.count(b"\n", start) + (not raw.endswith(b"\n"))
-                raw = None  # loadtxt reads the rows from the file itself
+            plain = _plain_body_start(fh, reader)
+            if plain is not None:
+                start, rows = plain
                 fh.seek(start)
                 arr = _parse_body(fh, rows)
                 if arr is not None:
                     arr *= reader.scale
                     return _event_set(reader, arr)
-                fh.seek(0)
-                raw = fh.read()
-        text = raw.decode("utf-8")
-        del raw
+            fh.seek(0)
+            text = fh.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise EventFileError(f"cannot read event file {path}: {exc}") from exc
 
@@ -239,31 +245,40 @@ def _body_start(lines: list[str]) -> int:
                  if lines[i].strip()[:1] not in ("", "#")), len(lines))
 
 
-def _plain_body_start(raw: bytes, reader: _EventReader) -> int | None:
-    """Byte offset of a body that ``np.loadtxt`` can read from the file.
+def _plain_body_start(fh, reader: _EventReader) -> tuple[int, int] | None:
+    """Byte offset and line count of a body ``np.loadtxt`` can read from ``fh``.
 
-    Walks the header block into ``reader`` on the way.  Returns None, for the
-    decoded text to decide, unless the body is ASCII, breaks its lines only
-    at "\n" and starts where ``str.splitlines`` would start it.
+    Reads the binary file ``fh`` from its start and walks the header block
+    into ``reader`` on the way.  Returns None, for the decoded text to
+    decide, unless the body is ASCII, breaks its lines only at "\\n" and
+    starts where ``str.splitlines`` would start it.  The body is scanned in
+    blocks of ``_SCAN_BLOCK`` bytes; the caller seeks ``fh`` back to it.
     """
-    start = 0
-    while start < len(raw):
-        end = raw.find(b"\n", start) + 1 or len(raw)
-        line = raw[start:end].strip()
-        if line and not line.startswith(b"#"):
+    head, start = [], 0
+    for line in fh:
+        head.append(line)
+        stripped = line.strip()
+        if stripped and not stripped.startswith(b"#"):
             break
-        start = end
+        start += len(line)
     else:
         return None
-    if (np.frombuffer(raw, np.uint8, offset=start).max() >= 0x80
-            or any(raw.find(c, start) >= 0 for c in _OTHER_BREAKS)):
-        return None
-    lines = raw[:end].decode("utf-8").splitlines()
+    fh.seek(start)
+    block, rows, last = bytearray(_SCAN_BLOCK), 0, None
+    while size := fh.readinto(block):
+        del block[size:]  # a short read: the end of the file
+        if not block.isascii() or any(c in block for c in _OTHER_BREAKS):
+            return None
+        rows += block.count(b"\n")
+        last = block[-1]
+    lines = b"".join(head).decode("utf-8").splitlines()
     if (lines[0].strip() != EVENT_MAGIC
             or _body_start(lines) != len(lines) - 1):
         return None
     reader.walk(lines[1:-1], first_lineno=2)
-    return start if reader.scale is not None else None
+    if reader.scale is None:
+        return None
+    return start, rows + (last != ord("\n"))
 
 
 def _event_set(reader: _EventReader, arr: np.ndarray) -> EventSet:
@@ -272,7 +287,7 @@ def _event_set(reader: _EventReader, arr: np.ndarray) -> EventSet:
         raise EventFileError(
             f"{reader.path}: header declares count = {reader.count} but file "
             f"has {len(arr)} rows")
-    return EventSet(arr, reader.metadata)
+    return EventSet._adopt(arr, reader.metadata)
 
 
 def _parse_body(body, rows: int) -> np.ndarray | None:

@@ -278,6 +278,10 @@ def _box_in_u(cfg: FitConfig, u: np.ndarray, scales) -> tuple[np.ndarray, np.nda
     return (np.percentile(u[:, 0], [lo, hi]), np.percentile(u[:, 1], [lo, hi]))
 
 
+# Events binned per pass of ``_bin_counts``: bounds its temporaries.
+_BIN_BLOCK = 1 << 16
+
+
 def _bin_counts(u, box1, box2, bins1, bins2):
     """``np.histogram2d(u[:, 0], u[:, 1], (bins1, bins2), (box1, box2))``.
 
@@ -287,10 +291,11 @@ def _bin_counts(u, box1, box2, bins1, bins2):
     np.histogram2d exactly: bins are closed on the left, the last one also
     on the right.  An event below the box lands in bin -1 and one above it
     in bin n (the upper edge of the last bin is read as the next float
-    past the box), so one padded bincount drops them.
+    past the box), so one padded bincount drops them.  The events go in
+    blocks of ``_BIN_BLOCK``, whose integer counts add up exactly.
     """
-    flat, edges = None, []
-    for v, (lo, hi), n in ((u[:, 0], box1, bins1), (u[:, 1], box2, bins2)):
+    axes = []
+    for (lo, hi), n in ((box1, bins1), (box2, bins2)):
         lo, hi = float(lo), float(hi)
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
             raise ValueError(f"histogram range [{lo!r}, {hi!r}] is not a "
@@ -300,23 +305,28 @@ def _bin_counts(u, box1, box2, bins1, bins2):
         e = np.linspace(lo, hi, n + 1)
         upper = e[1:].copy()
         upper[-1] = np.nextafter(hi, math.inf)
-        f = np.subtract(v, lo)
-        f *= n / (hi - lo)
-        k = np.clip(f, 0, n - 1, out=f).astype(np.intp)
-        del f
-        k -= v < e[k]
-        k += v >= upper[k]
-        # shift into the padded grid of (bins1 + 2) x (bins2 + 2)
-        k += 1
-        if flat is None:
-            flat = k
-        else:
-            flat *= n + 2
-            flat += k
-        edges.append(e)
-    counts = np.bincount(flat, minlength=(bins1 + 2) * (bins2 + 2))
+        axes.append((lo, hi, n, e, upper))
+    padded = (bins1 + 2) * (bins2 + 2)
+    counts = np.zeros(padded, dtype=np.intp)
+    for start in range(0, len(u), _BIN_BLOCK):
+        block = u[start:start + _BIN_BLOCK]
+        flat = None
+        for v, (lo, hi, n, e, upper) in zip((block[:, 0], block[:, 1]), axes):
+            f = np.subtract(v, lo)
+            f *= n / (hi - lo)
+            k = np.clip(f, 0, n - 1, out=f).astype(np.intp)
+            k -= v < e[k]
+            k += v >= upper[k]
+            # shift into the padded grid of (bins1 + 2) x (bins2 + 2)
+            k += 1
+            if flat is None:
+                flat = k
+            else:
+                flat *= n + 2
+                flat += k
+        counts += np.bincount(flat, minlength=padded)
     counts = counts.reshape(bins1 + 2, bins2 + 2)[1:-1, 1:-1]
-    return counts.astype(float), edges[0], edges[1]
+    return counts.astype(float), axes[0][3], axes[1][3]
 
 
 def _expit(t: float) -> float:

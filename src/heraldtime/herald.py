@@ -249,7 +249,9 @@ def narrowing_curve(source, center: float, widths, herald_on: int = 2,
     ``source`` is an EventSet (empirical ratios, joint bootstrap errors) or a
     TemporalCovariance (exact ratios, monotone non-increasing in the width).
     The empirical ratio at width=inf equals 1 by construction: numerator and
-    denominator are the same estimator on the same events.
+    denominator are the same estimator on the same events.  Both paths raise
+    ValueError for a width that is not positive or a center that is not
+    finite.
     """
     grid = _as_grid(widths, 3, "widths")
     if isinstance(source, TemporalCovariance):
@@ -263,6 +265,8 @@ def narrowing_curve(source, center: float, widths, herald_on: int = 2,
         raise TypeError(f"source must be an EventSet or TemporalCovariance, "
                         f"got {type(source).__name__}")
 
+    for w in grid:
+        _window(center, w)  # the model path's rule, before any counting
     oriented = _oriented(source, HeraldWindow(center, math.inf, herald_on))
     t1 = oriented.t1
     # The windows share one center, so they are nested: shell j holds the
@@ -306,7 +310,8 @@ def centroid_curve(source, width: float, centers, herald_on: int = 2,
 
     For small windows the curve is linear with slope rho_t * tau1 / tau2; at
     finite widths the exact conditional mean is reported without any
-    linearity assumption.
+    linearity assumption.  Both paths raise ValueError for a width that is
+    not positive or a center that is not finite.
     """
     grid = _as_grid(centers, 3, "centers")
     if isinstance(source, TemporalCovariance):
@@ -317,6 +322,8 @@ def centroid_curve(source, width: float, centers, herald_on: int = 2,
         raise TypeError(f"source must be an EventSet or TemporalCovariance, "
                         f"got {type(source).__name__}")
 
+    for c in grid:
+        _window(c, width)  # the model path's rule, before any counting
     oriented = _oriented(source, HeraldWindow(0.0, width, herald_on))
     t1 = oriented.t1
     t2 = oriented.t2

@@ -14,12 +14,13 @@ dressed with detector effects:
 Randomness comes from the counter-based Philox generator.  A run with seed
 ``s`` is produced in chunks of ``CHUNK_SIZE`` events; chunk ``k`` uses
 ``numpy.random.Philox`` seeded by ``SeedSequence(entropy=s, spawn_key=(k,))``
-and the chunks are concatenated in index order.  This makes the output
-deterministic, independent of how chunks might be scheduled, and documented
-enough to reproduce the statistics (bit-exact streams are promised only
-within this implementation).  Within a chunk of m events the draw order is
-fixed: signal normals (m, 2), jitter normals per channel and common mode,
-background selector uniforms (m,), background positions uniforms (m, 2).
+and fills output rows ``k * CHUNK_SIZE`` up to ``(k + 1) * CHUNK_SIZE``.  This
+makes the output deterministic, independent of how chunks might be
+scheduled, and documented enough to reproduce the statistics (bit-exact
+streams are promised only within this implementation).  Within a chunk of
+m events the draw order is fixed: signal normals (m, 2), jitter normals per
+channel and common mode, background selector uniforms (m,), background
+positions uniforms (m, 2).
 
 Pulse-train aliasing is not modeled: every event is assumed uniquely assigned
 to its pump pulse.  Signal events are not truncated to the window; the window
@@ -90,23 +91,44 @@ class EventSet:
 
     ``events`` is an (n, 2) float array, marked read-only.  ``metadata`` maps
     string keys to plain values (parameters used, seed, selection cuts, ...).
+
+    The constructor copies ``events``, so the caller's array stays its own.
+    The event sets of :func:`sample` and ``dataio.read_events`` hold the
+    array those functions have just allocated itself, with the same checks:
+    a million events cost one array, not two.
     """
 
     events: np.ndarray
     metadata: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        arr = np.atleast_2d(np.asarray(self.events, dtype=float))
+        self._hold(np.asarray(self.events, dtype=float), self.metadata,
+                   copy=True)
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray, metadata: Mapping[str, Any]) -> "EventSet":
+        """An event set holding the float array ``arr`` itself, not a copy.
+
+        Only for an array that no one else holds: it becomes read-only.
+        """
+        out = object.__new__(cls)
+        out._hold(arr, metadata, copy=False)
+        return out
+
+    def _hold(self, arr: np.ndarray, metadata: Mapping[str, Any],
+              copy: bool) -> None:
+        arr = np.atleast_2d(arr)
         if arr.size == 0:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError(f"events must have shape (n, 2), got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("events must be finite")
-        arr = arr.copy()
+        if copy:
+            arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "events", arr)
-        object.__setattr__(self, "metadata", dict(self.metadata))
+        object.__setattr__(self, "metadata", dict(metadata))
 
     @property
     def count(self) -> int:
@@ -133,8 +155,10 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
                                                 spawn_key=(chunk_index,))))
 
 
-def _sample_chunk(cov: TemporalCovariance, det: DetectorModel, m: int,
-                  rng: np.random.Generator) -> np.ndarray:
+def _sample_chunk(cov: TemporalCovariance, det: DetectorModel,
+                  rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill the (m, 2) rows ``out`` with one chunk's events."""
+    m = len(out)
     z = rng.standard_normal((m, 2))
     t1 = cov.mu1 + cov.tau1 * z[:, 0]
     t2 = cov.mu2 + cov.tau2 * (cov.rho_t * z[:, 0]
@@ -147,13 +171,13 @@ def _sample_chunk(cov: TemporalCovariance, det: DetectorModel, m: int,
         common = det.reference_jitter * rng.standard_normal(m)
         t1 = t1 + common
         t2 = t2 + common
-    out = np.column_stack([t1, t2])
+    out[:, 0] = t1
+    out[:, 1] = t2
     if det.background_rate > 0:
         is_bg = rng.random(m) < det.background_rate
         lo, hi = det.window
         uniform = lo + (hi - lo) * rng.random((m, 2))
         out[is_bg] = uniform[is_bg]
-    return out
 
 
 def bootstrap_rows(rng: np.random.Generator, n: int, n_boot: int):
@@ -172,10 +196,10 @@ def sample(cov: TemporalCovariance, det: DetectorModel, n: int,
     """Draw ``n`` coincidence events; deterministic for a fixed seed."""
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    chunks = []
-    for k in range(math.ceil(n / CHUNK_SIZE)):
-        m = min(CHUNK_SIZE, n - k * CHUNK_SIZE)
-        chunks.append(_sample_chunk(cov, det, m, _chunk_rng(seed, k)))
+    events = np.empty((n, 2))
+    for k, start in enumerate(range(0, n, CHUNK_SIZE)):
+        _sample_chunk(cov, det, _chunk_rng(seed, k),
+                      events[start:start + CHUNK_SIZE])
     meta = {
         "generator": "philox-chunked-v1",
         "seed": int(seed),
@@ -187,7 +211,7 @@ def sample(cov: TemporalCovariance, det: DetectorModel, n: int,
                      "background_rate": det.background_rate,
                      "window": list(det.window) if det.window else None},
     }
-    return EventSet(np.concatenate(chunks, axis=0), meta)
+    return EventSet._adopt(events, meta)
 
 
 def sample_from_source(src: SourceParams, link: LinkParams, det: DetectorModel,

@@ -330,6 +330,42 @@ def refit_bootstrap_loop(events, cfg, n_resamples, seed):
 
 
 # --------------------------------------------------------------------------
+# Reference sampler: each chunk its own array, then one concatenation
+# --------------------------------------------------------------------------
+# The package fills one preallocated array chunk by chunk; its events must
+# equal these bit for bit.
+
+def sample_concatenated(cov, det, n, seed):
+    """The events of ``sample(cov, det, n, seed)``, built chunk by chunk."""
+    from heraldtime.sampler import CHUNK_SIZE, _chunk_rng
+
+    chunks = []
+    for k in range(math.ceil(n / CHUNK_SIZE)):
+        m = min(CHUNK_SIZE, n - k * CHUNK_SIZE)
+        rng = _chunk_rng(seed, k)
+        z = rng.standard_normal((m, 2))
+        t1 = cov.mu1 + cov.tau1 * z[:, 0]
+        t2 = cov.mu2 + cov.tau2 * (cov.rho_t * z[:, 0]
+                                   + math.sqrt(1.0 - cov.rho_t ** 2) * z[:, 1])
+        if det.jitter1 > 0:
+            t1 = t1 + det.jitter1 * rng.standard_normal(m)
+        if det.jitter2 > 0:
+            t2 = t2 + det.jitter2 * rng.standard_normal(m)
+        if det.reference_jitter > 0:
+            common = det.reference_jitter * rng.standard_normal(m)
+            t1 = t1 + common
+            t2 = t2 + common
+        out = np.column_stack([t1, t2])
+        if det.background_rate > 0:
+            is_bg = rng.random(m) < det.background_rate
+            lo, hi = det.window
+            uniform = lo + (hi - lo) * rng.random((m, 2))
+            out[is_bg] = uniform[is_bg]
+        chunks.append(out)
+    return np.concatenate(chunks, axis=0)
+
+
+# --------------------------------------------------------------------------
 # Reference event-file codec: the row-by-row loops of release 0.1.0
 # --------------------------------------------------------------------------
 # The package's block writer must produce the same bytes and its one-call

@@ -166,6 +166,32 @@ def test_herald_non_finite_center_is_config_error(tmp_path, config_path,
     assert "center must be finite" in err["message"]
 
 
+@pytest.mark.parametrize("curve,key,message", [
+    ("centroid", "herald.center_max=nan ps", "center must be finite"),
+    ("narrowing", "herald.width_max=nan ps", "width must be positive"),
+])
+def test_herald_event_mode_invalid_grid_is_config_error(
+        tmp_path, config_path, capsys, curve, key, message):
+    # the empirical curves apply the window rule of the model curves; a
+    # NaN grid point is not a window that selected too few events
+    out = tmp_path / "out"
+    main(["simulate", "--config", str(config_path), "--out", str(out)])
+    with open(config_path, "a") as fh:
+        fh.write("herald.width_min = 100 ps\nherald.width_max = 2 ns\n"
+                 "herald.width_points = 4\nherald.width = 100 ps\n"
+                 "herald.center_min = -300 ps\nherald.center_max = 300 ps\n"
+                 "herald.center_points = 5\n")
+    capsys.readouterr()
+    code = main(["herald", str(out / "events.csv"), "--config",
+                 str(config_path), "--out", str(out), "--curve", curve,
+                 "--set", key])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert message in err["message"]
+    assert "selects" not in err["message"]
+
+
 def test_herald_event_mode(tmp_path, config_path):
     out = tmp_path / "out"
     main(["simulate", "--config", str(config_path), "--out", str(out),

@@ -267,6 +267,34 @@ class TestCentroidCurve:
             assert abs(e - a) < 4 * se
 
 
+class TestInvalidGridPoints:
+    """Both curves reject a grid point the window rule refuses, on both
+    paths, before any events are counted."""
+
+    @pytest.fixture(scope="class")
+    def sources(self):
+        cov = REFERENCE_SETS[0]
+        return cov, sample(cov, DetectorModel.ideal(), 5000, seed=12)
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -1e-10, -math.inf])
+    def test_narrowing_width(self, sources, bad):
+        for source in sources:
+            with pytest.raises(ValueError, match="width must be positive"):
+                narrowing_curve(source, 0.0, [1e-10, bad, 1e-9], n_boot=5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_centroid_center(self, sources, bad):
+        for source in sources:
+            with pytest.raises(ValueError, match="center must be finite"):
+                centroid_curve(source, 1e-10, [-1e-10, bad, 1e-10], n_boot=5)
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -1e-10])
+    def test_centroid_width(self, sources, bad):
+        for source in sources:
+            with pytest.raises(ValueError, match="width must be positive"):
+                centroid_curve(source, bad, [-1e-10, 0.0, 1e-10], n_boot=5)
+
+
 class TestDirectionSymmetry:
     def test_herald_on_one_equals_transposed_herald_on_two(self):
         es = sample(REFERENCE_SETS[0], DetectorModel.ideal(), 30000, seed=12)

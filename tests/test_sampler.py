@@ -5,6 +5,8 @@ import pytest
 from scipy import stats
 
 from heraldtime.analytic import WidthDivergesError, optimum
+from heraldtime.dataio import read_events, write_events
+from heraldtime.herald import HeraldWindow, select
 from heraldtime.params import LinkParams, SourceParams, TemporalCovariance
 from heraldtime.sampler import (
     CHUNK_SIZE,
@@ -16,6 +18,12 @@ from heraldtime.sampler import (
 )
 
 from conftest import REFERENCE_LINK, REFERENCE_SETS
+from oracles import sample_concatenated
+
+# Every detector effect on, so that every draw of a chunk is exercised.
+FULL_DETECTOR = DetectorModel(jitter1=30e-12, jitter2=20e-12,
+                              reference_jitter=10e-12, background_rate=0.05,
+                              window=(-2e-9, 2e-9))
 
 
 class TestEventSet:
@@ -42,6 +50,31 @@ class TestEventSet:
         es = EventSet(np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError):
             es.events[0, 0] = 5.0
+
+    def test_caller_array_is_copied(self):
+        arr = np.array([[1.0, 2.0], [3.0, 4.0]])
+        es = EventSet(arr)
+        assert not np.shares_memory(es.events, arr)
+        assert arr.flags.writeable
+        arr[0, 0] = 9.0
+        assert es.events[0, 0] == 1.0
+
+    def test_package_built_sets_are_read_only(self, tmp_path):
+        es = sample(REFERENCE_SETS[0], FULL_DETECTOR, 500, seed=3)
+        write_events(es, tmp_path / "ev.csv", unit="ps")
+        built = [es, read_events(tmp_path / "ev.csv"),
+                 select(es, HeraldWindow(0.0, 1e-9))]
+        for made in built:
+            assert not made.events.flags.writeable
+            assert made.events.shape[1] == 2
+            with pytest.raises(ValueError):
+                made.events[0, 0] = 5.0
+
+    def test_adopt_keeps_the_checks(self):
+        with pytest.raises(ValueError, match="finite"):
+            EventSet._adopt(np.array([[1.0, math.nan]]), {})
+        with pytest.raises(ValueError, match="shape"):
+            EventSet._adopt(np.zeros((3, 3)), {})
 
     def test_transposed_swaps_channels(self):
         es = EventSet(np.array([[1.0, 2.0], [3.0, 4.0]]), {"seed": 1})
@@ -96,6 +129,34 @@ class TestDeterminism:
         long = sample(cov, DetectorModel.ideal(), CHUNK_SIZE + 123, seed=5)
         short = sample(cov, DetectorModel.ideal(), CHUNK_SIZE, seed=5)
         np.testing.assert_array_equal(long.events[:CHUNK_SIZE], short.events)
+
+    @pytest.mark.parametrize("n", [1, CHUNK_SIZE - 1, CHUNK_SIZE,
+                                   CHUNK_SIZE + 1, 2 * CHUNK_SIZE + 77])
+    @pytest.mark.parametrize("seed", [0, 7, 901])
+    def test_matches_concatenated_chunks(self, n, seed):
+        # filling one array in place keeps every chunk's stream and bits
+        cov = REFERENCE_SETS[1]
+        for det in (DetectorModel.ideal(), FULL_DETECTOR):
+            got = sample(cov, det, n, seed=seed).events
+            want = sample_concatenated(cov, det, n, seed)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_sample_holds_one_array(self):
+        # The output plus one chunk's own arrays; a list of chunks, their
+        # concatenation and a copy of it held three times the output.
+        import tracemalloc
+
+        cov = REFERENCE_SETS[1]
+        sample(cov, FULL_DETECTOR, 10, seed=1)  # first-call set-up
+        tracemalloc.start()
+        try:
+            es = sample(cov, FULL_DETECTOR, 200_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # at most ten float64 values per event of one chunk
+        assert peak < es.events.nbytes + 80 * CHUNK_SIZE
 
     def test_metadata_records_provenance(self):
         cov = REFERENCE_SETS[0]
