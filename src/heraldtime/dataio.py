@@ -210,8 +210,15 @@ def read_events(path) -> EventSet:
             if plain is not None:
                 start, rows = plain
                 fh.seek(start)
-                arr = _parse_body(fh, rows)
-                if arr is not None:
+                # A row loadtxt rejects or skips (a blank one) sends the body
+                # to the line walk below, which alone reports errors and
+                # reads what only float() accepts or what needs line order.
+                try:
+                    arr = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+                except ValueError:
+                    arr = None
+                if (arr is not None and arr.shape == (rows, 2)
+                        and np.isfinite(arr).all()):
                     arr *= reader.scale
                     return _event_set(reader, arr)
             fh.seek(0)
@@ -223,17 +230,9 @@ def read_events(path) -> EventSet:
     if not lines or lines[0].strip() != EVENT_MAGIC:
         raise EventFileError(
             f"{path}:1: missing magic header {EVENT_MAGIC!r}")
-    body_start = _body_start(lines)
     reader = _EventReader(path)
-    reader.walk(lines[1:body_start], first_lineno=2)
-    body = lines[body_start:]
-    arr = (_parse_body(body, len(body))
-           if body and reader.scale is not None else None)
-    if arr is not None:
-        arr *= reader.scale
-    else:
-        arr = np.array(reader.walk(body, first_lineno=body_start + 1),
-                       dtype=float).reshape(-1, 2)
+    arr = np.array(reader.walk(lines[1:], first_lineno=2),
+                   dtype=float).reshape(-1, 2)
     if reader.scale is None:
         raise EventFileError(f"{path}: missing mandatory '# units = ...' line")
     return _event_set(reader, arr)
@@ -288,25 +287,6 @@ def _event_set(reader: _EventReader, arr: np.ndarray) -> EventSet:
             f"{reader.path}: header declares count = {reader.count} but file "
             f"has {len(arr)} rows")
     return EventSet._adopt(arr, reader.metadata)
-
-
-def _parse_body(body, rows: int) -> np.ndarray | None:
-    """All ``rows`` lines of an event-file body in one call, in file units.
-
-    ``body`` is the list of lines or the open file positioned at them.
-    Returns None when any line is not two finite comma-separated numbers
-    that NumPy parses; the per-line walk then decides, so it alone reports
-    errors and reads what only ``float()`` accepts (``1_0``, non-ASCII
-    digits) or what needs line order (``#`` lines among the rows).
-    """
-    try:
-        arr = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    # A line loadtxt skips (a blank one) sends the body to the walk too.
-    if arr.shape != (rows, 2) or not np.isfinite(arr).all():
-        return None
-    return arr
 
 
 class _EventReader:

@@ -75,7 +75,7 @@ import numpy as np
 
 from .analytic import narrowing_ratio_limit
 from .params import HeraldtimeError, TemporalCovariance
-from .sampler import EventSet, bootstrap_rows
+from .sampler import EventSet, bootstrap_std
 
 __all__ = [
     "DegenerateDataError",
@@ -101,11 +101,8 @@ class FitConfig:
     """Settings for :func:`fit`.
 
     bins1, bins2:    histogram bin counts (>= 8 each).
-    range_policy:    "percentile" (default) uses the percentile box below;
-                     "explicit" uses ``box``.
-    percentiles:     (lo, hi) percentiles of each coordinate for the
-                     histogram range.
-    box:             ((t1_lo, t1_hi), (t2_lo, t2_hi)) in s, for "explicit".
+    percentiles:     (lo, hi) percentiles of each coordinate: the histogram
+                     range of "hist-ls".
     loss:            "hist-ls" (histogram least squares, default) or "ml"
                      (event-wise maximum likelihood on the Gaussian-plus-
                      uniform mixture).
@@ -119,9 +116,7 @@ class FitConfig:
 
     bins1: int = 64
     bins2: int = 64
-    range_policy: str = "percentile"
     percentiles: tuple[float, float] = (0.5, 99.5)
-    box: tuple[tuple[float, float], tuple[float, float]] | None = None
     loss: str = "hist-ls"
     max_iterations: int = 1000
     tolerance: float = 1e-10
@@ -133,11 +128,6 @@ class FitConfig:
             raise ValueError("tolerance must be positive")
         if self.loss not in ("hist-ls", "ml"):
             raise ValueError(f"loss must be 'hist-ls' or 'ml', got {self.loss!r}")
-        if self.range_policy not in ("percentile", "explicit"):
-            raise ValueError(f"range_policy must be 'percentile' or 'explicit', "
-                             f"got {self.range_policy!r}")
-        if self.range_policy == "explicit" and self.box is None:
-            raise ValueError("range_policy 'explicit' requires a box")
         lo, hi = self.percentiles
         if not (0 <= lo < hi <= 100):
             raise ValueError(f"percentiles must satisfy 0 <= lo < hi <= 100, "
@@ -263,17 +253,7 @@ def _moments(t1, t2):
     return u.T, (m1, m2, s1, s2), min(max(r, -_RHO_CLAMP), _RHO_CLAMP)
 
 
-def _standardize(events: EventSet):
-    u, scales, _ = _moments(events.t1, events.t2)
-    return u, scales
-
-
-def _box_in_u(cfg: FitConfig, u: np.ndarray, scales) -> tuple[np.ndarray, np.ndarray]:
-    if cfg.range_policy == "explicit":
-        m1, m2, s1, s2 = scales
-        (a1, b1), (a2, b2) = cfg.box
-        return (np.array([(a1 - m1) / s1, (b1 - m1) / s1]),
-                np.array([(a2 - m2) / s2, (b2 - m2) / s2]))
+def _box_in_u(cfg: FitConfig, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = cfg.percentiles
     return (np.percentile(u[:, 0], [lo, hi]), np.percentile(u[:, 1], [lo, hi]))
 
@@ -748,7 +728,7 @@ def _hist_ls_loss(counts, nodes, area):
 
 
 def _fit_hist_ls(u, scales, cfg: FitConfig, rho0: float):
-    box1, box2 = _box_in_u(cfg, u, scales)
+    box1, box2 = _box_in_u(cfg, u)
     counts, e1, e2 = _bin_counts(u, box1, box2, cfg.bins1, cfg.bins2)
     c1 = 0.5 * (e1[:-1] + e1[1:])
     c2 = 0.5 * (e2[:-1] + e2[1:])
@@ -1023,12 +1003,12 @@ def bootstrap_errors(events: EventSet, cfg: FitConfig | None = None,
     checked when their EventSet was made, and fitted as they are.
     """
     t1, t2 = np.ascontiguousarray(events.t1), np.ascontiguousarray(events.t2)
-    rows = []
-    for idx in bootstrap_rows(np.random.default_rng(seed), events.count,
-                              n_resamples):
+
+    def refit(idx):
         res = fit(_Resample(t1[idx], t2[idx], events.count), cfg)
-        rows.append([res.cov.rho_t, res.cov.tau1, res.cov.tau2,
-                     res.cov.mu1, res.cov.mu2, res.amplitude,
-                     res.background_level])
-    spread = np.std(np.asarray(rows), axis=0, ddof=1)
+        return [res.cov.rho_t, res.cov.tau1, res.cov.tau2, res.cov.mu1,
+                res.cov.mu2, res.amplitude, res.background_level]
+
+    spread = bootstrap_std(np.random.default_rng(seed), events.count,
+                           n_resamples, refit)
     return dict(zip(PARAM_NAMES, map(float, spread)))

@@ -17,9 +17,10 @@ conditional moments propagated through the truncated-normal window).
 Statistics are always computed on raw counts; any display scaling is left to
 presentation code.
 
-Error bars are bootstraps drawn row by row from the ``default_rng(seed)``
-stream of release 0.1.0; the nested windows of a narrowing curve take each
-resample's moments from prefix sums of weighted counts, times and squares.
+Every error bar is a bootstrap taken by ``sampler.bootstrap_std``, the one
+place resamples are drawn: row by row from the ``default_rng(seed)`` stream of
+release 0.1.0.  The nested windows of a narrowing curve take each resample's
+moments from prefix sums of weighted counts, times and squares.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from .analytic import (_checked_mass, _lower_tail, _normal_cdf_pdf, _window,
                        _window_mass, narrowing_ratio_limit)
 from .params import HeraldtimeError, TemporalCovariance
-from .sampler import EventSet, bootstrap_rows
+from .sampler import EventSet, bootstrap_std
 
 __all__ = [
     "TooFewEventsError",
@@ -84,9 +85,25 @@ class HeraldWindow:
         return (self.center - 0.5 * self.width, self.center + 0.5 * self.width)
 
 
-def _oriented(events: EventSet, w: HeraldWindow) -> EventSet:
-    """Events with channel 2 as the heralding coordinate."""
-    return events.transposed() if w.herald_on == 1 else events
+def _channels(events: EventSet, herald_on: int) -> tuple[np.ndarray, np.ndarray]:
+    """(analyzed, heralding) channel columns of the events, as views."""
+    if herald_on not in (1, 2):
+        raise ValueError(f"herald_on must be 1 or 2, got {herald_on!r}")
+    return (events.t1, events.t2) if herald_on == 2 else (events.t2, events.t1)
+
+
+def _estimate(x: np.ndarray, statistic, rng: np.random.Generator,
+              n_boot: int, window: str) -> tuple[float, float]:
+    """``statistic(x)`` and its bootstrap error over the selected events ``x``.
+
+    Raises :class:`TooFewEventsError`, naming ``window``, below
+    ``MIN_EVENTS`` events.
+    """
+    if x.size < MIN_EVENTS:
+        raise TooFewEventsError(f"{window} selects {x.size} events; need at "
+                                f"least {MIN_EVENTS}")
+    return statistic(x), bootstrap_std(rng, x.size, n_boot,
+                                       lambda idx: statistic(x[idx]))
 
 
 def select(events: EventSet, w: HeraldWindow) -> EventSet:
@@ -96,9 +113,9 @@ def select(events: EventSet, w: HeraldWindow) -> EventSet:
     recorded in the metadata.  An empty selection is flagged there, not
     raised.
     """
-    oriented = _oriented(events, w)
+    heralding = _channels(events, w.herald_on)[1]
     lo, hi = w.bounds
-    mask = (oriented.t2 >= lo) & (oriented.t2 <= hi)
+    mask = (heralding >= lo) & (heralding <= hi)
     meta = dict(events.metadata)
     meta["selection"] = {
         "herald_on": w.herald_on,
@@ -119,16 +136,13 @@ def heralded_width(events: EventSet, w: HeraldWindow, n_boot: int = 200,
     (for which the narrowing limit is exact) and its bootstrap error.
     Raises :class:`TooFewEventsError` below 30 selected events.
     """
-    selected = select(_oriented(events, w),
-                      HeraldWindow(w.center, w.width, herald_on=2))
-    x = selected.t1
-    if x.size < MIN_EVENTS:
-        raise TooFewEventsError(
-            f"window (center={w.center!r}, width={w.width!r}) selected "
-            f"{x.size} events; need at least {MIN_EVENTS}")
-    rows = bootstrap_rows(np.random.default_rng(seed), x.size, n_boot)
-    boot = [np.std(x[idx], ddof=1) for idx in rows]
-    return float(np.std(x, ddof=1)), float(np.std(boot, ddof=1))
+    analyzed, heralding = _channels(events, w.herald_on)
+    lo, hi = w.bounds
+    width, err = _estimate(
+        analyzed[(heralding >= lo) & (heralding <= hi)],
+        lambda x: np.std(x, ddof=1), np.random.default_rng(seed), n_boot,
+        f"window (center={w.center!r}, width={w.width!r})")
+    return float(width), float(err)
 
 
 # --------------------------------------------------------------------------
@@ -267,13 +281,12 @@ def narrowing_curve(source, center: float, widths, herald_on: int = 2,
 
     for w in grid:
         _window(center, w)  # the model path's rule, before any counting
-    oriented = _oriented(source, HeraldWindow(center, math.inf, herald_on))
-    t1 = oriented.t1
+    t1, t2 = _channels(source, herald_on)
     # The windows share one center, so they are nested: shell j holds the
     # events of window j but of no narrower one.  Moments are prefix sums,
     # taken about the narrowest window's mean so that they do not cancel.
     halves = np.unique(0.5 * grid)
-    shell = np.searchsorted(halves, np.abs(oriented.t2 - center))
+    shell = np.searchsorted(halves, np.abs(t2 - center))
     at = np.searchsorted(halves, 0.5 * grid)
     counts = np.cumsum(np.bincount(shell, minlength=halves.size + 1))
     for w, n_sel in zip(grid, counts[at]):
@@ -295,12 +308,11 @@ def narrowing_curve(source, center: float, widths, herald_on: int = 2,
         return np.sqrt(var[at] / var[-1])
 
     ratios = ratios_of(np.ones(t1.size))
-    rows = bootstrap_rows(np.random.default_rng(seed), t1.size, n_boot)
-    boot = np.array([ratios_of(np.bincount(idx, minlength=t1.size))
-                     for idx in rows]).reshape(n_boot, grid.size)
-    r_hat = np.clip(np.corrcoef(t1, oriented.t2)[0, 1], -0.999999, 0.999999)
-    return NarrowingCurve(widths=grid, ratios=ratios,
-                          std_errors=np.std(boot, axis=0, ddof=1),
+    errs = bootstrap_std(
+        np.random.default_rng(seed), t1.size, n_boot,
+        lambda idx: ratios_of(np.bincount(idx, minlength=t1.size)))
+    r_hat = np.clip(np.corrcoef(t1, t2)[0, 1], -0.999999, 0.999999)
+    return NarrowingCurve(widths=grid, ratios=ratios, std_errors=errs,
                           asymptote=math.sqrt(1.0 - r_hat ** 2))
 
 
@@ -324,18 +336,9 @@ def centroid_curve(source, width: float, centers, herald_on: int = 2,
 
     for c in grid:
         _window(c, width)  # the model path's rule, before any counting
-    oriented = _oriented(source, HeraldWindow(0.0, width, herald_on))
-    t1 = oriented.t1
-    t2 = oriented.t2
-    means, errs = np.empty(grid.size), np.empty(grid.size)
+    t1, t2 = _channels(source, herald_on)
     rng = np.random.default_rng(seed)
-    for i, c in enumerate(grid):
-        sel = t1[np.abs(t2 - c) <= 0.5 * width]
-        if sel.size < MIN_EVENTS:
-            raise TooFewEventsError(
-                f"window center {c!r} selects {sel.size} events; need at "
-                f"least {MIN_EVENTS}")
-        means[i] = np.mean(sel)
-        errs[i] = np.std([np.mean(sel[idx]) for idx in
-                          bootstrap_rows(rng, sel.size, n_boot)], ddof=1)
+    means, errs = np.array([
+        _estimate(t1[np.abs(t2 - c) <= 0.5 * width], np.mean, rng, n_boot,
+                  f"window center {c!r}") for c in grid]).T
     return CentroidCurve(centers=grid, means=means, std_errors=errs)

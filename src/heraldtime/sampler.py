@@ -180,15 +180,24 @@ def _sample_chunk(cov: TemporalCovariance, det: DetectorModel,
         out[is_bg] = uniform[is_bg]
 
 
-def bootstrap_rows(rng: np.random.Generator, n: int, n_boot: int):
-    """Yield ``n_boot`` rows of ``n`` indices into ``range(n)``, with replacement.
+def bootstrap_std(rng: np.random.Generator, n: int, n_boot: int, statistic):
+    """Bootstrap standard error of ``statistic`` over ``n`` rows.
 
-    Row k equals row k of ``rng.integers(0, n, size=(n_boot, n))``: the rows
-    come from the same stream, one at a time, so only one row is held in
-    memory.  Every bootstrap in the package draws its resamples here.
+    Draws ``n_boot`` resamples of ``n`` indices into ``range(n)``, with
+    replacement, and returns ``np.std`` (``axis=0``, ``ddof=1``) of
+    ``statistic(idx)`` across them.  Resample k equals row k of
+    ``rng.integers(0, n, size=(n_boot, n))``: the rows come from the same
+    stream, one at a time, so only one row is held in memory.  Every
+    bootstrap in the package draws its resamples here.
+
+    Raises ValueError unless ``n_boot`` is an integer >= 2: a spread of
+    fewer resamples is undefined.
     """
-    for _ in range(n_boot):
-        yield rng.integers(0, n, size=n)
+    if not (isinstance(n_boot, (int, np.integer)) and n_boot >= 2):
+        raise ValueError(f"the number of resamples must be an integer >= 2, "
+                         f"got {n_boot!r}")
+    return np.std([statistic(rng.integers(0, n, size=n))
+                   for _ in range(n_boot)], axis=0, ddof=1)
 
 
 def sample(cov: TemporalCovariance, det: DetectorModel, n: int,

@@ -528,13 +528,13 @@ def fit_hist_ls_reference(events, cfg):
     from scipy.optimize import least_squares
     from scipy.special import xlogy
 
-    from heraldtime.fitting import (PARAM_NAMES, _box_in_u, _standardize,
+    from heraldtime.fitting import (PARAM_NAMES, _box_in_u, _moments,
                                     initial_guess)
 
     guess = initial_guess(events)
-    u, scales = _standardize(events)
+    u, scales, _ = _moments(events.t1, events.t2)
     m1, m2, s1, s2 = scales
-    box1, box2 = _box_in_u(cfg, u, scales)
+    box1, box2 = _box_in_u(cfg, u)
     counts, e1, e2 = np.histogram2d(u[:, 0], u[:, 1], bins=(cfg.bins1, cfg.bins2),
                                     range=(tuple(box1), tuple(box2)))
     c1 = 0.5 * (e1[:-1] + e1[1:])
@@ -586,10 +586,10 @@ def fit_ml_reference(events, cfg):
     from scipy.optimize import minimize
     from scipy.special import expit
 
-    from heraldtime.fitting import PARAM_NAMES, _standardize, initial_guess
+    from heraldtime.fitting import PARAM_NAMES, _moments, initial_guess
 
     guess = initial_guess(events)
-    u, scales = _standardize(events)
+    u, scales, _ = _moments(events.t1, events.t2)
     m1, m2, s1, s2 = scales
     n = u.shape[0]
     pad1 = 1e-9 * max(1.0, float(np.ptp(u[:, 0])))

@@ -38,10 +38,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             FitConfig(loss="huber")
 
-    def test_explicit_range_needs_box(self):
-        with pytest.raises(ValueError):
-            FitConfig(range_policy="explicit")
-
 
 class TestInitialGuess:
     def test_moments_close_to_truth_on_large_sample(self):
@@ -427,8 +423,8 @@ class TestDirectBinning:
 
     def test_sampled_events_in_percentile_box(self):
         events = synthetic(REFERENCE_SETS[2], 20000, seed=4)
-        u, scales = fitting._standardize(events)
-        box1, box2 = fitting._box_in_u(FitConfig(), u, scales)
+        u, _, _ = fitting._moments(events.t1, events.t2)
+        box1, box2 = fitting._box_in_u(FitConfig(), u)
         self.assert_same(u, box1, box2, 64, 64)
 
     def test_hist_ls_fit_holds_no_event_sized_bin_temporaries(self):
@@ -645,8 +641,8 @@ def max_rel(got, want, axis=None):
 
 def table1_hist_ls_inputs(events):
     """Counts, Gauss-Legendre nodes and bin area of the default hist-ls fit."""
-    u, scales = fitting._standardize(events)
-    box1, box2 = fitting._box_in_u(FitConfig(), u, scales)
+    u, _, _ = fitting._moments(events.t1, events.t2)
+    box1, box2 = fitting._box_in_u(FitConfig(), u)
     counts, e1, e2 = fitting._bin_counts(u, box1, box2, 64, 64)
     c1 = 0.5 * (e1[:-1] + e1[1:])
     c2 = 0.5 * (e2[:-1] + e2[1:])
@@ -728,7 +724,7 @@ class TestKernelsMatchReference:
         self.assert_hist_ls_matches(
             [rho0, 0.0, 0.0, 0.0, 0.0, math.log(counts.sum()), 0.05], counts,
             nodes, area)
-        u, _ = fitting._standardize(events)
+        u, _, _ = fitting._moments(events.t1, events.t2)
         u1, u2 = u[:, 0], u[:, 1]
         area_box = float(np.ptp(u1) * np.ptp(u2))
         self.assert_ml_matches([rho0, 0.0, 0.0, 0.0, 0.0, -6.9], u1, u2,

@@ -418,3 +418,18 @@ class TestResamplingMatchesReference:
         cfg = FitConfig()
         assert bootstrap_errors(es, cfg, n_resamples=4, seed=8) == \
             refit_bootstrap_loop(es, cfg, 4, 8)
+
+
+@pytest.mark.parametrize("n_boot", [1, 0, -1])
+@pytest.mark.parametrize("entry", [
+    lambda es, n: heralded_width(es, HeraldWindow(0.0, 1e-10), n_boot=n),
+    lambda es, n: narrowing_curve(es, 0.0, [1e-10, 1e-9, 1e-8], n_boot=n),
+    lambda es, n: centroid_curve(es, 1e-10, [-1e-10, 0.0, 1e-10], n_boot=n),
+    lambda es, n: bootstrap_errors(es, n_resamples=n),
+], ids=["heralded_width", "narrowing_curve", "centroid_curve",
+        "bootstrap_errors"])
+def test_fewer_than_two_resamples_rejected(entry, n_boot):
+    # a spread of fewer than two resamples is undefined: an error, not NaN
+    es = sample(REFERENCE_SETS[0], DetectorModel.ideal(), 5000, seed=31)
+    with pytest.raises(ValueError, match="number of resamples"):
+        entry(es, n_boot)

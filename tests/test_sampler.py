@@ -12,7 +12,7 @@ from heraldtime.sampler import (
     CHUNK_SIZE,
     DetectorModel,
     EventSet,
-    bootstrap_rows,
+    bootstrap_std,
     sample,
     sample_from_source,
 )
@@ -171,12 +171,20 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 30, 1001])
     def test_bootstrap_rows_follow_the_block_stream(self, n):
-        # rows drawn one at a time are the rows of one block draw, also
-        # for odd row lengths; a following draw continues the same stream
+        # the resamples bootstrap_std draws one at a time are the rows of
+        # one block draw, also for odd row lengths, and their spread is the
+        # block's; a following draw continues the same stream
         rng_rows, rng_block = np.random.default_rng(3), np.random.default_rng(3)
-        rows = np.array(list(bootstrap_rows(rng_rows, n, 9)))
-        np.testing.assert_array_equal(
-            rows, rng_block.integers(0, n, size=(9, n)))
+        rows = []
+
+        def record(idx):
+            rows.append(idx)
+            return idx
+
+        spread = bootstrap_std(rng_rows, n, 9, record)
+        block = rng_block.integers(0, n, size=(9, n))
+        np.testing.assert_array_equal(np.array(rows), block)
+        np.testing.assert_array_equal(spread, np.std(block, axis=0, ddof=1))
         assert rng_rows.integers(0, 10**6) == rng_block.integers(0, 10**6)
 
 
