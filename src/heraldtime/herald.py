@@ -3,7 +3,7 @@
 Selecting coincidences whose heralding photon arrived inside a window
 [center - width/2, center + width/2] narrows the partner photon's arrival
 time distribution.  This module provides the selection itself, the heralded
-width with a bootstrap error bar, and the two standard curves:
+width with its error bar, and the two standard curves:
 
 * narrowing ratio (heralded width / unconditional width) versus window width,
   which flattens to sqrt(1 - rho_t^2) for small windows;
@@ -11,16 +11,31 @@ width with a bootstrap error bar, and the two standard curves:
   is rho_t * tau1 / tau2.
 
 Every curve function accepts either an :class:`~heraldtime.sampler.EventSet`
-(empirical path, bootstrap error bars) or a
+(empirical path, with error bars) or a
 :class:`~heraldtime.params.TemporalCovariance` (analytic path, exact
 conditional moments propagated through the truncated-normal window).
 Statistics are always computed on raw counts; any display scaling is left to
-presentation code.
+presentation code.  Every empirical window is the closed interval
+``lo <= t <= hi`` of ``analytic._window``, the model paths' rule.
 
-Every error bar is a bootstrap taken by ``sampler.bootstrap_std``, the one
-place resamples are drawn: row by row from the ``default_rng(seed)`` stream of
-release 0.1.0.  The nested windows of a narrowing curve take each resample's
-moments from prefix sums of weighted counts, times and squares.
+Error bars.  With ``n_boot=0`` (the default) each error is the closed-form
+delta-method standard error of its statistic, the square root of the summed
+squared empirical influence function (Efron & Tibshirani, *An Introduction
+to the Bootstrap*, 1993, ch. 21), taken in one pass without resampling:
+
+* heralded width, a sample SD over the window's m events:
+  ``sqrt((m4 - v**2) / (4 v m))`` with v, m4 the window's central moments;
+* centroid point: ``sd / sqrt(m)`` with sd the ``ddof=1`` SD;
+* narrowing ratio R = s_W / s: ``R * sqrt(sum_i IF_i**2) / n`` over all n
+  events, with ``IF_i = (1_W(i) ((x_i - mu_W)**2 - v_W) / (p_W v_W)
+  - ((x_i - mu)**2 - v) / v) / 2`` and p_W = m_W / n.  The sum expands into
+  power sums of x up to degree 4 over the nested shells of the curve.  A
+  width that holds every event has error exactly 0.
+
+With ``n_boot >= 2`` each error is instead a bootstrap taken by
+``sampler.bootstrap_std``, the one place resamples are drawn: row by row
+from the ``default_rng(seed)`` stream of release 0.1.0.  Any other
+``n_boot`` raises ValueError.
 """
 
 from __future__ import annotations
@@ -82,7 +97,7 @@ class HeraldWindow:
 
     @property
     def bounds(self) -> tuple[float, float]:
-        return (self.center - 0.5 * self.width, self.center + 0.5 * self.width)
+        return _window(self.center, self.width)
 
 
 def _channels(events: EventSet, herald_on: int) -> tuple[np.ndarray, np.ndarray]:
@@ -92,9 +107,19 @@ def _channels(events: EventSet, herald_on: int) -> tuple[np.ndarray, np.ndarray]
     return (events.t1, events.t2) if herald_on == 2 else (events.t2, events.t1)
 
 
-def _estimate(x: np.ndarray, statistic, rng: np.random.Generator,
-              n_boot: int, window: str) -> tuple[float, float]:
-    """``statistic(x)`` and its bootstrap error over the selected events ``x``.
+def _resampled(n_boot) -> bool:
+    """Whether ``n_boot`` asks for bootstrap errors (>= 2) rather than the
+    closed forms (0); ValueError for any other value."""
+    if isinstance(n_boot, (int, np.integer)) and (n_boot == 0 or n_boot >= 2):
+        return n_boot != 0
+    raise ValueError(f"the number of resamples must be 0 (closed-form errors) "
+                     f"or an integer >= 2, got {n_boot!r}")
+
+
+def _estimate(x: np.ndarray, statistic, closed_form, n_boot: int,
+              rng: np.random.Generator, window: str) -> tuple[float, float]:
+    """``statistic(x)`` and its error over the selected events ``x``:
+    ``closed_form(x)`` for ``n_boot=0``, else a bootstrap.
 
     Raises :class:`TooFewEventsError`, naming ``window``, below
     ``MIN_EVENTS`` events.
@@ -102,8 +127,33 @@ def _estimate(x: np.ndarray, statistic, rng: np.random.Generator,
     if x.size < MIN_EVENTS:
         raise TooFewEventsError(f"{window} selects {x.size} events; need at "
                                 f"least {MIN_EVENTS}")
+    if not _resampled(n_boot):
+        return statistic(x), closed_form(x)
     return statistic(x), bootstrap_std(rng, x.size, n_boot,
                                        lambda idx: statistic(x[idx]))
+
+
+def _sd_error(x: np.ndarray) -> float:
+    """Delta-method standard error of the sample SD of ``x``."""
+    d = x - np.mean(x)
+    d *= d
+    v = np.mean(d)
+    if v == 0.0:  # identical values: every resample's SD is 0 as well
+        return 0.0
+    d *= d
+    return math.sqrt(max(np.mean(d) - v * v, 0.0) / (4.0 * v * x.size))
+
+
+def _mean_error(x: np.ndarray) -> float:
+    return np.std(x, ddof=1) / math.sqrt(x.size)
+
+
+def _in_window(t: np.ndarray, center: float, width: float) -> np.ndarray:
+    """Mask of the closed window ``lo <= t <= hi`` of ``_window``."""
+    lo, hi = _window(center, width)
+    mask = t >= lo
+    mask &= t <= hi
+    return mask
 
 
 def select(events: EventSet, w: HeraldWindow) -> EventSet:
@@ -113,9 +163,7 @@ def select(events: EventSet, w: HeraldWindow) -> EventSet:
     recorded in the metadata.  An empty selection is flagged there, not
     raised.
     """
-    heralding = _channels(events, w.herald_on)[1]
-    lo, hi = w.bounds
-    mask = (heralding >= lo) & (heralding <= hi)
+    mask = _in_window(_channels(events, w.herald_on)[1], w.center, w.width)
     meta = dict(events.metadata)
     meta["selection"] = {
         "herald_on": w.herald_on,
@@ -128,19 +176,21 @@ def select(events: EventSet, w: HeraldWindow) -> EventSet:
     return EventSet(events.events[mask], meta)
 
 
-def heralded_width(events: EventSet, w: HeraldWindow, n_boot: int = 200,
+def heralded_width(events: EventSet, w: HeraldWindow, n_boot: int = 0,
                    seed: int = 0) -> tuple[float, float]:
     """Width of the heralded coordinate within the window, with its error.
 
     Returns (width, std_error) in seconds: the sample standard deviation
-    (for which the narrowing limit is exact) and its bootstrap error.
+    (for which the narrowing limit is exact) and its error,
+    ``sqrt((m4 - v**2) / (4 v m))`` from the window's central moments for
+    ``n_boot=0``, else the bootstrap of ``n_boot`` resamples from ``seed``.
     Raises :class:`TooFewEventsError` below 30 selected events.
     """
     analyzed, heralding = _channels(events, w.herald_on)
-    lo, hi = w.bounds
     width, err = _estimate(
-        analyzed[(heralding >= lo) & (heralding <= hi)],
-        lambda x: np.std(x, ddof=1), np.random.default_rng(seed), n_boot,
+        analyzed[_in_window(heralding, w.center, w.width)],
+        lambda x: np.std(x, ddof=1), _sd_error, n_boot,
+        np.random.default_rng(seed),
         f"window (center={w.center!r}, width={w.width!r})")
     return float(width), float(err)
 
@@ -222,7 +272,9 @@ class NarrowingCurve:
     widths:     window widths, s.
     ratios:     heralded width / unconditional width (sampling noise may push
                 empirical values slightly above 1).
-    std_errors: bootstrap errors per point; None on the analytic path.
+    std_errors: standard errors per point (delta method for ``n_boot=0``,
+                else bootstrap; see the module docstring); None on the
+                analytic path.
     asymptote:  the small-window limit sqrt(1 - rho_t^2) (empirical curves
                 carry the value from the moment estimate of rho_t).
     """
@@ -237,7 +289,9 @@ class NarrowingCurve:
 class CentroidCurve:
     """Heralded mean arrival time versus window center.
 
-    centers, means in s; std_errors per point, None on the analytic path.
+    centers, means in s; std_errors per point, ``sd / sqrt(m)`` of each
+    window's m events for ``n_boot=0``, else bootstrap; None on the analytic
+    path.
     """
 
     centers: np.ndarray
@@ -256,16 +310,77 @@ def _as_grid(values, minimum: int, name: str) -> np.ndarray:
     return grid
 
 
+def _shell_sums(shell: np.ndarray, counts: np.ndarray, x: np.ndarray,
+                degree: int) -> np.ndarray:
+    """Sums of x**0 ... x**degree per shell, one row per degree; ``counts``
+    is the bincount of ``shell``."""
+    sums = [counts.astype(float)]
+    power = x.copy()
+    for k in range(1, degree + 1):
+        if k > 1:
+            power *= x
+        sums.append(np.bincount(shell, power, counts.size))
+    return np.array(sums)
+
+
+def _width_ratios(m, s1, s2, at) -> np.ndarray:
+    """Width ratios of windows ``at`` to the last from prefix sums."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        var = np.maximum(s2 - s1 * s1 / m, 0.0) / (m - 1)
+    var[m < 2] = np.nan  # as np.std(ddof=1) of fewer than two events
+    return np.sqrt(var[at] / var[-1])
+
+
+def _ratio_errors(sums: np.ndarray, ratios: np.ndarray,
+                  at: np.ndarray) -> np.ndarray:
+    """Delta-method errors of the width ratios of windows ``at``.
+
+    ``sums`` holds the power sums of degree 0-4 per shell.  The summed
+    squared influence function splits into the events inside window W,
+    where it is the quadratic ``(alpha d**2 + beta d + gamma) / 2`` in
+    ``d = x - mu_W`` (so their sum takes W's central moments), and the events
+    outside, where it is ``-((x - mu)**2 - v) / (2 v)``.  The coefficients
+    come from the outside sums without subtracting near-equal numbers, so a
+    window holding nearly every event loses no digits, and one holding every
+    event has error 0.
+    """
+    inner = np.cumsum(sums, axis=1)
+    outer = np.zeros_like(sums)
+    outer[:, :-1] = np.cumsum(sums[:, :0:-1], axis=1)[:, ::-1]
+    m, n = inner[0], inner[0, -1]
+    mu_w, r2, r3, r4 = inner[1:] / m
+    v_w = np.maximum(inner[2] - inner[1] * inner[1] / m, 0.0) / m
+    m3_w = r3 - mu_w * (3.0 * r2 - 2.0 * mu_w * mu_w)
+    m4_w = r4 - mu_w * (4.0 * r3 - mu_w * (6.0 * r2 - 3.0 * mu_w * mu_w))
+    mu, v = mu_w[-1], v_w[-1]
+    o0, o1, o2, o3, o4 = outer
+    out2 = o2 - mu * (2.0 * o1 - mu * o0)  # sum of (x - mu)**2 outside
+    out4 = o4 - mu * (4.0 * o3 - mu * (6.0 * o2 - mu * (4.0 * o1 - mu * o0)))
+    delta = (o0 * mu_w - o1) / n  # mu_W - mu
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = (out2 + m * delta * delta) / (m * v_w * v)
+        beta = -2.0 * delta / v
+        gamma = -o0 / m - delta * delta / v
+        inside = m * (alpha * alpha * m4_w + 2.0 * alpha * beta * m3_w
+                      + (beta * beta + 2.0 * alpha * gamma) * v_w
+                      + gamma * gamma)
+        sum_sq = 0.25 * (inside + (out4 - v * (2.0 * out2 - v * o0)) / (v * v))
+        errs = ratios * np.sqrt(np.maximum(sum_sq[at], 0.0)) / n
+    # a window of identical times has width 0 under every resample as well
+    return np.where(v_w[at] > 0.0, errs, 0.0)
+
+
 def narrowing_curve(source, center: float, widths, herald_on: int = 2,
-                    n_boot: int = 200, seed: int = 0) -> NarrowingCurve:
+                    n_boot: int = 0, seed: int = 0) -> NarrowingCurve:
     """Narrowing-ratio curve over a grid of window widths.
 
-    ``source`` is an EventSet (empirical ratios, joint bootstrap errors) or a
+    ``source`` is an EventSet (empirical ratios with delta-method errors for
+    ``n_boot=0``, else joint bootstrap errors from ``seed``) or a
     TemporalCovariance (exact ratios, monotone non-increasing in the width).
     The empirical ratio at width=inf equals 1 by construction: numerator and
-    denominator are the same estimator on the same events.  Both paths raise
-    ValueError for a width that is not positive or a center that is not
-    finite.
+    denominator are the same estimator on the same events; so does its error,
+    0, at any width that holds every event.  Both paths raise ValueError for
+    a width that is not positive or a center that is not finite.
     """
     grid = _as_grid(widths, 3, "widths")
     if isinstance(source, TemporalCovariance):
@@ -279,51 +394,61 @@ def narrowing_curve(source, center: float, widths, herald_on: int = 2,
         raise TypeError(f"source must be an EventSet or TemporalCovariance, "
                         f"got {type(source).__name__}")
 
-    for w in grid:
-        _window(center, w)  # the model path's rule, before any counting
+    # the model path's rule, before any counting
+    unique = np.unique(grid)
+    lo, hi = np.array([_window(center, w) for w in unique]).T
+    resampled = _resampled(n_boot)
     t1, t2 = _channels(source, herald_on)
-    # The windows share one center, so they are nested: shell j holds the
-    # events of window j but of no narrower one.  Moments are prefix sums,
-    # taken about the narrowest window's mean so that they do not cancel.
-    halves = np.unique(0.5 * grid)
-    shell = np.searchsorted(halves, np.abs(t2 - center))
-    at = np.searchsorted(halves, 0.5 * grid)
-    counts = np.cumsum(np.bincount(shell, minlength=halves.size + 1))
-    for w, n_sel in zip(grid, counts[at]):
+    # The windows share one center, so they are nested: lo falls and hi
+    # rises with the width.  Shell j holds the events of the j-th narrowest
+    # window but of no narrower one, the first window with lo <= t2 <= hi;
+    # the last shell holds the events outside every window.  Moments are
+    # prefix sums over the shells, taken about the narrowest window's mean
+    # so that they do not cancel.
+    bins = unique.size + 1
+    shell = np.searchsorted(hi, t2)
+    np.maximum(shell, unique.size - np.searchsorted(lo[::-1], t2, "right"),
+               out=shell)
+    at = np.searchsorted(unique, grid)
+    counts = np.bincount(shell, minlength=bins)
+    for w, n_sel in zip(grid, np.cumsum(counts)[at]):
         if n_sel < MIN_EVENTS:
             raise TooFewEventsError(
                 f"window width {w!r} selects {n_sel} events; need at least "
                 f"{MIN_EVENTS}")
     x = t1 - np.mean(t1[shell == 0])
-    x2 = x * x
+    sums = _shell_sums(shell, counts, x, 2 if resampled else 4)
+    ratios = _width_ratios(*np.cumsum(sums[:3], axis=1), at)
+    if resampled:
+        x2 = x * x
 
-    def ratios_of(weight):
-        """Width ratios of the sample that holds event i weight[i] times."""
-        weight = weight.astype(float)  # cast once, not in every product
-        m, s1, s2 = (np.cumsum(np.bincount(shell, v, halves.size + 1))
-                     for v in (weight, weight * x, weight * x2))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            var = np.maximum(s2 - s1 * s1 / m, 0.0) / (m - 1)
-        var[m < 2] = np.nan  # as np.std(ddof=1) of fewer than two events
-        return np.sqrt(var[at] / var[-1])
+        def ratios_of(weight):
+            """Width ratios of the sample that holds event i weight[i] times."""
+            weight = weight.astype(float)  # cast once, not in every product
+            return _width_ratios(*(np.cumsum(np.bincount(shell, v, bins))
+                                   for v in (weight, weight * x, weight * x2)),
+                                 at)
 
-    ratios = ratios_of(np.ones(t1.size))
-    errs = bootstrap_std(
-        np.random.default_rng(seed), t1.size, n_boot,
-        lambda idx: ratios_of(np.bincount(idx, minlength=t1.size)))
+        errs = bootstrap_std(
+            np.random.default_rng(seed), t1.size, n_boot,
+            lambda idx: ratios_of(np.bincount(idx, minlength=t1.size)))
+    else:
+        errs = _ratio_errors(sums, ratios, at)
     r_hat = np.clip(np.corrcoef(t1, t2)[0, 1], -0.999999, 0.999999)
     return NarrowingCurve(widths=grid, ratios=ratios, std_errors=errs,
                           asymptote=math.sqrt(1.0 - r_hat ** 2))
 
 
 def centroid_curve(source, width: float, centers, herald_on: int = 2,
-                   n_boot: int = 200, seed: int = 0) -> CentroidCurve:
+                   n_boot: int = 0, seed: int = 0) -> CentroidCurve:
     """Heralded mean arrival time over a grid of window centers.
 
     For small windows the curve is linear with slope rho_t * tau1 / tau2; at
     finite widths the exact conditional mean is reported without any
-    linearity assumption.  Both paths raise ValueError for a width that is
-    not positive or a center that is not finite.
+    linearity assumption.  Empirical errors are ``sd / sqrt(m)`` for
+    ``n_boot=0``, else bootstraps drawn in turn from one ``seed`` stream.
+    Both paths raise ValueError for a width that is not positive or a center
+    that is not finite.
     """
     grid = _as_grid(centers, 3, "centers")
     if isinstance(source, TemporalCovariance):
@@ -339,6 +464,6 @@ def centroid_curve(source, width: float, centers, herald_on: int = 2,
     t1, t2 = _channels(source, herald_on)
     rng = np.random.default_rng(seed)
     means, errs = np.array([
-        _estimate(t1[np.abs(t2 - c) <= 0.5 * width], np.mean, rng, n_boot,
-                  f"window center {c!r}") for c in grid]).T
+        _estimate(t1[_in_window(t2, c, width)], np.mean, _mean_error, n_boot,
+                  rng, f"window center {c!r}") for c in grid]).T
     return CentroidCurve(centers=grid, means=means, std_errors=errs)

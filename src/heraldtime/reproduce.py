@@ -158,8 +158,7 @@ def _recipe_fig3a(targets, seed) -> Bundle:
         curve = herald.narrowing_curve(cov, center=0.0, widths=widths)
         events = sample(cov, DetectorModel.ideal(), n=82000, seed=seed + i)
         emp_widths = np.geomspace(5e-11, 2e-9, 12)
-        emp = herald.narrowing_curve(events, center=0.0, widths=emp_widths,
-                                     seed=seed)
+        emp = herald.narrowing_curve(events, center=0.0, widths=emp_widths)
         rows = [[w, r] for w, r in zip(curve.widths, curve.ratios)]
         tables[f"fig3a_set{i + 1}_analytic"] = (["width_s", "ratio"], rows)
         tables[f"fig3a_set{i + 1}_empirical"] = (
@@ -199,8 +198,7 @@ def _recipe_fig3b(targets, seed) -> Bundle:
                                      centers=centers)
         events = sample(cov, DetectorModel.ideal(), n=82000, seed=seed + i)
         emp_centers = np.linspace(-1.5 * cov.tau2, 1.5 * cov.tau2, 7)
-        emp = herald.centroid_curve(events, width=1e-10, centers=emp_centers,
-                                    seed=seed)
+        emp = herald.centroid_curve(events, width=1e-10, centers=emp_centers)
         tables[f"fig3b_set{i + 1}_analytic"] = (
             ["center_s", "mean_100ps_s", "mean_smallwindow_s"],
             [[c, m, t] for c, m, t in zip(centers, finite.means, tiny.means)])

@@ -142,12 +142,6 @@ class EventSet:
     def t2(self) -> np.ndarray:
         return self.events[:, 1]
 
-    def transposed(self) -> "EventSet":
-        """The same events with the two channels exchanged."""
-        meta = dict(self.metadata)
-        meta["channels_swapped"] = not meta.get("channels_swapped", False)
-        return EventSet(self.events[:, ::-1], meta)
-
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(

@@ -271,7 +271,15 @@ def fourier_time_moments(sigma: float, tau_p: float, beta: float,
 # --------------------------------------------------------------------------
 # Each draws its resamples as one (n_boot, n) block (or row by row, as the
 # refit loop always did) and masks the events window by window.  The
-# package's resampling kernel must reproduce these outputs.
+# package's resampling kernel must reproduce these outputs.  Every window is
+# the closed interval lo <= t2 <= hi with lo, hi = center -/+ width / 2, the
+# rule of herald.select (0.1.0 tested |t2 - center| <= width / 2, which
+# differs by one rounding at a window edge).
+
+def in_window(t2, center, width):
+    """Mask of the closed window [center - width/2, center + width/2]."""
+    return (t2 >= center - 0.5 * width) & (t2 <= center + 0.5 * width)
+
 
 def narrowing_bootstrap_loop(t1, t2, center, widths, n_boot, seed):
     """Width ratios and their bootstrap errors by masking every window."""
@@ -279,9 +287,7 @@ def narrowing_bootstrap_loop(t1, t2, center, widths, n_boot, seed):
         full = np.std(tt1, ddof=1)
         out = np.empty(len(widths))
         for i, w in enumerate(widths):
-            sel = tt1 if not math.isfinite(w) \
-                else tt1[np.abs(tt2 - center) <= 0.5 * w]
-            out[i] = np.std(sel, ddof=1) / full
+            out[i] = np.std(tt1[in_window(tt2, center, w)], ddof=1) / full
         return out
 
     rng = np.random.default_rng(seed)
@@ -297,7 +303,7 @@ def centroid_bootstrap_block(t1, t2, width, centers, n_boot, seed):
     rng = np.random.default_rng(seed)
     means, errs = [], []
     for c in centers:
-        sel = t1[np.abs(t2 - c) <= 0.5 * width]
+        sel = t1[in_window(t2, c, width)]
         means.append(np.mean(sel))
         idx = rng.integers(0, sel.size, size=(n_boot, sel.size))
         errs.append(np.std(np.mean(sel[idx], axis=1), ddof=1))
@@ -310,6 +316,73 @@ def std_bootstrap_block(x, n_boot, seed):
     idx = rng.integers(0, x.size, size=(n_boot, x.size))
     return (float(np.std(x, ddof=1)),
             float(np.std(np.std(x[idx], axis=1, ddof=1), ddof=1)))
+
+
+# --------------------------------------------------------------------------
+# Reference influence functions: the closed-form errors event by event
+# --------------------------------------------------------------------------
+# The delta-method standard error of a statistic T over n events is
+# sqrt(sum_i IF_i**2) / n, with IF_i the empirical influence function of
+# event i (Efron & Tibshirani 1993, ch. 21).  These evaluate IF_i for every
+# event of every window from its mask, with no moment algebra, in extended
+# precision where the platform has it: IF_i subtracts two near-equal terms
+# for the events of a window that holds nearly every event.
+
+def narrowing_influence_direct(t1, t2, center, widths):
+    """Width ratios s_W / s and their influence-function errors."""
+    x = np.asarray(t1, dtype=np.longdouble)
+    n = x.size
+    mu = np.mean(x)
+    v = np.mean((x - mu) ** 2)
+    full = ((x - mu) ** 2 - v) / v
+    ratios, errs = [], []
+    for w in widths:
+        mask = in_window(t2, center, w)
+        sel = x[mask]
+        mu_w = np.mean(sel)
+        v_w = np.mean((sel - mu_w) ** 2)
+        p_w = np.longdouble(sel.size) / n
+        infl = 0.5 * (np.where(mask, ((x - mu_w) ** 2 - v_w) / (p_w * v_w), 0)
+                      - full)
+        ratio = np.std(t1[mask], ddof=1) / np.std(t1, ddof=1)
+        ratios.append(ratio)
+        errs.append(float(ratio * np.sqrt(np.sum(infl * infl)) / n))
+    return np.array(ratios), np.array(errs)
+
+
+def width_influence_direct(x):
+    """Sample SD of x and the influence-function error of that SD."""
+    d = np.asarray(x, dtype=np.longdouble)
+    d = d - np.mean(d)
+    v = np.mean(d * d)
+    infl = (d * d - v) / (2 * np.sqrt(v))
+    return float(np.std(x, ddof=1)), float(np.sqrt(np.sum(infl * infl)) / d.size)
+
+
+def window_replicates(t1, t2, windows, n_boot, seed):
+    """Bootstrap replicates of each window's mean and SD, and the full SD.
+
+    ``windows`` is a list of (center, width).  Resample k holds event i
+    ``w[i]`` times, with w the counts of ``rng.integers(0, n, size=n)``; the
+    window moments are weighted sums over fixed masks.  Returns arrays
+    (means, sds) of shape (n_boot, len(windows)) and full_sds (n_boot,).
+    """
+    x = t1 - np.mean(t1)
+    masks = np.array([in_window(t2, c, w) for c, w in windows], dtype=float)
+    rng = np.random.default_rng(seed)
+    means = np.empty((n_boot, len(windows)))
+    sds = np.empty_like(means)
+    full_sds = np.empty(n_boot)
+    for k in range(n_boot):
+        w = np.bincount(rng.integers(0, x.size, size=x.size),
+                        minlength=x.size).astype(float)
+        wx = w * x
+        m, s1, s2 = masks @ w, masks @ wx, masks @ (wx * x)
+        means[k] = s1 / m
+        sds[k] = np.sqrt((s2 - s1 * s1 / m) / (m - 1))
+        full_sds[k] = math.sqrt((wx @ x - wx.sum() ** 2 / x.size)
+                                / (x.size - 1))
+    return means + np.mean(t1), sds, full_sds
 
 
 def refit_bootstrap_loop(events, cfg, n_resamples, seed):

@@ -1,10 +1,13 @@
+import functools
 import math
 import warnings
+from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from heraldtime import herald
+from heraldtime import analytic, herald
 from heraldtime.fitting import FitConfig, bootstrap_errors
 from heraldtime.herald import (
     HeraldWindow,
@@ -15,17 +18,21 @@ from heraldtime.herald import (
     narrowing_curve,
     select,
 )
-from heraldtime.params import TemporalCovariance
+from heraldtime.params import SourceParams, TemporalCovariance
 from heraldtime.sampler import DetectorModel, EventSet, sample
 
-from conftest import REFERENCE_SETS
+from conftest import REFERENCE_LINK, REFERENCE_SETS, REFERENCE_SIGMA
 from oracles import (
     centroid_bootstrap_block,
     conditional_moments_quad,
+    in_window,
     narrowing_bootstrap_loop,
+    narrowing_influence_direct,
     refit_bootstrap_loop,
     std_bootstrap_block,
     truncated_normal_moments_mp,
+    width_influence_direct,
+    window_replicates,
 )
 
 
@@ -217,8 +224,7 @@ class TestNarrowingCurve:
         cov = REFERENCE_SETS[2]
         es = sample(cov, DetectorModel.ideal(), 82000, seed=9)
         widths = np.geomspace(5e-11, 1.5e-9, 8)
-        emp = narrowing_curve(es, center=0.0, widths=widths, n_boot=150,
-                              seed=2)
+        emp = narrowing_curve(es, center=0.0, widths=widths)
         ana = narrowing_curve(cov, center=0.0, widths=widths)
         for e, a, se in zip(emp.ratios, ana.ratios, emp.std_errors):
             assert abs(e - a) < 3 * se + 0.01
@@ -260,8 +266,7 @@ class TestCentroidCurve:
         cov = REFERENCE_SETS[2]
         es = sample(cov, DetectorModel.ideal(), 82000, seed=11)
         centers = np.linspace(-cov.tau2, cov.tau2, 5)
-        emp = centroid_curve(es, width=1e-10, centers=centers, n_boot=100,
-                             seed=4)
+        emp = centroid_curve(es, width=1e-10, centers=centers)
         ana = centroid_curve(cov, width=1e-10, centers=centers)
         for e, a, se in zip(emp.means, ana.means, emp.std_errors):
             assert abs(e - a) < 4 * se
@@ -300,7 +305,7 @@ class TestDirectionSymmetry:
         es = sample(REFERENCE_SETS[0], DetectorModel.ideal(), 30000, seed=12)
         w1 = heralded_width(es, HeraldWindow(0.0, 2e-10, herald_on=1),
                             n_boot=50, seed=9)
-        w2 = heralded_width(es.transposed(),
+        w2 = heralded_width(EventSet(es.events[:, ::-1]),
                             HeraldWindow(0.0, 2e-10, herald_on=2),
                             n_boot=50, seed=9)
         assert w1 == w2  # bit-exact: same events, same estimator, same seed
@@ -336,7 +341,7 @@ class TestResamplingMatchesReference:
                         err_atol=0.0):
         curve = narrowing_curve(es, center, widths, herald_on=herald_on,
                                 n_boot=n_boot, seed=seed)
-        oriented = es.transposed() if herald_on == 1 else es
+        oriented = EventSet(es.events[:, ::-1]) if herald_on == 1 else es
         ratios, errs = narrowing_bootstrap_loop(
             oriented.t1, oriented.t2, center, np.asarray(widths, float),
             n_boot, seed)
@@ -399,7 +404,8 @@ class TestResamplingMatchesReference:
         for herald_on in (1, 2):
             curve = centroid_curve(events, 1e-10, centers,
                                    herald_on=herald_on, n_boot=30, seed=5)
-            oriented = events.transposed() if herald_on == 1 else events
+            oriented = (EventSet(events.events[:, ::-1]) if herald_on == 1
+                        else events)
             means, errs = centroid_bootstrap_block(
                 oriented.t1, oriented.t2, 1e-10, centers, 30, 5)
             np.testing.assert_array_equal(curve.means, means)
@@ -420,16 +426,199 @@ class TestResamplingMatchesReference:
             refit_bootstrap_loop(es, cfg, 4, 8)
 
 
+# The source, link and detector of the command-line pipeline benchmark:
+# 3.29 THz crystal, 964 fs pump, 10 km per arm; 30 ps jitter per channel,
+# 10 ps reference jitter and 1 % background over +-1 ns.
+PIPELINE_COV = analytic.temporal_covariance(
+    SourceParams(sigma=REFERENCE_SIGMA, tau_p=964e-15), REFERENCE_LINK)
+PIPELINE_DETECTOR = DetectorModel(jitter1=3e-11, jitter2=3e-11,
+                                  reference_jitter=1e-11,
+                                  background_rate=0.01, window=(-1e-9, 1e-9))
+
+# Each statistical check below fails a correct package with probability at
+# most this, split over its comparisons (Bonferroni).
+FALSE_FAIL = 1e-3
+
+
+@functools.cache
+def pipeline_events():
+    return sample(PIPELINE_COV, PIPELINE_DETECTOR, 5000, seed=51)
+
+
+def oriented(es: EventSet, herald_on: int):
+    """(analyzed, heralding) columns."""
+    return (es.t1, es.t2) if herald_on == 2 else (es.t2, es.t1)
+
+
+class TestClosedFormErrors:
+    """The default (n_boot=0) error bars: delta-method standard errors."""
+
+    @given(center=st.floats(-4e-10, 4e-10),
+           widths=st.lists(st.floats(5e-11, 3e-9), min_size=3, max_size=6),
+           left_out=st.integers(-1, 3), herald_on=st.sampled_from([1, 2]))
+    @settings(max_examples=60, deadline=None)
+    def test_narrowing_matches_direct_influence(self, center, widths,
+                                                left_out, herald_on):
+        es = pipeline_events()
+        analyzed, heralding = oriented(es, herald_on)
+        if left_out >= 0:  # a width holding all but left_out events
+            reach = np.sort(np.abs(heralding - center))[-1 - left_out]
+            widths = widths + [2.0 * reach * (1.0 + 1e-9)]
+        assume(min(in_window(heralding, center, w).sum() for w in widths)
+               >= herald.MIN_EVENTS)
+        curve = narrowing_curve(es, center, widths, herald_on=herald_on)
+        ratios, errs = narrowing_influence_direct(analyzed, heralding, center,
+                                                  widths)
+        np.testing.assert_allclose(curve.ratios, ratios, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(curve.std_errors, errs, rtol=1e-12, atol=0)
+
+    @given(center=st.floats(-4e-10, 4e-10), width=st.floats(5e-11, 3e-9),
+           herald_on=st.sampled_from([1, 2]))
+    @settings(max_examples=60, deadline=None)
+    def test_window_statistics_match_direct_influence(self, center, width,
+                                                      herald_on):
+        es = pipeline_events()
+        analyzed, heralding = oriented(es, herald_on)
+        x = analyzed[in_window(heralding, center, width)]
+        assume(x.size >= herald.MIN_EVENTS)
+        sd, err = heralded_width(es, HeraldWindow(center, width, herald_on))
+        sd_ref, err_ref = width_influence_direct(x)
+        assert sd == sd_ref
+        assert err == pytest.approx(err_ref, rel=1e-12)
+        curve = centroid_curve(es, width, [center] * 3, herald_on=herald_on)
+        assert curve.means[1] == np.mean(x)
+        assert curve.std_errors[1] == pytest.approx(
+            np.std(x, ddof=1) / math.sqrt(x.size), rel=1e-12)
+
+    @pytest.mark.parametrize("herald_on", [1, 2])
+    def test_all_events_width_has_zero_error(self, herald_on):
+        es = pipeline_events()
+        reach = np.max(np.abs(oriented(es, herald_on)[1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = narrowing_curve(es, 0.0, [1e-10, 2.5 * reach, math.inf],
+                                    herald_on=herald_on)
+        assert curve.std_errors[0] > 0
+        assert curve.std_errors[1] == 0.0 and curve.std_errors[2] == 0.0
+        assert curve.ratios[1] == curve.ratios[2] == 1.0
+
+    @pytest.mark.parametrize("detector", [PIPELINE_DETECTOR,
+                                          DetectorModel.ideal()],
+                             ids=["pipeline", "ideal"])
+    def test_agrees_with_a_2000_resample_bootstrap(self, detector):
+        # A bootstrap SE from B resamples is itself uncertain, by the relative
+        # SD sqrt((kurtosis - 1) / (4 B)) of a sample SD, with the kurtosis
+        # of its own replicates.  Every window holds 300+ events, so the
+        # delta method and the infinite bootstrap differ by O(1/m), below
+        # 1e-2 of that band.
+        es = sample(PIPELINE_COV, detector, 20000, seed=52)
+        widths = np.geomspace(2e-11, 1e-9, 10)
+        centers = np.linspace(-3e-10, 3e-10, 7)
+        closed = np.concatenate([
+            narrowing_curve(es, 0.0, widths).std_errors,
+            centroid_curve(es, 1e-10, centers).std_errors,
+            [heralded_width(es, HeraldWindow(0.0, 1e-10))[1]]])
+        n_boot = 2000
+        means, sds, full_sds = window_replicates(
+            es.t1, es.t2, [(0.0, w) for w in widths]
+            + [(c, 1e-10) for c in centers], n_boot, seed=53)
+        reps = np.column_stack([sds[:, :widths.size] / full_sds[:, None],
+                                means[:, widths.size:],
+                                sds[:, widths.size + centers.size // 2]])
+        dev = reps - np.mean(reps, axis=0)
+        kurtosis = np.mean(dev ** 4, axis=0) / np.mean(dev ** 2, axis=0) ** 2
+        band = np.sqrt((kurtosis - 1.0) / (4.0 * n_boot))
+        z = NormalDist().inv_cdf(1.0 - FALSE_FAIL / (2 * closed.size))
+        boot = np.std(reps, axis=0, ddof=1)
+        assert np.all(np.abs(closed / boot - 1.0) <= z * band)
+
+    def test_pulls_against_the_exact_model(self):
+        # On an ideal detector the model is exact, so over independent seeds
+        # (empirical - model) / SE has mean 0 and SD 1 at every point: the
+        # mean within z / sqrt(N), the variance within the chi-square
+        # quantiles of N - 1 degrees of freedom.
+        cov, seeds = PIPELINE_COV, range(1000, 1064)
+        widths = np.geomspace(2e-11, 1e-9, 6)
+        centers = np.linspace(-3e-10, 3e-10, 5)
+        model = np.concatenate([
+            narrowing_curve(cov, 0.0, widths).ratios,
+            centroid_curve(cov, 1e-10, centers).means,
+            [conditional_moments(cov, 0.0, 1e-10)[1]]])
+        pulls = []
+        for seed in seeds:
+            es = sample(cov, DetectorModel.ideal(), 20000, seed=seed)
+            nar = narrowing_curve(es, 0.0, widths)
+            cen = centroid_curve(es, 1e-10, centers)
+            sd, err = heralded_width(es, HeraldWindow(0.0, 1e-10))
+            pulls.append((np.concatenate([nar.ratios, cen.means, [sd]])
+                          - model)
+                         / np.concatenate([nar.std_errors, cen.std_errors,
+                                           [err]]))
+        pulls = np.array(pulls)
+        n = len(seeds)
+        alpha = FALSE_FAIL / (2 * model.size)  # a mean and an SD per point
+        chi2 = pytest.importorskip("scipy.stats").chi2
+        assert np.all(np.abs(np.mean(pulls, axis=0))
+                      <= NormalDist().inv_cdf(1 - alpha / 2) / math.sqrt(n))
+        var = np.var(pulls, axis=0, ddof=1) * (n - 1)
+        assert np.all(var >= chi2.ppf(alpha / 2, n - 1))
+        assert np.all(var <= chi2.ppf(1 - alpha / 2, n - 1))
+
+
+def test_window_edge_follows_select():
+    # a point where |t2 - center| <= width / 2 and lo <= t2 <= hi disagree
+    # by one rounding: every statistic leaves the event out, as select does
+    center, width = 2.3643249400513398e-11, 9.50959059362676e-10
+    edge = -4.518362802808247e-10
+    assert abs(edge - center) <= 0.5 * width
+    rng = np.random.default_rng(0)
+    inner = np.column_stack([rng.normal(0.0, 1e-10, 100), np.full(100, center)])
+    es = EventSet(np.vstack([inner, [[1e-6, edge]]]))
+    chosen = select(es, HeraldWindow(center, width)).t1
+    assert chosen.size == 100
+    assert heralded_width(es, HeraldWindow(center, width))[0] == \
+        np.std(chosen, ddof=1)
+    assert centroid_curve(es, width, [center] * 3).means[1] == np.mean(chosen)
+    ratio = narrowing_curve(es, center, [width, 2 * width, 4e-6]).ratios[0]
+    assert ratio == pytest.approx(np.std(chosen, ddof=1)
+                                  / np.std(es.t1, ddof=1), rel=1e-9)
+
+
+HERALD_ENTRIES = {
+    "heralded_width": lambda es, **kw: heralded_width(
+        es, HeraldWindow(0.0, 1e-10), **kw),
+    "narrowing_curve": lambda es, **kw: narrowing_curve(
+        es, 0.0, [1e-10, 1e-9, 1e-8], **kw),
+    "centroid_curve": lambda es, **kw: centroid_curve(
+        es, 1e-10, [-1e-10, 0.0, 1e-10], **kw),
+}
+
+
+def errors_of(out) -> np.ndarray:
+    return np.atleast_1d(out[1] if isinstance(out, tuple) else out.std_errors)
+
+
 @pytest.mark.parametrize("n_boot", [1, 0, -1])
-@pytest.mark.parametrize("entry", [
-    lambda es, n: heralded_width(es, HeraldWindow(0.0, 1e-10), n_boot=n),
-    lambda es, n: narrowing_curve(es, 0.0, [1e-10, 1e-9, 1e-8], n_boot=n),
-    lambda es, n: centroid_curve(es, 1e-10, [-1e-10, 0.0, 1e-10], n_boot=n),
-    lambda es, n: bootstrap_errors(es, n_resamples=n),
-], ids=["heralded_width", "narrowing_curve", "centroid_curve",
-        "bootstrap_errors"])
-def test_fewer_than_two_resamples_rejected(entry, n_boot):
-    # a spread of fewer than two resamples is undefined: an error, not NaN
+@pytest.mark.parametrize("entry", [*HERALD_ENTRIES, "bootstrap_errors"])
+def test_fewer_than_two_resamples_rejected(entry, n_boot, monkeypatch):
+    # a spread of fewer than two resamples is undefined: an error, not NaN;
+    # the herald statistics take n_boot=0, their default, as the closed forms
     es = sample(REFERENCE_SETS[0], DetectorModel.ideal(), 5000, seed=31)
-    with pytest.raises(ValueError, match="number of resamples"):
-        entry(es, n_boot)
+    if entry == "bootstrap_errors":
+        with pytest.raises(ValueError, match="number of resamples"):
+            bootstrap_errors(es, n_resamples=n_boot)
+        return
+    if n_boot != 0:
+        with pytest.raises(ValueError, match="number of resamples"):
+            HERALD_ENTRIES[entry](es, n_boot=n_boot)
+        return
+
+    def no_resampling(*args):
+        raise AssertionError("n_boot=0 drew resamples")
+
+    monkeypatch.setattr(herald, "bootstrap_std", no_resampling)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        errs = errors_of(HERALD_ENTRIES[entry](es, n_boot=0))
+    assert np.all(np.isfinite(errs)) and np.all(errs >= 0)
+    np.testing.assert_array_equal(errs, errors_of(HERALD_ENTRIES[entry](es)))

@@ -76,13 +76,6 @@ class TestEventSet:
         with pytest.raises(ValueError, match="shape"):
             EventSet._adopt(np.zeros((3, 3)), {})
 
-    def test_transposed_swaps_channels(self):
-        es = EventSet(np.array([[1.0, 2.0], [3.0, 4.0]]), {"seed": 1})
-        sw = es.transposed()
-        assert sw.t1.tolist() == [2.0, 4.0]
-        assert sw.metadata["channels_swapped"] is True
-        assert sw.transposed().metadata["channels_swapped"] is False
-
 
 class TestDetectorModel:
     def test_defaults_are_noiseless(self):
