@@ -193,9 +193,10 @@ def _cmd_optimize(args) -> int:
     cfg = _load(args)
     cfg.require_link()
     link = cfg.link()
-    sigma_fixed = cfg.get("source.sigma") if args.fix_sigma else None
-    if args.fix_sigma and sigma_fixed is None:
-        raise ConfigError("--fix-sigma requires source.sigma in the config")
+    sigma_fixed = None
+    if args.fix_sigma:
+        cfg.require_source()
+        sigma_fixed = cfg.source().sigma
     report = analytic.optimum(link, sigma_fixed=sigma_fixed)
     print(f"tau_p_opt = {_engineering(report.tau_p_opt, 's')}")
     if report.sigma_opt is not None:
@@ -354,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="optimal source settings for a link")
     common(p)
     p.add_argument("--fix-sigma", action="store_true",
-                   help="hold source.sigma fixed, optimize the pump only")
+                   help="hold the source's crystal width sigma fixed, "
+                        "optimize the pump only")
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("landscape", help="width landscape over (tau_p, sigma)")

@@ -439,13 +439,7 @@ CONFIG_SCHEMA: dict[str, tuple[str, str]] = {
     "detector.window_hi": ("time", "background window upper edge"),
     "sample.n": ("int", "number of coincidence events to draw"),
     "sample.seed": ("int", "random seed"),
-    "fit.bins1": ("int", "histogram bins, channel 1 (>= 8)"),
-    "fit.bins2": ("int", "histogram bins, channel 2 (>= 8)"),
     "fit.loss": ("str", "'hist-ls' or 'ml'"),
-    "fit.max_iterations": ("int", "optimizer evaluation cap"),
-    "fit.tolerance": ("float", "optimizer convergence tolerance"),
-    "fit.percentile_lo": ("float", "histogram range lower percentile"),
-    "fit.percentile_hi": ("float", "histogram range upper percentile"),
     "herald.direction": ("int", "heralding channel, 1 or 2 (default 2)"),
     "herald.center": ("time", "detection window center"),
     "herald.width": ("time", "detection window width"),
@@ -464,20 +458,11 @@ CONFIG_SCHEMA: dict[str, tuple[str, str]] = {
     "meta.delta_lambda": ("length", "pump bandwidth annotation, copied into reports"),
 }
 
+# Defaults of the keys read directly; DetectorModel and FitConfig keep
+# their own.
 _DEFAULTS = {
     "sample.n": 82000,
     "sample.seed": 1,
-    "detector.jitter1": 0.0,
-    "detector.jitter2": 0.0,
-    "detector.reference_jitter": 0.0,
-    "detector.background_rate": 0.0,
-    "fit.bins1": 64,
-    "fit.bins2": 64,
-    "fit.loss": "hist-ls",
-    "fit.max_iterations": 1000,
-    "fit.tolerance": 1e-10,
-    "fit.percentile_lo": 0.5,
-    "fit.percentile_hi": 99.5,
     "herald.direction": 2,
     "herald.center": 0.0,
 }
@@ -494,6 +479,11 @@ class RunConfig:
 
     def has(self, key: str) -> bool:
         return key in self.values
+
+    def _settings(self, prefix: str, names) -> dict:
+        """The ``prefix.name`` values this config sets, keyed by name."""
+        return {name: self.values[f"{prefix}.{name}"] for name in names
+                if f"{prefix}.{name}" in self.values}
 
     def require(self, *keys: str, why: str = "") -> None:
         """Raise ConfigError listing every missing key (considering defaults)."""
@@ -533,28 +523,16 @@ class RunConfig:
         return LinkParams(beta=beta, length=self.get("link.length"))
 
     def detector(self) -> DetectorModel:
-        window = None
+        settings = self._settings("detector", ("jitter1", "jitter2",
+                                               "reference_jitter",
+                                               "background_rate"))
         if self.has("detector.window_lo") or self.has("detector.window_hi"):
-            window = (self.get("detector.window_lo"),
-                      self.get("detector.window_hi"))
-        return DetectorModel(
-            jitter1=self.get("detector.jitter1"),
-            jitter2=self.get("detector.jitter2"),
-            reference_jitter=self.get("detector.reference_jitter"),
-            background_rate=self.get("detector.background_rate"),
-            window=window,
-        )
+            settings["window"] = (self.get("detector.window_lo"),
+                                  self.get("detector.window_hi"))
+        return DetectorModel(**settings)
 
     def fit_config(self) -> FitConfig:
-        return FitConfig(
-            bins1=self.get("fit.bins1"),
-            bins2=self.get("fit.bins2"),
-            loss=self.get("fit.loss"),
-            max_iterations=self.get("fit.max_iterations"),
-            tolerance=self.get("fit.tolerance"),
-            percentiles=(self.get("fit.percentile_lo"),
-                         self.get("fit.percentile_hi")),
-        )
+        return FitConfig(**self._settings("fit", ("loss",)))
 
     def grid(self, prefix: str, scale: str = "log") -> np.ndarray:
         """Grid from <prefix>_min / <prefix>_max / <prefix>_points keys."""

@@ -24,7 +24,7 @@ Implementation notes, all of which matter for robustness:
   [-30, 30]) for the likelihood's background weight; the histogram's flat
   background B is free in sign and starts at the mean count of the box's
   outer ring of bins;
-* the default histogram range is the 0.5-99.5 percentile box, robust against
+* the histogram range is the 0.5-99.5 percentile box, robust against
   background tails; events are binned by direct bin index and one padded
   ``np.bincount``, with the same counts as ``np.histogram2d``;
 * both losses get closed-form derivatives in the transformed coordinates,
@@ -43,7 +43,7 @@ Implementation notes, all of which matter for robustness:
   decrement g^T H^-1 g / 2 is half the squared distance to the optimum in
   standard errors, so the solver stops once the Newton step would move
   none of the five shape parameters (rho_t, widths, centers) by more than
-  1e-4 standard errors, and the whole decrement is below ``tolerance``
+  1e-4 standard errors, and the whole decrement is below ``TOLERANCE``
   times the loss.  For least squares those are the standard errors of
   the Fisher information the steps take, not of the J^T J the errors
   come from (on the Table 1 sets the step is no longer in the latter).
@@ -91,6 +91,15 @@ PARAM_NAMES = ("rho_t", "tau1", "tau2", "mu1", "mu2", "amplitude", "background")
 _RHO_CLAMP = 0.999
 _DEGENERATE_BACKGROUND = 0.9
 
+# The one analysis every fit runs: BINS x BINS histogram bins over the
+# PERCENTILES box of each channel, and a solver that stops at the relative
+# TOLERANCE or after MAX_EVALUATIONS (residual evaluations for "hist-ls",
+# steps for "ml").
+BINS = 64
+PERCENTILES = (0.5, 99.5)
+TOLERANCE = 1e-10
+MAX_EVALUATIONS = 1000
+
 
 class DegenerateDataError(HeraldtimeError):
     """Raised when the events carry no usable variance."""
@@ -98,40 +107,17 @@ class DegenerateDataError(HeraldtimeError):
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Settings for :func:`fit`.
+    """The one setting of :func:`fit`, its loss: "hist-ls" (histogram least
+    squares, default) or "ml" (event-wise maximum likelihood on the
+    Gaussian-plus-uniform mixture).  Every fit bins, stops and caps its work
+    alike: see ``BINS``, ``PERCENTILES``, ``TOLERANCE`` and
+    ``MAX_EVALUATIONS``."""
 
-    bins1, bins2:    histogram bin counts (>= 8 each).
-    percentiles:     (lo, hi) percentiles of each coordinate: the histogram
-                     range of "hist-ls".
-    loss:            "hist-ls" (histogram least squares, default) or "ml"
-                     (event-wise maximum likelihood on the Gaussian-plus-
-                     uniform mixture).
-    max_iterations:  cap on the solver's work: residual evaluations for
-                     "hist-ls", steps for "ml".
-    tolerance:       relative convergence tolerance: the fit stops once the
-                     decrease a full Newton step still promises is below
-                     tolerance * |loss| (and the shape parameters are within
-                     1e-4 standard errors of the optimum).
-    """
-
-    bins1: int = 64
-    bins2: int = 64
-    percentiles: tuple[float, float] = (0.5, 99.5)
     loss: str = "hist-ls"
-    max_iterations: int = 1000
-    tolerance: float = 1e-10
 
     def __post_init__(self):
-        if self.bins1 < 8 or self.bins2 < 8:
-            raise ValueError("bins1 and bins2 must be at least 8")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
         if self.loss not in ("hist-ls", "ml"):
             raise ValueError(f"loss must be 'hist-ls' or 'ml', got {self.loss!r}")
-        lo, hi = self.percentiles
-        if not (0 <= lo < hi <= 100):
-            raise ValueError(f"percentiles must satisfy 0 <= lo < hi <= 100, "
-                             f"got {self.percentiles!r}")
 
 
 @dataclass(frozen=True)
@@ -145,8 +131,8 @@ class FitResult:
     std_errors:        per-parameter standard errors keyed like PARAM_NAMES;
                        None when the curvature was singular.
     reduced_chisq:     histogram goodness of fit (also computed for ML fits).
-    converged:         the solver met its stopping rule (see FitConfig's
-                       tolerance) rather than its evaluation cap or a stall.
+    converged:         the solver met its stopping rule (see ``TOLERANCE``)
+                       rather than its evaluation cap or a stall.
     iterations:        residual evaluations (hist-ls, equal to nfev) or
                        accepted solver steps (ml).
     degenerate_signal: background swallowed the model; the Gaussian component
@@ -253,9 +239,9 @@ def _moments(t1, t2):
     return u.T, (m1, m2, s1, s2), min(max(r, -_RHO_CLAMP), _RHO_CLAMP)
 
 
-def _box_in_u(cfg: FitConfig, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    lo, hi = cfg.percentiles
-    return (np.percentile(u[:, 0], [lo, hi]), np.percentile(u[:, 1], [lo, hi]))
+def _box_in_u(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return (np.percentile(u[:, 0], PERCENTILES),
+            np.percentile(u[:, 1], PERCENTILES))
 
 
 # Events binned per pass of ``_bin_counts``: bounds its temporaries.
@@ -663,7 +649,7 @@ def _damped_newton(full, x0, tolerance, max_nfev, lower=None, upper=None,
 # --------------------------------------------------------------------------
 
 def _hist_ls_loss(counts, nodes, area):
-    """Residual and Jacobian callables of the histogram fit.
+    """Model and Jacobian callables of the histogram fit.
 
     ``nodes`` holds the (bins1, 1) and (1, bins2) coordinates of the four
     Gauss-Legendre nodes per bin; all four are evaluated in one broadcast
@@ -709,9 +695,6 @@ def _hist_ls_loss(counts, nodes, area):
         cache.update(key=key, model=model, m=m, ratio=ratio, res=res, dm=dm)
         return cache
 
-    def residuals(theta):
-        return model_terms(theta)["res"].ravel()
-
     def jac(theta):
         c = model_terms(theta)
         model, m, res = c["model"], c["m"], c["res"]
@@ -724,12 +707,12 @@ def _hist_ls_loss(counts, nodes, area):
         drdm[model < 1e-12] = 0.0
         return (c["dm"] * drdm.ravel()).T
 
-    return residuals, jac, model_terms
+    return jac, model_terms
 
 
-def _fit_hist_ls(u, scales, cfg: FitConfig, rho0: float):
-    box1, box2 = _box_in_u(cfg, u)
-    counts, e1, e2 = _bin_counts(u, box1, box2, cfg.bins1, cfg.bins2)
+def _fit_hist_ls(u, scales, rho0: float):
+    box1, box2 = _box_in_u(u)
+    counts, e1, e2 = _bin_counts(u, box1, box2, BINS, BINS)
     c1 = 0.5 * (e1[:-1] + e1[1:])
     c2 = 0.5 * (e2[:-1] + e2[1:])
     h1 = e1[1] - e1[0]
@@ -757,7 +740,7 @@ def _fit_hist_ls(u, scales, cfg: FitConfig, rho0: float):
     x0 = np.array([math.atanh(rho0), 0.0, 0.0, 0.0, 0.0,
                    math.log(max(n_box, 1.0)),
                    max(float(ring.mean()), 1.0 / nbins)])
-    residuals, jac, model_terms = _hist_ls_loss(counts, nodes, h1 * h2)
+    jac, model_terms = _hist_ls_loss(counts, nodes, h1 * h2)
     counted = (counts > 0).ravel()
 
     def full(theta):
@@ -780,7 +763,7 @@ def _fit_hist_ls(u, scales, cfg: FitConfig, rho0: float):
         r = c["res"].ravel()
         return 0.5 * _wsum(r, r), dm @ score, 0.5 * (fisher + fisher.T)
 
-    res = _damped_newton(full, x0, cfg.tolerance, cfg.max_iterations,
+    res = _damped_newton(full, x0, TOLERANCE, MAX_EVALUATIONS,
                          max_step=_MAX_STEP)
     # the errors come from J^T J, the Gauss-Newton curvature of the
     # residuals, as in a least-squares fit
@@ -815,7 +798,7 @@ _X, _Y, _GW, _R, _RG, _PHI, _G = range(7, 14)
 _RRQ = slice(14, 21)
 
 
-def _ml_sums(u1, u2, shape, wb, ws, area_box, work, kept, curvature):
+def _ml_sums(u1, u2, shape, wb, ws, area_box, work, kept):
     """Per-event sums the mixture NLL and its derivatives are built from.
 
     With r = (1-w) phi / g the signal responsibility of each event, the
@@ -826,9 +809,9 @@ def _ml_sums(u1, u2, shape, wb, ws, area_box, work, kept, curvature):
     rows of ``work``.  Where the density clips at 1e-300 the loss is flat,
     so those events add nothing to the derivatives.
 
-    Returns the flat vector (nll, sum 1/g, q-sums) or, with
-    ``curvature``, (nll, sum 1/g, the 3x10 sums of (G_w, r, r (G_w + w))
-    times rows 0-9 (q, x, y, G_w), the 7x7 sums of r (1-r) q q^T).
+    Returns the flat vector (nll, sum 1/g, the 3x10 sums of (G_w, r,
+    r (G_w + w)) times rows 0-9 (q, x, y, G_w), the 7x7 sums of
+    r (1-r) q q^T).
     """
     rho, w1, w2, cc1, cc2 = shape
     x, y, _, _, phi, _, _, _ = _gauss_terms(
@@ -845,8 +828,6 @@ def _ml_sums(u1, u2, shape, wb, ws, area_box, work, kept, curvature):
     np.multiply(x, y, out=work[3])
     q = work[_Q]
     head = [nll, float(inv.sum())]
-    if not curvature:
-        return np.concatenate([head, q @ r])
     # G_w = w ((1-w)/(A g) - r)
     g_w = np.multiply(inv, ws / area_box, out=work[_GW])
     g_w -= r
@@ -860,9 +841,9 @@ def _ml_sums(u1, u2, shape, wb, ws, area_box, work, kept, curvature):
                            (rrq @ q.T).ravel()])
 
 
-def _ml_loss(theta, u1, u2, area_box, curvature=False):
-    """Negative log-likelihood of the Gaussian-plus-uniform mixture and its
-    gradient; with ``curvature``, also its Hessian (observed information).
+def _ml_loss(theta, u1, u2, area_box):
+    """Negative log-likelihood of the Gaussian-plus-uniform mixture, its
+    gradient and its Hessian (observed information).
 
     theta = [atanh rho, log w1, log w2, c1, c2, logit background-weight].
     The events are summed in chunks of ``_ML_CHUNK``, all written into one
@@ -878,22 +859,17 @@ def _ml_loss(theta, u1, u2, area_box, curvature=False):
     n = u1.shape[0]
     total = sum(_ml_sums(u1[i:i + _ML_CHUNK], u2[i:i + _ML_CHUNK], shape, wb,
                          ws, area_box, work[:, :min(_ML_CHUNK, n - i)],
-                         kept[:min(_ML_CHUNK, n - i)], curvature)
+                         kept[:min(_ML_CHUNK, n - i)])
                 for i in range(0, n, _ML_CHUNK))
     nll, sinv = total[:2]
-    if curvature:
-        sums = total[2:32].reshape(3, 10)
-        sr, sa, sb, sxy, _, sax, sby, sx, sy, _ = sums[1]
-        # x^2 = ax + rho xy and y^2 = by + rho xy
-        sxx, syy = sax + rho * sxy, sby + rho * sxy
-    else:
-        sr, sa, sb, sxy, _, sax, sby = total[2:]
+    sums = total[2:32].reshape(3, 10)
+    sr, sa, sb, sxy, _, sax, sby, sx, sy, _ = sums[1]
+    # x^2 = ax + rho xy and y^2 = by + rho xy
+    sxx, syy = sax + rho * sxy, sby + rho * sxy
     grad = -np.array([sxy - (rho / om) * (sax + sby) + rho * sr,
                       sax / om - sr, sby / om - sr,
                       sa / (om * w1), sb / (om * w2),
                       wb * ws / area_box * sinv - wb * sr])
-    if not curvature:
-        return nll, grad
 
     # H = sum G G^T - sum (Hessian of g)/g with G = grad log g.  On the
     # shape block that is -sum r (1-r) s s^T - sum r T, with T the Hessian
@@ -921,7 +897,7 @@ def _ml_loss(theta, u1, u2, area_box, curvature=False):
     return nll, grad, hess
 
 
-def _fit_ml(u, scales, cfg: FitConfig, rho0: float):
+def _fit_ml(u, scales, rho0: float):
     n = u.shape[0]
     u1, u2 = u[:, 0], u[:, 1]
     # the uniform component must cover every event, otherwise far background
@@ -937,18 +913,17 @@ def _fit_ml(u, scales, cfg: FitConfig, rho0: float):
     # starting from the sample moments
     x0 = np.array([math.atanh(rho0), 0.0, 0.0, 0.0, 0.0,
                    math.log(1e-3 / (1 - 1e-3))])
-    # the logit weight is kept in [-30, 30]; max_iterations caps the steps
+    # the logit weight is kept in [-30, 30]; MAX_EVALUATIONS caps the steps
     res = _damped_newton(
-        lambda t: _ml_loss(t, u1, u2, area_box, curvature=True), x0,
-        cfg.tolerance, cfg.max_iterations + 1, lower=[-np.inf] * 5 + [-30.0],
+        lambda t: _ml_loss(t, u1, u2, area_box), x0, TOLERANCE,
+        MAX_EVALUATIONS + 1, lower=[-np.inf] * 5 + [-30.0],
         upper=[np.inf] * 5 + [30.0], max_step=_MAX_STEP)
     theta = res.x
     rho, w1, w2, cc1, cc2 = _theta_to_shape(theta)
     w = _expit(theta[5])
 
     # histogram goodness of fit for reporting, same binning as hist-ls
-    counts, e1, e2 = _bin_counts(u, (lo1, hi1), (lo2, hi2),
-                                 cfg.bins1, cfg.bins2)
+    counts, e1, e2 = _bin_counts(u, (lo1, hi1), (lo2, hi2), BINS, BINS)
     c1 = 0.5 * (e1[:-1] + e1[1:])
     c2 = 0.5 * (e2[:-1] + e2[1:])
     area = (e1[1] - e1[0]) * (e2[1] - e2[0])
@@ -973,15 +948,13 @@ def fit(events: EventSet, cfg: FitConfig | None = None) -> FitResult:
     iterate) rather than raising when the optimizer stalls; raises
     :class:`DegenerateDataError` for data without usable variance.
     """
-    if cfg is None:
-        cfg = FitConfig()
     if events.count < 100:
         raise DegenerateDataError(
             f"need at least 100 events to fit, got {events.count}")
     u, scales, rho0 = _moments(events.t1, events.t2)
-    if cfg.loss == "ml":
-        return _fit_ml(u, scales, cfg, rho0)
-    return _fit_hist_ls(u, scales, cfg, rho0)
+    if cfg is not None and cfg.loss == "ml":
+        return _fit_ml(u, scales, rho0)
+    return _fit_hist_ls(u, scales, rho0)
 
 
 class _Resample(NamedTuple):

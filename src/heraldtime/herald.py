@@ -100,11 +100,15 @@ class HeraldWindow:
         return _window(self.center, self.width)
 
 
-def _channels(events: EventSet, herald_on: int) -> tuple[np.ndarray, np.ndarray]:
-    """(analyzed, heralding) channel columns of the events, as views."""
+def _oriented(source, herald_on: int):
+    """The source as heralded on channel 2: a TemporalCovariance, swapped
+    when channel 1 heralds, or an EventSet's (analyzed, heralding) channel
+    columns, as views.  ValueError unless ``herald_on`` is 1 or 2."""
     if herald_on not in (1, 2):
         raise ValueError(f"herald_on must be 1 or 2, got {herald_on!r}")
-    return (events.t1, events.t2) if herald_on == 2 else (events.t2, events.t1)
+    if isinstance(source, TemporalCovariance):
+        return source if herald_on == 2 else source.swapped()
+    return (source.t1, source.t2) if herald_on == 2 else (source.t2, source.t1)
 
 
 def _resampled(n_boot) -> bool:
@@ -163,7 +167,7 @@ def select(events: EventSet, w: HeraldWindow) -> EventSet:
     recorded in the metadata.  An empty selection is flagged there, not
     raised.
     """
-    mask = _in_window(_channels(events, w.herald_on)[1], w.center, w.width)
+    mask = _in_window(_oriented(events, w.herald_on)[1], w.center, w.width)
     meta = dict(events.metadata)
     meta["selection"] = {
         "herald_on": w.herald_on,
@@ -186,7 +190,7 @@ def heralded_width(events: EventSet, w: HeraldWindow, n_boot: int = 0,
     ``n_boot=0``, else the bootstrap of ``n_boot`` resamples from ``seed``.
     Raises :class:`TooFewEventsError` below 30 selected events.
     """
-    analyzed, heralding = _channels(events, w.herald_on)
+    analyzed, heralding = _oriented(events, w.herald_on)
     width, err = _estimate(
         analyzed[_in_window(heralding, w.center, w.width)],
         lambda x: np.std(x, ddof=1), _sd_error, n_boot,
@@ -380,11 +384,12 @@ def narrowing_curve(source, center: float, widths, herald_on: int = 2,
     The empirical ratio at width=inf equals 1 by construction: numerator and
     denominator are the same estimator on the same events; so does its error,
     0, at any width that holds every event.  Both paths raise ValueError for
-    a width that is not positive or a center that is not finite.
+    a width that is not positive, a center that is not finite or a
+    ``herald_on`` other than 1 or 2.
     """
     grid = _as_grid(widths, 3, "widths")
     if isinstance(source, TemporalCovariance):
-        cov = source if herald_on == 2 else source.swapped()
+        cov = _oriented(source, herald_on)
         full = cov.tau1
         ratios = np.array([conditional_moments(cov, center, w)[1] / full
                            for w in grid])
@@ -398,7 +403,7 @@ def narrowing_curve(source, center: float, widths, herald_on: int = 2,
     unique = np.unique(grid)
     lo, hi = np.array([_window(center, w) for w in unique]).T
     resampled = _resampled(n_boot)
-    t1, t2 = _channels(source, herald_on)
+    t1, t2 = _oriented(source, herald_on)
     # The windows share one center, so they are nested: lo falls and hi
     # rises with the width.  Shell j holds the events of the j-th narrowest
     # window but of no narrower one, the first window with lo <= t2 <= hi;
@@ -447,12 +452,12 @@ def centroid_curve(source, width: float, centers, herald_on: int = 2,
     finite widths the exact conditional mean is reported without any
     linearity assumption.  Empirical errors are ``sd / sqrt(m)`` for
     ``n_boot=0``, else bootstraps drawn in turn from one ``seed`` stream.
-    Both paths raise ValueError for a width that is not positive or a center
-    that is not finite.
+    Both paths raise ValueError for a width that is not positive, a center
+    that is not finite or a ``herald_on`` other than 1 or 2.
     """
     grid = _as_grid(centers, 3, "centers")
     if isinstance(source, TemporalCovariance):
-        cov = source if herald_on == 2 else source.swapped()
+        cov = _oriented(source, herald_on)
         means = np.array([conditional_moments(cov, c, width)[0] for c in grid])
         return CentroidCurve(centers=grid, means=means, std_errors=None)
     if not isinstance(source, EventSet):
@@ -461,7 +466,7 @@ def centroid_curve(source, width: float, centers, herald_on: int = 2,
 
     for c in grid:
         _window(c, width)  # the model path's rule, before any counting
-    t1, t2 = _channels(source, herald_on)
+    t1, t2 = _oriented(source, herald_on)
     rng = np.random.default_rng(seed)
     means, errs = np.array([
         _estimate(t1[_in_window(t2, c, width)], np.mean, _mean_error, n_boot,

@@ -596,19 +596,20 @@ def _fit_params_ref(theta, scales, amplitude, background_level):
                                             w2 * s2, s1, s2)
 
 
-def fit_hist_ls_reference(events, cfg):
+def fit_hist_ls_reference(events):
     """Histogram least squares with a 2-point finite-difference Jacobian."""
     from scipy.optimize import least_squares
     from scipy.special import xlogy
 
-    from heraldtime.fitting import (PARAM_NAMES, _box_in_u, _moments,
+    from heraldtime.fitting import (BINS, MAX_EVALUATIONS, PARAM_NAMES,
+                                    TOLERANCE, _box_in_u, _moments,
                                     initial_guess)
 
     guess = initial_guess(events)
     u, scales, _ = _moments(events.t1, events.t2)
     m1, m2, s1, s2 = scales
-    box1, box2 = _box_in_u(cfg, u)
-    counts, e1, e2 = np.histogram2d(u[:, 0], u[:, 1], bins=(cfg.bins1, cfg.bins2),
+    box1, box2 = _box_in_u(u)
+    counts, e1, e2 = np.histogram2d(u[:, 0], u[:, 1], bins=(BINS, BINS),
                                     range=(tuple(box1), tuple(box2)))
     c1 = 0.5 * (e1[:-1] + e1[1:])
     c2 = 0.5 * (e2[:-1] + e2[1:])
@@ -633,9 +634,9 @@ def fit_hist_ls_reference(events, cfg):
         dev = 2.0 * (m - counts + xlogy(counts, counts / m))
         return (np.sign(m - counts) * np.sqrt(np.maximum(dev, 0.0))).ravel()
 
-    res = least_squares(residuals, x0, method="trf", xtol=cfg.tolerance,
-                        ftol=cfg.tolerance, gtol=cfg.tolerance,
-                        max_nfev=cfg.max_iterations)
+    res = least_squares(residuals, x0, method="trf", xtol=TOLERANCE,
+                        ftol=TOLERANCE, gtol=TOLERANCE,
+                        max_nfev=MAX_EVALUATIONS)
     theta = res.x
     model = np.maximum(model_counts(theta), 1e-12)
     total = float(model.sum())
@@ -653,13 +654,14 @@ def fit_hist_ls_reference(events, cfg):
                     zip(PARAM_NAMES, se, shape_jac + (amp, 1.0))}
 
 
-def fit_ml_reference(events, cfg):
+def fit_ml_reference(events):
     """Mixture maximum likelihood: L-BFGS-B on finite-difference gradients,
     errors from a finite-difference Hessian (5x5 shape block as fallback)."""
     from scipy.optimize import minimize
     from scipy.special import expit
 
-    from heraldtime.fitting import PARAM_NAMES, _moments, initial_guess
+    from heraldtime.fitting import (MAX_EVALUATIONS, PARAM_NAMES, TOLERANCE,
+                                    _moments, initial_guess)
 
     guess = initial_guess(events)
     u, scales, _ = _moments(events.t1, events.t2)
@@ -683,8 +685,8 @@ def fit_ml_reference(events, cfg):
 
     res = minimize(nll, x0, method="L-BFGS-B",
                    bounds=[(None, None)] * 5 + [(-30.0, 30.0)],
-                   options={"maxiter": cfg.max_iterations,
-                            "ftol": cfg.tolerance, "gtol": 1e-8})
+                   options={"maxiter": MAX_EVALUATIONS,
+                            "ftol": TOLERANCE, "gtol": 1e-8})
     theta = res.x
     w = float(expit(theta[5]))
     params, shape_jac = _fit_params_ref(theta, scales, (1.0 - w) * n, w)
@@ -784,7 +786,7 @@ def _expit_ref(t):
     return 1.0 / (1.0 + math.exp(-t)) if t > -700.0 else math.exp(t)
 
 
-def _ml_sums_ref(u1, u2, shape, wb, ws, area_box, curvature):
+def _ml_sums_ref(u1, u2, shape, wb, ws, area_box):
     rho, w1, w2, cc1, cc2 = shape
     x, y, a, b, phi = _gauss_terms_per_array(u1, u2, cc1, cc2, rho, w1, w2)
     g = phi * ws + wb / area_box
@@ -795,8 +797,6 @@ def _ml_sums_ref(u1, u2, shape, wb, ws, area_box, curvature):
     r = phi * inv * ws
     sums = [nll, r.sum(), (r * a).sum(), (r * b).sum(), (r * a * x).sum(),
             (r * b * y).sum(), (r * x * y).sum(), inv.sum()]
-    if not curvature:
-        return np.array(sums)
     sums += [(r * x).sum(), (r * y).sum(), (r * x * x).sum(),
              (r * y * y).sum()]
     s = _shape_scores_ref(x, y, a, b, rho, w1, w2)
@@ -808,23 +808,21 @@ def _ml_sums_ref(u1, u2, shape, wb, ws, area_box, curvature):
     return np.array(sums)
 
 
-def ml_loss_reference(theta, u1, u2, area_box, curvature=False, chunk=8192):
-    """Mixture negative log-likelihood, its gradient and, with
-    ``curvature``, its Hessian, from one event sum per weighted product."""
+def ml_loss_reference(theta, u1, u2, area_box, chunk=8192):
+    """Mixture negative log-likelihood, its gradient and its Hessian, from
+    one event sum per weighted product."""
     shape = _theta_shape_ref(theta)
     rho, w1, w2 = shape[:3]
     wb, ws = _expit_ref(theta[5]), _expit_ref(-theta[5])
     om = 1.0 - rho * rho
     total = sum(_ml_sums_ref(u1[i:i + chunk], u2[i:i + chunk], shape, wb, ws,
-                             area_box, curvature)
+                             area_box)
                 for i in range(0, u1.shape[0], chunk))
     nll, sr, sa, sb, sax, sby, sxy, sinv = total[:8]
     grad = -np.array([sxy - (rho / om) * (sax + sby) + rho * sr,
                       sax / om - sr, sby / om - sr,
                       sa / (om * w1), sb / (om * w2),
                       wb * ws / area_box * sinv - wb * sr])
-    if not curvature:
-        return nll, grad
     sx, sy, sxx, syy, gww, gw = total[8:14]
     p = rho / om
     hess = np.zeros((6, 6))

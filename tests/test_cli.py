@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from heraldtime import fitting
 from heraldtime.cli import build_parser, main
+from heraldtime.dataio import load_config
 
 REFERENCE_CFG = """\
 source.sigma   = 3.29 THz
@@ -107,12 +109,31 @@ def test_delta_lambda_annotation_flows_into_report(tmp_path, config_path):
     assert report["input_delta_lambda"] == pytest.approx(12.47e-9)
 
 
-def test_fit_nonconvergence_exit_code(tmp_path, config_path):
+def test_fit_nonconvergence_exit_code(tmp_path, config_path, monkeypatch):
     out = tmp_path / "out"
     main(["simulate", "--config", str(config_path), "--out", str(out)])
-    code = main(["fit", str(out / "events.csv"), "--out", str(out),
-                 "--set", "fit.max_iterations=1"])
+    monkeypatch.setattr(fitting, "MAX_EVALUATIONS", 1)
+    code = main(["fit", str(out / "events.csv"), "--out", str(out)])
     assert code == 3
+
+
+@pytest.mark.parametrize("setting", [
+    "fit.bins1=64", "fit.bins2=64", "fit.percentile_lo=0.5",
+    "fit.percentile_hi=99.5", "fit.tolerance=1e-10",
+    "fit.max_iterations=1000"])
+def test_fixed_fit_settings_rejected(tmp_path, config_path, capsys, setting):
+    # the binning, tolerance and evaluation cap are fixed; even their
+    # values are refused as keys
+    out = tmp_path / "out"
+    main(["simulate", "--config", str(config_path), "--out", str(out)])
+    capsys.readouterr()
+    code = main(["fit", str(out / "events.csv"), "--out", str(out),
+                 "--set", setting])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert f"unknown key {setting.split('=')[0]!r}" in err["message"]
+    assert not (out / "fit_report.json").exists()
 
 
 def test_fit_missing_file_exit_code(tmp_path):
@@ -147,6 +168,25 @@ def test_herald_model_mode(tmp_path, config_path):
     centroid = (out / "centroid_curve.csv").read_text().splitlines()
     assert centroid[0] == "center_s,mean_s"
     assert len(centroid) == 6
+
+
+@pytest.mark.parametrize("direction", ["0", "3"])
+def test_herald_model_mode_invalid_direction_is_config_error(
+        tmp_path, config_path, capsys, direction):
+    # the model curves check the heralding channel as the event curves do
+    with open(config_path, "a") as fh:
+        fh.write("herald.width_min = 10 ps\nherald.width_max = 1 ns\n"
+                 "herald.width_points = 7\nherald.width = 100 ps\n"
+                 "herald.center_min = -300 ps\nherald.center_max = 300 ps\n"
+                 "herald.center_points = 5\n")
+    out = tmp_path / "out"
+    code = main(["herald", "--config", str(config_path), "--out", str(out),
+                 "--set", f"herald.direction={direction}"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert "herald_on must be 1 or 2" in err["message"]
+    assert not (out / "narrowing_curve.csv").exists()
 
 
 @pytest.mark.parametrize("key", ["herald.center", "herald.center_max"])
@@ -254,6 +294,25 @@ def test_optimize_no_dispersion_is_config_error(tmp_path):
     cfg = tmp_path / "flat.cfg"
     cfg.write_text("link.beta = 0 s^2/m\nlink.length = 10 km\n")
     assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+def test_optimize_fix_sigma_takes_rho_form_source(tmp_path):
+    # (sigma0, rho) fixes the crystal width sigma = 2 sigma0 sqrt(1 - rho)
+    link = "link.beta = -1.15e-26 s^2/m\nlink.length = 10 km\n"
+    rho_form = tmp_path / "rho.cfg"
+    rho_form.write_text("source.sigma0 = 2 THz\nsource.rho = -0.4\n" + link)
+    source = load_config(rho_form).source()
+    pulse_form = tmp_path / "pulse.cfg"
+    pulse_form.write_text(f"source.sigma = {source.sigma!r} 1/s\n"
+                          f"source.tau_p = {source.tau_p!r} s\n" + link)
+    reports = []
+    for cfg in (rho_form, pulse_form):
+        out = tmp_path / cfg.stem
+        assert main(["optimize", "--config", str(cfg), "--out", str(out),
+                     "--fix-sigma"]) == 0
+        reports.append((out / "optimum.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["sigma_fixed_per_s"] == source.sigma
 
 
 def test_optimize_fix_sigma_requires_sigma(tmp_path):

@@ -14,6 +14,7 @@ from heraldtime.dataio import (
     ConfigError,
     EventFileError,
     ReportError,
+    RunConfig,
     load_config,
     parse_overrides,
     parse_quantity,
@@ -24,6 +25,7 @@ from heraldtime.dataio import (
     _EventReader,
     _plain_body_start,
 )
+from heraldtime.fitting import FitConfig
 from heraldtime.sampler import DetectorModel, EventSet, sample
 
 from conftest import REFERENCE_SETS
@@ -462,6 +464,32 @@ class TestConfig:
                         "link.beta = -1e-26 s^2/m\nlink.length = 1 km\n")
         src = load_config(path).source()
         assert src.sigma == pytest.approx(2e12 * math.sqrt(1.5))
+
+    def test_fixed_fit_settings_listed_together(self, tmp_path):
+        # the fit's binning, tolerance and evaluation cap are constants; a
+        # config that still sets them names every such line
+        fixed = ["fit.bins1 = 64", "fit.bins2 = 64", "fit.percentile_lo = 0.5",
+                 "fit.percentile_hi = 99.5", "fit.tolerance = 1e-10",
+                 "fit.max_iterations = 1000"]
+        path = tmp_path / "fit.cfg"
+        path.write_text("fit.loss = ml\n" + "\n".join(fixed) + "\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        message = str(err.value)
+        for lineno, line in enumerate(fixed, start=2):
+            key = line.split(" = ")[0]
+            assert f"{path}:{lineno}: unknown key {key!r}" in message
+        assert "fit.loss" not in message
+
+    def test_unset_keys_take_the_model_defaults(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("fit.loss = ml\ndetector.jitter2 = 20 ps\n")
+        cfg = load_config(path)
+        assert cfg.fit_config() == FitConfig(loss="ml")
+        assert cfg.detector() == DetectorModel(jitter2=20 * TIME_UNITS["ps"])
+        bare = RunConfig()
+        assert bare.fit_config() == FitConfig()
+        assert bare.detector() == DetectorModel()
 
     def test_background_requires_window_keys(self, tmp_path):
         path = tmp_path / "bg.cfg"

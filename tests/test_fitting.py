@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -26,13 +27,11 @@ def synthetic(cov, n, seed, det=None):
 
 
 class TestConfig:
-    def test_bin_floor(self):
-        with pytest.raises(ValueError):
-            FitConfig(bins1=4)
-
-    def test_tolerance_positive(self):
-        with pytest.raises(ValueError):
-            FitConfig(tolerance=0.0)
+    def test_loss_is_the_only_setting(self):
+        # binning, tolerance and evaluation cap are fitting constants
+        assert [f.name for f in dataclasses.fields(FitConfig)] == ["loss"]
+        with pytest.raises(TypeError):
+            FitConfig(bins1=64)
 
     def test_loss_values(self):
         with pytest.raises(ValueError):
@@ -137,9 +136,9 @@ class TestHistogramFit:
         # and definitely not the bare width
         assert result.cov.tau1 - cov.tau1 > 5 * se["tau1"]
 
-    def test_non_convergence_reported_not_raised(self):
-        result = fit(synthetic(REFERENCE_SETS[0], 5000, seed=2),
-                     FitConfig(max_iterations=1))
+    def test_non_convergence_reported_not_raised(self, monkeypatch):
+        monkeypatch.setattr(fitting, "MAX_EVALUATIONS", 1)
+        result = fit(synthetic(REFERENCE_SETS[0], 5000, seed=2))
         assert not result.converged
         assert result.iterations >= 1
         assert math.isfinite(result.cov.tau1)
@@ -252,6 +251,11 @@ def central_diff(f, theta, step):
     return (4 * central(step / 2) - central(step)) / 3
 
 
+def residuals_of(model_terms):
+    """The histogram fit's signed-root deviance residuals at theta."""
+    return lambda theta: model_terms(theta)["res"].ravel()
+
+
 class TestAnalyticDerivatives:
     """Closed-form scores, curvature and Jacobian against finite differences."""
 
@@ -272,9 +276,7 @@ class TestAnalyticDerivatives:
     def test_ml_score_and_curvature(self, theta):
         u1, u2 = self.events()
         theta = np.array(theta)
-        nll, grad, hess = fitting._ml_loss(theta, u1, u2, 64.0,
-                                           curvature=True)
-        assert nll == fitting._ml_loss(theta, u1, u2, 64.0)[0]
+        nll, grad, hess = fitting._ml_loss(theta, u1, u2, 64.0)
 
         def f(t):
             return fitting._ml_loss(t, u1, u2, 64.0)[0]
@@ -304,8 +306,7 @@ class TestAnalyticDerivatives:
         def f(t):
             return fitting._ml_loss(t, u1, u2, area)[0]
 
-        nll, grad, hess = fitting._ml_loss(theta, u1, u2, area,
-                                           curvature=True)
+        nll, grad, hess = fitting._ml_loss(theta, u1, u2, area)
         assert np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))
         np.testing.assert_allclose(grad, central_diff(f, theta, 1e-5),
                                    rtol=0, atol=1e-6 * np.abs(grad).max())
@@ -340,15 +341,14 @@ class TestAnalyticDerivatives:
     ])
     def test_hist_ls_jacobian(self, theta):
         counts, nodes, area = self.hist_ls()
-        residuals, jac, model_terms = fitting._hist_ls_loss(counts, nodes,
-                                                            area)
+        _, model_terms = fitting._hist_ls_loss(counts, nodes, area)
         theta = np.array(theta)
         # a few bins whose counts equal the model exactly (zero residual)
         model = model_terms(theta)["model"].ravel()
         pick = np.flatnonzero(model > 1.0)[::3]
         counts.flat[pick] = model[pick]
-        residuals, jac, model_terms = fitting._hist_ls_loss(counts, nodes,
-                                                            area)
+        jac, model_terms = fitting._hist_ls_loss(counts, nodes, area)
+        residuals = residuals_of(model_terms)
         zero = residuals(theta) == 0.0
         assert zero.sum() >= 4
         got = jac(theta)
@@ -362,8 +362,8 @@ class TestAnalyticDerivatives:
 
     def test_hist_ls_clipped_bins_are_flat(self):
         counts, nodes, area = self.hist_ls()
-        residuals, jac, model_terms = fitting._hist_ls_loss(counts, nodes,
-                                                            area)
+        jac, model_terms = fitting._hist_ls_loss(counts, nodes, area)
+        residuals = residuals_of(model_terms)
         theta = np.array([0.2, -0.5, -0.5, 0.0, 0.0, math.log(500.0), -2.0])
         model = model_terms(theta)["model"].ravel()
         clipped = model < 1e-12
@@ -424,8 +424,8 @@ class TestDirectBinning:
     def test_sampled_events_in_percentile_box(self):
         events = synthetic(REFERENCE_SETS[2], 20000, seed=4)
         u, _, _ = fitting._moments(events.t1, events.t2)
-        box1, box2 = fitting._box_in_u(FitConfig(), u)
-        self.assert_same(u, box1, box2, 64, 64)
+        box1, box2 = fitting._box_in_u(u)
+        self.assert_same(u, box1, box2, fitting.BINS, fitting.BINS)
 
     def test_hist_ls_fit_holds_no_event_sized_bin_temporaries(self):
         # The fit holds the standardized events (as large as the events)
@@ -483,9 +483,8 @@ class TestMatchesFiniteDifferenceFits:
         ("hist-ls", fit_hist_ls_reference), ("ml", fit_ml_reference)])
     def test_table1_sets(self, which, seed, loss, reference):
         events = table1_events(REFERENCE_SETS[which], seed)
-        cfg = FitConfig(loss=loss)
-        result = fit(events, cfg)
-        params, errors = reference(events, cfg)
+        result = fit(events, FitConfig(loss=loss))
+        params, errors = reference(events)
         assert result.converged and result.se_path == "full"
         for key in PARAM_NAMES[:5]:
             got = getattr(result.cov, key)
@@ -586,9 +585,10 @@ class TestDampedNewton:
         assert result.background_level < 1e-6
         assert result.nfev <= 25
 
-    def test_ml_iteration_cap_reported_not_raised(self):
+    def test_ml_iteration_cap_reported_not_raised(self, monkeypatch):
+        monkeypatch.setattr(fitting, "MAX_EVALUATIONS", 1)
         result = fit(synthetic(REFERENCE_SETS[0], 5000, seed=2),
-                     FitConfig(loss="ml", max_iterations=1))
+                     FitConfig(loss="ml"))
         assert not result.converged
         assert result.iterations <= 1 and result.nfev <= 2
         assert math.isfinite(result.cov.tau1)
@@ -642,8 +642,9 @@ def max_rel(got, want, axis=None):
 def table1_hist_ls_inputs(events):
     """Counts, Gauss-Legendre nodes and bin area of the default hist-ls fit."""
     u, _, _ = fitting._moments(events.t1, events.t2)
-    box1, box2 = fitting._box_in_u(FitConfig(), u)
-    counts, e1, e2 = fitting._bin_counts(u, box1, box2, 64, 64)
+    box1, box2 = fitting._box_in_u(u)
+    counts, e1, e2 = fitting._bin_counts(u, box1, box2, fitting.BINS,
+                                         fitting.BINS)
     c1 = 0.5 * (e1[:-1] + e1[1:])
     c2 = 0.5 * (e2[:-1] + e2[1:])
     d1, d2 = (e1[1] - e1[0]) / (2 * math.sqrt(3)), \
@@ -663,22 +664,18 @@ class TestKernelsMatchReference:
 
     def assert_ml_matches(self, theta, u1, u2, area):
         theta = np.asarray(theta, float)
-        nll, grad, hess = fitting._ml_loss(theta, u1, u2, area, curvature=True)
-        want_nll, want_grad, want_hess = ml_loss_reference(
-            theta, u1, u2, area, curvature=True)
+        nll, grad, hess = fitting._ml_loss(theta, u1, u2, area)
+        want_nll, want_grad, want_hess = ml_loss_reference(theta, u1, u2, area)
         assert max_rel(nll, want_nll) <= self.TOL
         assert max_rel(grad, want_grad) <= self.TOL
         assert max_rel(hess, want_hess, axis=0) <= self.TOL
-        score_nll, score_grad = fitting._ml_loss(theta, u1, u2, area)
-        assert score_nll == nll
-        assert max_rel(score_grad, want_grad) <= self.TOL
 
     def assert_hist_ls_matches(self, theta, counts, nodes, area):
         theta = np.asarray(theta, float)
-        residuals, jac, model_terms = fitting._hist_ls_loss(counts, nodes, area)
+        jac, model_terms = fitting._hist_ls_loss(counts, nodes, area)
         model, res, jm = hist_ls_kernel_reference(counts, nodes, area, theta)
         assert max_rel(model_terms(theta)["model"], model) <= self.TOL
-        assert max_rel(residuals(theta), res) <= self.TOL
+        assert max_rel(model_terms(theta)["res"].ravel(), res) <= self.TOL
         assert max_rel(jac(theta), jm, axis=1) <= self.TOL
         return model
 
@@ -772,7 +769,7 @@ class TestBackgroundStart:
     def test_set0_lands_on_reference(self, seed):
         events = table1_events(REFERENCE_SETS[0], seed)
         result = fit(events)
-        params, errors = fit_hist_ls_reference(events, FitConfig())
+        params, errors = fit_hist_ls_reference(events)
         for key in PARAM_NAMES[:5]:
             assert abs(getattr(result.cov, key) - params[key]) \
                 < 1e-3 * errors[key]
@@ -787,7 +784,7 @@ class TestBackgroundStart:
         # optimum lies at B ~ -0.05, where empty bins clip
         events = table1_events(REFERENCE_SETS[which], seed, background=0.0)
         result = fit(events)
-        params, errors = fit_hist_ls_reference(events, FitConfig())
+        params, errors = fit_hist_ls_reference(events)
         assert result.converged
         for key in PARAM_NAMES:
             got = getattr(result.cov, key, None)

@@ -273,8 +273,9 @@ class TestCentroidCurve:
 
 
 class TestInvalidGridPoints:
-    """Both curves reject a grid point the window rule refuses, on both
-    paths, before any events are counted."""
+    """Both curves reject a grid point the window rule refuses, or a
+    heralding channel other than 1 or 2, on both paths, before any events
+    are counted."""
 
     @pytest.fixture(scope="class")
     def sources(self):
@@ -286,6 +287,20 @@ class TestInvalidGridPoints:
         for source in sources:
             with pytest.raises(ValueError, match="width must be positive"):
                 narrowing_curve(source, 0.0, [1e-10, bad, 1e-9], n_boot=5)
+
+    @pytest.mark.parametrize("bad", [3, 0, "2"])
+    def test_narrowing_herald_on(self, sources, bad):
+        for source in sources:
+            with pytest.raises(ValueError, match="herald_on must be 1 or 2"):
+                narrowing_curve(source, 0.0, [1e-10, 3e-10, 1e-9],
+                                herald_on=bad)
+
+    @pytest.mark.parametrize("bad", [3, 0, "2"])
+    def test_centroid_herald_on(self, sources, bad):
+        for source in sources:
+            with pytest.raises(ValueError, match="herald_on must be 1 or 2"):
+                centroid_curve(source, 1e-10, [-1e-10, 0.0, 1e-10],
+                               herald_on=bad)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_centroid_center(self, sources, bad):
