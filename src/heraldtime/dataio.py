@@ -72,8 +72,11 @@ __all__ = [
 EVENT_MAGIC = "# heraldtime events v1"
 # Where str.splitlines() breaks an ASCII line besides "\n".
 _OTHER_BREAKS = b"\r\x0b\x0c\x1c\x1d\x1e"
-# Rows formatted per write call: bounds the strings held at once.
-_WRITE_BLOCK_ROWS = 65536
+# Rows formatted per write call: bounds the strings held at once.  A block
+# holds ~145 bytes a row at its peak (the scaled floats as an array, as a
+# list of Python floats and as a tuple, and the formatted text): 0.57 MiB at
+# 4096 rows.  Larger blocks write no faster.
+_WRITE_BLOCK_ROWS = 4096
 # Body bytes checked per read before the one-call parse: bounds the bytes
 # held at once.
 _SCAN_BLOCK = 1 << 20

@@ -111,19 +111,24 @@ def _oriented(source, herald_on: int):
     return (source.t1, source.t2) if herald_on == 2 else (source.t2, source.t1)
 
 
-def _resampled(n_boot) -> bool:
-    """Whether ``n_boot`` asks for bootstrap errors (>= 2) rather than the
-    closed forms (0); ValueError for any other value."""
-    if isinstance(n_boot, (int, np.integer)) and (n_boot == 0 or n_boot >= 2):
-        return n_boot != 0
-    raise ValueError(f"the number of resamples must be 0 (closed-form errors) "
-                     f"or an integer >= 2, got {n_boot!r}")
+def _resample_rng(n_boot, seed: int):
+    """The ``default_rng(seed)`` stream the bootstrap of ``n_boot >= 2``
+    draws from, or None for the closed-form errors (``n_boot=0``): those
+    never touch, and so never import, ``numpy.random``.  ValueError for any
+    other ``n_boot``."""
+    if not (isinstance(n_boot, (int, np.integer))
+            and (n_boot == 0 or n_boot >= 2)):
+        raise ValueError(f"the number of resamples must be 0 (closed-form "
+                         f"errors) or an integer >= 2, got {n_boot!r}")
+    return np.random.default_rng(seed) if n_boot else None
 
 
 def _estimate(x: np.ndarray, statistic, closed_form, n_boot: int,
-              rng: np.random.Generator, window: str) -> tuple[float, float]:
+              rng: np.random.Generator | None,
+              window: str) -> tuple[float, float]:
     """``statistic(x)`` and its error over the selected events ``x``:
-    ``closed_form(x)`` for ``n_boot=0``, else a bootstrap.
+    ``closed_form(x)`` without a generator (``n_boot=0``), else a bootstrap
+    of ``n_boot`` resamples from ``rng``.
 
     Raises :class:`TooFewEventsError`, naming ``window``, below
     ``MIN_EVENTS`` events.
@@ -131,7 +136,7 @@ def _estimate(x: np.ndarray, statistic, closed_form, n_boot: int,
     if x.size < MIN_EVENTS:
         raise TooFewEventsError(f"{window} selects {x.size} events; need at "
                                 f"least {MIN_EVENTS}")
-    if not _resampled(n_boot):
+    if rng is None:
         return statistic(x), closed_form(x)
     return statistic(x), bootstrap_std(rng, x.size, n_boot,
                                        lambda idx: statistic(x[idx]))
@@ -187,14 +192,15 @@ def heralded_width(events: EventSet, w: HeraldWindow, n_boot: int = 0,
     Returns (width, std_error) in seconds: the sample standard deviation
     (for which the narrowing limit is exact) and its error,
     ``sqrt((m4 - v**2) / (4 v m))`` from the window's central moments for
-    ``n_boot=0``, else the bootstrap of ``n_boot`` resamples from ``seed``.
-    Raises :class:`TooFewEventsError` below 30 selected events.
+    ``n_boot=0``, else the bootstrap of ``n_boot`` resamples from ``seed``;
+    a generator is made only for ``n_boot >= 2``.  Raises ValueError for any
+    other ``n_boot`` and :class:`TooFewEventsError` below 30 selected events.
     """
     analyzed, heralding = _oriented(events, w.herald_on)
+    rng = _resample_rng(n_boot, seed)
     width, err = _estimate(
         analyzed[_in_window(heralding, w.center, w.width)],
-        lambda x: np.std(x, ddof=1), _sd_error, n_boot,
-        np.random.default_rng(seed),
+        lambda x: np.std(x, ddof=1), _sd_error, n_boot, rng,
         f"window (center={w.center!r}, width={w.width!r})")
     return float(width), float(err)
 
@@ -402,7 +408,7 @@ def narrowing_curve(source, center: float, widths, herald_on: int = 2,
     # the model path's rule, before any counting
     unique = np.unique(grid)
     lo, hi = np.array([_window(center, w) for w in unique]).T
-    resampled = _resampled(n_boot)
+    rng = _resample_rng(n_boot, seed)
     t1, t2 = _oriented(source, herald_on)
     # The windows share one center, so they are nested: lo falls and hi
     # rises with the width.  Shell j holds the events of the j-th narrowest
@@ -422,9 +428,9 @@ def narrowing_curve(source, center: float, widths, herald_on: int = 2,
                 f"window width {w!r} selects {n_sel} events; need at least "
                 f"{MIN_EVENTS}")
     x = t1 - np.mean(t1[shell == 0])
-    sums = _shell_sums(shell, counts, x, 2 if resampled else 4)
+    sums = _shell_sums(shell, counts, x, 4 if rng is None else 2)
     ratios = _width_ratios(*np.cumsum(sums[:3], axis=1), at)
-    if resampled:
+    if rng is not None:
         x2 = x * x
 
         def ratios_of(weight):
@@ -435,7 +441,7 @@ def narrowing_curve(source, center: float, widths, herald_on: int = 2,
                                  at)
 
         errs = bootstrap_std(
-            np.random.default_rng(seed), t1.size, n_boot,
+            rng, t1.size, n_boot,
             lambda idx: ratios_of(np.bincount(idx, minlength=t1.size)))
     else:
         errs = _ratio_errors(sums, ratios, at)
@@ -451,9 +457,10 @@ def centroid_curve(source, width: float, centers, herald_on: int = 2,
     For small windows the curve is linear with slope rho_t * tau1 / tau2; at
     finite widths the exact conditional mean is reported without any
     linearity assumption.  Empirical errors are ``sd / sqrt(m)`` for
-    ``n_boot=0``, else bootstraps drawn in turn from one ``seed`` stream.
-    Both paths raise ValueError for a width that is not positive, a center
-    that is not finite or a ``herald_on`` other than 1 or 2.
+    ``n_boot=0``, else bootstraps drawn in turn from one ``seed`` stream,
+    whose generator is made only for ``n_boot >= 2``.  Both paths raise
+    ValueError for a width that is not positive, a center that is not finite
+    or a ``herald_on`` other than 1 or 2.
     """
     grid = _as_grid(centers, 3, "centers")
     if isinstance(source, TemporalCovariance):
@@ -467,7 +474,7 @@ def centroid_curve(source, width: float, centers, herald_on: int = 2,
     for c in grid:
         _window(c, width)  # the model path's rule, before any counting
     t1, t2 = _oriented(source, herald_on)
-    rng = np.random.default_rng(seed)
+    rng = _resample_rng(n_boot, seed)
     means, errs = np.array([
         _estimate(t1[_in_window(t2, c, width)], np.mean, _mean_error, n_boot,
                   rng, f"window center {c!r}") for c in grid]).T

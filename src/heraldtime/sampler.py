@@ -151,27 +151,49 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 def _sample_chunk(cov: TemporalCovariance, det: DetectorModel,
                   rng: np.random.Generator, out: np.ndarray) -> None:
-    """Fill the (m, 2) rows ``out`` with one chunk's events."""
+    """Fill the contiguous (m, 2) rows ``out`` with one chunk's events.
+
+    The signal normals are drawn into ``out`` itself and turned into times
+    in place, with the IEEE operations of ``mu + tau * z`` and of the
+    ``t2`` mix; every other draw goes through one scratch column of m
+    floats (m + 1 when m is odd), the (m, 2) background positions in two
+    pieces of rows.  A chunk thus holds one column and a byte mask besides
+    its output rows, and its stream and bits are those of whole-array draws.
+    """
     m = len(out)
-    z = rng.standard_normal((m, 2))
-    t1 = cov.mu1 + cov.tau1 * z[:, 0]
-    t2 = cov.mu2 + cov.tau2 * (cov.rho_t * z[:, 0]
-                               + math.sqrt(1.0 - cov.rho_t ** 2) * z[:, 1])
-    if det.jitter1 > 0:
-        t1 = t1 + det.jitter1 * rng.standard_normal(m)
-    if det.jitter2 > 0:
-        t2 = t2 + det.jitter2 * rng.standard_normal(m)
+    t1, t2 = out[:, 0], out[:, 1]
+    rows = (m + 1) // 2  # background rows per piece of the buffer
+    buf = np.empty(2 * rows)
+    col = buf[:m]
+    rng.standard_normal(out=out)
+    np.multiply(t1, cov.rho_t, out=col)
+    t2 *= math.sqrt(1.0 - cov.rho_t ** 2)
+    t2 += col
+    t2 *= cov.tau2
+    t2 += cov.mu2
+    t1 *= cov.tau1
+    t1 += cov.mu1
+    for t, jitter in ((t1, det.jitter1), (t2, det.jitter2)):
+        if jitter > 0:
+            rng.standard_normal(out=col)
+            col *= jitter
+            t += col
     if det.reference_jitter > 0:
-        common = det.reference_jitter * rng.standard_normal(m)
-        t1 = t1 + common
-        t2 = t2 + common
-    out[:, 0] = t1
-    out[:, 1] = t2
+        rng.standard_normal(out=col)
+        col *= det.reference_jitter
+        t1 += col
+        t2 += col
     if det.background_rate > 0:
-        is_bg = rng.random(m) < det.background_rate
+        rng.random(out=col)
+        is_bg = col < det.background_rate
         lo, hi = det.window
-        uniform = lo + (hi - lo) * rng.random((m, 2))
-        out[is_bg] = uniform[is_bg]
+        for start in range(0, m, rows):
+            piece = buf[:2 * min(rows, m - start)].reshape(-1, 2)
+            rng.random(out=piece)
+            piece *= hi - lo
+            piece += lo
+            sel = is_bg[start:start + rows]
+            out[start:start + rows][sel] = piece[sel]
 
 
 def bootstrap_std(rng: np.random.Generator, n: int, n_boot: int, statistic):

@@ -481,3 +481,46 @@ def test_fit_pipeline_runs_without_scipy(config_path, tmp_path):
     assert codes == [[c[0], "0"] for c in commands], res.stdout + res.stderr
     assert [line for line in lines if line.startswith("bootstrap ")] == [
         "bootstrap hist-ls True", "bootstrap ml True"]
+
+
+def test_closed_form_herald_never_imports_numpy_random(config_path, tmp_path):
+    # The closed-form error bars draw nothing, so reading events and the
+    # herald statistics with n_boot=0, the herald command's default, must
+    # not import numpy.random: on a NumPy that loads it lazily, that import
+    # alone costs the herald command ~5 MiB of its peak memory.
+    import subprocess
+    import sys
+    out = str(tmp_path)
+    events = f"{out}/sim/events.csv"
+    assert main(["simulate", "--config", str(config_path),
+                 "--out", f"{out}/sim"]) == 0
+    script = (
+        "import sys\n"
+        "import numpy\n"
+        "if 'numpy.random' in sys.modules:\n"
+        "    sys.exit(print('numpy imports numpy.random itself'))\n"
+        "import heraldtime.cli as cli\n"
+        "from heraldtime import read_events\n"
+        "from heraldtime.herald import (HeraldWindow, centroid_curve,\n"
+        "                               heralded_width, narrowing_curve)\n"
+        f"es = read_events({events!r})\n"
+        "heralded_width(es, HeraldWindow(0.0, 3e-10), n_boot=0)\n"
+        "narrowing_curve(es, 0.0, [5e-11, 3e-10, 2e-9], n_boot=0)\n"
+        "centroid_curve(es, 3e-10, [-2e-10, 0.0, 2e-10], n_boot=0)\n"
+        f"code = cli.main(['herald', {events!r}, '--curve', 'both',\n"
+        f"                 '--out', {out + '/herald'!r},\n"
+        "                 '--set', 'herald.width_min=50 ps',\n"
+        "                 '--set', 'herald.width_max=2 ns',\n"
+        "                 '--set', 'herald.width_points=6',\n"
+        "                 '--set', 'herald.width=300 ps',\n"
+        "                 '--set', 'herald.center_min=-200 ps',\n"
+        "                 '--set', 'herald.center_max=200 ps',\n"
+        "                 '--set', 'herald.center_points=5'])\n"
+        "print('exit', code, 'numpy.random' in sys.modules)\n")
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    if res.stdout.startswith("numpy imports numpy.random itself"):
+        pytest.skip(res.stdout.strip())  # NumPy < 2 loads it eagerly
+    assert res.stdout.splitlines()[-1] == "exit 0 False", \
+        res.stdout + res.stderr

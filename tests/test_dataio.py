@@ -237,6 +237,36 @@ class TestEventCodecMatchesReference:
         assert _read_outcome(read_events, new) \
             == _read_outcome(read_events_loop, new)
 
+    @pytest.mark.parametrize("extra", [(1, -1), (1, 0), (1, 1), (2, 3)])
+    def test_block_edges_identical(self, tmp_path, extra):
+        # one row short of a block, a block, one row over, two blocks and
+        # a few rows: each row is written once and in order
+        blocks, rows = extra
+        n = blocks * dataio._WRITE_BLOCK_ROWS + rows
+        es = EventSet(np.random.default_rng(n).normal(scale=1e-9,
+                                                      size=(n, 2)))
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        write_events(es, new, unit="ps")
+        write_events_loop(es, ref, unit="ps")
+        assert new.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("n", [20_000, 200_000])
+    def test_write_peak_does_not_grow_with_rows(self, tmp_path, n):
+        # The writer holds one block of rows at a time, so its peak is the
+        # same at any row count: ~0.57 MiB, where 65 536-row blocks took
+        # 2.7 MiB at 20 000 rows and 9 MiB at 200 000.
+        import tracemalloc
+
+        es = EventSet(np.random.default_rng(4).normal(scale=1e-9,
+                                                      size=(n, 2)))
+        tracemalloc.start()
+        try:
+            write_events(es, tmp_path / "ev.csv", unit="ps")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=_event_files())

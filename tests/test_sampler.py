@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -135,9 +136,26 @@ class TestDeterminism:
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("n", [CHUNK_SIZE + 1, CHUNK_SIZE + 4097])
+    @pytest.mark.parametrize("effects", list(itertools.product((0, 1),
+                                                               repeat=4)))
+    def test_each_detector_effect_matches_concatenated(self, n, effects):
+        # every subset of the detector effects keeps the stream and bits of
+        # whole-array draws; the odd tail chunks (1 and 4097 rows) split
+        # their background draw into pieces of unequal length
+        j1, j2, common, bg = effects
+        det = DetectorModel(jitter1=j1 * 30e-12, jitter2=j2 * 20e-12,
+                            reference_jitter=common * 10e-12,
+                            background_rate=bg * 0.05, window=(-2e-9, 2e-9))
+        cov = REFERENCE_SETS[2]
+        got = sample(cov, det, n, seed=13).events
+        assert got.tobytes() == sample_concatenated(cov, det, n, 13).tobytes()
+
     def test_sample_holds_one_array(self):
-        # The output plus one chunk's own arrays; a list of chunks, their
-        # concatenation and a copy of it held three times the output.
+        # The output, one chunk's scratch column and its background mask;
+        # whole-array draws held ~4.5 MiB a chunk besides the output, and a
+        # list of chunks, their concatenation and a copy of it held three
+        # times the output.
         import tracemalloc
 
         cov = REFERENCE_SETS[1]
@@ -148,8 +166,9 @@ class TestDeterminism:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # at most ten float64 values per event of one chunk
-        assert peak < es.events.nbytes + 80 * CHUNK_SIZE
+        # one float64 column of a chunk and a slack of four bytes per event
+        # of one chunk: its byte mask and the selected background rows
+        assert peak < es.events.nbytes + 8 * CHUNK_SIZE + 4 * CHUNK_SIZE
 
     def test_metadata_records_provenance(self):
         cov = REFERENCE_SETS[0]
