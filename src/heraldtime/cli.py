@@ -1,19 +1,24 @@
 """Command-line surface for the full pipeline.
 
-Subcommands::
+Subcommands and the options each takes::
 
-    heraldtime simulate   --config run.cfg --out outdir
-    heraldtime fit        events.csv [--config run.cfg] --out outdir
-    heraldtime herald     events.csv|--config run.cfg --curve narrowing|centroid|both
-    heraldtime optimize   --config run.cfg [--fix-sigma]
-    heraldtime landscape  --config run.cfg --which tau1|tau1h_0|tau1h_dt_0
-    heraldtime reproduce  table1|fig3a|fig3b|fig4|fig5 --out outdir
+    heraldtime simulate   [OPTS] [--seed N] [--unit U]
+    heraldtime fit        events.csv [OPTS] [--format csv|json]
+    heraldtime herald     [events.csv] [OPTS] [--svg]
+                          [--curve narrowing|centroid|both]
+    heraldtime optimize   [OPTS] [--format csv|json] [--fix-sigma]
+    heraldtime landscape  [OPTS] [--which tau1|tau1h_0|tau1h_dt_0] [--svg]
+    heraldtime reproduce  table1|fig3a|fig3b|fig4|fig5 [--out D] [--seed N]
+
+where OPTS is ``[--config F] [--set KEY=VALUE ...] [--out D]``.
 
 Every subcommand is a pure function of its declared inputs: no hidden state,
 no network, and reruns with the same config and seed produce byte-identical
-output.  ``--set key=value`` overrides any config key (type-checked against
-the schema; unknown keys are rejected); ``--help`` lists the full key table
-with units.
+output.  The run config is the ``--config`` file, if any, with each
+``--set key=value`` applied on top (type-checked against the schema; unknown
+keys are rejected); it is validated as a whole either way, and a command
+that needs a key the config lacks is a configuration error.  ``--help``
+lists the full key table with units.
 
 Exit codes: 0 success, 1 reproduction targets missed or unexpected error,
 2 configuration error, 3 numerical non-convergence, 4 I/O error.  Failures
@@ -36,7 +41,6 @@ from .dataio import (
     ReportError,
     format_schema_help,
     load_config,
-    parse_overrides,
     read_events,
     write_events,
     write_report,
@@ -72,17 +76,9 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load(args, optional: bool = False) -> RunConfig:
-    """The --config file and --set overrides, or if optional those alone."""
-    if args.config:
-        return load_config(args.config, args.set or ())
-    if not optional:
-        raise ConfigError("--config is required for this command")
-    return RunConfig(parse_overrides(args.set or ()))
-
-
-def _seeded(cfg: RunConfig, args) -> int:
-    return int(args.seed) if args.seed is not None else int(cfg.get("sample.seed"))
+def _load(args) -> RunConfig:
+    """The --config file, if any, with the --set overrides applied."""
+    return load_config(args.config, args.set or ())
 
 
 def _write_summary(out: Path, stem: str, report: dict, fmt: str) -> Path:
@@ -97,36 +93,25 @@ def _write_summary(out: Path, stem: str, report: dict, fmt: str) -> Path:
     return path
 
 
-def _write_curve(path: Path, header: list[str], columns: list) -> Path:
-    """Write a curve's columns as a CSV table; None errors are left out."""
-    if columns[-1] is None:
-        header, columns = header[:-1], columns[:-1]
-    write_table(path, header, zip(*columns))
-    return path
-
-
 # --------------------------------------------------------------------------
 # Subcommands
 # --------------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
     cfg = _load(args)
-    cfg.require_source()
-    cfg.require_link()
-    out = _out_dir(args)
-    seed = _seeded(cfg, args)
+    seed = cfg.get("sample.seed") if args.seed is None else args.seed
     events = sample_from_source(cfg.source(), cfg.link(), cfg.detector(),
                                 n=cfg.get("sample.n"), seed=seed)
     if cfg.has("meta.delta_lambda"):
         events.metadata["delta_lambda"] = cfg.get("meta.delta_lambda")
-    path = out / "events.csv"
+    path = _out_dir(args) / "events.csv"
     write_events(events, path, unit=args.unit)
     print(f"wrote {events.count} events to {path}")
     return EXIT_OK
 
 
 def _cmd_fit(args) -> int:
-    cfg = _load(args, optional=True)
+    cfg = _load(args)
     events = read_events(args.events)
     result = run_fit(events, cfg.fit_config())
     out = _out_dir(args)
@@ -154,49 +139,41 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_herald(args) -> int:
-    out = _out_dir(args)
-    cfg = _load(args, optional=True)
+    cfg = _load(args)
     if args.events:
         source = read_events(args.events)
     else:
-        cfg.require_source()
-        cfg.require_link()
         source = analytic.temporal_covariance(cfg.source(), cfg.link())
     direction = cfg.get("herald.direction")
     center = cfg.get("herald.center")
-    written = []
+    tables = {}
     if args.curve in ("narrowing", "both"):
         widths = cfg.grid("herald.width", scale="log")
         curve = herald.narrowing_curve(source, center=center, widths=widths,
                                        herald_on=direction)
-        written.append(_write_curve(
-            out / "narrowing_curve.csv", ["width_s", "ratio", "std_error"],
-            [curve.widths, curve.ratios, curve.std_errors]))
+        tables["narrowing_curve"] = reproduce.narrowing_table(curve)
         print(f"narrowing asymptote = {curve.asymptote:.4f}")
     if args.curve in ("centroid", "both"):
         centers = cfg.grid("herald.center", scale="linear")
         cfg.require("herald.width", why="centroid curve window width")
         curve = herald.centroid_curve(source, width=cfg.get("herald.width"),
                                       centers=centers, herald_on=direction)
-        written.append(_write_curve(
-            out / "centroid_curve.csv", ["center_s", "mean_s", "std_error_s"],
-            [curve.centers, curve.means, curve.std_errors]))
+        tables["centroid_curve"] = reproduce.centroid_table(curve)
         print(f"centroid slope = {curve.slope():+.5g}")
-    for path in written:
+    out = _out_dir(args)
+    paths = [out / f"{name}.csv" for name in tables]
+    for path, table in zip(paths, tables.values()):
+        write_table(path, *table)
         print(f"table: {path}")
     if args.svg:
-        _render_curves_svg(written)
+        _render_curves_svg(paths)
     return EXIT_OK
 
 
 def _cmd_optimize(args) -> int:
     cfg = _load(args)
-    cfg.require_link()
     link = cfg.link()
-    sigma_fixed = None
-    if args.fix_sigma:
-        cfg.require_source()
-        sigma_fixed = cfg.source().sigma
+    sigma_fixed = cfg.source().sigma if args.fix_sigma else None
     report = analytic.optimum(link, sigma_fixed=sigma_fixed)
     print(f"tau_p_opt = {_engineering(report.tau_p_opt, 's')}")
     if report.sigma_opt is not None:
@@ -226,15 +203,12 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_landscape(args) -> int:
     cfg = _load(args)
-    cfg.require_link()
+    link = cfg.link()
     tau_p = cfg.grid("landscape.tau_p", scale="log")
     sigma = cfg.grid("landscape.sigma", scale="log")
-    grid = analytic.landscape(tau_p, sigma, cfg.link(), args.which)
-    out = _out_dir(args)
-    header = ["sigma_per_s"] + [repr(float(tp)) for tp in tau_p]
-    rows = [[s] + list(row) for s, row in zip(sigma, grid)]
-    path = out / f"landscape_{args.which}.csv"
-    write_table(path, header, rows)
+    grid = analytic.landscape(tau_p, sigma, link, args.which)
+    path = _out_dir(args) / f"landscape_{args.which}.csv"
+    write_table(path, *reproduce.landscape_table(tau_p, sigma, grid))
     print(f"landscape table ({grid.shape[0]}x{grid.shape[1]} cells, widths "
           f"in s): {path}")
     if args.svg:
@@ -244,8 +218,7 @@ def _cmd_landscape(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     out = _out_dir(args)
-    seed = int(args.seed) if args.seed is not None else reproduce.DEFAULT_SEED
-    bundle = reproduce.run_recipe(args.name, seed=seed)
+    bundle = reproduce.run_recipe(args.name, seed=args.seed)
     for name, (header, rows) in sorted(bundle.tables.items()):
         write_table(out / f"{name}.csv", header, rows)
     write_report(bundle.summary(), out / f"{bundle.name}_summary.json")
@@ -319,58 +292,54 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_events=False, events_optional=False):
-        if needs_events:
-            p.add_argument("events", help="event CSV file")
-        elif events_optional:
-            p.add_argument("events", nargs="?", default=None,
-                           help="event CSV file (omit to use the analytic model "
-                                "from --config)")
-        p.add_argument("--config", help="run configuration file")
+    def command(name, func, summary, config=True):
+        """A subparser with --out, and unless config is False, the run
+        config options --config and --set."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override a config key (repeatable)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the random seed")
-        p.add_argument("--format", choices=("csv", "json"), default="json",
-                       help="summary report format (fit, optimize); curve and "
-                            "landscape tables are always CSV")
+        if config:
+            p.add_argument("--config", help="run configuration file")
+            p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                           help="override a config key (repeatable)")
+        return p
 
-    p = sub.add_parser("simulate", help="draw synthetic coincidence events")
-    common(p)
+    p = command("simulate", _cmd_simulate, "draw synthetic coincidence events")
+    p.add_argument("--seed", type=int, help="override sample.seed")
     p.add_argument("--unit", default="ps", help="time unit for the event file")
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("fit", help="recover the joint Gaussian parameters")
-    common(p, needs_events=True)
-    p.set_defaults(func=_cmd_fit)
+    p = command("fit", _cmd_fit, "recover the joint Gaussian parameters")
+    p.add_argument("events", help="event CSV file")
+    p.add_argument("--format", choices=("csv", "json"), default="json",
+                   help="fit report format")
 
-    p = sub.add_parser("herald", help="windowed conditional curves")
-    common(p, events_optional=True)
+    p = command("herald", _cmd_herald, "windowed conditional curves")
+    p.add_argument("events", nargs="?", default=None,
+                   help="event CSV file (omit to use the analytic model of "
+                        "the config's source and link)")
     p.add_argument("--curve", choices=("narrowing", "centroid", "both"),
                    default="both")
     p.add_argument("--svg", action="store_true", help="also render SVG plots")
-    p.set_defaults(func=_cmd_herald)
 
-    p = sub.add_parser("optimize", help="optimal source settings for a link")
-    common(p)
+    p = command("optimize", _cmd_optimize, "optimal source settings for a link")
+    p.add_argument("--format", choices=("csv", "json"), default="json",
+                   help="optimum report format")
     p.add_argument("--fix-sigma", action="store_true",
                    help="hold the source's crystal width sigma fixed, "
                         "optimize the pump only")
-    p.set_defaults(func=_cmd_optimize)
 
-    p = sub.add_parser("landscape", help="width landscape over (tau_p, sigma)")
-    common(p)
+    p = command("landscape", _cmd_landscape,
+                "width landscape over (tau_p, sigma)")
     p.add_argument("--which", choices=("tau1", "tau1h_0", "tau1h_dt_0"),
                    default="tau1")
     p.add_argument("--svg", action="store_true", help="also render SVG heatmap")
-    p.set_defaults(func=_cmd_landscape)
 
-    p = sub.add_parser("reproduce",
-                       help="regenerate a headline result against stored targets")
-    common(p)
+    p = command("reproduce", _cmd_reproduce,
+                "regenerate a headline result against stored targets",
+                config=False)
     p.add_argument("name", choices=sorted(reproduce.RECIPES))
-    p.set_defaults(func=_cmd_reproduce)
+    p.add_argument("--seed", type=int, default=reproduce.DEFAULT_SEED,
+                   help="seed of the recipe's samples")
 
     return parser
 

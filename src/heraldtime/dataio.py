@@ -477,8 +477,8 @@ class RunConfig:
 
     values: dict = field(default_factory=dict)
 
-    def get(self, key: str, default=None):
-        return self.values.get(key, _DEFAULTS.get(key, default))
+    def get(self, key: str):
+        return self.values.get(key, _DEFAULTS.get(key))
 
     def has(self, key: str) -> bool:
         return key in self.values
@@ -496,21 +496,14 @@ class RunConfig:
             raise ConfigError("missing required config keys" + suffix + ":\n  - "
                               + "\n  - ".join(missing))
 
-    def require_source(self) -> None:
+    # -- resolved objects ---------------------------------------------------
+
+    def source(self) -> SourceParams:
         if not (self.has("source.sigma") or self.has("source.sigma0")):
             raise ConfigError(
                 "a source parametrization is required: (source.sigma + "
                 "source.tau_p) | (source.sigma0 + source.rho) | "
                 "(source.cw + source.sigma)")
-
-    def require_link(self) -> None:
-        if not (self.has("link.beta") or self.has("link.two_beta")):
-            raise ConfigError("link.beta or link.two_beta (and link.length) "
-                              "are required")
-
-    # -- resolved objects ---------------------------------------------------
-
-    def source(self) -> SourceParams:
         if self.get("source.cw"):
             return SourceParams.cw_pump(self.get("source.sigma"))
         if self.has("source.sigma0"):
@@ -520,6 +513,9 @@ class RunConfig:
                             tau_p=self.get("source.tau_p"))
 
     def link(self) -> LinkParams:
+        if not (self.has("link.beta") or self.has("link.two_beta")):
+            raise ConfigError("link.beta or link.two_beta (and link.length) "
+                              "are required")
         beta = self.get("link.beta")
         if beta is None:
             beta = self.get("link.two_beta") / 2.0
@@ -604,17 +600,19 @@ def _parse_pairs(pairs, origin: str) -> dict:
     return values
 
 
-def load_config(path, overrides=()) -> RunConfig:
-    """Load and validate a config file, then apply ``--set`` overrides.
+def load_config(path=None, overrides=()) -> RunConfig:
+    """Load a config file, if given, apply ``--set`` overrides, and validate.
 
     All violations (unknown keys, bad units, missing counterparts) are
     collected and reported together in one :class:`ConfigError`.
     """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    text = ""
+    if path is not None:
+        path = Path(path)
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
     pairs = []
     problems = []
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -445,7 +445,12 @@ def narrowing_curve(source, center: float, widths, herald_on: int = 2,
             lambda idx: ratios_of(np.bincount(idx, minlength=t1.size)))
     else:
         errs = _ratio_errors(sums, ratios, at)
-    r_hat = np.clip(np.corrcoef(t1, t2)[0, 1], -0.999999, 0.999999)
+    # rho_t from centred column sums: x is done with, and np.corrcoef would
+    # copy both columns
+    x -= x.mean()
+    y = t2 - t2.mean()
+    r_hat = np.clip((x @ y) / math.sqrt((x @ x) * (y @ y)),
+                    -0.999999, 0.999999)
     return NarrowingCurve(widths=grid, ratios=ratios, std_errors=errs,
                           asymptote=math.sqrt(1.0 - r_hat ** 2))
 

@@ -36,7 +36,8 @@ from .fitting import FitConfig, fit
 from .params import LinkParams, SourceParams, TemporalCovariance
 from .sampler import DetectorModel, sample
 
-__all__ = ["RECIPES", "TargetCheck", "Bundle", "load_targets", "run_recipe"]
+__all__ = ["RECIPES", "TargetCheck", "Bundle", "load_targets", "run_recipe",
+           "narrowing_table", "centroid_table", "landscape_table"]
 
 # Statistical recipes compare refit values against reference bands whose
 # widths are dominated by the published uncertainties; the default seed is
@@ -114,6 +115,37 @@ def _reference_link(targets) -> LinkParams:
 
 
 # --------------------------------------------------------------------------
+# Table layouts, shared with the command line
+# --------------------------------------------------------------------------
+
+def _curve_table(header: list[str], columns: list) -> tuple[list[str], list]:
+    """Header and rows of a curve's columns; a None error column, as on the
+    analytic path, is left out."""
+    if columns[-1] is None:
+        header, columns = header[:-1], columns[:-1]
+    return header, list(zip(*columns))
+
+
+def narrowing_table(curve: herald.NarrowingCurve) -> tuple[list[str], list]:
+    """The narrowing-curve table: width, ratio and, if any, its error."""
+    return _curve_table(["width_s", "ratio", "std_error"],
+                        [curve.widths, curve.ratios, curve.std_errors])
+
+
+def centroid_table(curve: herald.CentroidCurve) -> tuple[list[str], list]:
+    """The centroid-curve table: center, mean and, if any, its error."""
+    return _curve_table(["center_s", "mean_s", "std_error_s"],
+                        [curve.centers, curve.means, curve.std_errors])
+
+
+def landscape_table(tau_p, sigma, grid) -> tuple[list[str], list]:
+    """A width landscape as one row per sigma, one column per tau_p (named
+    by its repr)."""
+    header = ["sigma_per_s"] + [repr(float(tp)) for tp in tau_p]
+    return header, [[s] + list(row) for s, row in zip(sigma, grid)]
+
+
+# --------------------------------------------------------------------------
 # Recipes
 # --------------------------------------------------------------------------
 
@@ -159,12 +191,8 @@ def _recipe_fig3a(targets, seed) -> Bundle:
         events = sample(cov, DetectorModel.ideal(), n=82000, seed=seed + i)
         emp_widths = np.geomspace(5e-11, 2e-9, 12)
         emp = herald.narrowing_curve(events, center=0.0, widths=emp_widths)
-        rows = [[w, r] for w, r in zip(curve.widths, curve.ratios)]
-        tables[f"fig3a_set{i + 1}_analytic"] = (["width_s", "ratio"], rows)
-        tables[f"fig3a_set{i + 1}_empirical"] = (
-            ["width_s", "ratio", "std_error"],
-            [[w, r, e] for w, r, e in zip(emp.widths, emp.ratios,
-                                          emp.std_errors)])
+        tables[f"fig3a_set{i + 1}_analytic"] = narrowing_table(curve)
+        tables[f"fig3a_set{i + 1}_empirical"] = narrowing_table(emp)
         asym = curve.asymptote
         checks.append(_check(f"set{i + 1}.asymptote", asym,
                              analytic.narrowing_ratio_limit(cov), 1e-12,
@@ -202,10 +230,7 @@ def _recipe_fig3b(targets, seed) -> Bundle:
         tables[f"fig3b_set{i + 1}_analytic"] = (
             ["center_s", "mean_100ps_s", "mean_smallwindow_s"],
             [[c, m, t] for c, m, t in zip(centers, finite.means, tiny.means)])
-        tables[f"fig3b_set{i + 1}_empirical"] = (
-            ["center_s", "mean_s", "std_error_s"],
-            [[c, m, e] for c, m, e in zip(emp.centers, emp.means,
-                                          emp.std_errors)])
+        tables[f"fig3b_set{i + 1}_empirical"] = centroid_table(emp)
         slope = tiny.slope()
         target = slope_entry["value"]
         checks.append(_check(f"set{i + 1}.small_window_slope", slope, target,
@@ -262,9 +287,7 @@ def _recipe_fig5(targets, seed) -> Bundle:
     opt = analytic.optimum(link)
     for which in ("tau1", "tau1h_0", "tau1h_dt_0"):
         grid = analytic.landscape(tau_p, sigma, link, which)
-        header = ["sigma_per_s"] + [repr(float(tp)) for tp in tau_p]
-        rows = [[s] + list(row) for s, row in zip(sigma, grid)]
-        tables[f"fig5_{which}"] = (header, rows)
+        tables[f"fig5_{which}"] = landscape_table(tau_p, sigma, grid)
         if which in ("tau1", "tau1h_0"):
             i_min, j_min = np.unravel_index(np.argmin(grid), grid.shape)
             i_opt = int(np.argmin(np.abs(np.log(sigma) - np.log(opt.sigma_opt))))

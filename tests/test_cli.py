@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -62,6 +63,90 @@ def test_config_error_exit_code_and_json(tmp_path, capsys):
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "config"
+
+
+# What each subcommand accepts: the options its code reads, no more.
+OPTION_TABLE = {
+    "simulate": {"--config", "--out", "--set", "--seed", "--unit"},
+    "fit": {"events", "--config", "--out", "--set", "--format"},
+    "herald": {"events", "--config", "--out", "--set", "--curve", "--svg"},
+    "optimize": {"--config", "--out", "--set", "--format", "--fix-sigma"},
+    "landscape": {"--config", "--out", "--set", "--which", "--svg"},
+    "reproduce": {"name", "--out", "--seed"},
+}
+
+
+def test_parser_matches_option_table():
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {name: {a.option_strings[0] if a.option_strings else a.dest
+                      for a in p._actions
+                      if not isinstance(a, argparse._HelpAction)}
+               for name, p in sub.choices.items()}
+    assert options == OPTION_TABLE
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "events.csv", "--seed", "3"],
+    ["herald", "--seed", "3"],
+    ["optimize", "--seed", "3"],
+    ["landscape", "--seed", "3"],
+    ["simulate", "--format", "csv"],
+    ["herald", "--format", "csv"],
+    ["landscape", "--format", "csv"],
+    ["reproduce", "fig4", "--format", "csv"],
+    ["reproduce", "fig4", "--config", "run.cfg"],
+    ["reproduce", "fig4", "--set", "sample.n=1000"],
+], ids=" ".join)
+def test_options_a_command_does_not_read_are_rejected(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+MODEL_SETTINGS = ["link.beta=-1.15e-26 s^2/m", "link.length=10 km",
+                  "herald.width=100 ps", "herald.width_min=10 ps",
+                  "herald.width_max=1 ns", "herald.width_points=5",
+                  "herald.center_min=-300 ps", "herald.center_max=300 ps",
+                  "herald.center_points=5"]
+
+
+@pytest.mark.parametrize("settings,message", [
+    (["source.sigma0=1 THz"],
+     "source.sigma0 and source.rho must be given together"),
+    (["source.sigma=3.29 THz", "source.tau_p=964 fs",
+      "link.two_beta=-2.3e-26 s^2/m"],
+     "exactly one of link.beta / link.two_beta is required"),
+], ids=["sigma0-without-rho", "beta-and-two-beta"])
+def test_config_from_overrides_alone_is_validated(tmp_path, capsys, settings,
+                                                  message):
+    # --set without --config builds its config as a file does: validated
+    # as a whole, and a config error writes nothing
+    out = tmp_path / "out"
+    argv = ["herald", "--out", str(out)]
+    for setting in settings + MODEL_SETTINGS:
+        argv += ["--set", setting]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert message in err["message"]
+    assert not out.exists()
+
+
+def test_simulate_from_overrides_alone_matches_config_file(tmp_path,
+                                                           config_path):
+    sets = []
+    for line in REFERENCE_CFG.splitlines():
+        key, _, value = line.partition("=")
+        sets += ["--set", f"{key.strip()}={value.strip()}"]
+    assert main(["simulate", "--out", str(tmp_path / "set"), *sets]) == 0
+    assert main(["simulate", "--config", str(config_path),
+                 "--out", str(tmp_path / "file")]) == 0
+    assert (tmp_path / "set" / "events.csv").read_bytes() == \
+        (tmp_path / "file" / "events.csv").read_bytes()
 
 
 def test_unknown_override_rejected(tmp_path, config_path):

@@ -521,6 +521,17 @@ class TestConfig:
         assert bare.fit_config() == FitConfig()
         assert bare.detector() == DetectorModel()
 
+    def test_overrides_alone_are_validated(self):
+        cfg = load_config(overrides=["link.two_beta=-2.27e-26 s^2/m",
+                                     "link.length=10 km"])
+        assert cfg.link().beta == pytest.approx(-1.135e-26)
+        with pytest.raises(ConfigError, match="link.length is required"):
+            load_config(overrides=["link.beta=-1e-26 s^2/m"])
+        with pytest.raises(ConfigError, match="link.beta or link.two_beta"):
+            load_config().link()
+        with pytest.raises(ConfigError, match="source parametrization"):
+            load_config().source()
+
     def test_background_requires_window_keys(self, tmp_path):
         path = tmp_path / "bg.cfg"
         path.write_text("detector.background_rate = 0.1\n")
