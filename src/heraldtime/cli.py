@@ -15,10 +15,10 @@ where OPTS is ``[--config F] [--set KEY=VALUE ...] [--out D]``.
 Every subcommand is a pure function of its declared inputs: no hidden state,
 no network, and reruns with the same config and seed produce byte-identical
 output.  The run config is the ``--config`` file, if any, with each
-``--set key=value`` applied on top (type-checked against the schema; unknown
-keys are rejected); it is validated as a whole either way, and a command
-that needs a key the config lacks is a configuration error.  ``--help``
-lists the full key table with units.
+``--set key=value`` applied on top; it is checked at load, every group it
+names built, so a bad value even in a group the command never reads is a
+configuration error, and so is a key the command needs but the config lacks.
+``--help`` lists the full key table with units.
 
 Exit codes: 0 success, 1 reproduction targets missed or unexpected error,
 2 configuration error, 3 numerical non-convergence, 4 I/O error.  Failures
@@ -140,6 +140,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_herald(args) -> int:
     cfg = _load(args)
+    plt = _matplotlib() if args.svg else None
     if args.events:
         source = read_events(args.events)
     else:
@@ -155,7 +156,8 @@ def _cmd_herald(args) -> int:
         print(f"narrowing asymptote = {curve.asymptote:.4f}")
     if args.curve in ("centroid", "both"):
         centers = cfg.grid("herald.center", scale="linear")
-        cfg.require("herald.width", why="centroid curve window width")
+        if not cfg.has("herald.width"):
+            raise ConfigError("herald.width is required for the centroid curve")
         curve = herald.centroid_curve(source, width=cfg.get("herald.width"),
                                       centers=centers, herald_on=direction)
         tables["centroid_curve"] = reproduce.centroid_table(curve)
@@ -165,8 +167,8 @@ def _cmd_herald(args) -> int:
     for path, table in zip(paths, tables.values()):
         write_table(path, *table)
         print(f"table: {path}")
-    if args.svg:
-        _render_curves_svg(paths)
+    if plt:
+        _render_curves_svg(plt, paths)
     return EXIT_OK
 
 
@@ -203,6 +205,7 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_landscape(args) -> int:
     cfg = _load(args)
+    plt = _matplotlib() if args.svg else None
     link = cfg.link()
     tau_p = cfg.grid("landscape.tau_p", scale="log")
     sigma = cfg.grid("landscape.sigma", scale="log")
@@ -211,8 +214,8 @@ def _cmd_landscape(args) -> int:
     write_table(path, *reproduce.landscape_table(tau_p, sigma, grid))
     print(f"landscape table ({grid.shape[0]}x{grid.shape[1]} cells, widths "
           f"in s): {path}")
-    if args.svg:
-        _render_heatmap_svg(path, tau_p, sigma, grid, args.which)
+    if plt:
+        _render_heatmap_svg(plt, path, tau_p, sigma, grid, args.which)
     return EXIT_OK
 
 
@@ -245,8 +248,7 @@ def _matplotlib():
             "--svg requires matplotlib (pip install heraldtime[plot])") from exc
 
 
-def _render_curves_svg(csv_paths) -> None:
-    plt = _matplotlib()
+def _render_curves_svg(plt, csv_paths) -> None:
     for path in csv_paths:
         rows = np.genfromtxt(path, delimiter=",", names=True)
         fields = rows.dtype.names
@@ -261,8 +263,7 @@ def _render_curves_svg(csv_paths) -> None:
         print(f"plot: {svg}")
 
 
-def _render_heatmap_svg(csv_path, tau_p, sigma, grid, which) -> None:
-    plt = _matplotlib()
+def _render_heatmap_svg(plt, csv_path, tau_p, sigma, grid, which) -> None:
     fig, ax = plt.subplots(figsize=(5, 4))
     mesh = ax.pcolormesh(tau_p, sigma, np.log10(grid), shading="auto")
     ax.set_xscale("log")

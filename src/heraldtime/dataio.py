@@ -29,11 +29,14 @@ suffixes on dimensioned quantities::
     sample.n       = 82000
     sample.seed    = 7
 
-``link.two_beta`` exists because dispersion is sometimes quoted as the
-combined two-arm coefficient; exactly one of ``link.beta`` / ``link.two_beta``
-must be present.  Frequency-like widths accept Hz-style suffixes, read as
-plain 1/s formula units.  Validation reports every violation at once, and
-unknown keys are rejected.
+The source takes exactly one key set: ``sigma`` + ``tau_p``, ``sigma0`` +
+``rho``, or ``cw = true`` + ``sigma``.  ``link.two_beta`` exists because
+dispersion is sometimes quoted as the combined two-arm coefficient; exactly
+one of ``link.beta`` / ``link.two_beta`` goes with ``link.length``.
+Frequency-like widths accept Hz-style suffixes, read as plain 1/s formula
+units.  Each group's rules live in the :class:`RunConfig` method that builds
+its object, and loading builds every group the config names: a stray key or
+a value out of range fails at load, and all violations are listed at once.
 """
 
 from __future__ import annotations
@@ -461,6 +464,9 @@ CONFIG_SCHEMA: dict[str, tuple[str, str]] = {
     "meta.delta_lambda": ("length", "pump bandwidth annotation, copied into reports"),
 }
 
+_SOURCE_FORMS = ("(source.sigma + source.tau_p) | (source.sigma0 + source.rho) "
+                 "| (source.cw + source.sigma)")
+
 # Defaults of the keys read directly; DetectorModel and FitConfig keep
 # their own.
 _DEFAULTS = {
@@ -488,44 +494,52 @@ class RunConfig:
         return {name: self.values[f"{prefix}.{name}"] for name in names
                 if f"{prefix}.{name}" in self.values}
 
-    def require(self, *keys: str, why: str = "") -> None:
-        """Raise ConfigError listing every missing key (considering defaults)."""
-        missing = [k for k in keys if self.get(k) is None]
-        if missing:
-            suffix = f" ({why})" if why else ""
-            raise ConfigError("missing required config keys" + suffix + ":\n  - "
-                              + "\n  - ".join(missing))
-
     # -- resolved objects ---------------------------------------------------
 
     def source(self) -> SourceParams:
-        if not (self.has("source.sigma") or self.has("source.sigma0")):
+        """The source of the one form whose exact key set the config gives:
+        {sigma, tau_p}, {sigma0, rho}, or source.cw = true with {sigma}."""
+        given = self._settings("source", ("sigma", "tau_p", "sigma0", "rho"))
+        form = set(given) | ({"cw"} if self.get("source.cw") else set())
+        if form == {"sigma", "tau_p"}:
+            return SourceParams(**given)
+        if form == {"sigma0", "rho"}:
+            return from_rho_form(SourceParamsRho(**given))
+        if form == {"cw", "sigma"}:
+            return SourceParams.cw_pump(**given)
+        if not form:
             raise ConfigError(
-                "a source parametrization is required: (source.sigma + "
-                "source.tau_p) | (source.sigma0 + source.rho) | "
-                "(source.cw + source.sigma)")
-        if self.get("source.cw"):
-            return SourceParams.cw_pump(self.get("source.sigma"))
-        if self.has("source.sigma0"):
-            return from_rho_form(SourceParamsRho(sigma0=self.get("source.sigma0"),
-                                                 rho=self.get("source.rho")))
-        return SourceParams(sigma=self.get("source.sigma"),
-                            tau_p=self.get("source.tau_p"))
+                "a source parametrization is required: " + _SOURCE_FORMS)
+        if ("sigma0" in form) != ("rho" in form):
+            raise ConfigError(
+                "source.sigma0 and source.rho must be given together")
+        if {"cw", "tau_p"} <= form:
+            raise ConfigError("source.cw excludes source.tau_p")
+        raise ConfigError(
+            "exactly one source parametrization is required: " + _SOURCE_FORMS)
 
     def link(self) -> LinkParams:
-        if not (self.has("link.beta") or self.has("link.two_beta")):
+        given = self._settings("link", ("beta", "two_beta"))
+        if not given:
             raise ConfigError("link.beta or link.two_beta (and link.length) "
                               "are required")
-        beta = self.get("link.beta")
-        if beta is None:
-            beta = self.get("link.two_beta") / 2.0
+        if len(given) > 1:
+            raise ConfigError(
+                "exactly one of link.beta / link.two_beta is required")
+        if not self.has("link.length"):
+            raise ConfigError(
+                "link.length is required with link.beta/link.two_beta")
+        beta = given["beta"] if "beta" in given else given["two_beta"] / 2.0
         return LinkParams(beta=beta, length=self.get("link.length"))
 
     def detector(self) -> DetectorModel:
         settings = self._settings("detector", ("jitter1", "jitter2",
                                                "reference_jitter",
                                                "background_rate"))
-        if self.has("detector.window_lo") or self.has("detector.window_hi"):
+        if self.has("detector.window_lo") != self.has("detector.window_hi"):
+            raise ConfigError("detector.window_lo and detector.window_hi must "
+                              "be given together")
+        if self.has("detector.window_lo"):
             settings["window"] = (self.get("detector.window_lo"),
                                   self.get("detector.window_hi"))
         return DetectorModel(**settings)
@@ -547,64 +561,35 @@ class RunConfig:
         return np.linspace(lo, hi, int(n))
 
 
-def _validate(values: dict) -> list[str]:
-    problems = []
-    has_pulse = "source.sigma" in values and "source.tau_p" in values
-    has_rho = "source.sigma0" in values or "source.rho" in values
-    cw = bool(values.get("source.cw", False))
-    if has_rho and ("source.sigma0" in values) != ("source.rho" in values):
-        problems.append("source.sigma0 and source.rho must be given together")
-    styles = sum([has_pulse and not cw, has_rho,
-                  cw and "source.sigma" in values])
-    if "source.sigma" in values or "source.tau_p" in values or has_rho or cw:
-        if styles != 1:
-            problems.append(
-                "exactly one source parametrization is required: "
-                "(source.sigma + source.tau_p) | (source.sigma0 + source.rho) "
-                "| (source.cw + source.sigma)")
-        if cw and "source.tau_p" in values:
-            problems.append("source.cw excludes source.tau_p")
-    if ("link.beta" in values) == ("link.two_beta" in values) and (
-            "link.beta" in values or "link.two_beta" in values):
-        problems.append("exactly one of link.beta / link.two_beta is required")
-    if ("link.beta" in values or "link.two_beta" in values) \
-            and "link.length" not in values:
-        problems.append("link.length is required with link.beta/link.two_beta")
-    rate = values.get("detector.background_rate", 0.0)
-    if rate and ("detector.window_lo" not in values
-                 or "detector.window_hi" not in values):
-        problems.append("detector.background_rate > 0 requires "
-                        "detector.window_lo and detector.window_hi")
-    if ("detector.window_lo" in values) != ("detector.window_hi" in values):
-        problems.append("detector.window_lo and detector.window_hi must be "
-                        "given together")
-    return problems
+# The groups a config may name, each checked by building its object.
+_GROUPS = {"source": RunConfig.source, "link": RunConfig.link,
+           "detector": RunConfig.detector, "fit": RunConfig.fit_config}
 
 
-def _parse_pairs(pairs, origin: str) -> dict:
-    values = {}
-    problems = []
-    for lineno, key, raw in pairs:
-        where = f"{origin}:{lineno}" if lineno else origin
+def _parse_pairs(pairs, problems: list[str]) -> tuple[dict, set]:
+    """Values of the ``(where, key, raw)`` pairs that parse, the last pair
+    of a key winning, and the keys of those that do not, each a problem."""
+    values, failed = {}, set()
+    for where, key, raw in pairs:
         if key not in CONFIG_SCHEMA:
             problems.append(f"{where}: unknown key {key!r}")
+            failed.add(key)
             continue
-        kind, _ = CONFIG_SCHEMA[key]
         try:
-            values[key] = parse_quantity(raw, kind)
+            values[key] = parse_quantity(raw, CONFIG_SCHEMA[key][0])
         except ValueError as exc:
             problems.append(f"{where}: {key}: {exc}")
-    if problems:
-        raise ConfigError("invalid configuration:\n  - "
-                          + "\n  - ".join(problems))
-    return values
+            failed.add(key)
+    return values, failed
 
 
 def load_config(path=None, overrides=()) -> RunConfig:
-    """Load a config file, if given, apply ``--set`` overrides, and validate.
+    """Load a config file, if given, apply ``--set`` overrides, and check
+    the result by building each group (source, link, detector, fit) that a
+    parsed key names and no unparsed key does.
 
-    All violations (unknown keys, bad units, missing counterparts) are
-    collected and reported together in one :class:`ConfigError`.
+    Every violation (bad lines, unknown keys, bad units, groups that fail to
+    build) is reported together in one :class:`ConfigError`.
     """
     text = ""
     if path is not None:
@@ -624,28 +609,33 @@ def load_config(path=None, overrides=()) -> RunConfig:
                             f"{stripped!r}")
             continue
         key, _, raw = stripped.partition("=")
-        pairs.append((lineno, key.strip(), raw.strip()))
+        pairs.append((f"{path}:{lineno}", key.strip(), raw.strip()))
+    for item in overrides:
+        if "=" not in item:
+            problems.append(f"--set expects key=value, got {item!r}")
+            continue
+        key, _, raw = item.partition("=")
+        pairs.append(("--set", key.strip(), raw.strip()))
+    values, failed = _parse_pairs(pairs, problems)
+    cfg = RunConfig(values)
+    unparsed = {key.partition(".")[0] for key in failed}
+    for group, build in _GROUPS.items():
+        if group not in unparsed and any(key.startswith(group + ".")
+                                         for key in values):
+            try:
+                build(cfg)
+            except (ConfigError, ValueError) as exc:
+                problems.append(f"{group}: {exc}")
     if problems:
         raise ConfigError("invalid configuration:\n  - "
                           + "\n  - ".join(problems))
-    values = _parse_pairs(pairs, str(path))
-    values.update(parse_overrides(overrides))
-    structural = _validate(values)
-    if structural:
-        raise ConfigError("invalid configuration:\n  - "
-                          + "\n  - ".join(structural))
-    return RunConfig(values)
+    return cfg
 
 
 def parse_overrides(overrides) -> dict:
-    """Parse ``key=value`` override strings against the schema."""
-    pairs = []
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, _, raw = item.partition("=")
-        pairs.append((None, key.strip(), raw.strip()))
-    return _parse_pairs(pairs, "--set")
+    """The values ``key=value`` override strings set, checked as a config
+    of their own."""
+    return load_config(overrides=overrides).values
 
 
 def format_schema_help() -> str:

@@ -88,27 +88,32 @@ class HeraldWindow:
     herald_on: int = 2
 
     def __post_init__(self):
-        if not (isinstance(self.width, (int, float)) and self.width > 0):
-            raise ValueError(f"width must be positive, got {self.width!r}")
-        if not (isinstance(self.center, (int, float)) and math.isfinite(self.center)):
-            raise ValueError(f"center must be finite, got {self.center!r}")
-        if self.herald_on not in (1, 2):
-            raise ValueError(f"herald_on must be 1 or 2, got {self.herald_on!r}")
+        _window(self.center, self.width)
+        _check_herald_on(self.herald_on)
 
     @property
     def bounds(self) -> tuple[float, float]:
         return _window(self.center, self.width)
 
 
+def _check_herald_on(herald_on: int) -> None:
+    if herald_on not in (1, 2):
+        raise ValueError(f"herald_on must be 1 or 2, got {herald_on!r}")
+
+
 def _oriented(source, herald_on: int):
     """The source as heralded on channel 2: a TemporalCovariance, swapped
     when channel 1 heralds, or an EventSet's (analyzed, heralding) channel
-    columns, as views.  ValueError unless ``herald_on`` is 1 or 2."""
-    if herald_on not in (1, 2):
-        raise ValueError(f"herald_on must be 1 or 2, got {herald_on!r}")
+    columns, as views.  ValueError unless ``herald_on`` is 1 or 2, TypeError
+    for any other source."""
+    _check_herald_on(herald_on)
     if isinstance(source, TemporalCovariance):
         return source if herald_on == 2 else source.swapped()
-    return (source.t1, source.t2) if herald_on == 2 else (source.t2, source.t1)
+    if isinstance(source, EventSet):
+        return ((source.t1, source.t2) if herald_on == 2
+                else (source.t2, source.t1))
+    raise TypeError(f"source must be an EventSet or TemporalCovariance, "
+                    f"got {type(source).__name__}")
 
 
 def _resample_rng(n_boot, seed: int):
@@ -394,22 +399,19 @@ def narrowing_curve(source, center: float, widths, herald_on: int = 2,
     ``herald_on`` other than 1 or 2.
     """
     grid = _as_grid(widths, 3, "widths")
-    if isinstance(source, TemporalCovariance):
-        cov = _oriented(source, herald_on)
-        full = cov.tau1
-        ratios = np.array([conditional_moments(cov, center, w)[1] / full
+    oriented = _oriented(source, herald_on)
+    if isinstance(oriented, TemporalCovariance):
+        full = oriented.tau1
+        ratios = np.array([conditional_moments(oriented, center, w)[1] / full
                            for w in grid])
         return NarrowingCurve(widths=grid, ratios=ratios, std_errors=None,
-                              asymptote=narrowing_ratio_limit(cov))
-    if not isinstance(source, EventSet):
-        raise TypeError(f"source must be an EventSet or TemporalCovariance, "
-                        f"got {type(source).__name__}")
+                              asymptote=narrowing_ratio_limit(oriented))
 
     # the model path's rule, before any counting
     unique = np.unique(grid)
     lo, hi = np.array([_window(center, w) for w in unique]).T
     rng = _resample_rng(n_boot, seed)
-    t1, t2 = _oriented(source, herald_on)
+    t1, t2 = oriented
     # The windows share one center, so they are nested: lo falls and hi
     # rises with the width.  Shell j holds the events of the j-th narrowest
     # window but of no narrower one, the first window with lo <= t2 <= hi;
@@ -468,17 +470,15 @@ def centroid_curve(source, width: float, centers, herald_on: int = 2,
     or a ``herald_on`` other than 1 or 2.
     """
     grid = _as_grid(centers, 3, "centers")
-    if isinstance(source, TemporalCovariance):
-        cov = _oriented(source, herald_on)
-        means = np.array([conditional_moments(cov, c, width)[0] for c in grid])
+    oriented = _oriented(source, herald_on)
+    if isinstance(oriented, TemporalCovariance):
+        means = np.array([conditional_moments(oriented, c, width)[0]
+                          for c in grid])
         return CentroidCurve(centers=grid, means=means, std_errors=None)
-    if not isinstance(source, EventSet):
-        raise TypeError(f"source must be an EventSet or TemporalCovariance, "
-                        f"got {type(source).__name__}")
 
     for c in grid:
         _window(c, width)  # the model path's rule, before any counting
-    t1, t2 = _oriented(source, herald_on)
+    t1, t2 = oriented
     rng = _resample_rng(n_boot, seed)
     means, errs = np.array([
         _estimate(t1[_in_window(t2, c, width)], np.mean, _mean_error, n_boot,

@@ -1,5 +1,6 @@
 import argparse
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -134,6 +135,52 @@ def test_config_from_overrides_alone_is_validated(tmp_path, capsys, settings,
     assert err["error"] == "config"
     assert message in err["message"]
     assert not out.exists()
+
+
+LINK_CFG = "link.beta = -1.15e-26 s^2/m\nlink.length = 10 km\n"
+
+
+@pytest.mark.parametrize("lines,message", [
+    ("source.sigma0 = 2 THz\nsource.rho = -0.4\nsource.sigma = 3 THz\n",
+     "source: exactly one source parametrization"),
+    ("source.sigma0 = 2 THz\nsource.rho = -0.4\nsource.tau_p = 1 ps\n",
+     "source: exactly one source parametrization"),
+    ("source.sigma0 = 2 THz\nsource.rho = 1.5\n",
+     "source: rho must lie strictly inside (-1, 1), got 1.5"),
+    ("link.length = -1 km\n", "link: length must be finite and >= 0"),
+    ("detector.jitter1 = -1 ps\n", "detector: jitter1 must be finite"),
+    ("fit.loss = foo\n", "fit: loss must be 'hist-ls' or 'ml', got 'foo'"),
+], ids=["rho-form-stray-sigma", "rho-form-stray-tau_p", "rho-out-of-range",
+        "negative-length", "negative-jitter", "unknown-loss"])
+def test_config_checked_at_load_even_where_the_command_does_not_read(
+        tmp_path, capsys, lines, message):
+    # optimize reads only the link, yet a bad source, detector or fit
+    # group stops it at load: one JSON config error, nothing written
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(LINK_CFG + lines)
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "config"
+    assert message in json.loads(err[0])["message"]
+    assert not out.exists()
+
+
+def test_fit_with_a_bad_detector_block_writes_no_report(tmp_path,
+                                                        config_path, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config_path),
+                 "--out", str(out)]) == 0
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(REFERENCE_CFG + "detector.jitter1 = -1 ps\n")
+    capsys.readouterr()
+    assert main(["fit", str(out / "events.csv"), "--config", str(bad),
+                 "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert "detector: jitter1 must be finite and >= 0" in err["message"]
+    assert not (out / "fit_report.json").exists()
 
 
 def test_simulate_from_overrides_alone_matches_config_file(tmp_path,
@@ -373,6 +420,31 @@ def test_herald_svg(tmp_path, config_path):
                  "--curve", "narrowing", "--svg"])
     assert code == 0
     assert (out / "narrowing_curve.svg").exists()
+
+
+@pytest.mark.parametrize("command,settings", [
+    ("herald", ["--curve", "narrowing", "--set", "herald.width_min=10 ps",
+                "--set", "herald.width_max=1 ns",
+                "--set", "herald.width_points=5"]),
+    ("landscape", ["--set", "landscape.tau_p_min=1 ps",
+                   "--set", "landscape.tau_p_max=100 ps",
+                   "--set", "landscape.tau_p_points=4",
+                   "--set", "landscape.sigma_min=50 GHz",
+                   "--set", "landscape.sigma_max=5 THz",
+                   "--set", "landscape.sigma_points=4"]),
+], ids=["herald", "landscape"])
+def test_svg_without_matplotlib_writes_nothing(tmp_path, config_path, capsys,
+                                               monkeypatch, command,
+                                               settings):
+    # a missing plotting library is found before any table is written
+    monkeypatch.setitem(sys.modules, "matplotlib", None)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config_path), "--out", str(out),
+                 "--svg", *settings]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert "--svg requires matplotlib" in err["message"]
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_optimize_no_dispersion_is_config_error(tmp_path):

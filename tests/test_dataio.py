@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from heraldtime.dataio import (
     _plain_body_start,
 )
 from heraldtime.fitting import FitConfig
+from heraldtime.params import SourceParams
 from heraldtime.sampler import DetectorModel, EventSet, sample
 
 from conftest import REFERENCE_SETS
@@ -537,6 +539,81 @@ class TestConfig:
         path.write_text("detector.background_rate = 0.1\n")
         with pytest.raises(ConfigError, match="window"):
             load_config(path)
+
+    @pytest.mark.parametrize("stray", ["source.sigma = 2 THz",
+                                       "source.tau_p = 1 ps"])
+    def test_rho_form_with_a_stray_source_key_rejected(self, tmp_path, stray):
+        path = tmp_path / "rho.cfg"
+        path.write_text("source.sigma0 = 1 THz\nsource.rho = -0.5\n"
+                        + stray + "\n")
+        with pytest.raises(ConfigError,
+                           match="source: exactly one source parametrization"):
+            load_config(path)
+
+    @pytest.mark.parametrize("lines,message", [
+        (["source.cw = true", "source.sigma = 1 THz", "source.tau_p = 1 ps"],
+         "source: source.cw excludes source.tau_p"),
+        (["source.cw = false"], "source: a source parametrization is required"),
+        (["source.rho = 0.5", "source.sigma = 1 THz", "source.tau_p = 1 ps"],
+         "source: source.sigma0 and source.rho must be given together"),
+        (["link.length = 1 km"], "link: link.beta or link.two_beta"),
+        (["detector.window_lo = -1 ns"],
+         "detector: detector.window_lo and detector.window_hi must be given "
+         "together"),
+        (["detector.background_rate = 0.1"],
+         "detector: background_rate > 0 requires a window"),
+    ], ids=["cw-with-tau_p", "cw-false-alone", "rho-without-sigma0",
+            "length-alone", "one-window-edge", "background-without-window"])
+    def test_each_named_group_is_built_at_load(self, tmp_path, lines,
+                                               message):
+        path = tmp_path / "run.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(path)
+
+    def test_cw_false_counts_as_absent(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("source.cw = false\nsource.sigma = 1 THz\n"
+                        "source.tau_p = 1 ps\n")
+        assert load_config(path).source() == SourceParams(sigma=1e12,
+                                                          tau_p=1e-12)
+
+    def test_values_checked_at_load_and_listed_together(self, tmp_path):
+        # each group's values are checked by building it, whether or not a
+        # command reads the group; every failure is named by its group
+        path = tmp_path / "bad.cfg"
+        path.write_text("source.sigma0 = 1 THz\nsource.rho = 1.5\n"
+                        "link.beta = -1e-26 s^2/m\nlink.length = -1 km\n"
+                        "detector.jitter1 = -1 ps\nfit.loss = foo\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        message = str(err.value)
+        assert message.startswith("invalid configuration:")
+        for problem in (
+                "source: rho must lie strictly inside (-1, 1), got 1.5",
+                "link: length must be finite and >= 0, got -1000.0",
+                "detector: jitter1 must be finite and >= 0, got -1e-12",
+                "fit: loss must be 'hist-ls' or 'ml', got 'foo'"):
+            assert f"\n  - {problem}" in message
+
+    def test_parse_and_group_problems_listed_together(self):
+        # a group with a key that did not parse is left unbuilt, so the
+        # parse problem is all that is said about it
+        with pytest.raises(ConfigError) as err:
+            load_config(overrides=["source.sigma0=1 THz", "source.rho=half",
+                                   "link.beta=-1e-26 s^2/m",
+                                   "link.length=-1 km", "nonsense"])
+        problems = str(err.value).split("\n  - ")[1:]
+        assert sorted(problems) == sorted([
+            "--set expects key=value, got 'nonsense'",
+            "--set: source.rho: expected a number, got 'half'",
+            "link: length must be finite and >= 0, got -1000.0"])
+
+    def test_groups_not_named_are_not_built(self):
+        cfg = load_config(overrides=["sample.n=10", "herald.width=1 ns"])
+        with pytest.raises(ConfigError, match="source parametrization"):
+            cfg.source()
+        assert cfg.detector() == DetectorModel()
 
     def test_overrides_typechecked(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -45,6 +45,16 @@ class TestWindow:
         with pytest.raises(ValueError):
             HeraldWindow(center=0.0, width=1e-10, herald_on=3)
 
+    def test_validation_is_the_window_and_channel_rule(self):
+        # the window rule of the model paths and the channel rule of the
+        # curves, with their messages
+        with pytest.raises(ValueError, match="window width must be positive"):
+            HeraldWindow(center=0.0, width=-1e-10)
+        with pytest.raises(ValueError, match="window center must be finite"):
+            HeraldWindow(center=math.inf, width=1e-10)
+        with pytest.raises(ValueError, match="herald_on must be 1 or 2"):
+            HeraldWindow(center=0.0, width=1e-10, herald_on=0)
+
     def test_bounds(self):
         w = HeraldWindow(center=1e-10, width=4e-11)
         assert w.bounds == (pytest.approx(8e-11), pytest.approx(1.2e-10))
@@ -307,6 +317,19 @@ class TestInvalidGridPoints:
         for source in sources:
             with pytest.raises(ValueError, match="center must be finite"):
                 centroid_curve(source, 1e-10, [-1e-10, bad, 1e-10], n_boot=5)
+
+    def test_other_sources_rejected(self):
+        # one rule for every entry point: an EventSet or a covariance
+        raw = np.zeros((100, 2))
+        message = "source must be an EventSet or TemporalCovariance"
+        with pytest.raises(TypeError, match=message):
+            narrowing_curve(raw, 0.0, [1e-10, 3e-10, 1e-9])
+        with pytest.raises(TypeError, match=message):
+            centroid_curve(raw, 1e-10, [-1e-10, 0.0, 1e-10])
+        with pytest.raises(TypeError, match=message):
+            select(raw, HeraldWindow(0.0, 1e-10))
+        with pytest.raises(TypeError, match=message):
+            heralded_width(raw, HeraldWindow(0.0, 1e-10))
 
     @pytest.mark.parametrize("bad", [math.nan, 0.0, -1e-10])
     def test_centroid_width(self, sources, bad):
