@@ -386,6 +386,12 @@ _LANDSCAPE_KERNELS = {
 }
 
 
+def _check_axis_size(size: int) -> None:
+    """A landscape axis is not empty."""
+    if size < 1:
+        raise ValueError("tau_p_grid and sigma_grid must be non-empty 1-D arrays")
+
+
 def landscape(tau_p_grid, sigma_grid, link: LinkParams, which: str) -> np.ndarray:
     """Evaluate one width on a (tau_p, sigma) grid.
 
@@ -402,8 +408,8 @@ def landscape(tau_p_grid, sigma_grid, link: LinkParams, which: str) -> np.ndarra
         ) from None
     tp = np.asarray(tau_p_grid, dtype=float)
     sig = np.asarray(sigma_grid, dtype=float)
-    if tp.ndim != 1 or sig.ndim != 1 or tp.size == 0 or sig.size == 0:
-        raise ValueError("tau_p_grid and sigma_grid must be non-empty 1-D arrays")
+    for axis in (tp, sig):
+        _check_axis_size(axis.size if axis.ndim == 1 else 0)
     if not (np.all(tp > 0) and np.all(sig > 0)):
         raise ValueError("grid values must be positive")
     return kernel(sig[:, None], tp[None, :], link.beta * link.length)

@@ -19,6 +19,17 @@ exactly representable).  The reader parses the data rows in one vectorized
 call; a body that call refuses is read line by line, which also honours
 ``#`` lines among the rows, and every read error names the file line.
 
+A large event set is written and read in contiguous shares of its rows,
+one for each CPU the process may run on, when each worker's share gets at
+least ``_PARALLEL_MIN_ROWS`` (200 000) rows and the process's own share
+that many more on a read, half as many on a write: a million events on two
+CPUs split, 82 000 stay serial.  The process does the first share; each
+other share runs in a worker process (``sys.executable``) through the same
+block formatter or the same ``np.loadtxt`` call, so the bytes written and
+the floats read are those of the serial codec.  Where a worker cannot start or
+dies, the process does its rows itself; where any share is refused, the
+whole body goes to the line walk, with the same errors.
+
 Run configuration is a flat ``key = value`` text file with explicit unit
 suffixes on dimensioned quantities::
 
@@ -37,18 +48,29 @@ Frequency-like widths accept Hz-style suffixes, read as plain 1/s formula
 units.  Each group's rules live in the :class:`RunConfig` method that builds
 its object, and loading builds every group the config names: a stray key or
 a value out of range fails at load, and all violations are listed at once.
+The ``sample``, ``herald`` and ``landscape`` values, read as they are, are
+checked at load by the rules of the code that reads them: ``sample.n >= 1``,
+``herald.direction`` 1 or 2, at least 3 herald grid points and a non-empty
+landscape axis.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import itertools
 import json
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .analytic import _check_axis_size
 from .fitting import FitConfig
+from .herald import _check_grid_size, _check_herald_on
 from .params import (
     HeraldtimeError,
     LinkParams,
@@ -56,7 +78,7 @@ from .params import (
     SourceParamsRho,
     from_rho_form,
 )
-from .sampler import DetectorModel, EventSet
+from .sampler import DetectorModel, EventSet, _check_count
 
 __all__ = [
     "EventFileError",
@@ -83,6 +105,14 @@ _WRITE_BLOCK_ROWS = 4096
 # Body bytes checked per read before the one-call parse: bounds the bytes
 # held at once.
 _SCAN_BLOCK = 1 << 20
+# Fewest rows a worker's share of a split read or write takes (see _split).
+# A worker process takes ~0.25 s to start and import NumPy without a
+# bytecode cache: the time ~200 000 rows take to parse (~1.3 us a row) and
+# ~100 000 to format (~2.3 us a row).  A smaller share would gain nothing,
+# and the caller's own share is larger by the rows it does meanwhile.
+_PARALLEL_MIN_ROWS = 200_000
+# Bytes moved per call between a worker's pipe and the file or array.
+_PIPE_CHUNK = 1 << 16
 
 TIME_UNITS = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "ps": 1e-12,
               "fs": 1e-15}
@@ -168,7 +198,8 @@ def write_events(events: EventSet, path, unit: str = "s") -> None:
     """Write an event set as CSV with a header block; deterministic output.
 
     The ``units`` line states the unit, so a ``units`` metadata key is not
-    repeated in the ``meta`` JSON.
+    repeated in the ``meta`` JSON.  A large set is formatted in shares by
+    :func:`_split`; the bytes are those of the serial write.
     """
     if unit not in TIME_UNITS:
         raise ValueError(f"unknown time unit {unit!r}; known: {sorted(TIME_UNITS)}")
@@ -184,16 +215,45 @@ def write_events(events: EventSet, path, unit: str = "s") -> None:
             raise ReportError(
                 f"event metadata contains non-finite values: {exc}") from exc
     data = events.events
+
+    def rows_file(lo, hi):
+        import tempfile
+
+        rows = tempfile.TemporaryFile()
+        rows.write(np.ascontiguousarray(data[lo:hi]))
+        rows.seek(0)
+        return ["write", repr(scale)], rows
+
     try:
-        with path.open("w", encoding="utf-8") as fh:
-            fh.write("\n".join(header) + "\n")
-            for start in range(0, len(data), _WRITE_BLOCK_ROWS):
-                # Same IEEE division and shortest repr as one row at a time.
-                flat = (data[start:start + _WRITE_BLOCK_ROWS]
-                        / scale).ravel().tolist()
-                fh.write("%r,%r\n" * (len(flat) // 2) % tuple(flat))
+        with path.open("wb") as fh:
+            fh.write(("\n".join(header) + "\n").encode("utf-8"))
+            with _split(len(data), rows_file,
+                        _PARALLEL_MIN_ROWS // 2) as shares:
+                if shares is None:
+                    _write_rows(fh, data, scale)
+                    return
+                import shutil
+
+                _write_rows(fh, data[:shares[0][1]], scale)
+                for lo, _, proc in shares[1:]:
+                    at = fh.tell()
+                    shutil.copyfileobj(proc.stdout, fh, _PIPE_CHUNK)
+                    if proc.wait() != 0:  # a worker died: the rest serially
+                        fh.seek(at)
+                        fh.truncate()
+                        _write_rows(fh, data[lo:], scale)
+                        return
     except OSError as exc:
         raise ReportError(f"cannot write event file {path}: {exc}") from exc
+
+
+def _write_rows(fh, data: np.ndarray, scale: float) -> None:
+    """Write the rows of ``data / scale`` to the binary ``fh``, one
+    ``_WRITE_BLOCK_ROWS`` block at a time."""
+    for start in range(0, len(data), _WRITE_BLOCK_ROWS):
+        # Same IEEE division and shortest repr as one row at a time.
+        flat = (data[start:start + _WRITE_BLOCK_ROWS] / scale).ravel().tolist()
+        fh.write(("%r,%r\n" * (len(flat) // 2) % tuple(flat)).encode("ascii"))
 
 
 def read_events(path) -> EventSet:
@@ -201,10 +261,11 @@ def read_events(path) -> EventSet:
 
     A body of ASCII lines broken only at "\\n" (what :func:`write_events`
     writes) is checked in blocks of ``_SCAN_BLOCK`` bytes and then parsed
-    from the file in one call, so the reader holds one block or the parsed
-    array, never the file's text; the returned :class:`EventSet` takes that
-    array without a copy.  Any other body is decoded whole and read line by
-    line.
+    from the file by ``np.loadtxt``, in shares by :func:`_split` when it is
+    large, so the reader holds one block or the parsed array, never the
+    file's text; the returned :class:`EventSet` takes that array without a
+    copy.  Any other body, or one that parse refuses, is decoded whole and
+    read line by line.
 
     Raises :class:`EventFileError` naming the line for any malformed content.
     """
@@ -213,20 +274,13 @@ def read_events(path) -> EventSet:
         with path.open("rb") as fh:
             reader = _EventReader(path)
             plain = _plain_body_start(fh, reader)
-            if plain is not None:
-                start, rows = plain
-                fh.seek(start)
-                # A row loadtxt rejects or skips (a blank one) sends the body
-                # to the line walk below, which alone reports errors and
-                # reads what only float() accepts or what needs line order.
-                try:
-                    arr = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-                except ValueError:
-                    arr = None
-                if (arr is not None and arr.shape == (rows, 2)
-                        and np.isfinite(arr).all()):
-                    arr *= reader.scale
-                    return _event_set(reader, arr)
+            # A row loadtxt rejects or skips (a blank one) sends the body to
+            # the line walk below, which alone reports errors and reads what
+            # only float() accepts or what needs line order.
+            arr = None if plain is None else _read_plain(fh, path, *plain)
+            if arr is not None:
+                arr *= reader.scale
+                return _event_set(reader, arr)
             fh.seek(0)
             text = fh.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -242,6 +296,152 @@ def read_events(path) -> EventSet:
     if reader.scale is None:
         raise EventFileError(f"{path}: missing mandatory '# units = ...' line")
     return _event_set(reader, arr)
+
+
+def _read_plain(fh, path: Path, start: int, rows: int) -> np.ndarray | None:
+    """The ``rows`` lines of the plain body at byte ``start`` of ``fh`` as
+    an array, parsed in shares by :func:`_split` when there are enough, or
+    None where any share is refused."""
+
+    def body_range(lo, hi):
+        at = _line_offset(fh, start, lo)
+        return ["read", str(path), str(at), str(hi - lo)], None
+
+    with _split(rows, body_range, _PARALLEL_MIN_ROWS) as shares:
+        fh.seek(start)
+        if shares is None:
+            return _parse_rows(fh, rows)
+        arr = _parse_rows(fh, shares[0][1])
+        if arr is None:
+            return None
+        arr.resize((rows, 2), refcheck=False)  # in place: no second copy
+        for lo, hi, proc in shares[1:]:
+            share = memoryview(arr[lo:hi]).cast("B")
+            got = 0
+            while got < len(share) and (
+                    size := proc.stdout.readinto(share[got:got + _PIPE_CHUNK])):
+                got += size
+            if got < len(share) or proc.stdout.read(1) or proc.wait() != 0:
+                return None
+        return arr
+
+
+def _parse_rows(fh, rows: int) -> np.ndarray | None:
+    """The next ``rows`` lines of the binary ``fh`` as a (rows, 2) array, or
+    None where ``np.loadtxt`` refuses or skips one or reads a non-finite
+    value."""
+    try:
+        arr = np.loadtxt(itertools.islice(fh, rows), delimiter=",",
+                         comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return arr if arr.shape == (rows, 2) and np.isfinite(arr).all() else None
+
+
+def _line_offset(fh, start: int, line: int) -> int:
+    """Byte offset of line ``line`` (from 0) of the "\\n"-broken body at
+    byte ``start`` of ``fh``, counted in blocks of ``_SCAN_BLOCK`` bytes;
+    the end of the file if the body has fewer lines."""
+    fh.seek(start)
+    block = bytearray(_SCAN_BLOCK)
+    while size := fh.readinto(block):
+        breaks = block.count(b"\n", 0, size)
+        if breaks >= line:
+            at = 0
+            for _ in range(line):
+                at = block.index(b"\n", at) + 1
+            return start + at
+        line -= breaks
+        start += size
+    return start
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _split(rows: int, share_input, head: int):
+    """Contiguous shares of ``rows`` rows, one for each CPU, every share but
+    the first started in a worker process; the caller does the first.  Each
+    worker's share holds at least ``_PARALLEL_MIN_ROWS`` rows, and the
+    caller's ``head`` rows more: those it does while the workers start.
+
+    Yields ``[(lo, hi, proc), ...]``, with ``proc`` None for the first share,
+    or None when the rows are too few, there is one CPU or a worker cannot
+    start: the caller then does every row itself.  ``share_input(lo, hi)``
+    gives a worker's arguments to :func:`_share_worker` and the binary file
+    its stdin reads, or None.  A worker writes its result to its stdout
+    pipe.  On exit every worker still running is killed, and all are waited
+    for.
+    """
+    count = min(_cpu_count(), (rows - head) // _PARALLEL_MIN_ROWS)
+    if count < 2 or not sys.executable:
+        yield None
+        return
+    import subprocess
+
+    bounds = [0] + [head + (rows - head) * k // count
+                    for k in range(1, count + 1)]
+    shares = [[lo, hi, None] for lo, hi in zip(bounds, bounds[1:])]
+    root = str(Path(__file__).resolve().parent.parent)
+    with contextlib.ExitStack() as stack:
+        try:
+            for share in shares[1:]:
+                args, stdin = share_input(*share[:2])
+                with stdin or contextlib.nullcontext():
+                    share[2] = subprocess.Popen(
+                        [sys.executable, "-c", _WORKER, root, *args],
+                        stdin=stdin or subprocess.DEVNULL,
+                        stdout=subprocess.PIPE)
+                stack.callback(_stop, share[2])
+        except OSError:
+            stack.close()
+            shares = None
+        yield shares
+
+
+# How a worker process starts: this interpreter imports this package from
+# where this process found it.  Ctrl-C ends a worker without a traceback;
+# the caller stops the others.
+_WORKER = ("import signal, sys; signal.signal(signal.SIGINT, signal.SIG_DFL); "
+           "sys.path.insert(0, sys.argv[1]); "
+           "from heraldtime.dataio import _share_worker; "
+           "_share_worker(*sys.argv[2:])")
+
+
+def _stop(proc) -> None:
+    """Kill a worker unless it has exited, close its pipe and wait for it."""
+    if proc.poll() is None:
+        proc.kill()
+    proc.stdout.close()
+    proc.wait()
+
+
+def _share_worker(mode: str, *args: str) -> None:
+    """One share of a split write or read, in a worker process: ``write
+    SCALE`` writes the float64 rows on stdin as :func:`write_events` does;
+    ``read PATH OFFSET ROWS`` parses ROWS lines of PATH from byte OFFSET as
+    :func:`read_events` does, exiting 1 where that parse refuses them.  The
+    text or the float64 rows go to stdout."""
+    out = sys.stdout.buffer
+    if mode == "write":
+        rows = np.frombuffer(sys.stdin.buffer.read()).reshape(-1, 2)
+        text = io.BytesIO()  # the caller reads the pipe after its own share
+        _write_rows(text, rows, float(args[0]))
+        out.write(text.getbuffer())
+        return
+    path, offset, rows = args
+    with open(path, "rb") as fh:
+        fh.seek(int(offset))
+        arr = _parse_rows(fh, int(rows))
+    if arr is None:
+        sys.exit(1)
+    out.write(arr)
 
 
 def _body_start(lines: list[str]) -> int:
@@ -561,9 +761,29 @@ class RunConfig:
         return np.linspace(lo, hi, int(n))
 
 
-# The groups a config may name, each checked by building its object.
+def _check_sample(cfg: RunConfig) -> None:
+    _check_count(cfg.get("sample.n"))
+
+
+def _check_herald(cfg: RunConfig) -> None:
+    _check_herald_on(cfg.get("herald.direction"))
+    for axis in ("width", "center"):
+        if cfg.has(f"herald.{axis}_points"):
+            _check_grid_size(cfg.get(f"herald.{axis}_points"), axis + "s")
+
+
+def _check_landscape(cfg: RunConfig) -> None:
+    for axis in ("tau_p", "sigma"):
+        if cfg.has(f"landscape.{axis}_points"):
+            _check_axis_size(cfg.get(f"landscape.{axis}_points"))
+
+
+# The groups a config may name, each checked by building its object or, for
+# the groups read as plain values, by the rules of the code that reads them.
 _GROUPS = {"source": RunConfig.source, "link": RunConfig.link,
-           "detector": RunConfig.detector, "fit": RunConfig.fit_config}
+           "detector": RunConfig.detector, "fit": RunConfig.fit_config,
+           "sample": _check_sample, "herald": _check_herald,
+           "landscape": _check_landscape}
 
 
 def _parse_pairs(pairs, problems: list[str]) -> tuple[dict, set]:
@@ -585,8 +805,8 @@ def _parse_pairs(pairs, problems: list[str]) -> tuple[dict, set]:
 
 def load_config(path=None, overrides=()) -> RunConfig:
     """Load a config file, if given, apply ``--set`` overrides, and check
-    the result by building each group (source, link, detector, fit) that a
-    parsed key names and no unparsed key does.
+    each group (source, link, detector, fit, sample, herald, landscape) that
+    a parsed key names and no unparsed key does.
 
     Every violation (bad lines, unknown keys, bad units, groups that fail to
     build) is reported together in one :class:`ConfigError`.
@@ -630,12 +850,6 @@ def load_config(path=None, overrides=()) -> RunConfig:
         raise ConfigError("invalid configuration:\n  - "
                           + "\n  - ".join(problems))
     return cfg
-
-
-def parse_overrides(overrides) -> dict:
-    """The values ``key=value`` override strings set, checked as a config
-    of their own."""
-    return load_config(overrides=overrides).values
 
 
 def format_schema_help() -> str:

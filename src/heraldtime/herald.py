@@ -318,11 +318,16 @@ class CentroidCurve:
         return float(np.polyfit(self.centers, self.means, 1)[0])
 
 
-def _as_grid(values, minimum: int, name: str) -> np.ndarray:
+def _as_grid(values, name: str) -> np.ndarray:
     grid = np.asarray(values, dtype=float)
-    if grid.ndim != 1 or grid.size < minimum:
-        raise ValueError(f"{name} must be a 1-D grid of at least {minimum} values")
+    _check_grid_size(grid.size if grid.ndim == 1 else 0, name)
     return grid
+
+
+def _check_grid_size(size: int, name: str) -> None:
+    """The fewest points a width or center grid takes."""
+    if size < 3:
+        raise ValueError(f"{name} must be a 1-D grid of at least 3 values")
 
 
 def _shell_sums(shell: np.ndarray, counts: np.ndarray, x: np.ndarray,
@@ -398,7 +403,7 @@ def narrowing_curve(source, center: float, widths, herald_on: int = 2,
     a width that is not positive, a center that is not finite or a
     ``herald_on`` other than 1 or 2.
     """
-    grid = _as_grid(widths, 3, "widths")
+    grid = _as_grid(widths, "widths")
     oriented = _oriented(source, herald_on)
     if isinstance(oriented, TemporalCovariance):
         full = oriented.tau1
@@ -469,7 +474,7 @@ def centroid_curve(source, width: float, centers, herald_on: int = 2,
     ValueError for a width that is not positive, a center that is not finite
     or a ``herald_on`` other than 1 or 2.
     """
-    grid = _as_grid(centers, 3, "centers")
+    grid = _as_grid(centers, "centers")
     oriented = _oriented(source, herald_on)
     if isinstance(oriented, TemporalCovariance):
         means = np.array([conditional_moments(oriented, c, width)[0]

@@ -216,11 +216,15 @@ def bootstrap_std(rng: np.random.Generator, n: int, n_boot: int, statistic):
                    for _ in range(n_boot)], axis=0, ddof=1)
 
 
+def _check_count(n) -> None:
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+
+
 def sample(cov: TemporalCovariance, det: DetectorModel, n: int,
            seed: int) -> EventSet:
     """Draw ``n`` coincidence events; deterministic for a fixed seed."""
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _check_count(n)
     events = np.empty((n, 2))
     for k, start in enumerate(range(0, n, CHUNK_SIZE)):
         _sample_chunk(cov, det, _chunk_rng(seed, k),

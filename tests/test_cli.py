@@ -167,6 +167,25 @@ def test_config_checked_at_load_even_where_the_command_does_not_read(
     assert not out.exists()
 
 
+def test_plain_values_checked_at_load_where_the_command_does_not_read(
+        tmp_path, capsys):
+    # optimize reads no sample, herald or landscape key, yet the rules of
+    # the code that reads them stop it at load
+    out = tmp_path / "out"
+    assert main(["optimize", "--set", "link.beta=-1e-26 s^2/m",
+                 "--set", "link.length=1 km", "--set", "herald.direction=3",
+                 "--set", "sample.n=-5", "--set", "herald.width_points=1",
+                 "--set", "landscape.sigma_points=0",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "config"
+    message = json.loads(err[0])["message"]
+    for group in ("sample", "herald", "landscape"):
+        assert f"\n  - {group}: " in message
+    assert not out.exists()
+
+
 def test_fit_with_a_bad_detector_block_writes_no_report(tmp_path,
                                                         config_path, capsys):
     out = tmp_path / "out"

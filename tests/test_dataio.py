@@ -17,7 +17,6 @@ from heraldtime.dataio import (
     ReportError,
     RunConfig,
     load_config,
-    parse_overrides,
     parse_quantity,
     read_events,
     write_events,
@@ -188,8 +187,9 @@ _BREAKS = ["\n", "\r\n", "\r", "\x0c", "\u2028", "\x85"]
 
 
 @st.composite
-def _event_files(draw):
-    """Mostly well-formed event files, some with odd lines mixed in."""
+def _event_files(draw, breaks=_BREAKS):
+    """Mostly well-formed event files, some with odd lines mixed in, their
+    lines broken by any of ``breaks``."""
     header = draw(st.lists(_HEADER_LINE, max_size=3))
     unit = draw(st.sampled_from(["ps", "s", "ns", None]))
     if unit is not None:
@@ -199,9 +199,9 @@ def _event_files(draw):
     for _ in range(draw(st.integers(0, 2))):
         body.insert(draw(st.integers(0, len(body))), draw(_ODD_LINE))
     lines = [EVENT_MAGIC] + header + body
-    breaks = draw(st.lists(st.sampled_from(_BREAKS), min_size=len(lines),
-                           max_size=len(lines)))
-    text = "".join(line + brk for line, brk in zip(lines, breaks))
+    ends = draw(st.lists(st.sampled_from(breaks), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(line + brk for line, brk in zip(lines, ends))
     return text if draw(st.booleans()) else text.rstrip("\r\n\x0c\u2028\x85")
 
 
@@ -396,6 +396,192 @@ class TestGoldenEventFiles:
         es = read_events(stale)
         assert es.metadata == {"units": "s", "seed": 4}
         assert es.events[0, 0] == 1e-12
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Every worker process the event codec starts, as it was started."""
+    import subprocess
+
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    return started
+
+
+def _split_across(monkeypatch, cpus):
+    """Split every event body of two or more rows across ``cpus`` shares."""
+    monkeypatch.setattr(dataio, "_PARALLEL_MIN_ROWS", 1)
+    monkeypatch.setattr(dataio, "_cpu_count", lambda: cpus)
+
+
+_SPLIT_HYPOTHESIS = settings(
+    max_examples=20, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestSplitCodecMatchesReference(TestEventCodecMatchesReference):
+    """The codec checks with every body of two or more rows split across two
+    or three shares.  The property tests draw fewer examples: each split
+    starts worker processes."""
+
+    @pytest.fixture(autouse=True, params=[2, 3], ids=["2cpus", "3cpus"])
+    def _split(self, request, monkeypatch):
+        _split_across(monkeypatch, request.param)
+
+    @_SPLIT_HYPOTHESIS
+    @given(rows=st.lists(st.tuples(_FINITE, _FINITE), min_size=2, max_size=30),
+           unit=st.sampled_from(sorted(TIME_UNITS)),
+           meta=st.dictionaries(st.sampled_from(["seed", "units", "tag"]),
+                                st.integers() | st.text(max_size=5),
+                                max_size=3))
+    def test_write_bytes_identical(self, tmp_path, rows, unit, meta):
+        super().test_write_bytes_identical.hypothesis.inner_test(
+            self, tmp_path, rows, unit, meta)
+
+    @_SPLIT_HYPOTHESIS
+    @given(text=_event_files(breaks=["\n"]))  # bodies the split may take
+    def test_read_same_decision_and_bits(self, tmp_path, text):
+        super().test_read_same_decision_and_bits.hypothesis.inner_test(
+            self, tmp_path, text)
+
+
+class TestSplitGoldenEventFiles(TestGoldenEventFiles):
+    @pytest.fixture(autouse=True, params=[2, 3], ids=["2cpus", "3cpus"])
+    def _split(self, request, monkeypatch):
+        _split_across(monkeypatch, request.param)
+
+
+class TestSplitCodec:
+    """The split path runs, falls back to the serial codec when a worker
+    cannot start or dies, and leaves no worker running."""
+
+    @staticmethod
+    def _events(n=1000):
+        rng = np.random.default_rng(n)
+        return EventSet(rng.normal(scale=1e-9, size=(n, 2)), {"seed": n})
+
+    @staticmethod
+    def _serial(monkeypatch, call):
+        with monkeypatch.context() as m:
+            m.setattr(dataio, "_cpu_count", lambda: 1)
+            return call()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_split_runs_in_workers(self, tmp_path, monkeypatch, workers,
+                                   cpus):
+        _split_across(monkeypatch, cpus)
+        es, path = self._events(), tmp_path / "ev.csv"
+        parsed = []
+        read_plain = dataio._read_plain
+        monkeypatch.setattr(dataio, "_read_plain", lambda *a: parsed.append(
+            read_plain(*a)) or parsed[-1])
+        write_events(es, path, unit="ps")
+        back = read_events(path)
+        # one worker per share but the caller's, each exited cleanly, and
+        # the read took no line walk
+        assert len(workers) == 2 * (cpus - 1)
+        assert [proc.returncode for proc in workers] == [0] * len(workers)
+        assert parsed[0] is not None and parsed[0] is back.events
+        write_events_loop(es, tmp_path / "ref.csv", unit="ps")
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert _read_outcome(lambda p: back, path) \
+            == _read_outcome(read_events_loop, path)
+
+    def test_small_bodies_and_one_cpu_stay_serial(self, tmp_path,
+                                                  monkeypatch, workers):
+        monkeypatch.setattr(dataio, "_cpu_count", lambda: 2)
+        path = tmp_path / "ev.csv"
+        # 82 000 rows: two shares would each take fewer than the minimum
+        write_events(self._events(82_000), path, unit="ps")
+        read_events(path)
+        _split_across(monkeypatch, 1)
+        write_events(self._events(), path, unit="ps")
+        read_events(path)
+        assert workers == []
+
+    @pytest.mark.parametrize("executable", ["", "missing", "false"])
+    def test_worker_that_cannot_run_gives_the_serial_result(
+            self, tmp_path, monkeypatch, workers, executable):
+        # no interpreter, one that cannot start, or one that exits 1 at once
+        import shutil
+        import sys
+
+        if executable == "missing":
+            executable = str(tmp_path / "missing")
+        elif executable == "false":
+            executable = shutil.which("false")
+            if executable is None:
+                pytest.skip("no false command")
+        es, path = self._events(), tmp_path / "ev.csv"
+        write_events(es, tmp_path / "ref.csv", unit="ps")
+        expected = _read_outcome(read_events, tmp_path / "ref.csv")
+        _split_across(monkeypatch, 3)
+        monkeypatch.setattr(sys, "executable", executable)
+        write_events(es, path, unit="ps")
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert _read_outcome(read_events, path) == expected
+        assert all(proc.returncode is not None for proc in workers)
+
+    def test_worker_that_dies_gives_the_serial_result(self, tmp_path,
+                                                      monkeypatch, workers):
+        import subprocess
+
+        class Killed(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.kill()
+
+        es, path = self._events(), tmp_path / "ev.csv"
+        write_events(es, tmp_path / "ref.csv", unit="ps")
+        expected = _read_outcome(read_events, tmp_path / "ref.csv")
+        _split_across(monkeypatch, 3)
+        monkeypatch.setattr(subprocess, "Popen", Killed)
+        write_events(es, path, unit="ps")
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert _read_outcome(read_events, path) == expected
+
+    @pytest.mark.parametrize("row", [1, 500, 999])
+    def test_malformed_row_in_any_share_reads_as_serial(
+            self, tmp_path, monkeypatch, workers, row):
+        # the caller's share, the middle or the last worker's share
+        path = tmp_path / "ev.csv"
+        write_events(self._events(), path, unit="ps")
+        lines = path.read_bytes().split(b"\n")
+        lines[3 + row] = b"1,abc"
+        path.write_bytes(b"\n".join(lines))
+        expected = self._serial(monkeypatch,
+                                lambda: _read_outcome(read_events, path))
+        assert expected[0] == "error" and f":{4 + row}:" in expected[1]
+        _split_across(monkeypatch, 3)
+        assert _read_outcome(read_events, path) == expected
+        assert len(workers) == 2
+        assert all(proc.returncode is not None for proc in workers)
+
+    def test_no_worker_left_after_the_caller_raises(self, tmp_path,
+                                                    monkeypatch, workers):
+        es, path = self._events(), tmp_path / "ev.csv"
+        write_events(es, path, unit="ps")
+        _split_across(monkeypatch, 3)
+
+        def fail(*args):
+            raise OSError(28, "No space left on device")
+
+        with monkeypatch.context() as m:
+            m.setattr(dataio, "_write_rows", fail)
+            with pytest.raises(ReportError, match="No space left"):
+                write_events(es, tmp_path / "full.csv", unit="ps")
+        with monkeypatch.context() as m:
+            m.setattr(dataio, "_parse_rows", fail)
+            with pytest.raises(EventFileError, match="No space left"):
+                read_events(path)
+        assert len(workers) == 4
+        assert all(proc.returncode is not None for proc in workers)
 
 
 class TestReports:
@@ -615,6 +801,27 @@ class TestConfig:
             cfg.source()
         assert cfg.detector() == DetectorModel()
 
+    def test_plain_values_checked_at_load_by_their_readers_rules(self):
+        # sample, herald and landscape values have no object to build: the
+        # rules of the code that reads them apply at load, each listed
+        with pytest.raises(ConfigError) as info:
+            load_config(overrides=["sample.n=-5", "herald.direction=3",
+                                   "landscape.sigma_points=0"])
+        message = str(info.value)
+        assert "sample: n must be a positive integer, got -5" in message
+        assert "herald: herald_on must be 1 or 2, got 3" in message
+        assert ("landscape: tau_p_grid and sigma_grid must be non-empty 1-D "
+                "arrays") in message
+        for points, name in (("herald.width_points=2", "widths"),
+                             ("herald.center_points=1", "centers")):
+            with pytest.raises(ConfigError, match=f"herald: {name} must be a "
+                                                  "1-D grid of at least 3"):
+                load_config(overrides=[points])
+        cfg = load_config(overrides=["sample.n=1", "herald.direction=1",
+                                     "herald.width_points=3",
+                                     "landscape.tau_p_points=1"])
+        assert cfg.get("herald.width_points") == 3
+
     def test_overrides_typechecked(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(CONFIG_OK)
@@ -625,7 +832,7 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path, overrides=["sample.n=ten"])
         with pytest.raises(ConfigError, match="key=value"):
-            parse_overrides(["garbage"])
+            load_config(overrides=["garbage"])
 
     def test_bad_syntax_named_with_line(self, tmp_path):
         path = tmp_path / "syntax.cfg"
