@@ -20,7 +20,6 @@ from .analytic import (
     NoDispersionError,
     OptimumReport,
     WidthDivergesError,
-    WidthReport,
     conditional_density,
     conditional_limit_density,
     joint_density,
@@ -32,7 +31,6 @@ from .analytic import (
     tau1h_0,
     tau1h_dt_0,
     temporal_covariance,
-    width_report,
 )
 from .sampler import DetectorModel, EventSet, sample, sample_from_source
 from .fitting import (
@@ -74,10 +72,10 @@ __all__ = [
     "HeraldtimeError", "CWPumpError", "SourceParams", "SourceParamsRho",
     "LinkParams", "TemporalCovariance", "to_rho_form", "from_rho_form",
     # analytic
-    "WidthDivergesError", "NoDispersionError", "WidthReport", "OptimumReport",
+    "WidthDivergesError", "NoDispersionError", "OptimumReport",
     "joint_density", "conditional_density", "conditional_limit_density",
     "narrowing_ratio_limit", "tau1", "tau1h_0", "tau1h_dt_0", "rho_t_of",
-    "temporal_covariance", "width_report", "optimum", "landscape",
+    "temporal_covariance", "optimum", "landscape",
     # sampler
     "DetectorModel", "EventSet", "sample", "sample_from_source",
     # fitting

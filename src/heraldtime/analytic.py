@@ -52,7 +52,6 @@ from .params import (
 __all__ = [
     "WidthDivergesError",
     "NoDispersionError",
-    "WidthReport",
     "OptimumReport",
     "joint_density",
     "conditional_density",
@@ -63,7 +62,6 @@ __all__ = [
     "tau1h_dt_0",
     "rho_t_of",
     "temporal_covariance",
-    "width_report",
     "optimum",
     "landscape",
 ]
@@ -283,32 +281,8 @@ def temporal_covariance(src: SourceParams, link: LinkParams) -> TemporalCovarian
 
 
 # --------------------------------------------------------------------------
-# Width report and optima
+# Optima
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WidthReport:
-    """The three temporal widths for one source/link setting.
-
-    tau1:        unconditional width, s.
-    tau1h_0:     heralded width, partner time known exactly, s.
-    tau1h_dt_0:  heralded width, emission time unknown, s.
-    ratio:       tau1h_0 / tau1, in (0, 1].
-    """
-
-    tau1: float
-    tau1h_0: float
-    tau1h_dt_0: float
-    ratio: float
-
-
-def width_report(src: SourceParams, link: LinkParams) -> WidthReport:
-    """Evaluate all three widths at once; raises for a CW pump (tau1 diverges)."""
-    t1 = tau1(src, link)
-    t1h = tau1h_0(src, link)
-    return WidthReport(tau1=t1, tau1h_0=t1h,
-                       tau1h_dt_0=tau1h_dt_0(src, link), ratio=t1h / t1)
-
 
 @dataclass(frozen=True)
 class OptimumReport:

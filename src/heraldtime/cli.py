@@ -353,19 +353,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        _emit_error("config", exc)
-        return EXIT_CONFIG
     except (EventFileError, ReportError, OSError) as exc:
         _emit_error("io", exc)
         return EXIT_IO
     except DegenerateDataError as exc:
         _emit_error("numerical", exc)
         return EXIT_NONCONVERGENCE
-    except HeraldtimeError as exc:
-        _emit_error("config", exc)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (HeraldtimeError, ValueError) as exc:
+        # ConfigError and every other rejected input
         _emit_error("config", exc)
         return EXIT_CONFIG
 

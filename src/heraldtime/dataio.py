@@ -70,7 +70,7 @@ import numpy as np
 
 from .analytic import _check_axis_size
 from .fitting import FitConfig
-from .herald import _check_grid_size, _check_herald_on
+from .herald import HeraldWindow, _check_grid_size
 from .params import (
     HeraldtimeError,
     LinkParams,
@@ -78,7 +78,7 @@ from .params import (
     SourceParamsRho,
     from_rho_form,
 )
-from .sampler import DetectorModel, EventSet, _check_count
+from .sampler import DetectorModel, EventSet, _check_count, _check_seed
 
 __all__ = [
     "EventFileError",
@@ -763,10 +763,15 @@ class RunConfig:
 
 def _check_sample(cfg: RunConfig) -> None:
     _check_count(cfg.get("sample.n"))
+    _check_seed(cfg.get("sample.seed"))
 
 
 def _check_herald(cfg: RunConfig) -> None:
-    _check_herald_on(cfg.get("herald.direction"))
+    # the window and channel of the curves; a config without a width is
+    # checked with the window that selects everything
+    HeraldWindow(cfg.get("herald.center"),
+                 cfg.get("herald.width") if cfg.has("herald.width")
+                 else math.inf, cfg.get("herald.direction"))
     for axis in ("width", "center"):
         if cfg.has(f"herald.{axis}_points"):
             _check_grid_size(cfg.get(f"herald.{axis}_points"), axis + "s")

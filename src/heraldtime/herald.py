@@ -18,10 +18,10 @@ Statistics are always computed on raw counts; any display scaling is left to
 presentation code.  Every empirical window is the closed interval
 ``lo <= t <= hi`` of ``analytic._window``, the model paths' rule.
 
-Error bars.  With ``n_boot=0`` (the default) each error is the closed-form
-delta-method standard error of its statistic, the square root of the summed
-squared empirical influence function (Efron & Tibshirani, *An Introduction
-to the Bootstrap*, 1993, ch. 21), taken in one pass without resampling:
+Error bars.  Each error is the closed-form delta-method standard error of
+its statistic, the square root of the summed squared empirical influence
+function (Efron & Tibshirani, *An Introduction to the Bootstrap*, 1993,
+ch. 21), taken in one pass without resampling:
 
 * heralded width, a sample SD over the window's m events:
   ``sqrt((m4 - v**2) / (4 v m))`` with v, m4 the window's central moments;
@@ -32,10 +32,10 @@ to the Bootstrap*, 1993, ch. 21), taken in one pass without resampling:
   power sums of x up to degree 4 over the nested shells of the curve.  A
   width that holds every event has error exactly 0.
 
-With ``n_boot >= 2`` each error is instead a bootstrap taken by
-``sampler.bootstrap_std``, the one place resamples are drawn: row by row
-from the ``default_rng(seed)`` stream of release 0.1.0.  Any other
-``n_boot`` raises ValueError.
+``heralded_width``, ``narrowing_curve`` and ``centroid_curve`` keep an
+``n_boot`` keyword that takes only 0, its default, and raise ValueError for
+any other value: the number of resamples is 0 because none are drawn.  The
+keyword stays so that callers that pass or bind it by name keep working.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import numpy as np
 from .analytic import (_checked_mass, _lower_tail, _normal_cdf_pdf, _window,
                        _window_mass, narrowing_ratio_limit)
 from .params import HeraldtimeError, TemporalCovariance
-from .sampler import EventSet, bootstrap_std
+from .sampler import EventSet
 
 __all__ = [
     "TooFewEventsError",
@@ -116,24 +116,18 @@ def _oriented(source, herald_on: int):
                     f"got {type(source).__name__}")
 
 
-def _resample_rng(n_boot, seed: int):
-    """The ``default_rng(seed)`` stream the bootstrap of ``n_boot >= 2``
-    draws from, or None for the closed-form errors (``n_boot=0``): those
-    never touch, and so never import, ``numpy.random``.  ValueError for any
-    other ``n_boot``."""
-    if not (isinstance(n_boot, (int, np.integer))
-            and (n_boot == 0 or n_boot >= 2)):
-        raise ValueError(f"the number of resamples must be 0 (closed-form "
-                         f"errors) or an integer >= 2, got {n_boot!r}")
-    return np.random.default_rng(seed) if n_boot else None
+def _check_n_boot(n_boot) -> None:
+    """ValueError unless ``n_boot`` is 0: the errors are closed forms, which
+    draw no resamples and never import ``numpy.random``."""
+    if not (isinstance(n_boot, (int, np.integer)) and n_boot == 0):
+        raise ValueError(f"the number of resamples must be 0: the heralded "
+                         f"errors are closed forms, got {n_boot!r}")
 
 
-def _estimate(x: np.ndarray, statistic, closed_form, n_boot: int,
-              rng: np.random.Generator | None,
+def _estimate(x: np.ndarray, statistic, closed_form,
               window: str) -> tuple[float, float]:
-    """``statistic(x)`` and its error over the selected events ``x``:
-    ``closed_form(x)`` without a generator (``n_boot=0``), else a bootstrap
-    of ``n_boot`` resamples from ``rng``.
+    """``statistic(x)`` and its error ``closed_form(x)`` over the selected
+    events ``x``.
 
     Raises :class:`TooFewEventsError`, naming ``window``, below
     ``MIN_EVENTS`` events.
@@ -141,10 +135,7 @@ def _estimate(x: np.ndarray, statistic, closed_form, n_boot: int,
     if x.size < MIN_EVENTS:
         raise TooFewEventsError(f"{window} selects {x.size} events; need at "
                                 f"least {MIN_EVENTS}")
-    if rng is None:
-        return statistic(x), closed_form(x)
-    return statistic(x), bootstrap_std(rng, x.size, n_boot,
-                                       lambda idx: statistic(x[idx]))
+    return statistic(x), closed_form(x)
 
 
 def _sd_error(x: np.ndarray) -> float:
@@ -152,7 +143,7 @@ def _sd_error(x: np.ndarray) -> float:
     d = x - np.mean(x)
     d *= d
     v = np.mean(d)
-    if v == 0.0:  # identical values: every resample's SD is 0 as well
+    if v == 0.0:  # identical values: SD 0, and error 0 rather than 0/0
         return 0.0
     d *= d
     return math.sqrt(max(np.mean(d) - v * v, 0.0) / (4.0 * v * x.size))
@@ -190,22 +181,21 @@ def select(events: EventSet, w: HeraldWindow) -> EventSet:
     return EventSet(events.events[mask], meta)
 
 
-def heralded_width(events: EventSet, w: HeraldWindow, n_boot: int = 0,
-                   seed: int = 0) -> tuple[float, float]:
+def heralded_width(events: EventSet, w: HeraldWindow,
+                   n_boot: int = 0) -> tuple[float, float]:
     """Width of the heralded coordinate within the window, with its error.
 
     Returns (width, std_error) in seconds: the sample standard deviation
     (for which the narrowing limit is exact) and its error,
-    ``sqrt((m4 - v**2) / (4 v m))`` from the window's central moments for
-    ``n_boot=0``, else the bootstrap of ``n_boot`` resamples from ``seed``;
-    a generator is made only for ``n_boot >= 2``.  Raises ValueError for any
-    other ``n_boot`` and :class:`TooFewEventsError` below 30 selected events.
+    ``sqrt((m4 - v**2) / (4 v m))`` from the window's central moments.
+    Raises ValueError for an ``n_boot`` other than 0 and
+    :class:`TooFewEventsError` below 30 selected events.
     """
+    _check_n_boot(n_boot)
     analyzed, heralding = _oriented(events, w.herald_on)
-    rng = _resample_rng(n_boot, seed)
     width, err = _estimate(
         analyzed[_in_window(heralding, w.center, w.width)],
-        lambda x: np.std(x, ddof=1), _sd_error, n_boot, rng,
+        lambda x: np.std(x, ddof=1), _sd_error,
         f"window (center={w.center!r}, width={w.width!r})")
     return float(width), float(err)
 
@@ -287,9 +277,8 @@ class NarrowingCurve:
     widths:     window widths, s.
     ratios:     heralded width / unconditional width (sampling noise may push
                 empirical values slightly above 1).
-    std_errors: standard errors per point (delta method for ``n_boot=0``,
-                else bootstrap; see the module docstring); None on the
-                analytic path.
+    std_errors: delta-method standard errors per point (see the module
+                docstring); None on the analytic path.
     asymptote:  the small-window limit sqrt(1 - rho_t^2) (empirical curves
                 carry the value from the moment estimate of rho_t).
     """
@@ -305,8 +294,7 @@ class CentroidCurve:
     """Heralded mean arrival time versus window center.
 
     centers, means in s; std_errors per point, ``sd / sqrt(m)`` of each
-    window's m events for ``n_boot=0``, else bootstrap; None on the analytic
-    path.
+    window's m events; None on the analytic path.
     """
 
     centers: np.ndarray
@@ -330,13 +318,13 @@ def _check_grid_size(size: int, name: str) -> None:
         raise ValueError(f"{name} must be a 1-D grid of at least 3 values")
 
 
-def _shell_sums(shell: np.ndarray, counts: np.ndarray, x: np.ndarray,
-                degree: int) -> np.ndarray:
-    """Sums of x**0 ... x**degree per shell, one row per degree; ``counts``
-    is the bincount of ``shell``."""
+def _shell_sums(shell: np.ndarray, counts: np.ndarray,
+                x: np.ndarray) -> np.ndarray:
+    """Sums of x**0 ... x**4 per shell, one row per degree; ``counts`` is
+    the bincount of ``shell``."""
     sums = [counts.astype(float)]
     power = x.copy()
-    for k in range(1, degree + 1):
+    for k in range(1, 5):
         if k > 1:
             power *= x
         sums.append(np.bincount(shell, power, counts.size))
@@ -386,23 +374,23 @@ def _ratio_errors(sums: np.ndarray, ratios: np.ndarray,
                       + gamma * gamma)
         sum_sq = 0.25 * (inside + (out4 - v * (2.0 * out2 - v * o0)) / (v * v))
         errs = ratios * np.sqrt(np.maximum(sum_sq[at], 0.0)) / n
-    # a window of identical times has width 0 under every resample as well
+    # a window of identical times has width 0, and so does its error
     return np.where(v_w[at] > 0.0, errs, 0.0)
 
 
 def narrowing_curve(source, center: float, widths, herald_on: int = 2,
-                    n_boot: int = 0, seed: int = 0) -> NarrowingCurve:
+                    n_boot: int = 0) -> NarrowingCurve:
     """Narrowing-ratio curve over a grid of window widths.
 
-    ``source`` is an EventSet (empirical ratios with delta-method errors for
-    ``n_boot=0``, else joint bootstrap errors from ``seed``) or a
-    TemporalCovariance (exact ratios, monotone non-increasing in the width).
-    The empirical ratio at width=inf equals 1 by construction: numerator and
-    denominator are the same estimator on the same events; so does its error,
-    0, at any width that holds every event.  Both paths raise ValueError for
-    a width that is not positive, a center that is not finite or a
-    ``herald_on`` other than 1 or 2.
+    ``source`` is an EventSet (empirical ratios with delta-method errors) or
+    a TemporalCovariance (exact ratios, monotone non-increasing in the
+    width).  The empirical ratio at width=inf equals 1 by construction:
+    numerator and denominator are the same estimator on the same events; so
+    does its error, 0, at any width that holds every event.  Both paths
+    raise ValueError for a width that is not positive, a center that is not
+    finite, a ``herald_on`` other than 1 or 2 or an ``n_boot`` other than 0.
     """
+    _check_n_boot(n_boot)
     grid = _as_grid(widths, "widths")
     oriented = _oriented(source, herald_on)
     if isinstance(oriented, TemporalCovariance):
@@ -415,7 +403,6 @@ def narrowing_curve(source, center: float, widths, herald_on: int = 2,
     # the model path's rule, before any counting
     unique = np.unique(grid)
     lo, hi = np.array([_window(center, w) for w in unique]).T
-    rng = _resample_rng(n_boot, seed)
     t1, t2 = oriented
     # The windows share one center, so they are nested: lo falls and hi
     # rises with the width.  Shell j holds the events of the j-th narrowest
@@ -423,35 +410,20 @@ def narrowing_curve(source, center: float, widths, herald_on: int = 2,
     # the last shell holds the events outside every window.  Moments are
     # prefix sums over the shells, taken about the narrowest window's mean
     # so that they do not cancel.
-    bins = unique.size + 1
     shell = np.searchsorted(hi, t2)
     np.maximum(shell, unique.size - np.searchsorted(lo[::-1], t2, "right"),
                out=shell)
     at = np.searchsorted(unique, grid)
-    counts = np.bincount(shell, minlength=bins)
+    counts = np.bincount(shell, minlength=unique.size + 1)
     for w, n_sel in zip(grid, np.cumsum(counts)[at]):
         if n_sel < MIN_EVENTS:
             raise TooFewEventsError(
                 f"window width {w!r} selects {n_sel} events; need at least "
                 f"{MIN_EVENTS}")
     x = t1 - np.mean(t1[shell == 0])
-    sums = _shell_sums(shell, counts, x, 4 if rng is None else 2)
+    sums = _shell_sums(shell, counts, x)
     ratios = _width_ratios(*np.cumsum(sums[:3], axis=1), at)
-    if rng is not None:
-        x2 = x * x
-
-        def ratios_of(weight):
-            """Width ratios of the sample that holds event i weight[i] times."""
-            weight = weight.astype(float)  # cast once, not in every product
-            return _width_ratios(*(np.cumsum(np.bincount(shell, v, bins))
-                                   for v in (weight, weight * x, weight * x2)),
-                                 at)
-
-        errs = bootstrap_std(
-            rng, t1.size, n_boot,
-            lambda idx: ratios_of(np.bincount(idx, minlength=t1.size)))
-    else:
-        errs = _ratio_errors(sums, ratios, at)
+    errs = _ratio_errors(sums, ratios, at)
     # rho_t from centred column sums: x is done with, and np.corrcoef would
     # copy both columns
     x -= x.mean()
@@ -463,17 +435,16 @@ def narrowing_curve(source, center: float, widths, herald_on: int = 2,
 
 
 def centroid_curve(source, width: float, centers, herald_on: int = 2,
-                   n_boot: int = 0, seed: int = 0) -> CentroidCurve:
+                   n_boot: int = 0) -> CentroidCurve:
     """Heralded mean arrival time over a grid of window centers.
 
     For small windows the curve is linear with slope rho_t * tau1 / tau2; at
     finite widths the exact conditional mean is reported without any
-    linearity assumption.  Empirical errors are ``sd / sqrt(m)`` for
-    ``n_boot=0``, else bootstraps drawn in turn from one ``seed`` stream,
-    whose generator is made only for ``n_boot >= 2``.  Both paths raise
-    ValueError for a width that is not positive, a center that is not finite
-    or a ``herald_on`` other than 1 or 2.
+    linearity assumption.  Empirical errors are ``sd / sqrt(m)``.  Both paths
+    raise ValueError for a width that is not positive, a center that is not
+    finite, a ``herald_on`` other than 1 or 2 or an ``n_boot`` other than 0.
     """
+    _check_n_boot(n_boot)
     grid = _as_grid(centers, "centers")
     oriented = _oriented(source, herald_on)
     if isinstance(oriented, TemporalCovariance):
@@ -484,8 +455,7 @@ def centroid_curve(source, width: float, centers, herald_on: int = 2,
     for c in grid:
         _window(c, width)  # the model path's rule, before any counting
     t1, t2 = oriented
-    rng = _resample_rng(n_boot, seed)
     means, errs = np.array([
-        _estimate(t1[_in_window(t2, c, width)], np.mean, _mean_error, n_boot,
-                  rng, f"window center {c!r}") for c in grid]).T
+        _estimate(t1[_in_window(t2, c, width)], np.mean, _mean_error,
+                  f"window center {c!r}") for c in grid]).T
     return CentroidCurve(centers=grid, means=means, std_errors=errs)

@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 __all__ = [
     "HeraldtimeError",
     "CWPumpError",
@@ -161,12 +159,6 @@ class TemporalCovariance:
             v = getattr(self, name)
             _require(isinstance(v, (int, float)) and math.isfinite(v),
                      f"{name} must be finite, got {v!r}")
-
-    @property
-    def covariance_matrix(self) -> np.ndarray:
-        """The 2x2 covariance matrix (positive definite for valid parameters)."""
-        off = self.rho_t * self.tau1 * self.tau2
-        return np.array([[self.tau1 ** 2, off], [off, self.tau2 ** 2]])
 
     def swapped(self) -> "TemporalCovariance":
         """Statistics with the roles of the two photons exchanged."""

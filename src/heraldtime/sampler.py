@@ -221,10 +221,16 @@ def _check_count(n) -> None:
         raise ValueError(f"n must be a positive integer, got {n!r}")
 
 
+def _check_seed(seed) -> None:
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def sample(cov: TemporalCovariance, det: DetectorModel, n: int,
            seed: int) -> EventSet:
     """Draw ``n`` coincidence events; deterministic for a fixed seed."""
     _check_count(n)
+    _check_seed(seed)
     events = np.empty((n, 2))
     for k, start in enumerate(range(0, n, CHUNK_SIZE)):
         _sample_chunk(cov, det, _chunk_rng(seed, k),

@@ -267,55 +267,16 @@ def fourier_time_moments(sigma: float, tau_p: float, beta: float,
 
 
 # --------------------------------------------------------------------------
-# Reference bootstrap loops: the resampling code of release 0.1.0
+# Reference windows
 # --------------------------------------------------------------------------
-# Each draws its resamples as one (n_boot, n) block (or row by row, as the
-# refit loop always did) and masks the events window by window.  The
-# package's resampling kernel must reproduce these outputs.  Every window is
-# the closed interval lo <= t2 <= hi with lo, hi = center -/+ width / 2, the
-# rule of herald.select (0.1.0 tested |t2 - center| <= width / 2, which
-# differs by one rounding at a window edge).
+# Every window is the closed interval lo <= t2 <= hi with lo, hi =
+# center -/+ width / 2, the rule of herald.select (0.1.0 tested
+# |t2 - center| <= width / 2, which differs by one rounding at a window
+# edge).
 
 def in_window(t2, center, width):
     """Mask of the closed window [center - width/2, center + width/2]."""
     return (t2 >= center - 0.5 * width) & (t2 <= center + 0.5 * width)
-
-
-def narrowing_bootstrap_loop(t1, t2, center, widths, n_boot, seed):
-    """Width ratios and their bootstrap errors by masking every window."""
-    def ratios_of(tt1, tt2):
-        full = np.std(tt1, ddof=1)
-        out = np.empty(len(widths))
-        for i, w in enumerate(widths):
-            out[i] = np.std(tt1[in_window(tt2, center, w)], ddof=1) / full
-        return out
-
-    rng = np.random.default_rng(seed)
-    boot = np.empty((n_boot, len(widths)))
-    for k in range(n_boot):
-        idx = rng.integers(0, t1.size, size=t1.size)
-        boot[k] = ratios_of(t1[idx], t2[idx])
-    return ratios_of(t1, t2), np.std(boot, axis=0, ddof=1)
-
-
-def centroid_bootstrap_block(t1, t2, width, centers, n_boot, seed):
-    """Window means and their bootstrap errors from one index block each."""
-    rng = np.random.default_rng(seed)
-    means, errs = [], []
-    for c in centers:
-        sel = t1[in_window(t2, c, width)]
-        means.append(np.mean(sel))
-        idx = rng.integers(0, sel.size, size=(n_boot, sel.size))
-        errs.append(np.std(np.mean(sel[idx], axis=1), ddof=1))
-    return np.array(means), np.array(errs)
-
-
-def std_bootstrap_block(x, n_boot, seed):
-    """Sample std of x and its bootstrap error from one index block."""
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, x.size, size=(n_boot, x.size))
-    return (float(np.std(x, ddof=1)),
-            float(np.std(np.std(x[idx], axis=1, ddof=1), ddof=1)))
 
 
 # --------------------------------------------------------------------------
@@ -384,6 +345,11 @@ def window_replicates(t1, t2, windows, n_boot, seed):
                                 / (x.size - 1))
     return means + np.mean(t1), sds, full_sds
 
+
+# --------------------------------------------------------------------------
+# Reference refit bootstrap: the resampling loop of release 0.1.0
+# --------------------------------------------------------------------------
+# fitting.bootstrap_errors must reproduce its output bit for bit.
 
 def refit_bootstrap_loop(events, cfg, n_resamples, seed):
     """Spread of refitted parameters over resamples drawn row by row."""

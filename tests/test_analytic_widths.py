@@ -13,7 +13,6 @@ from heraldtime.analytic import (
     tau1h_0,
     tau1h_dt_0,
     temporal_covariance,
-    width_report,
 )
 from heraldtime.params import LinkParams, SourceParams, SourceParamsRho, from_rho_form
 
@@ -178,14 +177,6 @@ class TestOrderings:
         t1hdt = _tau1h_dt_0(sigma, bl)
         assert np.all(t1h <= t1 * (1 + 1e-12))
         assert np.all(t1h <= t1hdt * (1 + 1e-12))
-
-    def test_width_report_fields(self):
-        src = SourceParams(sigma=REFERENCE_SIGMA, tau_p=1e-12)
-        rep = width_report(src, REFERENCE_LINK)
-        assert rep.tau1h_0 <= rep.tau1
-        assert rep.tau1h_0 <= rep.tau1h_dt_0
-        assert rep.ratio == pytest.approx(rep.tau1h_0 / rep.tau1, rel=1e-15)
-        assert 0 < rep.ratio <= 1
 
     def test_temporal_covariance_symmetric_link(self):
         src = SourceParams(sigma=2e12, tau_p=3e-12)

@@ -150,12 +150,17 @@ LINK_CFG = "link.beta = -1.15e-26 s^2/m\nlink.length = 10 km\n"
     ("link.length = -1 km\n", "link: length must be finite and >= 0"),
     ("detector.jitter1 = -1 ps\n", "detector: jitter1 must be finite"),
     ("fit.loss = foo\n", "fit: loss must be 'hist-ls' or 'ml', got 'foo'"),
+    ("sample.seed = -3\n", "sample: seed must be a non-negative integer"),
+    ("herald.width = -5 ps\n", "herald: window width must be positive"),
+    ("herald.center = inf ps\n", "herald: window center must be finite"),
 ], ids=["rho-form-stray-sigma", "rho-form-stray-tau_p", "rho-out-of-range",
-        "negative-length", "negative-jitter", "unknown-loss"])
+        "negative-length", "negative-jitter", "unknown-loss", "negative-seed",
+        "negative-width", "infinite-center"])
 def test_config_checked_at_load_even_where_the_command_does_not_read(
         tmp_path, capsys, lines, message):
     # optimize reads only the link, yet a bad source, detector or fit
-    # group stops it at load: one JSON config error, nothing written
+    # group, a bad seed or a bad herald window stops it at load: one JSON
+    # config error, nothing written
     cfg = tmp_path / "run.cfg"
     cfg.write_text(LINK_CFG + lines)
     out = tmp_path / "out"

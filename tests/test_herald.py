@@ -23,13 +23,10 @@ from heraldtime.sampler import DetectorModel, EventSet, sample
 
 from conftest import REFERENCE_LINK, REFERENCE_SETS, REFERENCE_SIGMA
 from oracles import (
-    centroid_bootstrap_block,
     conditional_moments_quad,
     in_window,
-    narrowing_bootstrap_loop,
     narrowing_influence_direct,
     refit_bootstrap_loop,
-    std_bootstrap_block,
     truncated_normal_moments_mp,
     width_influence_direct,
     window_replicates,
@@ -123,8 +120,7 @@ class TestHeraldedWidth:
         for _ in range(10):
             center = rng.uniform(-1.5, 1.5) * cov.tau2
             width = 10 ** rng.uniform(-10.5, -9.3)
-            mc, err = heralded_width(es, HeraldWindow(center, width),
-                                     n_boot=100, seed=3)
+            mc, err = heralded_width(es, HeraldWindow(center, width))
             _, theory = conditional_moments(cov, center, width)
             assert abs(mc - theory) < 3.5 * err
 
@@ -227,7 +223,7 @@ class TestNarrowingCurve:
     def test_empirical_infinite_window_ratio_is_one(self):
         es = sample(REFERENCE_SETS[1], DetectorModel.ideal(), 20000, seed=8)
         widths = np.array([1e-10, 1e-9, math.inf])
-        curve = narrowing_curve(es, center=0.0, widths=widths, n_boot=20)
+        curve = narrowing_curve(es, center=0.0, widths=widths)
         assert curve.ratios[-1] == 1.0
 
     def test_empirical_matches_analytic_pointwise(self):
@@ -246,8 +242,7 @@ class TestNarrowingCurve:
     def test_too_few_selected_propagates(self):
         es = sample(REFERENCE_SETS[0], DetectorModel.ideal(), 1000, seed=10)
         with pytest.raises(TooFewEventsError):
-            narrowing_curve(es, center=0.0,
-                            widths=[1e-13, 1e-12, 1e-11], n_boot=10)
+            narrowing_curve(es, center=0.0, widths=[1e-13, 1e-12, 1e-11])
 
 
 class TestCentroidCurve:
@@ -296,7 +291,7 @@ class TestInvalidGridPoints:
     def test_narrowing_width(self, sources, bad):
         for source in sources:
             with pytest.raises(ValueError, match="width must be positive"):
-                narrowing_curve(source, 0.0, [1e-10, bad, 1e-9], n_boot=5)
+                narrowing_curve(source, 0.0, [1e-10, bad, 1e-9])
 
     @pytest.mark.parametrize("bad", [3, 0, "2"])
     def test_narrowing_herald_on(self, sources, bad):
@@ -316,7 +311,7 @@ class TestInvalidGridPoints:
     def test_centroid_center(self, sources, bad):
         for source in sources:
             with pytest.raises(ValueError, match="center must be finite"):
-                centroid_curve(source, 1e-10, [-1e-10, bad, 1e-10], n_boot=5)
+                centroid_curve(source, 1e-10, [-1e-10, bad, 1e-10])
 
     def test_other_sources_rejected(self):
         # one rule for every entry point: an EventSet or a covariance
@@ -335,18 +330,16 @@ class TestInvalidGridPoints:
     def test_centroid_width(self, sources, bad):
         for source in sources:
             with pytest.raises(ValueError, match="width must be positive"):
-                centroid_curve(source, bad, [-1e-10, 0.0, 1e-10], n_boot=5)
+                centroid_curve(source, bad, [-1e-10, 0.0, 1e-10])
 
 
 class TestDirectionSymmetry:
     def test_herald_on_one_equals_transposed_herald_on_two(self):
         es = sample(REFERENCE_SETS[0], DetectorModel.ideal(), 30000, seed=12)
-        w1 = heralded_width(es, HeraldWindow(0.0, 2e-10, herald_on=1),
-                            n_boot=50, seed=9)
+        w1 = heralded_width(es, HeraldWindow(0.0, 2e-10, herald_on=1))
         w2 = heralded_width(EventSet(es.events[:, ::-1]),
-                            HeraldWindow(0.0, 2e-10, herald_on=2),
-                            n_boot=50, seed=9)
-        assert w1 == w2  # bit-exact: same events, same estimator, same seed
+                            HeraldWindow(0.0, 2e-10, herald_on=2))
+        assert w1 == w2  # bit-exact: same events, same estimator
 
     def test_analytic_swap_consistency(self):
         cov = REFERENCE_SETS[2]
@@ -358,104 +351,8 @@ class TestDirectionSymmetry:
 
 
 class TestResamplingMatchesReference:
-    """The resampling kernel against the 0.1.0 loops kept in oracles.py.
-
-    Narrowing ratios use prefix sums instead of per-window std calls, so
-    they match within 1e-12 absolute and their errors within 1e-10
-    relative; everything else draws and sums exactly as before and must be
-    bit-identical.
-    """
-
-    DETECTOR = DetectorModel(jitter1=3e-11, jitter2=3e-11,
-                             reference_jitter=1e-11, background_rate=0.01,
-                             window=(-4e-9, 4e-9))
-
-    @pytest.fixture(scope="class")
-    def events(self):
-        return sample(REFERENCE_SETS[0], self.DETECTOR, 20000, seed=21)
-
-    @staticmethod
-    def check_narrowing(es, center, widths, herald_on=2, n_boot=40, seed=3,
-                        err_atol=0.0):
-        curve = narrowing_curve(es, center, widths, herald_on=herald_on,
-                                n_boot=n_boot, seed=seed)
-        oriented = EventSet(es.events[:, ::-1]) if herald_on == 1 else es
-        ratios, errs = narrowing_bootstrap_loop(
-            oriented.t1, oriented.t2, center, np.asarray(widths, float),
-            n_boot, seed)
-        np.testing.assert_allclose(curve.ratios, ratios, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(curve.std_errors, errs, rtol=1e-10,
-                                   atol=err_atol)
-        return curve
-
-    def test_narrowing_with_background_and_infinite_width(self, events):
-        widths = np.append(np.geomspace(2e-11, 3e-9, 12), math.inf)
-        curve = self.check_narrowing(events, 0.0, widths)
-        assert curve.ratios[-1] == 1.0 and curve.std_errors[-1] == 0.0
-
-    def test_narrowing_off_center(self, events):
-        self.check_narrowing(events, 3e-10, np.geomspace(5e-11, 2e-9, 9))
-
-    def test_narrowing_far_from_time_origin(self):
-        # arrival times offset by 1000 widths: the moments are taken about
-        # a window mean, so the offset does not cancel away the digits
-        cov = TemporalCovariance(rho_t=0.9, tau1=2e-10, tau2=2.5e-10,
-                                 mu1=2e-7, mu2=-1e-7)
-        es = sample(cov, DetectorModel.ideal(), 20000, seed=23)
-        self.check_narrowing(es, -1e-7, np.geomspace(2e-11, 1e-9, 9))
-
-    def test_narrowing_window_of_identical_times(self):
-        # the narrowest window holds one repeated t1, so its width and the
-        # error of that width are 0; the reference loop's error there is
-        # the rounding of np.mean over copies, far below any real error
-        rng = np.random.default_rng(24)
-        ev = rng.normal(0.0, 1e-9, size=(3000, 2))
-        ev[:40] = [1.1e-9, 0.0]
-        curve = self.check_narrowing(EventSet(ev), 0.0, [1e-13, 1e-9, 1e-8],
-                                     err_atol=1e-15)
-        assert curve.ratios[0] == 0.0
-
-    def test_narrowing_herald_on_one(self, events):
-        self.check_narrowing(events, 0.0, np.geomspace(2e-11, 2e-9, 9),
-                             herald_on=1)
-
-    def test_narrowing_unsorted_repeated_widths(self, events):
-        self.check_narrowing(events, 1e-10,
-                             [1e-9, 1e-10, math.inf, 1e-10, 3e-10, 2e-8])
-
-    def test_resamples_with_fewer_than_two_events_give_nan(self, events,
-                                                          monkeypatch):
-        # A window of three events: about one resample in five catches
-        # fewer than two of them.  The event floor is lowered to reach it.
-        monkeypatch.setattr(herald, "MIN_EVENTS", 2)
-        center = 1e-10
-        third = np.sort(np.abs(events.t2 - center))[2]
-        widths = [2 * third, 1e-10, 1e-9]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            curve = self.check_narrowing(events, center, widths)
-        assert np.isnan(curve.std_errors[0])
-        assert np.all(np.isfinite(curve.std_errors[1:]))
-
-    def test_centroid_bit_identical(self, events):
-        centers = np.linspace(-3e-10, 3e-10, 7)
-        for herald_on in (1, 2):
-            curve = centroid_curve(events, 1e-10, centers,
-                                   herald_on=herald_on, n_boot=30, seed=5)
-            oriented = (EventSet(events.events[:, ::-1]) if herald_on == 1
-                        else events)
-            means, errs = centroid_bootstrap_block(
-                oriented.t1, oriented.t2, 1e-10, centers, 30, 5)
-            np.testing.assert_array_equal(curve.means, means)
-            np.testing.assert_array_equal(curve.std_errors, errs)
-
-    def test_heralded_width_bit_identical(self, events):
-        for window in (HeraldWindow(0.0, 1e-10), HeraldWindow(2e-10, 3e-10),
-                       HeraldWindow(-1e-10, 2e-10, herald_on=1)):
-            analyzed = 0 if window.herald_on == 2 else 1
-            x = select(events, window).events[:, analyzed]
-            assert heralded_width(events, window, n_boot=50, seed=7) == \
-                std_bootstrap_block(x, 50, 7)
+    """The refit bootstrap against the 0.1.0 loop kept in oracles.py: it
+    draws and sums exactly as before and must be bit-identical."""
 
     def test_refit_bootstrap_bit_identical(self):
         es = sample(REFERENCE_SETS[1], DetectorModel.ideal(), 3000, seed=22)
@@ -489,7 +386,7 @@ def oriented(es: EventSet, herald_on: int):
 
 
 class TestClosedFormErrors:
-    """The default (n_boot=0) error bars: delta-method standard errors."""
+    """The error bars: delta-method standard errors."""
 
     @given(center=st.floats(-4e-10, 4e-10),
            widths=st.lists(st.floats(5e-11, 3e-9), min_size=3, max_size=6),
@@ -539,6 +436,33 @@ class TestClosedFormErrors:
         assert curve.std_errors[0] > 0
         assert curve.std_errors[1] == 0.0 and curve.std_errors[2] == 0.0
         assert curve.ratios[1] == curve.ratios[2] == 1.0
+
+    def test_narrowing_far_from_time_origin(self):
+        # arrival times offset by 1000 widths: the moments are taken about
+        # a window mean, so the offset does not cancel away the digits
+        cov = TemporalCovariance(rho_t=0.9, tau1=2e-10, tau2=2.5e-10,
+                                 mu1=2e-7, mu2=-1e-7)
+        es = sample(cov, DetectorModel.ideal(), 20000, seed=23)
+        widths = np.geomspace(2e-11, 1e-9, 9)
+        curve = narrowing_curve(es, -1e-7, widths)
+        ratios, errs = narrowing_influence_direct(es.t1, es.t2, -1e-7, widths)
+        np.testing.assert_allclose(curve.ratios, ratios, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(curve.std_errors, errs, rtol=1e-12, atol=0)
+
+    def test_narrowing_window_of_identical_times(self):
+        # the narrowest window holds one repeated t1, so its width and the
+        # error of that width are 0; the wider windows are unaffected
+        rng = np.random.default_rng(24)
+        ev = rng.normal(0.0, 1e-9, size=(3000, 2))
+        ev[:40] = [1.1e-9, 0.0]
+        curve = narrowing_curve(EventSet(ev), 0.0, [1e-13, 1e-9, 1e-8])
+        assert curve.ratios[0] == 0.0 and curve.std_errors[0] == 0.0
+        ratios, errs = narrowing_influence_direct(ev[:, 0], ev[:, 1], 0.0,
+                                                  [1e-9, 1e-8])
+        np.testing.assert_allclose(curve.ratios[1:], ratios, rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(curve.std_errors[1:], errs, rtol=1e-12,
+                                   atol=0)
 
     @pytest.mark.parametrize("detector", [PIPELINE_DETECTOR,
                                           DetectorModel.ideal()],
@@ -636,11 +560,13 @@ def errors_of(out) -> np.ndarray:
     return np.atleast_1d(out[1] if isinstance(out, tuple) else out.std_errors)
 
 
-@pytest.mark.parametrize("n_boot", [1, 0, -1])
-@pytest.mark.parametrize("entry", [*HERALD_ENTRIES, "bootstrap_errors"])
+@pytest.mark.parametrize("entry, n_boot", [
+    *((entry, n) for entry in HERALD_ENTRIES for n in (1, 0, -1, 2, 200)),
+    *(("bootstrap_errors", n) for n in (1, 0, -1))])
 def test_fewer_than_two_resamples_rejected(entry, n_boot, monkeypatch):
     # a spread of fewer than two resamples is undefined: an error, not NaN;
-    # the herald statistics take n_boot=0, their default, as the closed forms
+    # the herald statistics draw none, so they take only n_boot=0, their
+    # default, and no seed
     es = sample(REFERENCE_SETS[0], DetectorModel.ideal(), 5000, seed=31)
     if entry == "bootstrap_errors":
         with pytest.raises(ValueError, match="number of resamples"):
@@ -650,11 +576,14 @@ def test_fewer_than_two_resamples_rejected(entry, n_boot, monkeypatch):
         with pytest.raises(ValueError, match="number of resamples"):
             HERALD_ENTRIES[entry](es, n_boot=n_boot)
         return
+    with pytest.raises(TypeError, match="seed"):
+        HERALD_ENTRIES[entry](es, seed=0)
 
-    def no_resampling(*args):
-        raise AssertionError("n_boot=0 drew resamples")
+    def no_resampling(*args, **kwargs):
+        raise AssertionError("n_boot=0 made a random generator")
 
-    monkeypatch.setattr(herald, "bootstrap_std", no_resampling)
+    # every generator in the package is made by default_rng
+    monkeypatch.setattr(np.random, "default_rng", no_resampling)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         errs = errors_of(HERALD_ENTRIES[entry](es, n_boot=0))

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -57,11 +56,6 @@ class TestValidation:
             TemporalCovariance(rho_t=1.0, tau1=1e-9, tau2=1e-9)
         with pytest.raises(ValueError):
             TemporalCovariance(rho_t=0.0, tau1=-1e-9, tau2=1e-9)
-
-    def test_covariance_matrix_positive_definite(self):
-        cov = TemporalCovariance(rho_t=0.97, tau1=2e-10, tau2=3e-10)
-        eigvals = np.linalg.eigvalsh(cov.covariance_matrix)
-        assert np.all(eigvals > 0)
 
     def test_swapped_exchanges_roles(self):
         cov = TemporalCovariance(rho_t=0.5, tau1=1e-10, tau2=2e-10,

@@ -181,6 +181,11 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             sample(REFERENCE_SETS[0], DetectorModel.ideal(), 0, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.0, None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative"):
+            sample(REFERENCE_SETS[0], DetectorModel.ideal(), 10, seed=seed)
+
     @pytest.mark.parametrize("n", [1, 2, 7, 30, 1001])
     def test_bootstrap_rows_follow_the_block_stream(self, n):
         # the resamples bootstrap_std draws one at a time are the rows of
