@@ -82,15 +82,21 @@ def _load(args) -> RunConfig:
 
 
 def _write_summary(out: Path, stem: str, report: dict, fmt: str) -> Path:
-    """Write a key/value report as JSON, or its flat keys as a CSV table."""
+    """Write a key/value report as JSON, or as a CSV table of dotted keys."""
     path = out / f"{stem}.{fmt}"
     if fmt == "csv":
-        flat = {k: v for k, v in report.items() if not isinstance(v, dict)}
         write_table(path, ["key", "value"],
-                    [[k, json.dumps(v)] for k, v in sorted(flat.items())])
+                    [[k, json.dumps(v)] for k, v in sorted(_flat(report))])
     else:
         write_report(report, path)
     return path
+
+
+def _flat(report: dict, prefix: str = "") -> list:
+    """A report's values as (key, value) pairs, nested keys dotted."""
+    return [pair for key, value in report.items() for pair in (
+        _flat(value, f"{prefix}{key}.") if isinstance(value, dict)
+        else [(prefix + key, value)])]
 
 
 # --------------------------------------------------------------------------
@@ -99,9 +105,9 @@ def _write_summary(out: Path, stem: str, report: dict, fmt: str) -> Path:
 
 def _cmd_simulate(args) -> int:
     cfg = _load(args)
-    seed = cfg.get("sample.seed") if args.seed is None else args.seed
-    events = sample_from_source(cfg.source(), cfg.link(), cfg.detector(),
-                                n=cfg.get("sample.n"), seed=seed)
+    n, seed = cfg.sample()
+    events = sample_from_source(cfg.source(), cfg.link(), cfg.detector(), n=n,
+                                seed=seed if args.seed is None else args.seed)
     if cfg.has("meta.delta_lambda"):
         events.metadata["delta_lambda"] = cfg.get("meta.delta_lambda")
     path = _out_dir(args) / "events.csv"
@@ -145,21 +151,18 @@ def _cmd_herald(args) -> int:
         source = read_events(args.events)
     else:
         source = analytic.temporal_covariance(cfg.source(), cfg.link())
-    direction = cfg.get("herald.direction")
-    center = cfg.get("herald.center")
+    window = cfg.herald()
     tables = {}
     if args.curve in ("narrowing", "both"):
-        widths = cfg.grid("herald.width", scale="log")
-        curve = herald.narrowing_curve(source, center=center, widths=widths,
-                                       herald_on=direction)
+        curve = herald.narrowing_curve(source, center=window.center,
+                                       widths=cfg.grid("herald.width"),
+                                       herald_on=window.herald_on)
         tables["narrowing_curve"] = reproduce.narrowing_table(curve)
         print(f"narrowing asymptote = {curve.asymptote:.4f}")
     if args.curve in ("centroid", "both"):
-        centers = cfg.grid("herald.center", scale="linear")
-        if not cfg.has("herald.width"):
-            raise ConfigError("herald.width is required for the centroid curve")
-        curve = herald.centroid_curve(source, width=cfg.get("herald.width"),
-                                      centers=centers, herald_on=direction)
+        curve = herald.centroid_curve(source, width=window.width,
+                                      centers=cfg.grid("herald.center"),
+                                      herald_on=window.herald_on)
         tables["centroid_curve"] = reproduce.centroid_table(curve)
         print(f"centroid slope = {curve.slope():+.5g}")
     out = _out_dir(args)
@@ -206,10 +209,8 @@ def _cmd_optimize(args) -> int:
 def _cmd_landscape(args) -> int:
     cfg = _load(args)
     plt = _matplotlib() if args.svg else None
-    link = cfg.link()
-    tau_p = cfg.grid("landscape.tau_p", scale="log")
-    sigma = cfg.grid("landscape.sigma", scale="log")
-    grid = analytic.landscape(tau_p, sigma, link, args.which)
+    tau_p, sigma = cfg.landscape()
+    grid = analytic.landscape(tau_p, sigma, cfg.link(), args.which)
     path = _out_dir(args) / f"landscape_{args.which}.csv"
     write_table(path, *reproduce.landscape_table(tau_p, sigma, grid))
     print(f"landscape table ({grid.shape[0]}x{grid.shape[1]} cells, widths "

@@ -45,13 +45,14 @@ The source takes exactly one key set: ``sigma`` + ``tau_p``, ``sigma0`` +
 dispersion is sometimes quoted as the combined two-arm coefficient; exactly
 one of ``link.beta`` / ``link.two_beta`` goes with ``link.length``.
 Frequency-like widths accept Hz-style suffixes, read as plain 1/s formula
-units.  Each group's rules live in the :class:`RunConfig` method that builds
-its object, and loading builds every group the config names: a stray key or
-a value out of range fails at load, and all violations are listed at once.
-The ``sample``, ``herald`` and ``landscape`` values, read as they are, are
-checked at load by the rules of the code that reads them: ``sample.n >= 1``,
-``herald.direction`` 1 or 2, at least 3 herald grid points and a non-empty
-landscape axis.
+units.  Each group a config names is built at load by the :class:`RunConfig`
+resolver its commands read, so a stray key or a value out of range fails at
+load whichever command runs, and all violations are listed at once.  A grid
+needs all three of its ``_min``/``_max``/``_points`` keys, finite ends
+(positive for the narrowing widths and the landscape axes) and the size its
+reader takes; ``herald()`` builds each herald grid the config names and
+``landscape()`` both axes.  Breaking change: a partial grid or a bad grid
+end now fails at load in every command.
 """
 
 from __future__ import annotations
@@ -667,13 +668,14 @@ CONFIG_SCHEMA: dict[str, tuple[str, str]] = {
 _SOURCE_FORMS = ("(source.sigma + source.tau_p) | (source.sigma0 + source.rho) "
                  "| (source.cw + source.sigma)")
 
-# Defaults of the keys read directly; DetectorModel and FitConfig keep
-# their own.
+# Defaults of the sample and herald keys (a window without a width selects
+# every event); DetectorModel and FitConfig keep their own.
 _DEFAULTS = {
     "sample.n": 82000,
     "sample.seed": 1,
     "herald.direction": 2,
     "herald.center": 0.0,
+    "herald.width": math.inf,
 }
 
 
@@ -747,48 +749,62 @@ class RunConfig:
     def fit_config(self) -> FitConfig:
         return FitConfig(**self._settings("fit", ("loss",)))
 
-    def grid(self, prefix: str, scale: str = "log") -> np.ndarray:
-        """Grid from <prefix>_min / <prefix>_max / <prefix>_points keys."""
-        lo = self.get(f"{prefix}_min")
-        hi = self.get(f"{prefix}_max")
-        n = self.get(f"{prefix}_points")
-        if lo is None or hi is None or n is None:
-            raise ConfigError(
-                f"grid keys {prefix}_min/{prefix}_max/{prefix}_points are "
-                f"required for this command")
-        if scale == "log":
-            return np.geomspace(lo, hi, int(n))
-        return np.linspace(lo, hi, int(n))
+    def sample(self) -> tuple[int, int]:
+        """The sample size and seed."""
+        _check_count(self.get("sample.n"))
+        _check_seed(self.get("sample.seed"))
+        return self.get("sample.n"), self.get("sample.seed")
+
+    def herald(self) -> HeraldWindow:
+        """The window of herald.center, herald.width and herald.direction,
+        once each herald grid the config names is built."""
+        for prefix in ("herald.width", "herald.center"):
+            if any(key.startswith(prefix + "_") for key in self.values):
+                self._grid(prefix)
+        return HeraldWindow(self.get("herald.center"), self.get("herald.width"),
+                            self.get("herald.direction"))
+
+    def landscape(self) -> tuple[np.ndarray, np.ndarray]:
+        """The tau_p and sigma axes."""
+        return self.grid("landscape.tau_p"), self.grid("landscape.sigma")
+
+    def grid(self, prefix: str, scale: str | None = None) -> np.ndarray:
+        """The grid of ``<prefix>_min``, ``_max`` and ``_points``, built by
+        :meth:`_grid`; ``scale``, if given, must name its spacing.  The
+        centroid curve's centers also need ``herald.width``."""
+        if scale not in (None, _GRIDS[prefix][0]):
+            raise ValueError(f"{prefix} is not a {scale} grid")
+        if prefix == "herald.center" and not self.has("herald.width"):
+            raise ConfigError("herald.width is required for the centroid curve")
+        return self._grid(prefix)
+
+    def _grid(self, prefix: str) -> np.ndarray:
+        """The grid of all three keys, checked and spaced as _GRIDS says."""
+        spacing, check_size = _GRIDS[prefix]
+        keys = [f"{prefix}_{end}" for end in ("min", "max", "points")]
+        if not all(map(self.has, keys)):
+            raise ConfigError(f"the grid keys {'/'.join(keys)} are all required")
+        lo, hi, n = map(self.get, keys)
+        rule = "positive and finite" if spacing == "log" else "finite"
+        for key, end in zip(keys, (lo, hi)):
+            if not (math.isfinite(end) and (end > 0 or spacing == "linear")):
+                raise ConfigError(f"{prefix} must be {rule}, got {key} = {end!r}")
+        check_size(n)
+        return (np.geomspace if spacing == "log" else np.linspace)(lo, hi, n)
 
 
-def _check_sample(cfg: RunConfig) -> None:
-    _check_count(cfg.get("sample.n"))
-    _check_seed(cfg.get("sample.seed"))
+# The grids the commands read: their spacing and their reader's size rule.
+# A log grid, of window widths or landscape axis values, has positive ends.
+_GRIDS = {"herald.width": ("log", lambda n: _check_grid_size(n, "widths")),
+          "herald.center": ("linear", lambda n: _check_grid_size(n, "centers")),
+          "landscape.tau_p": ("log", _check_axis_size),
+          "landscape.sigma": ("log", _check_axis_size)}
 
-
-def _check_herald(cfg: RunConfig) -> None:
-    # the window and channel of the curves; a config without a width is
-    # checked with the window that selects everything
-    HeraldWindow(cfg.get("herald.center"),
-                 cfg.get("herald.width") if cfg.has("herald.width")
-                 else math.inf, cfg.get("herald.direction"))
-    for axis in ("width", "center"):
-        if cfg.has(f"herald.{axis}_points"):
-            _check_grid_size(cfg.get(f"herald.{axis}_points"), axis + "s")
-
-
-def _check_landscape(cfg: RunConfig) -> None:
-    for axis in ("tau_p", "sigma"):
-        if cfg.has(f"landscape.{axis}_points"):
-            _check_axis_size(cfg.get(f"landscape.{axis}_points"))
-
-
-# The groups a config may name, each checked by building its object or, for
-# the groups read as plain values, by the rules of the code that reads them.
+# The groups a config may name, each checked by the resolver that builds it.
 _GROUPS = {"source": RunConfig.source, "link": RunConfig.link,
            "detector": RunConfig.detector, "fit": RunConfig.fit_config,
-           "sample": _check_sample, "herald": _check_herald,
-           "landscape": _check_landscape}
+           "sample": RunConfig.sample, "herald": RunConfig.herald,
+           "landscape": RunConfig.landscape}
 
 
 def _parse_pairs(pairs, problems: list[str]) -> tuple[dict, set]:
@@ -809,9 +825,8 @@ def _parse_pairs(pairs, problems: list[str]) -> tuple[dict, set]:
 
 
 def load_config(path=None, overrides=()) -> RunConfig:
-    """Load a config file, if given, apply ``--set`` overrides, and check
-    each group (source, link, detector, fit, sample, herald, landscape) that
-    a parsed key names and no unparsed key does.
+    """Load a config file, if given, apply ``--set`` overrides, and build
+    each group that a parsed key names and no unparsed key does.
 
     Every violation (bad lines, unknown keys, bad units, groups that fail to
     build) is reported together in one :class:`ConfigError`.

@@ -75,7 +75,7 @@ import numpy as np
 
 from .analytic import narrowing_ratio_limit
 from .params import HeraldtimeError, TemporalCovariance
-from .sampler import EventSet, bootstrap_std
+from .sampler import EventSet
 
 __all__ = [
     "DegenerateDataError",
@@ -971,17 +971,20 @@ def bootstrap_errors(events: EventSet, cfg: FitConfig | None = None,
     """Bootstrap standard errors of the fitted parameters (validation aid).
 
     Resamples events with replacement and refits; returns the standard
-    deviation of each recovered parameter across resamples.  Each
-    resample's channels are gathered straight from the events, which were
-    checked when their EventSet was made, and fitted as they are.
+    deviation (``ddof=1``) of each recovered parameter across resamples,
+    resample k being row k of ``default_rng(seed).integers(0, n, size=
+    (n_resamples, n))``.  Each resample's channels are gathered straight
+    from the events, which were checked when their EventSet was made, and
+    fitted as they are.  ValueError unless ``n_resamples`` >= 2.
     """
+    if not (isinstance(n_resamples, (int, np.integer)) and n_resamples >= 2):
+        raise ValueError(f"the number of resamples must be an integer >= 2, "
+                         f"got {n_resamples!r}")
     t1, t2 = np.ascontiguousarray(events.t1), np.ascontiguousarray(events.t2)
-
-    def refit(idx):
-        res = fit(_Resample(t1[idx], t2[idx], events.count), cfg)
-        return [res.cov.rho_t, res.cov.tau1, res.cov.tau2, res.cov.mu1,
-                res.cov.mu2, res.amplitude, res.background_level]
-
-    spread = bootstrap_std(np.random.default_rng(seed), events.count,
-                           n_resamples, refit)
-    return dict(zip(PARAM_NAMES, map(float, spread)))
+    rng, n, params = np.random.default_rng(seed), events.count, []
+    for _ in range(n_resamples):
+        idx = rng.integers(0, n, size=n)
+        res = fit(_Resample(t1[idx], t2[idx], n), cfg)
+        params.append([res.cov.rho_t, res.cov.tau1, res.cov.tau2, res.cov.mu1,
+                       res.cov.mu2, res.amplitude, res.background_level])
+    return dict(zip(PARAM_NAMES, map(float, np.std(params, axis=0, ddof=1))))

@@ -196,26 +196,6 @@ def _sample_chunk(cov: TemporalCovariance, det: DetectorModel,
             out[start:start + rows][sel] = piece[sel]
 
 
-def bootstrap_std(rng: np.random.Generator, n: int, n_boot: int, statistic):
-    """Bootstrap standard error of ``statistic`` over ``n`` rows.
-
-    Draws ``n_boot`` resamples of ``n`` indices into ``range(n)``, with
-    replacement, and returns ``np.std`` (``axis=0``, ``ddof=1``) of
-    ``statistic(idx)`` across them.  Resample k equals row k of
-    ``rng.integers(0, n, size=(n_boot, n))``: the rows come from the same
-    stream, one at a time, so only one row is held in memory.  Every
-    bootstrap in the package draws its resamples here.
-
-    Raises ValueError unless ``n_boot`` is an integer >= 2: a spread of
-    fewer resamples is undefined.
-    """
-    if not (isinstance(n_boot, (int, np.integer)) and n_boot >= 2):
-        raise ValueError(f"the number of resamples must be an integer >= 2, "
-                         f"got {n_boot!r}")
-    return np.std([statistic(rng.integers(0, n, size=n))
-                   for _ in range(n_boot)], axis=0, ddof=1)
-
-
 def _check_count(n) -> None:
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"n must be a positive integer, got {n!r}")

@@ -1,6 +1,7 @@
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -153,14 +154,34 @@ LINK_CFG = "link.beta = -1.15e-26 s^2/m\nlink.length = 10 km\n"
     ("sample.seed = -3\n", "sample: seed must be a non-negative integer"),
     ("herald.width = -5 ps\n", "herald: window width must be positive"),
     ("herald.center = inf ps\n", "herald: window center must be finite"),
+    ("herald.width_min = -5 ps\nherald.width_max = 1 ns\n"
+     "herald.width_points = 5\n",
+     "herald: herald.width must be positive and finite"),
+    ("herald.center_min = -1 ns\nherald.center_max = nan ps\n"
+     "herald.center_points = 5\n", "herald: herald.center must be finite"),
+    ("herald.width_min = 10 ps\nherald.width_max = 0 ps\n"
+     "herald.width_points = 5\n",
+     "herald: herald.width must be positive and finite"),
+    ("herald.width_min = 10 ps\nherald.width_max = inf ps\n"
+     "herald.width_points = 5\n",
+     "herald: herald.width must be positive and finite"),
+    ("landscape.tau_p_min = 0 fs\nlandscape.tau_p_max = 1 ns\n"
+     "landscape.tau_p_points = 5\nlandscape.sigma_min = 1 THz\n"
+     "landscape.sigma_max = 5 THz\nlandscape.sigma_points = 5\n",
+     "landscape: landscape.tau_p must be positive and finite, got "
+     "landscape.tau_p_min = 0.0"),
+    ("herald.width_points = 5\n", "herald: the grid keys herald.width_min/"
+     "herald.width_max/herald.width_points are all required"),
 ], ids=["rho-form-stray-sigma", "rho-form-stray-tau_p", "rho-out-of-range",
         "negative-length", "negative-jitter", "unknown-loss", "negative-seed",
-        "negative-width", "infinite-center"])
+        "negative-width", "infinite-center", "negative-width-grid-end",
+        "nan-center-grid-end", "zero-width-grid-end", "infinite-width-grid-end",
+        "zero-landscape-axis-end", "partial-grid"])
 def test_config_checked_at_load_even_where_the_command_does_not_read(
         tmp_path, capsys, lines, message):
     # optimize reads only the link, yet a bad source, detector or fit
-    # group, a bad seed or a bad herald window stops it at load: one JSON
-    # config error, nothing written
+    # group, a bad seed, a bad herald window or a bad grid stops it at
+    # load: one JSON config error, nothing written
     cfg = tmp_path / "run.cfg"
     cfg.write_text(LINK_CFG + lines)
     out = tmp_path / "out"
@@ -297,6 +318,28 @@ def test_fit_missing_file_exit_code(tmp_path):
                  "--out", str(tmp_path)]) == 4
 
 
+def test_fit_csv_report_holds_the_nested_values_under_dotted_keys(
+        tmp_path, config_path):
+    # the CSV report holds every value of the JSON one: a nested mapping's
+    # under dotted keys, such as std_errors.rho_t and input_link.beta
+    out = tmp_path / "out"
+    main(["simulate", "--config", str(config_path), "--out", str(out)])
+    for fmt in ("json", "csv"):
+        assert main(["fit", str(out / "events.csv"), "--out", str(out),
+                     "--format", fmt]) == 0
+    report = json.loads((out / "fit_report.json").read_text())
+    flat = {f"{key}.{name}": value for key, nested in report.items()
+            if isinstance(nested, dict) for name, value in nested.items()}
+    flat.update((key, value) for key, value in report.items()
+                if not isinstance(value, dict))
+    lines = (out / "fit_report.csv").read_text().splitlines()
+    assert lines[0] == "key,value"
+    assert lines[1:] == [f"{key},{json.dumps(flat[key])}"
+                         for key in sorted(flat)]
+    for key in ("std_errors.rho_t", "input_source.sigma", "input_link.beta"):
+        assert key in flat
+
+
 def test_fit_csv_format(tmp_path, config_path):
     out = tmp_path / "out"
     main(["simulate", "--config", str(config_path), "--out", str(out),
@@ -386,6 +429,26 @@ def test_herald_event_mode_invalid_grid_is_config_error(
     assert err["error"] == "config"
     assert message in err["message"]
     assert "selects" not in err["message"]
+
+
+def test_herald_negative_width_end_is_config_error_without_warning(
+        tmp_path, config_path, capsys):
+    # a negative narrowing-grid end is refused at load, before NumPy's
+    # log10 would warn about it: warnings as errors change nothing
+    with open(config_path, "a") as fh:
+        fh.write("herald.width_min = 10 ps\nherald.width_max = 1 ns\n"
+                 "herald.width_points = 7\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["herald", "--config", str(config_path), "--out",
+                     str(out), "--curve", "narrowing",
+                     "--set", "herald.width_min=-5 ps"])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "config"
+    assert not out.exists()
 
 
 def test_herald_event_mode(tmp_path, config_path):

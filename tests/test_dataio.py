@@ -26,6 +26,7 @@ from heraldtime.dataio import (
     _plain_body_start,
 )
 from heraldtime.fitting import FitConfig
+from heraldtime.herald import HeraldWindow
 from heraldtime.params import SourceParams
 from heraldtime.sampler import DetectorModel, EventSet, sample
 
@@ -802,25 +803,41 @@ class TestConfig:
         assert cfg.detector() == DetectorModel()
 
     def test_plain_values_checked_at_load_by_their_readers_rules(self):
-        # sample, herald and landscape values have no object to build: the
-        # rules of the code that reads them apply at load, each listed
+        # the sample, herald and landscape resolvers build their groups at
+        # load by the rules of the code that reads them, each listed
+        widths = ["herald.width_min=10 ps", "herald.width_max=1 ns"]
+        centers = ["herald.center_min=-1 ns", "herald.center_max=1 ns"]
+        tau_p = ["landscape.tau_p_min=1 ps", "landscape.tau_p_max=1 ns"]
+        sigma = ["landscape.sigma_min=1 THz", "landscape.sigma_max=5 THz"]
         with pytest.raises(ConfigError) as info:
             load_config(overrides=["sample.n=-5", "herald.direction=3",
-                                   "landscape.sigma_points=0"])
+                                   *tau_p, "landscape.tau_p_points=3",
+                                   *sigma, "landscape.sigma_points=0"])
         message = str(info.value)
         assert "sample: n must be a positive integer, got -5" in message
         assert "herald: herald_on must be 1 or 2, got 3" in message
         assert ("landscape: tau_p_grid and sigma_grid must be non-empty 1-D "
                 "arrays") in message
-        for points, name in (("herald.width_points=2", "widths"),
-                             ("herald.center_points=1", "centers")):
+        for points, name in ((widths + ["herald.width_points=2"], "widths"),
+                             (centers + ["herald.center_points=1"],
+                              "centers")):
             with pytest.raises(ConfigError, match=f"herald: {name} must be a "
                                                   "1-D grid of at least 3"):
-                load_config(overrides=[points])
+                load_config(overrides=points)
+        # a grid takes all three of its keys, and the landscape both axes
+        for partial in (["herald.width_points=3"], centers,
+                        ["landscape.tau_p_points=1"],
+                        [*tau_p, "landscape.tau_p_points=1"]):
+            with pytest.raises(ConfigError, match="are all required"):
+                load_config(overrides=partial)
         cfg = load_config(overrides=["sample.n=1", "herald.direction=1",
-                                     "herald.width_points=3",
-                                     "landscape.tau_p_points=1"])
+                                     *widths, "herald.width_points=3",
+                                     *tau_p, "landscape.tau_p_points=1",
+                                     *sigma, "landscape.sigma_points=1"])
         assert cfg.get("herald.width_points") == 3
+        assert cfg.sample() == (1, 1)
+        assert cfg.herald() == HeraldWindow(0.0, math.inf, 1)
+        assert [axis.size for axis in cfg.landscape()] == [1, 1]
 
     def test_overrides_typechecked(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -854,3 +871,19 @@ class TestConfig:
         path.write_text(CONFIG_OK)
         with pytest.raises(ConfigError, match="width_min"):
             load_config(path).grid("herald.width")
+        # the centroid curve's centers also need its window width
+        cfg = load_config(overrides=["herald.center_min=-1 ns",
+                                     "herald.center_max=1 ns",
+                                     "herald.center_points=3"])
+        with pytest.raises(ConfigError, match="herald.width is required"):
+            cfg.grid("herald.center")
+
+    def test_grid_spacing_is_the_grids_own(self):
+        cfg = load_config(overrides=["herald.width_min=1 ps",
+                                     "herald.width_max=100 ps",
+                                     "herald.width_points=3"])
+        grid = cfg.grid("herald.width")
+        assert grid.tolist() == cfg.grid("herald.width", "log").tolist()
+        assert grid == pytest.approx([1e-12, 1e-11, 1e-10])
+        with pytest.raises(ValueError, match="not a linear grid"):
+            cfg.grid("herald.width", "linear")

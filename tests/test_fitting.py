@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -234,6 +235,34 @@ class TestBootstrap:
         boot = bootstrap_errors(events, cfg, n_resamples=20, seed=1)
         for key in ("rho_t", "tau1", "tau2"):
             assert boot[key] == pytest.approx(curvature[key], rel=0.6)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30, 1001])
+    def test_bootstrap_rows_follow_the_block_stream(self, n, monkeypatch):
+        # the resamples bootstrap_errors draws one at a time and hands to
+        # fit are the rows of one block draw, also for odd row lengths, and
+        # its errors are the spread of the fitted values across them
+        rows = []
+
+        def recording(resample, cfg):
+            idx = resample.t1.astype(np.intp)  # t1 of event i is i
+            rows.append(idx)
+            p = [idx.sum(), idx[0], idx[-1], idx.min(), idx.max(), idx.mean(),
+                 idx @ idx]
+            cov = SimpleNamespace(rho_t=p[0], tau1=p[1], tau2=p[2],
+                                  mu1=p[3], mu2=p[4])
+            return SimpleNamespace(cov=cov, amplitude=p[5],
+                                   background_level=p[6])
+
+        monkeypatch.setattr(fitting, "fit", recording)
+        events = EventSet(np.column_stack([np.arange(n), np.zeros(n)]))
+        errors = bootstrap_errors(events, n_resamples=9, seed=3)
+        block = np.random.default_rng(3).integers(0, n, size=(9, n))
+        np.testing.assert_array_equal(np.array(rows), block)
+        fitted = [[r.sum(), r[0], r[-1], r.min(), r.max(), r.mean(), r @ r]
+                  for r in block]
+        assert list(errors.values()) == \
+            np.std(fitted, axis=0, ddof=1).tolist()
+        assert list(errors) == list(PARAM_NAMES)
 
 
 def central_diff(f, theta, step):

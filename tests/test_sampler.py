@@ -13,7 +13,6 @@ from heraldtime.sampler import (
     CHUNK_SIZE,
     DetectorModel,
     EventSet,
-    bootstrap_std,
     sample,
     sample_from_source,
 )
@@ -185,24 +184,6 @@ class TestDeterminism:
     def test_seed_must_be_a_non_negative_integer(self, seed):
         with pytest.raises(ValueError, match="seed must be a non-negative"):
             sample(REFERENCE_SETS[0], DetectorModel.ideal(), 10, seed=seed)
-
-    @pytest.mark.parametrize("n", [1, 2, 7, 30, 1001])
-    def test_bootstrap_rows_follow_the_block_stream(self, n):
-        # the resamples bootstrap_std draws one at a time are the rows of
-        # one block draw, also for odd row lengths, and their spread is the
-        # block's; a following draw continues the same stream
-        rng_rows, rng_block = np.random.default_rng(3), np.random.default_rng(3)
-        rows = []
-
-        def record(idx):
-            rows.append(idx)
-            return idx
-
-        spread = bootstrap_std(rng_rows, n, 9, record)
-        block = rng_block.integers(0, n, size=(9, n))
-        np.testing.assert_array_equal(np.array(rows), block)
-        np.testing.assert_array_equal(spread, np.std(block, axis=0, ddof=1))
-        assert rng_rows.integers(0, 10**6) == rng_block.integers(0, 10**6)
 
 
 class TestStatistics:
