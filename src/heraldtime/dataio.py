@@ -789,6 +789,9 @@ class RunConfig:
         for key, end in zip(keys, (lo, hi)):
             if not (math.isfinite(end) and (end > 0 or spacing == "linear")):
                 raise ConfigError(f"{prefix} must be {rule}, got {key} = {end!r}")
+        if not math.isfinite(hi - lo):
+            raise ConfigError(f"{prefix} must span a finite interval, got "
+                              f"{keys[0]} = {lo!r} and {keys[1]} = {hi!r}")
         check_size(n)
         return (np.geomspace if spacing == "log" else np.linspace)(lo, hi, n)
 

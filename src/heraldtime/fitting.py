@@ -25,8 +25,12 @@ Implementation notes, all of which matter for robustness:
   background B is free in sign and starts at the mean count of the box's
   outer ring of bins;
 * the histogram range is the 0.5-99.5 percentile box, robust against
-  background tails; events are binned by direct bin index and one padded
-  ``np.bincount``, with the same counts as ``np.histogram2d``;
+  background tails.  It is ``np.percentile``'s to the bit, interpolated
+  from the four order statistics it needs, which come from the few events
+  beyond +-2 sd (the whole channel is partitioned only where too few lie
+  there), so no channel is copied; events are binned by direct bin index
+  and one padded ``np.bincount``, with the same counts as
+  ``np.histogram2d``;
 * both losses get closed-form derivatives in the transformed coordinates,
   never finite differences: the least-squares fit the Jacobian J of its
   signed-root deviance residuals, the likelihood fit the score and the
@@ -213,16 +217,17 @@ def initial_guess(events: EventSet) -> TemporalCovariance:
 # Shared machinery
 # --------------------------------------------------------------------------
 
-def _moments(t1, t2):
+def _moments(t1, t2, out=None):
     """Standardized events, their scales and their clamped correlation.
 
-    Returns u, an (n, 2) view of a (2, n) array, so that each channel
-    u[:, k] = (t_k - mean) / sd is contiguous; the scales (m1, m2, s1, s2),
-    the values np.mean and np.std(ddof=1) return; and the sample
-    correlation clamped to +-_RHO_CLAMP.
+    Returns u, an (n, 2) view of the (2, n) array ``out`` (a new one if
+    None), so that each channel u[:, k] = (t_k - mean) / sd is contiguous;
+    the scales (m1, m2, s1, s2), the values np.mean and np.std(ddof=1)
+    return; and the sample correlation clamped to +-_RHO_CLAMP.  t1 and t2
+    may be the rows of ``out``, which are then standardized in place.
     """
     n = t1.shape[0]
-    u = np.empty((2, n))
+    u = np.empty((2, n)) if out is None else out
     sq = np.empty(n)
     scales = []
     for row, t in zip(u, (t1, t2)):
@@ -239,13 +244,59 @@ def _moments(t1, t2):
     return u.T, (m1, m2, s1, s2), min(max(r, -_RHO_CLAMP), _RHO_CLAMP)
 
 
-def _box_in_u(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return (np.percentile(u[:, 0], PERCENTILES),
-            np.percentile(u[:, 1], PERCENTILES))
+# np.percentile's fractions of PERCENTILES, and the standardized values
+# beyond which _box_in_u looks for their order statistics first
+_QUANTILES = tuple(p / 100 for p in PERCENTILES)
+_TAIL = 2.0
 
 
-# Events binned per pass of ``_bin_counts``: bounds its temporaries.
-_BIN_BLOCK = 1 << 16
+def _order_stats(v: np.ndarray, low: list, high: list) -> list[float]:
+    """The order statistics ``low + high`` of v (indices into sorted v).
+
+    The k-th smallest of v is the k-th smallest of its values below -_TAIL
+    when more than k lie there, and likewise from the top above _TAIL;
+    when those few values hold every index asked for, only they are
+    partitioned.  Otherwise all of v is, at the indices np.percentile
+    partitions at, so that -0.0 and 0.0, which compare equal, come out in
+    the same order.
+    """
+    below = v[v < -_TAIL]
+    above = v[v > _TAIL]
+    skip = v.shape[0] - above.size
+    if max(low) < below.size and min(high) >= skip:
+        top = [k - skip for k in high]
+        return (np.partition(below, low)[low].tolist()
+                + np.partition(above, top)[top].tolist())
+    return np.partition(v, sorted({0, -1, *low, *high}))[low + high].tolist()
+
+
+def _lerp(a: float, b: float, t: float) -> float:
+    """np.percentile's linear interpolation from a (t = 0) to b (t = 1)."""
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
+def _box_in_u(u: np.ndarray) -> tuple[tuple[float, float], ...]:
+    """``np.percentile(u[:, k], PERCENTILES)`` of each channel k, bit for bit.
+
+    Each percentile interpolates between the two order statistics around
+    its virtual index (n - 1) q, as np.percentile does; :func:`_order_stats`
+    finds them without a copy of the channel.  u holds at least two events.
+    """
+    virtual = [(u.shape[0] - 1) * q for q in _QUANTILES]
+    below = [math.floor(v) for v in virtual]
+    low, high = ([k, k + 1] for k in below)
+    boxes = []
+    for k in range(u.shape[1]):
+        a0, b0, a1, b1 = _order_stats(u[:, k], low, high)
+        boxes.append((_lerp(a0, b0, virtual[0] - below[0]),
+                      _lerp(a1, b1, virtual[1] - below[1])))
+    return tuple(boxes)
+
+
+# Events binned per pass of ``_bin_counts``: bounds its temporaries to
+# ~0.4 MB, and bins 82k events no slower than blocks of 65 536 did.
+_BIN_BLOCK = 1 << 13
 
 
 def _bin_counts(u, box1, box2, bins1, bins2):
@@ -951,7 +1002,8 @@ def fit(events: EventSet, cfg: FitConfig | None = None) -> FitResult:
     if events.count < 100:
         raise DegenerateDataError(
             f"need at least 100 events to fit, got {events.count}")
-    u, scales, rho0 = _moments(events.t1, events.t2)
+    out = events.u if isinstance(events, _Resample) else None
+    u, scales, rho0 = _moments(events.t1, events.t2, out)
     if cfg is not None and cfg.loss == "ml":
         return _fit_ml(u, scales, rho0)
     return _fit_hist_ls(u, scales, rho0)
@@ -959,11 +1011,14 @@ def fit(events: EventSet, cfg: FitConfig | None = None) -> FitResult:
 
 class _Resample(NamedTuple):
     """One bootstrap resample's channels: all of an EventSet that
-    :func:`fit` reads, without an EventSet's validation and copy."""
+    :func:`fit` reads, without an EventSet's validation and copy.  t1 and
+    t2 are the rows of ``u``, a (2, n) array that fit standardizes in
+    place."""
 
     t1: np.ndarray
     t2: np.ndarray
     count: int
+    u: np.ndarray
 
 
 def bootstrap_errors(events: EventSet, cfg: FitConfig | None = None,
@@ -974,17 +1029,28 @@ def bootstrap_errors(events: EventSet, cfg: FitConfig | None = None,
     deviation (``ddof=1``) of each recovered parameter across resamples,
     resample k being row k of ``default_rng(seed).integers(0, n, size=
     (n_resamples, n))``.  Each resample's channels are gathered straight
-    from the events, which were checked when their EventSet was made, and
-    fitted as they are.  ValueError unless ``n_resamples`` >= 2.
+    from the events, which were checked when their EventSet was made, into
+    the one (2, n) array that every refit standardizes in place; the
+    resample's indices are dropped before it is refitted.  ValueError
+    unless ``n_resamples`` >= 2.
     """
     if not (isinstance(n_resamples, (int, np.integer)) and n_resamples >= 2):
         raise ValueError(f"the number of resamples must be an integer >= 2, "
                          f"got {n_resamples!r}")
-    t1, t2 = np.ascontiguousarray(events.t1), np.ascontiguousarray(events.t2)
     rng, n, params = np.random.default_rng(seed), events.count, []
+    # t1 and t2 of event i sit at 2i and 2i + 1: np.take would copy a
+    # strided channel whole, and with mode "raise" buffer its output too
+    flat = events.events.reshape(-1)
+    u = np.empty((2, n))
+    resample = _Resample(u[0], u[1], n, u)
     for _ in range(n_resamples):
         idx = rng.integers(0, n, size=n)
-        res = fit(_Resample(t1[idx], t2[idx], n), cfg)
+        idx *= 2
+        np.take(flat, idx, out=u[0], mode="clip")
+        idx += 1
+        np.take(flat, idx, out=u[1], mode="clip")
+        del idx
+        res = fit(resample, cfg)
         params.append([res.cov.rho_t, res.cov.tau1, res.cov.tau2, res.cov.mu1,
                        res.cov.mu2, res.amplitude, res.background_level])
     return dict(zip(PARAM_NAMES, map(float, np.std(params, axis=0, ddof=1))))

@@ -400,8 +400,11 @@ def narrowing_curve(source, center: float, widths, herald_on: int = 2,
         return NarrowingCurve(widths=grid, ratios=ratios, std_errors=None,
                               asymptote=narrowing_ratio_limit(oriented))
 
-    # the model path's rule, before any counting
-    unique = np.unique(grid)
+    # the distinct widths in order, as np.unique finds them (np.unique
+    # itself would import numpy.ma), then the model path's rule, before
+    # any counting
+    unique = np.sort(grid)
+    unique = unique[np.concatenate(([True], unique[1:] != unique[:-1]))]
     lo, hi = np.array([_window(center, w) for w in unique]).T
     t1, t2 = oriented
     # The windows share one center, so they are nested: lo falls and hi

@@ -824,6 +824,13 @@ class TestConfig:
             with pytest.raises(ConfigError, match=f"herald: {name} must be a "
                                                   "1-D grid of at least 3"):
                 load_config(overrides=points)
+        # a grid's ends must be finite, and so must the span between them
+        with pytest.raises(ConfigError, match="herald.center must span a "
+                                              "finite interval"):
+            load_config(overrides=["herald.center_min=-1e308 s",
+                                   "herald.center_max=1e308 s",
+                                   "herald.center_points=3",
+                                   "herald.width=1 ns"])
         # a grid takes all three of its keys, and the landscape both axes
         for partial in (["herald.width_points=3"], centers,
                         ["landscape.tau_p_points=1"],

@@ -264,6 +264,20 @@ class TestBootstrap:
             np.std(fitted, axis=0, ddof=1).tolist()
         assert list(errors) == list(PARAM_NAMES)
 
+    def test_resamples_share_one_buffer(self):
+        # every resample is gathered into the one (2, n) array its refit
+        # standardizes in place, and its indices (half the events) are
+        # dropped before the refit: the peak is that of one fit, ~1.64
+        # times the events here.  A copy of both channels, each resample's
+        # indices and its gathered channels, then the fit's own array took
+        # ~4.2.
+        events = jittered_events(200_000)
+        bootstrap_errors(jittered_events(5000), n_resamples=2)  # set-up
+        errors, peak = traced_peak(bootstrap_errors, events, n_resamples=2,
+                                   seed=1)
+        assert all(math.isfinite(v) for v in errors.values())
+        assert peak < 1.75 * events.events.nbytes
+
 
 def central_diff(f, theta, step):
     """Derivatives of f (scalar or vector valued) in each theta: central
@@ -411,6 +425,100 @@ def _histogram2d(u, box1, box2, bins1, bins2):
                           range=(tuple(box1), tuple(box2)))
 
 
+def jittered_events(n, seed=8):
+    """Set 2 with 30 ps jitter per channel, 10 ps reference jitter and 1 %
+    flat background over +-5 widths."""
+    half = 5.0 * REFERENCE_SETS[1].tau2
+    det = DetectorModel(jitter1=30e-12, jitter2=30e-12,
+                        reference_jitter=10e-12, background_rate=0.01,
+                        window=(-half, half))
+    return synthetic(REFERENCE_SETS[1], n, seed, det)
+
+
+def traced_peak(call, *args, **kwargs):
+    """call(*args, **kwargs) and the peak of the memory it allocated."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        result = call(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Columns for the percentile box: the tails hold its order statistics
+# ("normal", "ties", "pool"), or they do not and it partitions the whole
+# channel ("one-sided", "uniform", "zeros": -0.0 and 0.0, which the
+# box must leave in the order np.percentile's partition leaves them).
+BOX_COLUMNS = {
+    "normal": lambda rng, n: rng.standard_normal(n),
+    "ties": lambda rng, n: np.round(rng.standard_normal(n), 1),
+    "pool": lambda rng, n: rng.choice([-3.5, -2.5, -2.0, -0.0, 0.0, 2.0,
+                                       2.5, 3.5], n),
+    "one-sided": lambda rng, n: np.abs(rng.standard_normal(n)),
+    "uniform": lambda rng, n: rng.uniform(-1.7, 1.7, n),
+    "zeros": lambda rng, n: np.where(rng.random(n) < rng.random(), -0.0, 0.0),
+}
+BOX_SPECIALS = [-0.0, 0.0, -2.0, 2.0, math.nextafter(-2.0, 0.0),
+                math.nextafter(2.0, 0.0), -1e300, 1e300, 5e-324]
+
+
+def assert_box_is_percentile(u):
+    got = fitting._box_in_u(u)
+    for k in range(u.shape[1]):
+        want = np.percentile(u[:, k], fitting.PERCENTILES)
+        assert np.array(got[k]).tobytes() == want.tobytes(), (k, got, want)
+
+
+class TestPercentileBox:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(100, 5000), st.sampled_from(sorted(BOX_COLUMNS)),
+           st.sampled_from(sorted(BOX_COLUMNS)), st.integers(0, 2**32 - 1),
+           st.lists(st.sampled_from(BOX_SPECIALS), max_size=30))
+    def test_bit_identical_to_percentile(self, n, kind1, kind2, seed,
+                                         specials):
+        rng = np.random.default_rng(seed)
+        u = np.empty((2, n))
+        for row, kind in zip(u, (kind1, kind2)):
+            row[:] = BOX_COLUMNS[kind](rng, n)
+        # the specials go into the first channel only, so that the second
+        # keeps the column's own order statistics
+        u[0, rng.integers(0, n, size=len(specials))] = specials
+        assert_box_is_percentile(u.T)
+
+    def test_signed_zeros_as_percentile_orders_them(self):
+        # -0.0 and 0.0 compare equal, so which one sits at an order
+        # statistic depends on where the partition pivots; the whole-channel
+        # partition must pivot where np.percentile's does
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(100, 5000))
+            u = np.column_stack([BOX_COLUMNS["zeros"](rng, n),
+                                 BOX_COLUMNS["zeros"](rng, n)])
+            assert_box_is_percentile(u)
+
+    def test_fallback_partitions_the_whole_channel(self, monkeypatch):
+        # the normal channel's order statistics come from its tails alone,
+        # the uniform one has none beyond +-2 sd and is partitioned whole
+        sizes = []
+        partition = np.partition
+
+        def recording(a, kth, *args, **kwargs):
+            sizes.append(np.shape(a)[0])
+            return partition(a, kth, *args, **kwargs)
+
+        n = 3000
+        rng = np.random.default_rng(5)
+        u = np.column_stack([rng.standard_normal(n),
+                             rng.uniform(-1.7, 1.7, n)])
+        monkeypatch.setattr(np, "partition", recording)
+        fitting._box_in_u(u)
+        monkeypatch.undo()
+        assert len(sizes) == 3 and max(sizes[:2]) < n / 10 and sizes[2] == n
+        assert_box_is_percentile(u)
+
+
 class TestDirectBinning:
     def assert_same(self, u, box1, box2, bins1=8, bins2=11):
         got = fitting._bin_counts(u, box1, box2, bins1, bins2)
@@ -457,25 +565,25 @@ class TestDirectBinning:
         self.assert_same(u, box1, box2, fitting.BINS, fitting.BINS)
 
     def test_hist_ls_fit_holds_no_event_sized_bin_temporaries(self):
-        # The fit holds the standardized events (as large as the events)
-        # and, for a while, the percentile box's copy of one channel: ~1.7
-        # times the events here.  Binning every event at once took ~2.6.
-        import tracemalloc
-
-        half = 5.0 * REFERENCE_SETS[1].tau2
-        det = DetectorModel(jitter1=30e-12, jitter2=30e-12,
-                            reference_jitter=10e-12, background_rate=0.01,
-                            window=(-half, half))
-        events = synthetic(REFERENCE_SETS[1], 200_000, 8, det)
-        fit(synthetic(REFERENCE_SETS[1], 5000, 8, det))  # first-call set-up
-        tracemalloc.start()
-        try:
-            result = fit(events)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # The fit holds the standardized events (as large as the events),
+        # for a while the squares their SDs are summed from (half that), and
+        # the solver's ~2 MB of bin-sized arrays: ~1.64 times the events
+        # here.  Binning every event at once took ~2.6.
+        events = jittered_events(200_000)
+        fit(jittered_events(5000))  # first-call set-up
+        result, peak = traced_peak(fit, events)
         assert result.converged
-        assert peak < 2.1 * events.events.nbytes
+        assert peak < 1.75 * events.events.nbytes
+
+    def test_percentile_box_copies_no_channel(self):
+        # the box reads each channel through a mask (1/16 of the events)
+        # and copies only the ~2 % of events beyond +-2 sd; np.percentile
+        # copied a whole channel, half the events
+        events = jittered_events(200_000)
+        u, _, _ = fitting._moments(events.t1, events.t2)
+        _, peak = traced_peak(fitting._box_in_u, u)
+        assert peak < 0.125 * events.events.nbytes
+        assert_box_is_percentile(u)
 
     def test_point_box_widens_like_numpy(self):
         u = np.array([[2.0, 2.0], [2.4, 1.6], [2.6, 2.0], [1.0, 2.5]])
