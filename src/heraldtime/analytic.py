@@ -3,8 +3,9 @@
 The joint arrival-time distribution of the two photons is a normalized
 bivariate Gaussian with correlation ``rho_t`` and standard deviations
 ``tau1``, ``tau2``.  Conditioning on the partner photon landing inside a
-finite detection window narrows the remaining photon's wavepacket; the
-narrowing ratio approaches sqrt(1 - rho_t^2) as the window shrinks.
+finite detection window narrows the remaining photon's wavepacket (its
+density and exact moments share one window kernel); the narrowing ratio
+approaches sqrt(1 - rho_t^2) as the window shrinks.
 
 The observable-level parameters follow from the source and link settings:
 with sigma the effective phase-matching width, tau_p the pump duration and
@@ -35,6 +36,7 @@ left to the fitting layer where it is a free parameter anyway.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -56,6 +58,7 @@ __all__ = [
     "joint_density",
     "conditional_density",
     "conditional_limit_density",
+    "conditional_moments",
     "narrowing_ratio_limit",
     "tau1",
     "tau1h_0",
@@ -97,32 +100,24 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
 
 
-def _normal_cdf_pdf(a: float) -> tuple[float, float]:
-    """Standard normal cdf and pdf at ``a``, both from one rounded a/sqrt(2).
+def _tail_window(a: float, b: float):
+    """The standard-normal window [a, b] as (a, b, sign, mass, pdf(a), pdf(b)).
 
-    Below the mean ``erfc`` keeps full relative precision.  The pdf is taken
-    at the point where the cdf was actually evaluated, so that the ratios of
-    densities to window masses carry no argument rounding of their own.
+    A window above the mean is reflected below it (sign -1), where ``erfc``
+    keeps both tail masses' relative precision, so that their difference
+    does not cancel.  Each pdf is taken at the rounded a/sqrt(2) of its cdf,
+    so that density-to-mass ratios carry no argument rounding of their own.
     """
-    z = a / _SQRT2
-    return 0.5 * math.erfc(-z), _INV_SQRT_2PI * math.exp(-z * z)
+    sign = 1.0
+    if a > 0.0:
+        a, b, sign = -b, -a, -1.0
+    za, zb = a / _SQRT2, b / _SQRT2
+    return (a, b, sign, 0.5 * math.erfc(-zb) - 0.5 * math.erfc(-za),
+            _INV_SQRT_2PI * math.exp(-za * za), _INV_SQRT_2PI * math.exp(-zb * zb))
 
 
-def _lower_tail(lo: float, hi: float) -> tuple[float, float, float]:
-    """A standard-normal window [lo, hi] as (lo, hi, sign): one above the
-    mean is reflected below it (sign -1), so that the difference of its two
-    tail masses does not cancel."""
-    return (-hi, -lo, -1.0) if lo > 0.0 else (lo, hi, 1.0)
-
-
-def _window_mass(lo: float, hi: float) -> float:
-    """P(lo <= Z <= hi) for a standard normal Z."""
-    a, b, _ = _lower_tail(lo, hi)
-    return _normal_cdf_pdf(b)[0] - _normal_cdf_pdf(a)[0]
-
-
-# The same mass elementwise over arrays (NumPy has no erfc of its own).
-_normal_mass = np.frompyfunc(_window_mass, 2, 1)
+# The window mass elementwise over arrays (NumPy has no erfc of its own).
+_normal_mass = np.frompyfunc(lambda a, b: _tail_window(a, b)[3], 2, 1)
 
 
 def _window(center: float, width: float) -> tuple[float, float]:
@@ -134,13 +129,15 @@ def _window(center: float, width: float) -> tuple[float, float]:
     return center - 0.5 * width, center + 0.5 * width
 
 
-def _checked_mass(mass: float, lo: float, hi: float) -> float:
-    """The window [lo, hi]'s mass; ValueError where it is subnormal (past
-    ~37.5 sd) and lacks the precision that the closed forms' ratios need."""
-    if mass < sys.float_info.min:
+def _standard_window(mu: float, sd: float, lo: float, hi: float):
+    """The window [lo, hi] of N(mu, sd^2) in sd, as :func:`_tail_window`;
+    ValueError where its mass is subnormal (past ~37.5 sd) and lacks the
+    precision that the closed forms' ratios need."""
+    terms = _tail_window((lo - mu) / sd, (hi - mu) / sd)
+    if terms[3] < sys.float_info.min:
         raise ValueError(f"window [{lo!r}, {hi!r}] carries no probability "
                          "mass: it lies too far in the tail")
-    return mass
+    return terms
 
 
 def conditional_density(t1, center: float, width: float, cov: TemporalCovariance):
@@ -172,7 +169,7 @@ def conditional_density(t1, center: float, width: float, cov: TemporalCovariance
     m = r * (cov.tau2 / cov.tau1) * x1
     s = cov.tau2 * math.sqrt(1.0 - r * r)
     window_factor = np.asarray(_normal_mass((a - m) / s, (b - m) / s), dtype=float)
-    mass = _checked_mass(_window_mass(a / cov.tau2, b / cov.tau2), lo, hi)
+    mass = _standard_window(cov.mu2, cov.tau2, lo, hi)[3]
     return marginal * window_factor / mass
 
 
@@ -191,6 +188,74 @@ def conditional_limit_density(t1, center: float, cov: TemporalCovariance):
 def narrowing_ratio_limit(cov: TemporalCovariance) -> float:
     """Limiting ratio of heralded to unconditional width: sqrt(1 - rho_t^2)."""
     return math.sqrt(1.0 - cov.rho_t ** 2)
+
+
+# --------------------------------------------------------------------------
+# Exact conditional moments
+# --------------------------------------------------------------------------
+
+# Windows narrower than this many sd take their moments by quadrature.
+_NARROW = 0.1
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 12-point rule on [-1, 1].
+
+    Computed on first use: ``leggauss`` runs LAPACK, whose first call costs
+    about 1 MiB of resident memory.
+    """
+    return np.polynomial.legendre.leggauss(12)
+
+
+def _truncated_normal_moments(mu: float, sd: float, lo: float,
+                              hi: float) -> tuple[float, float]:
+    """Mean and variance of N(mu, sd^2) restricted to [lo, hi].
+
+    A window narrower than ``_NARROW`` sd takes its moments about its
+    midpoint by Gauss-Legendre quadrature, because there the closed form's
+    variance ``1 + (ta - tb)/mass - shift**2`` cancels.
+    """
+    a, b, sign, mass, pa, pb = _standard_window(mu, sd, lo, hi)
+    if b - a < _NARROW:
+        # hi - lo rounds at most once, so the half-width in sd keeps full
+        # precision; b - a would lose it to the rounding of a and b.
+        c = sign * (0.5 * (lo + hi) - mu) / sd
+        nodes, weights = _gauss_legendre()
+        d = (0.5 * (hi - lo) / sd) * nodes
+        weight = weights * np.exp(-d * (c + 0.5 * d))
+        norm = weight.sum()
+        shift = (weight @ d) / norm
+        var_factor = (weight @ (d - shift) ** 2) / norm
+        return mu + sign * sd * (c + shift), sd * sd * var_factor
+    ta = a * pa if pa > 0.0 else 0.0
+    tb = b * pb if pb > 0.0 else 0.0
+    mean_shift = (pa - pb) / mass
+    var_factor = 1.0 + (ta - tb) / mass - mean_shift ** 2
+    return mu + sign * sd * mean_shift, sd * sd * var_factor
+
+
+def conditional_moments(cov: TemporalCovariance, center: float,
+                        width: float) -> tuple[float, float]:
+    """Exact mean and standard deviation of t1 given t2 in the window.
+
+    Decomposes t1 into its regression on t2 plus independent noise:
+
+        E[t1 | t2 in W]   = mu1 + rho_t (tau1/tau2) (E[t2 | W] - mu2)
+        Var[t1 | t2 in W] = tau1^2 (1 - rho_t^2)
+                            + rho_t^2 (tau1/tau2)^2 Var[t2 | W]
+
+    with the window moments of t2 those of a truncated normal.  Exact for
+    any window, including width=inf (the unconditional moments).  Raises
+    ValueError for a width that is not positive, a center that is not finite
+    and a window that carries no probability mass.
+    """
+    lo, hi = _window(center, width)
+    m2, v2 = _truncated_normal_moments(cov.mu2, cov.tau2, lo, hi)
+    slope = cov.rho_t * cov.tau1 / cov.tau2
+    mean = cov.mu1 + slope * (m2 - cov.mu2)
+    var = cov.tau1 ** 2 * (1.0 - cov.rho_t ** 2) + slope ** 2 * v2
+    return mean, math.sqrt(var)
 
 
 # --------------------------------------------------------------------------

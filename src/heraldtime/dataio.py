@@ -51,8 +51,7 @@ load whichever command runs, and all violations are listed at once.  A grid
 needs all three of its ``_min``/``_max``/``_points`` keys, finite ends
 (positive for the narrowing widths and the landscape axes) and the size its
 reader takes; ``herald()`` builds each herald grid the config names and
-``landscape()`` both axes.  Breaking change: a partial grid or a bad grid
-end now fails at load in every command.
+``landscape()`` both axes.
 """
 
 from __future__ import annotations

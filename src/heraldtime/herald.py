@@ -12,8 +12,8 @@ width with its error bar, and the two standard curves:
 
 Every curve function accepts either an :class:`~heraldtime.sampler.EventSet`
 (empirical path, with error bars) or a
-:class:`~heraldtime.params.TemporalCovariance` (analytic path, exact
-conditional moments propagated through the truncated-normal window).
+:class:`~heraldtime.params.TemporalCovariance` (analytic path, the exact
+window moments of ``analytic.conditional_moments``, re-exported here).
 Statistics are always computed on raw counts; any display scaling is left to
 presentation code.  Every empirical window is the closed interval
 ``lo <= t <= hi`` of ``analytic._window``, the model paths' rule.
@@ -40,14 +40,12 @@ keyword stays so that callers that pass or bind it by name keep working.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import (_checked_mass, _lower_tail, _normal_cdf_pdf, _window,
-                       _window_mass, narrowing_ratio_limit)
+from .analytic import _window, conditional_moments, narrowing_ratio_limit
 from .params import HeraldtimeError, TemporalCovariance
 from .sampler import EventSet
 
@@ -64,9 +62,6 @@ __all__ = [
 ]
 
 MIN_EVENTS = 30
-
-# Windows narrower than this many sd take their moments by quadrature.
-_NARROW = 0.1
 
 
 class TooFewEventsError(HeraldtimeError):
@@ -168,17 +163,21 @@ def select(events: EventSet, w: HeraldWindow) -> EventSet:
     recorded in the metadata.  An empty selection is flagged there, not
     raised.
     """
-    mask = _in_window(_oriented(events, w.herald_on)[1], w.center, w.width)
-    meta = dict(events.metadata)
-    meta["selection"] = {
+    heralding = _oriented(events, w.herald_on)[1]
+    # each event as one complex, so that the mask takes whole rows without
+    # the index array that masking a 2-D array builds
+    rows = events.events.view(np.complex128)[:, 0]
+    rows = rows[_in_window(heralding, w.center, w.width)]
+    out = EventSet._adopt(rows.view(float).reshape(-1, 2), events.metadata)
+    out.metadata["selection"] = {
         "herald_on": w.herald_on,
         "center": w.center,
         "width": w.width,
-        "selected": int(mask.sum()),
+        "selected": out.count,
         "total": events.count,
-        "empty": not bool(mask.any()),
+        "empty": out.count == 0,
     }
-    return EventSet(events.events[mask], meta)
+    return out
 
 
 def heralded_width(events: EventSet, w: HeraldWindow,
@@ -198,72 +197,6 @@ def heralded_width(events: EventSet, w: HeraldWindow,
         lambda x: np.std(x, ddof=1), _sd_error,
         f"window (center={w.center!r}, width={w.width!r})")
     return float(width), float(err)
-
-
-# --------------------------------------------------------------------------
-# Exact conditional moments of the model
-# --------------------------------------------------------------------------
-
-@functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the 12-point rule on [-1, 1].
-
-    Computed on first use: ``leggauss`` runs LAPACK, whose first call costs
-    about 1 MiB of resident memory.
-    """
-    return np.polynomial.legendre.leggauss(12)
-
-
-def _truncated_normal_moments(mu: float, sd: float, lo: float,
-                              hi: float) -> tuple[float, float]:
-    """Mean and variance of N(mu, sd^2) restricted to [lo, hi].
-
-    A window narrower than ``_NARROW`` sd takes its moments about its
-    midpoint by Gauss-Legendre quadrature, because there the closed form's
-    variance ``1 + (ta - tb)/mass - shift**2`` cancels.
-    """
-    a, b, sign = _lower_tail((lo - mu) / sd, (hi - mu) / sd)
-    mass = _checked_mass(_window_mass(a, b), lo, hi)
-    pa, pb = _normal_cdf_pdf(a)[1], _normal_cdf_pdf(b)[1]
-    if b - a < _NARROW:
-        # hi - lo rounds at most once, so the half-width in sd keeps full
-        # precision; b - a would lose it to the rounding of a and b.
-        c = sign * (0.5 * (lo + hi) - mu) / sd
-        nodes, weights = _gauss_legendre()
-        d = (0.5 * (hi - lo) / sd) * nodes
-        weight = weights * np.exp(-d * (c + 0.5 * d))
-        norm = weight.sum()
-        shift = (weight @ d) / norm
-        var_factor = (weight @ (d - shift) ** 2) / norm
-        return mu + sign * sd * (c + shift), sd * sd * var_factor
-    ta = a * pa if pa > 0.0 else 0.0
-    tb = b * pb if pb > 0.0 else 0.0
-    mean_shift = (pa - pb) / mass
-    var_factor = 1.0 + (ta - tb) / mass - mean_shift ** 2
-    return mu + sign * sd * mean_shift, sd * sd * var_factor
-
-
-def conditional_moments(cov: TemporalCovariance, center: float,
-                        width: float) -> tuple[float, float]:
-    """Exact mean and standard deviation of t1 given t2 in the window.
-
-    Decomposes t1 into its regression on t2 plus independent noise:
-
-        E[t1 | t2 in W]   = mu1 + rho_t (tau1/tau2) (E[t2 | W] - mu2)
-        Var[t1 | t2 in W] = tau1^2 (1 - rho_t^2)
-                            + rho_t^2 (tau1/tau2)^2 Var[t2 | W]
-
-    with the window moments of t2 those of a truncated normal.  Exact for
-    any window, including width=inf (the unconditional moments).  Raises
-    ValueError for a width that is not positive, a center that is not finite
-    and a window that carries no probability mass.
-    """
-    lo, hi = _window(center, width)
-    m2, v2 = _truncated_normal_moments(cov.mu2, cov.tau2, lo, hi)
-    slope = cov.rho_t * cov.tau1 / cov.tau2
-    mean = cov.mu1 + slope * (m2 - cov.mu2)
-    var = cov.tau1 ** 2 * (1.0 - cov.rho_t ** 2) + slope ** 2 * v2
-    return mean, math.sqrt(var)
 
 
 # --------------------------------------------------------------------------

@@ -40,10 +40,11 @@ __all__ = ["RECIPES", "TargetCheck", "Bundle", "load_targets", "run_recipe",
            "narrowing_table", "centroid_table", "landscape_table"]
 
 # Statistical recipes compare refit values against reference bands whose
-# widths are dominated by the published uncertainties; the default seed is
-# pinned to a value verified to keep every check inside its band (set 3's
-# measured narrowing ratio sits ~3 sigma from the Gaussian-model limit of
-# its own fitted correlation, so the margin there is structurally thin).
+# widths are dominated by the published uncertainties.  The default seed is
+# pinned, and it is not typical: table1 passes on only 9 of seeds 2000-2039,
+# and all 31 failures are set3.narrowing_limit (set 3's measured narrowing
+# ratio sits ~3 sigma from the Gaussian-model limit of its own fitted
+# correlation; ROADMAP item 2).
 DEFAULT_SEED = 1234
 
 # Phi^-1(1 - 1e-3/6): the three two-sided fig3a asymptote checks together

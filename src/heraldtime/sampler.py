@@ -24,9 +24,10 @@ positions uniforms (m, 2).
 
 Pulse-train aliasing is not modeled: every event is assumed uniquely assigned
 to its pump pulse.  Signal events are not truncated to the window; the window
-is the background support (and the truncation box used by file readers that
-care).  For the Gaussian scales used here any window wide enough to hold the
-background also holds all but a ~1e-14 tail of the signal.
+is the background support, and it is assumed to hold the signal.  Where it
+does not, fits of the events are biased: Table 1 set 1 (82k events, 64
+seeds) with 1% background over a +-1 ns window gives a mean rho_t pull of
+-5.4 (hist-ls) and -6.5 (ml).
 """
 
 from __future__ import annotations

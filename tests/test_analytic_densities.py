@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from heraldtime import analytic, herald
+from heraldtime import analytic
 from heraldtime.analytic import (
     conditional_density,
     conditional_limit_density,
@@ -118,8 +118,8 @@ class TestConditionalDensity:
                     width = w * cov.tau2
                     lo, hi = center - 0.5 * width, center + 0.5 * width
                     try:
-                        herald._truncated_normal_moments(cov.mu2, cov.tau2,
-                                                         lo, hi)
+                        analytic._truncated_normal_moments(cov.mu2, cov.tau2,
+                                                           lo, hi)
                         moments_raise = False
                     except ValueError:
                         moments_raise = True
@@ -257,13 +257,13 @@ def test_erf_backend_accuracy():
 
 
 def test_herald_normal_cdf_accuracy():
-    """The math.erfc Phi of the normal kernel (the herald moments' scalar
-    path): 1e-12 absolute on [-6, 6], and relative precision down to -37
-    limited only by rounding x/sqrt(2)."""
+    """The math.erfc Phi of the normal kernel (the window moments' scalar
+    path), as the mass of (-inf, x]: 1e-12 absolute on [-6, 6], and relative
+    precision down to -37 limited only by rounding x/sqrt(2)."""
     mpmath = pytest.importorskip("mpmath")
 
     def phi(x):
-        return analytic._normal_cdf_pdf(float(x))[0]
+        return analytic._tail_window(-math.inf, float(x))[3]
 
     xs = np.linspace(-6.0, 6.0, 241)
     reference = [float(mpmath.ncdf(mpmath.mpf(repr(float(x))))) for x in xs]

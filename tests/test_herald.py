@@ -89,6 +89,25 @@ class TestSelect:
         assert out.count == 1
         assert out.events.tolist() == [[0.0, 9.0]]
 
+    def test_result_is_one_read_only_copy_of_the_rows(self):
+        import tracemalloc
+
+        es = EventSet(np.random.default_rng(5).standard_normal((1_000_000, 2)))
+        w = HeraldWindow(center=0.0, width=2.0)
+        tracemalloc.start()
+        try:
+            out = select(es, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.6 < out.count / es.count < 0.75
+        np.testing.assert_array_equal(
+            out.events, es.events[np.abs(es.t2) <= 1.0])
+        assert not out.events.flags.writeable
+        assert not np.shares_memory(out.events, es.events)
+        # the selected rows are held once: no second copy, no index array
+        assert peak < 1.25 * out.events.nbytes
+
 
 class TestHeraldedWidth:
     def test_reference_set1_narrowed_width(self):
@@ -126,6 +145,14 @@ class TestHeraldedWidth:
 
 
 class TestConditionalMoments:
+    def test_one_object_under_every_import_path(self):
+        # the window moments live in analytic; herald and the package
+        # re-export the same function
+        import heraldtime
+
+        assert (heraldtime.conditional_moments is herald.conditional_moments
+                is analytic.conditional_moments)
+
     def test_matches_quadrature(self):
         cov = TemporalCovariance(rho_t=-0.62, tau1=1.7e-10, tau2=2.9e-10,
                                  mu1=2e-11, mu2=-3e-11)
@@ -175,28 +202,28 @@ class TestTruncatedNormalTails:
         pytest.importorskip("mpmath")
         if mirror:
             lo, hi = -hi, -lo
-        mean, var = herald._truncated_normal_moments(mu, sd, mu + sd * lo,
-                                                     mu + sd * hi)
+        mean, var = analytic._truncated_normal_moments(mu, sd, mu + sd * lo,
+                                                       mu + sd * hi)
         mean_mp, var_mp = truncated_normal_moments_mp(mu, sd, mu + sd * lo,
                                                       mu + sd * hi)
         assert mean == pytest.approx(mean_mp, rel=1e-13, abs=1e-13 * sd)
         # Windows narrower than 0.1 sd are integrated about their midpoint;
         # the closed form cancels there (0.1.0: 4.7e-2 at [35, 35.001]).
-        narrow = hi - lo < herald._NARROW
+        narrow = hi - lo < analytic._NARROW
         assert var == pytest.approx(var_mp, rel=1e-12 if narrow else 1e-6)
 
     @pytest.mark.parametrize("lo,hi", [(3.0, 4.0), (8.0, 8.1), (10.0, 10.5),
                                        (8.0, 8.001)])
     def test_upper_tail_mirrors_lower_tail(self, lo, hi):
-        upper = herald._truncated_normal_moments(0.0, 1.0, lo, hi)
-        lower = herald._truncated_normal_moments(0.0, 1.0, -hi, -lo)
+        upper = analytic._truncated_normal_moments(0.0, 1.0, lo, hi)
+        lower = analytic._truncated_normal_moments(0.0, 1.0, -hi, -lo)
         assert upper == (-lower[0], lower[1])
 
     @pytest.mark.parametrize("lo,hi", [(50.0, 51.0), (-51.0, -50.0),
                                        (38.0, 38.1), (-math.inf, -37.8)])
     def test_underflowing_mass_still_raises(self, lo, hi):
         with pytest.raises(ValueError, match="no probability mass"):
-            herald._truncated_normal_moments(0.0, 1.0, lo, hi)
+            analytic._truncated_normal_moments(0.0, 1.0, lo, hi)
 
 
 class TestNarrowingCurve:
