@@ -46,6 +46,7 @@ from .dataio import (
     write_report,
     write_table,
     RunConfig,
+    _time_scale,
 )
 from .fitting import DegenerateDataError, fit as run_fit
 from .params import HeraldtimeError
@@ -106,6 +107,7 @@ def _flat(report: dict, prefix: str = "") -> list:
 def _cmd_simulate(args) -> int:
     cfg = _load(args)
     n, seed = cfg.sample()
+    _time_scale(args.unit)  # a bad --unit fails before any sampling
     events = sample_from_source(cfg.source(), cfg.link(), cfg.detector(), n=n,
                                 seed=seed if args.seed is None else args.seed)
     if cfg.has("meta.delta_lambda"):

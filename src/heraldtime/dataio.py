@@ -19,16 +19,17 @@ exactly representable).  The reader parses the data rows in one vectorized
 call; a body that call refuses is read line by line, which also honours
 ``#`` lines among the rows, and every read error names the file line.
 
-A large event set is written and read in contiguous shares of its rows,
-one for each CPU the process may run on, when each worker's share gets at
-least ``_PARALLEL_MIN_ROWS`` (200 000) rows and the process's own share
-that many more on a read, half as many on a write: a million events on two
-CPUs split, 82 000 stay serial.  The process does the first share; each
-other share runs in a worker process (``sys.executable``) through the same
-block formatter or the same ``np.loadtxt`` call, so the bytes written and
-the floats read are those of the serial codec.  Where a worker cannot start or
-dies, the process does its rows itself; where any share is refused, the
-whole body goes to the line walk, with the same errors.
+A large event set is written in contiguous shares of its rows, one for
+each CPU the process may run on, when each worker's share gets at least
+``_PARALLEL_MIN_ROWS`` (200 000) rows and the process's own share half as
+many more: a million events on two CPUs split, 82 000 stay serial.  The
+process writes the first share; each other share is formatted in a worker
+process (``sys.executable``) by the same block formatter, so the bytes
+written are those of the serial write.  Where a worker cannot start or
+dies, the process writes its rows itself.  A read is one ``np.loadtxt``
+call over the file, in this process and at any size: given the file's
+path, loadtxt reads the file in blocks itself, and one CPU parses a
+million rows about as fast as two processes each parsing half.
 
 Run configuration is a flat ``key = value`` text file with explicit unit
 suffixes on dimensioned quantities::
@@ -58,7 +59,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-import itertools
 import json
 import math
 import os
@@ -105,14 +105,16 @@ _WRITE_BLOCK_ROWS = 4096
 # Body bytes checked per read before the one-call parse: bounds the bytes
 # held at once.
 _SCAN_BLOCK = 1 << 20
-# Fewest rows a worker's share of a split read or write takes (see _split).
-# A worker process takes ~0.25 s to start and import NumPy without a
-# bytecode cache: the time ~200 000 rows take to parse (~1.3 us a row) and
-# ~100 000 to format (~2.3 us a row).  A smaller share would gain nothing,
-# and the caller's own share is larger by the rows it does meanwhile.
+# Fewest rows a worker's share of a split write takes (see _split).  A
+# worker process takes ~0.25 s to start and import NumPy without a bytecode
+# cache: the time ~100 000 rows take to format (~2.3 us a row), by which the
+# caller's own share is larger, since it writes them meanwhile.  A worker's
+# 200 000 rows take ~0.46 s to format, so a smaller share would gain little.
 _PARALLEL_MIN_ROWS = 200_000
-# Bytes moved per call between a worker's pipe and the file or array.
+# Bytes moved per call from a worker's pipe to the file.
 _PIPE_CHUNK = 1 << 16
+# Names np.loadtxt would decompress by their suffix: read line by line.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 TIME_UNITS = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "ps": 1e-12,
               "fs": 1e-15}
@@ -201,9 +203,7 @@ def write_events(events: EventSet, path, unit: str = "s") -> None:
     repeated in the ``meta`` JSON.  A large set is formatted in shares by
     :func:`_split`; the bytes are those of the serial write.
     """
-    if unit not in TIME_UNITS:
-        raise ValueError(f"unknown time unit {unit!r}; known: {sorted(TIME_UNITS)}")
-    scale = TIME_UNITS[unit]
+    scale = _time_scale(unit)
     path = Path(path)
     header = [EVENT_MAGIC, f"# units = {unit}", f"# count = {events.count}"]
     meta = {k: v for k, v in events.metadata.items() if k != "units"}
@@ -215,20 +215,10 @@ def write_events(events: EventSet, path, unit: str = "s") -> None:
             raise ReportError(
                 f"event metadata contains non-finite values: {exc}") from exc
     data = events.events
-
-    def rows_file(lo, hi):
-        import tempfile
-
-        rows = tempfile.TemporaryFile()
-        rows.write(np.ascontiguousarray(data[lo:hi]))
-        rows.seek(0)
-        return ["write", repr(scale)], rows
-
     try:
         with path.open("wb") as fh:
             fh.write(("\n".join(header) + "\n").encode("utf-8"))
-            with _split(len(data), rows_file,
-                        _PARALLEL_MIN_ROWS // 2) as shares:
+            with _split(data, scale) as shares:
                 if shares is None:
                     _write_rows(fh, data, scale)
                     return
@@ -247,6 +237,13 @@ def write_events(events: EventSet, path, unit: str = "s") -> None:
         raise ReportError(f"cannot write event file {path}: {exc}") from exc
 
 
+def _time_scale(unit: str) -> float:
+    """Seconds in one ``unit`` of an event file; ValueError if unknown."""
+    if unit not in TIME_UNITS:
+        raise ValueError(f"unknown time unit {unit!r}; known: {sorted(TIME_UNITS)}")
+    return TIME_UNITS[unit]
+
+
 def _write_rows(fh, data: np.ndarray, scale: float) -> None:
     """Write the rows of ``data / scale`` to the binary ``fh``, one
     ``_WRITE_BLOCK_ROWS`` block at a time."""
@@ -261,11 +258,12 @@ def read_events(path) -> EventSet:
 
     A body of ASCII lines broken only at "\\n" (what :func:`write_events`
     writes) is checked in blocks of ``_SCAN_BLOCK`` bytes and then parsed
-    from the file by ``np.loadtxt``, in shares by :func:`_split` when it is
-    large, so the reader holds one block or the parsed array, never the
+    by one ``np.loadtxt`` call given the file's path, which reads the file
+    in blocks, so the reader holds one block or the parsed array, never the
     file's text; the returned :class:`EventSet` takes that array without a
-    copy.  Any other body, or one that parse refuses, is decoded whole and
-    read line by line.
+    copy.  Any other body, one that call refuses, or a file whose name ends
+    in a suffix loadtxt would decompress by, is decoded whole and read line
+    by line.
 
     Raises :class:`EventFileError` naming the line for any malformed content.
     """
@@ -273,11 +271,12 @@ def read_events(path) -> EventSet:
     try:
         with path.open("rb") as fh:
             reader = _EventReader(path)
-            plain = _plain_body_start(fh, reader)
+            plain = (None if path.name.endswith(_COMPRESSED)
+                     else _plain_body_start(fh, reader))
             # A row loadtxt rejects or skips (a blank one) sends the body to
             # the line walk below, which alone reports errors and reads what
             # only float() accepts or what needs line order.
-            arr = None if plain is None else _read_plain(fh, path, *plain)
+            arr = None if plain is None else _parse_rows(path, *plain)
             if arr is not None:
                 arr *= reader.scale
                 return _event_set(reader, arr)
@@ -298,62 +297,16 @@ def read_events(path) -> EventSet:
     return _event_set(reader, arr)
 
 
-def _read_plain(fh, path: Path, start: int, rows: int) -> np.ndarray | None:
-    """The ``rows`` lines of the plain body at byte ``start`` of ``fh`` as
-    an array, parsed in shares by :func:`_split` when there are enough, or
-    None where any share is refused."""
-
-    def body_range(lo, hi):
-        at = _line_offset(fh, start, lo)
-        return ["read", str(path), str(at), str(hi - lo)], None
-
-    with _split(rows, body_range, _PARALLEL_MIN_ROWS) as shares:
-        fh.seek(start)
-        if shares is None:
-            return _parse_rows(fh, rows)
-        arr = _parse_rows(fh, shares[0][1])
-        if arr is None:
-            return None
-        arr.resize((rows, 2), refcheck=False)  # in place: no second copy
-        for lo, hi, proc in shares[1:]:
-            share = memoryview(arr[lo:hi]).cast("B")
-            got = 0
-            while got < len(share) and (
-                    size := proc.stdout.readinto(share[got:got + _PIPE_CHUNK])):
-                got += size
-            if got < len(share) or proc.stdout.read(1) or proc.wait() != 0:
-                return None
-        return arr
-
-
-def _parse_rows(fh, rows: int) -> np.ndarray | None:
-    """The next ``rows`` lines of the binary ``fh`` as a (rows, 2) array, or
-    None where ``np.loadtxt`` refuses or skips one or reads a non-finite
-    value."""
+def _parse_rows(path: Path, skip: int, rows: int) -> np.ndarray | None:
+    """The ``rows`` lines of the file at ``path`` after its first ``skip``
+    as a (rows, 2) array, or None where ``np.loadtxt`` refuses or skips one
+    or reads a non-finite value."""
     try:
-        arr = np.loadtxt(itertools.islice(fh, rows), delimiter=",",
-                         comments=None, ndmin=2)
+        arr = np.loadtxt(os.fspath(path), delimiter=",", comments=None,
+                         ndmin=2, skiprows=skip, encoding="utf-8")
     except ValueError:
         return None
     return arr if arr.shape == (rows, 2) and np.isfinite(arr).all() else None
-
-
-def _line_offset(fh, start: int, line: int) -> int:
-    """Byte offset of line ``line`` (from 0) of the "\\n"-broken body at
-    byte ``start`` of ``fh``, counted in blocks of ``_SCAN_BLOCK`` bytes;
-    the end of the file if the body has fewer lines."""
-    fh.seek(start)
-    block = bytearray(_SCAN_BLOCK)
-    while size := fh.readinto(block):
-        breaks = block.count(b"\n", 0, size)
-        if breaks >= line:
-            at = 0
-            for _ in range(line):
-                at = block.index(b"\n", at) + 1
-            return start + at
-        line -= breaks
-        start += size
-    return start
 
 
 def _cpu_count() -> int:
@@ -365,25 +318,27 @@ def _cpu_count() -> int:
 
 
 @contextlib.contextmanager
-def _split(rows: int, share_input, head: int):
-    """Contiguous shares of ``rows`` rows, one for each CPU, every share but
-    the first started in a worker process; the caller does the first.  Each
-    worker's share holds at least ``_PARALLEL_MIN_ROWS`` rows, and the
-    caller's ``head`` rows more: those it does while the workers start.
+def _split(data: np.ndarray, scale: float):
+    """Contiguous shares of the rows of ``data``, one for each CPU, every
+    share but the first formatted as ``data / scale`` by a worker process;
+    the caller writes the first.  Each worker's share holds at least
+    ``_PARALLEL_MIN_ROWS`` rows, and the caller's half as many more: those
+    it writes while the workers start.
 
     Yields ``[(lo, hi, proc), ...]``, with ``proc`` None for the first share,
     or None when the rows are too few, there is one CPU or a worker cannot
-    start: the caller then does every row itself.  ``share_input(lo, hi)``
-    gives a worker's arguments to :func:`_share_worker` and the binary file
-    its stdin reads, or None.  A worker writes its result to its stdout
-    pipe.  On exit every worker still running is killed, and all are waited
-    for.
+    start: the caller then writes every row itself.  A worker reads its
+    float64 rows from a temporary file on its stdin and writes their text to
+    its stdout pipe.  On exit every worker still running is killed, and all
+    are waited for.
     """
+    rows, head = len(data), _PARALLEL_MIN_ROWS // 2
     count = min(_cpu_count(), (rows - head) // _PARALLEL_MIN_ROWS)
     if count < 2 or not sys.executable:
         yield None
         return
     import subprocess
+    import tempfile
 
     bounds = [0] + [head + (rows - head) * k // count
                     for k in range(1, count + 1)]
@@ -392,12 +347,12 @@ def _split(rows: int, share_input, head: int):
     with contextlib.ExitStack() as stack:
         try:
             for share in shares[1:]:
-                args, stdin = share_input(*share[:2])
-                with stdin or contextlib.nullcontext():
+                with tempfile.TemporaryFile() as stdin:
+                    stdin.write(np.ascontiguousarray(data[share[0]:share[1]]))
+                    stdin.seek(0)
                     share[2] = subprocess.Popen(
-                        [sys.executable, "-c", _WORKER, root, *args],
-                        stdin=stdin or subprocess.DEVNULL,
-                        stdout=subprocess.PIPE)
+                        [sys.executable, "-c", _WORKER, root, repr(scale)],
+                        stdin=stdin, stdout=subprocess.PIPE)
                 stack.callback(_stop, share[2])
         except OSError:
             stack.close()
@@ -422,26 +377,14 @@ def _stop(proc) -> None:
     proc.wait()
 
 
-def _share_worker(mode: str, *args: str) -> None:
-    """One share of a split write or read, in a worker process: ``write
-    SCALE`` writes the float64 rows on stdin as :func:`write_events` does;
-    ``read PATH OFFSET ROWS`` parses ROWS lines of PATH from byte OFFSET as
-    :func:`read_events` does, exiting 1 where that parse refuses them.  The
-    text or the float64 rows go to stdout."""
-    out = sys.stdout.buffer
-    if mode == "write":
-        rows = np.frombuffer(sys.stdin.buffer.read()).reshape(-1, 2)
-        text = io.BytesIO()  # the caller reads the pipe after its own share
-        _write_rows(text, rows, float(args[0]))
-        out.write(text.getbuffer())
-        return
-    path, offset, rows = args
-    with open(path, "rb") as fh:
-        fh.seek(int(offset))
-        arr = _parse_rows(fh, int(rows))
-    if arr is None:
-        sys.exit(1)
-    out.write(arr)
+def _share_worker(scale: str) -> None:
+    """One share of a split write, in a worker process: the float64 rows on
+    stdin, divided by ``scale``, go to stdout as :func:`write_events` writes
+    them."""
+    rows = np.frombuffer(sys.stdin.buffer.read()).reshape(-1, 2)
+    text = io.BytesIO()  # the caller reads the pipe after its own share
+    _write_rows(text, rows, float(scale))
+    sys.stdout.buffer.write(text.getbuffer())
 
 
 def _body_start(lines: list[str]) -> int:
@@ -451,21 +394,24 @@ def _body_start(lines: list[str]) -> int:
 
 
 def _plain_body_start(fh, reader: _EventReader) -> tuple[int, int] | None:
-    """Byte offset and line count of a body ``np.loadtxt`` can read from ``fh``.
+    """Header and body line counts of a body ``np.loadtxt`` can read.
 
     Reads the binary file ``fh`` from its start and walks the header block
     into ``reader`` on the way.  Returns None, for the decoded text to
     decide, unless the body is ASCII, breaks its lines only at "\\n" and
-    starts where ``str.splitlines`` would start it.  The body is scanned in
-    blocks of ``_SCAN_BLOCK`` bytes; the caller seeks ``fh`` back to it.
+    starts where ``str.splitlines`` would start it.  The header's lines are
+    counted as a text-mode file counts them ("\\n", "\\r\\n" and a lone
+    "\\r" each end one), the number loadtxt skips; the body is scanned in
+    blocks of ``_SCAN_BLOCK`` bytes.
     """
-    head, start = [], 0
+    head, start, skip = [], 0, 0
     for line in fh:
         head.append(line)
         stripped = line.strip()
         if stripped and not stripped.startswith(b"#"):
             break
         start += len(line)
+        skip += len(line.splitlines())
     else:
         return None
     fh.seek(start)
@@ -483,7 +429,7 @@ def _plain_body_start(fh, reader: _EventReader) -> tuple[int, int] | None:
     reader.walk(lines[1:-1], first_lineno=2)
     if reader.scale is None:
         return None
-    return start, rows + (last != ord("\n"))
+    return skip, rows + (last != ord("\n"))
 
 
 def _event_set(reader: _EventReader, arr: np.ndarray) -> EventSet:

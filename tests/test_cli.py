@@ -67,6 +67,26 @@ def test_config_error_exit_code_and_json(tmp_path, capsys):
     assert err["error"] == "config"
 
 
+def test_simulate_unknown_unit_fails_before_sampling(tmp_path, config_path,
+                                                     capsys, monkeypatch):
+    # the unit is checked first: no event is drawn and no directory made
+    from heraldtime import sampler
+    from heraldtime.dataio import TIME_UNITS
+
+    drawn = []
+    draw = sampler.sample
+    monkeypatch.setattr(sampler, "sample",
+                        lambda *a, **k: drawn.append(a) or draw(*a, **k))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config_path), "--out", str(out),
+                 "--unit", "parsec"]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "config", "message": "unknown time unit "
+                   f"'parsec'; known: {sorted(TIME_UNITS)}"}
+    assert drawn == []
+    assert not out.exists()
+
+
 # What each subcommand accepts: the options its code reads, no more.
 OPTION_TABLE = {
     "simulate": {"--config", "--out", "--set", "--seed", "--unit"},
