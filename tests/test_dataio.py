@@ -2,6 +2,7 @@ import io
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -480,14 +481,26 @@ _SPLIT_HYPOTHESIS = settings(
     suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
-class TestSplitCodecMatchesReference(EventWriterChecks):
-    """The writer checks with every body of two or more rows split across
-    two or three shares.  The property test draws fewer examples: each split
+class TestSplitCodecMatchesReference(TestEventCodecMatchesReference):
+    """The codec checks with every body of two or more rows split across two
+    or three shares: the writes split, and every read stays one call in this
+    process.  The write property test draws fewer examples: each split
     starts worker processes."""
 
     @pytest.fixture(autouse=True, params=[2, 3], ids=["2cpus", "3cpus"])
-    def _split(self, request, monkeypatch):
+    def _split(self, request, monkeypatch, workers):
         _split_across(monkeypatch, request.param)
+
+        def read_alone(path):
+            started = len(workers)
+            try:
+                return dataio.read_events(path)
+            finally:
+                assert len(workers) == started
+
+        # the read checks call the module's read_events: each starts no
+        # worker, however many shares a write of its body would take
+        monkeypatch.setattr(sys.modules[__name__], "read_events", read_alone)
 
     @_SPLIT_HYPOTHESIS
     @given(rows=st.lists(st.tuples(_FINITE, _FINITE), min_size=2, max_size=30),
@@ -558,7 +571,6 @@ class TestSplitCodec:
             self, tmp_path, monkeypatch, workers, executable):
         # no interpreter, one that cannot start, or one that exits 1 at once
         import shutil
-        import sys
 
         if executable == "missing":
             executable = str(tmp_path / "missing")
@@ -589,6 +601,22 @@ class TestSplitCodec:
         monkeypatch.setattr(subprocess, "Popen", Killed)
         write_events(es, path, unit="ps")
         assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("row", [1, 500, 999])
+    def test_malformed_row_in_any_share_reads_as_serial(
+            self, tmp_path, monkeypatch, workers, row):
+        # a malformed row where a split write's first, middle or last share
+        # would start: the read starts no worker and gives the loop's error
+        path = tmp_path / "ev.csv"
+        write_events(self._events(), path, unit="ps")
+        lines = path.read_bytes().split(b"\n")
+        lines[3 + row] = b"1,abc"
+        path.write_bytes(b"\n".join(lines))
+        expected = _read_outcome(read_events_loop, path)
+        assert expected[0] == "error" and f":{4 + row}:" in expected[1]
+        _split_across(monkeypatch, 3)
+        assert _read_outcome(read_events, path) == expected
+        assert workers == []
 
     def test_no_worker_left_after_the_caller_raises(self, tmp_path,
                                                     monkeypatch, workers):
