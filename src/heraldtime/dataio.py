@@ -24,9 +24,11 @@ each CPU the process may run on, when each worker's share gets at least
 ``_PARALLEL_MIN_ROWS`` (200 000) rows and the process's own share half as
 many more: a million events on two CPUs split, 82 000 stay serial.  The
 process writes the first share; each other share is formatted in a worker
-process (``sys.executable``) by the same block formatter, so the bytes
-written are those of the serial write.  Where a worker cannot start or
-dies, the process writes its rows itself.  A read is one ``np.loadtxt``
+process (``sys.executable``) by the same block formatter, from one temporary
+file to another (16 and ~38 bytes a row), and the process appends the text
+once the worker has exited 0: the bytes are those of the serial write.
+Where a worker cannot start, the process writes every row; where one exits
+non-zero, that share and every later row.  A read is one ``np.loadtxt``
 call over the file, in this process and at any size: given the file's
 path, loadtxt reads the file in blocks itself, and one CPU parses a
 million rows about as fast as two processes each parsing half.
@@ -58,10 +60,10 @@ reader takes; ``herald()`` builds each herald grid the config names and
 from __future__ import annotations
 
 import contextlib
-import io
 import json
 import math
 import os
+import shutil
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -111,8 +113,6 @@ _SCAN_BLOCK = 1 << 20
 # caller's own share is larger, since it writes them meanwhile.  A worker's
 # 200 000 rows take ~0.46 s to format, so a smaller share would gain little.
 _PARALLEL_MIN_ROWS = 200_000
-# Bytes moved per call from a worker's pipe to the file.
-_PIPE_CHUNK = 1 << 16
 # Names np.loadtxt would decompress by their suffix: read line by line.
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
@@ -219,20 +219,15 @@ def write_events(events: EventSet, path, unit: str = "s") -> None:
         with path.open("wb") as fh:
             fh.write(("\n".join(header) + "\n").encode("utf-8"))
             with _split(data, scale) as shares:
-                if shares is None:
-                    _write_rows(fh, data, scale)
-                    return
-                import shutil
-
-                _write_rows(fh, data[:shares[0][1]], scale)
-                for lo, _, proc in shares[1:]:
-                    at = fh.tell()
-                    shutil.copyfileobj(proc.stdout, fh, _PIPE_CHUNK)
-                    if proc.wait() != 0:  # a worker died: the rest serially
-                        fh.seek(at)
-                        fh.truncate()
+                for lo, hi, proc, text in shares:
+                    if proc is None:  # the caller's own share
+                        _write_rows(fh, data[lo:hi], scale)
+                    elif proc.wait() == 0:
+                        text.seek(0)  # the worker's writes moved it
+                        shutil.copyfileobj(text, fh)
+                    else:  # a worker failed: its share and the rest serially
                         _write_rows(fh, data[lo:], scale)
-                        return
+                        break
     except OSError as exc:
         raise ReportError(f"cannot write event file {path}: {exc}") from exc
 
@@ -325,38 +320,40 @@ def _split(data: np.ndarray, scale: float):
     ``_PARALLEL_MIN_ROWS`` rows, and the caller's half as many more: those
     it writes while the workers start.
 
-    Yields ``[(lo, hi, proc), ...]``, with ``proc`` None for the first share,
-    or None when the rows are too few, there is one CPU or a worker cannot
-    start: the caller then writes every row itself.  A worker reads its
+    Yields ``[(lo, hi, proc, text), ...]``, the caller's share first with
+    ``proc`` and ``text`` None.  That share holds every row when the rows are
+    too few, there is one CPU or a worker cannot start.  A worker reads its
     float64 rows from a temporary file on its stdin and writes their text to
-    its stdout pipe.  On exit every worker still running is killed, and all
-    are waited for.
+    ``text``, the temporary file on its stdout.  On exit every worker still
+    running is killed, all are waited for, and the files are closed.
     """
     rows, head = len(data), _PARALLEL_MIN_ROWS // 2
     count = min(_cpu_count(), (rows - head) // _PARALLEL_MIN_ROWS)
     if count < 2 or not sys.executable:
-        yield None
+        yield [(0, rows, None, None)]
         return
     import subprocess
     import tempfile
 
     bounds = [0] + [head + (rows - head) * k // count
                     for k in range(1, count + 1)]
-    shares = [[lo, hi, None] for lo, hi in zip(bounds, bounds[1:])]
+    shares = [(0, bounds[1], None, None)]
     root = str(Path(__file__).resolve().parent.parent)
     with contextlib.ExitStack() as stack:
         try:
-            for share in shares[1:]:
+            for lo, hi in zip(bounds[1:], bounds[2:]):
+                text = stack.enter_context(tempfile.TemporaryFile())
                 with tempfile.TemporaryFile() as stdin:
-                    stdin.write(np.ascontiguousarray(data[share[0]:share[1]]))
+                    stdin.write(np.ascontiguousarray(data[lo:hi]))
                     stdin.seek(0)
-                    share[2] = subprocess.Popen(
+                    proc = subprocess.Popen(
                         [sys.executable, "-c", _WORKER, root, repr(scale)],
-                        stdin=stdin, stdout=subprocess.PIPE)
-                stack.callback(_stop, share[2])
+                        stdin=stdin, stdout=text)
+                stack.callback(_stop, proc)
+                shares.append((lo, hi, proc, text))
         except OSError:
             stack.close()
-            shares = None
+            shares = [(0, rows, None, None)]
         yield shares
 
 
@@ -370,21 +367,17 @@ _WORKER = ("import signal, sys; signal.signal(signal.SIGINT, signal.SIG_DFL); "
 
 
 def _stop(proc) -> None:
-    """Kill a worker unless it has exited, close its pipe and wait for it."""
-    if proc.poll() is None:
-        proc.kill()
-    proc.stdout.close()
+    """Kill a worker (nothing to do once it has exited) and wait for it."""
+    proc.kill()
     proc.wait()
 
 
 def _share_worker(scale: str) -> None:
     """One share of a split write, in a worker process: the float64 rows on
-    stdin, divided by ``scale``, go to stdout as :func:`write_events` writes
-    them."""
+    stdin, divided by ``scale``, go to stdout, a temporary file, as
+    :func:`write_events` writes them.  A failed write exits non-zero."""
     rows = np.frombuffer(sys.stdin.buffer.read()).reshape(-1, 2)
-    text = io.BytesIO()  # the caller reads the pipe after its own share
-    _write_rows(text, rows, float(scale))
-    sys.stdout.buffer.write(text.getbuffer())
+    _write_rows(sys.stdout.buffer, rows, float(scale))
 
 
 def _body_start(lines: list[str]) -> int:

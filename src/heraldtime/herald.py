@@ -272,20 +272,20 @@ def _width_ratios(m, s1, s2, at) -> np.ndarray:
     return np.sqrt(var[at] / var[-1])
 
 
-def _ratio_errors(sums: np.ndarray, ratios: np.ndarray,
+def _ratio_errors(sums: np.ndarray, inner: np.ndarray, ratios: np.ndarray,
                   at: np.ndarray) -> np.ndarray:
     """Delta-method errors of the width ratios of windows ``at``.
 
-    ``sums`` holds the power sums of degree 0-4 per shell.  The summed
-    squared influence function splits into the events inside window W,
-    where it is the quadratic ``(alpha d**2 + beta d + gamma) / 2`` in
-    ``d = x - mu_W`` (so their sum takes W's central moments), and the events
-    outside, where it is ``-((x - mu)**2 - v) / (2 v)``.  The coefficients
+    ``sums`` holds the power sums of degree 0-4 per shell and ``inner``
+    their prefix sums, the sums over each window.  The summed squared
+    influence function splits into the events inside window W, where it is
+    the quadratic ``(alpha d**2 + beta d + gamma) / 2`` in ``d = x - mu_W``
+    (so their sum takes W's central moments), and the events outside, where
+    it is ``-((x - mu)**2 - v) / (2 v)``.  The coefficients
     come from the outside sums without subtracting near-equal numbers, so a
     window holding nearly every event loses no digits, and one holding every
     event has error 0.
     """
-    inner = np.cumsum(sums, axis=1)
     outer = np.zeros_like(sums)
     outer[:, :-1] = np.cumsum(sums[:, :0:-1], axis=1)[:, ::-1]
     m, n = inner[0], inner[0, -1]
@@ -358,8 +358,9 @@ def narrowing_curve(source, center: float, widths, herald_on: int = 2,
                 f"{MIN_EVENTS}")
     x = t1 - np.mean(t1[shell == 0])
     sums = _shell_sums(shell, counts, x)
-    ratios = _width_ratios(*np.cumsum(sums[:3], axis=1), at)
-    errs = _ratio_errors(sums, ratios, at)
+    inner = np.cumsum(sums, axis=1)
+    ratios = _width_ratios(*inner[:3], at)
+    errs = _ratio_errors(sums, inner, ratios, at)
     # rho_t from centred column sums: x is done with, and np.corrcoef would
     # copy both columns
     x -= x.mean()

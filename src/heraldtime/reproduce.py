@@ -33,7 +33,13 @@ import numpy as np
 
 from . import analytic, herald
 from .fitting import FitConfig, fit
-from .params import LinkParams, SourceParams, TemporalCovariance
+from .params import (
+    LinkParams,
+    SourceParams,
+    SourceParamsRho,
+    TemporalCovariance,
+    from_rho_form,
+)
 from .sampler import DetectorModel, sample
 
 __all__ = ["RECIPES", "TargetCheck", "Bundle", "load_targets", "run_recipe",
@@ -307,7 +313,6 @@ def _recipe_fig5(targets, seed) -> Bundle:
                                  0.0, 0.0, "derived"))
     loci_rows = []
     sigma0 = np.geomspace(1e10, 1e13, 61)
-    from .params import SourceParamsRho, from_rho_form
     for rho in entry["rho_loci"]:
         for s0 in sigma0:
             src = from_rho_form(SourceParamsRho(sigma0=float(s0), rho=rho))

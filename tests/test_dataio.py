@@ -602,6 +602,21 @@ class TestSplitCodec:
         write_events(es, path, unit="ps")
         assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    def test_worker_that_dies_after_part_of_its_text_gives_the_serial_result(
+            self, tmp_path, monkeypatch, workers):
+        # each worker writes rows no share holds, then exits 3: none of its
+        # text reaches the file
+        es, path = self._events(), tmp_path / "ev.csv"
+        write_events_loop(es, tmp_path / "ref.csv", unit="ps")
+        _split_across(monkeypatch, 3)
+        monkeypatch.setattr(dataio, "_WORKER", "import sys; "
+                            "sys.stdout.buffer.write(b'9,9\\n' * 50); "
+                            "sys.exit(3)")
+        write_events(es, path, unit="ps")
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert len(workers) == 2
+        assert all(proc.returncode is not None for proc in workers)
+
     @pytest.mark.parametrize("row", [1, 500, 999])
     def test_malformed_row_in_any_share_reads_as_serial(
             self, tmp_path, monkeypatch, workers, row):
