@@ -135,8 +135,8 @@ def _standard_window(mu: float, sd: float, lo: float, hi: float):
     precision that the closed forms' ratios need."""
     terms = _tail_window((lo - mu) / sd, (hi - mu) / sd)
     if terms[3] < sys.float_info.min:
-        raise ValueError(f"window [{lo!r}, {hi!r}] carries no probability "
-                         "mass: it lies too far in the tail")
+        raise ValueError(f"window [{float(lo)!r}, {float(hi)!r}] carries no "
+                         "probability mass: it lies too far in the tail")
     return terms
 
 

@@ -110,8 +110,7 @@ def _cmd_simulate(args) -> int:
     _time_scale(args.unit)  # a bad --unit fails before any sampling
     events = sample_from_source(cfg.source(), cfg.link(), cfg.detector(), n=n,
                                 seed=seed if args.seed is None else args.seed)
-    if cfg.has("meta.delta_lambda"):
-        events.metadata["delta_lambda"] = cfg.get("meta.delta_lambda")
+    events.metadata.update(cfg.meta())
     path = _out_dir(args) / "events.csv"
     write_events(events, path, unit=args.unit)
     print(f"wrote {events.count} events to {path}")

@@ -9,15 +9,30 @@ Event files are plain CSV with a ``#``-prefixed key=value header block::
     -12.5,100.25
     ...
 
-The header block comes first.  The ``units`` declaration is mandatory and
+The grammar, in UTF-8 text:
+
+- lines end at "\\n", "\\r\\n" or "\\r";
+- line 1 is the magic line;
+- the header runs up to the first line that, once stripped, is neither
+  empty nor starts with ``#``; each ``#`` line in it is ``# key = value``,
+  no key repeats, and ``units`` is mandatory;
+- after the header, every non-empty line is a row of two finite
+  comma-separated numbers, each an ASCII field without underscores that
+  ``float()`` reads once it is stripped.
+
+So a ``#`` line or a whitespace-only line among the rows is an error, and
+every error in a file's content names its ``path:lineno``.  The ``units`` declaration
 applies to both columns; times are converted to seconds on read, and the
 ``units`` line wins over any ``units`` key inside ``meta`` (the writer does
 not repeat it there).  Values are written with shortest round-trip float
 formatting, so a file written and re-read in the same unit preserves every
 value bit-for-bit (and converting units is exact whenever the product is
-exactly representable).  The reader parses the data rows in one vectorized
-call; a body that call refuses is read line by line, which also honours
-``#`` lines among the rows, and every read error names the file line.
+exactly representable).  A read is the header, read line by line, and one
+``np.loadtxt`` call given the file's path, in this process and at any
+size: loadtxt reads the file in blocks itself, and one CPU parses a
+million rows about as fast as two processes each parsing half.  Only when
+that call refuses the rows are they scanned, to name the first bad one.
+A name loadtxt would decompress by its suffix is neither read nor written.
 
 A large event set is written in contiguous shares of its rows, one for
 each CPU the process may run on, when each worker's share gets at least
@@ -28,10 +43,7 @@ process (``sys.executable``) by the same block formatter, from one temporary
 file to another (16 and ~38 bytes a row), and the process appends the text
 once the worker has exited 0: the bytes are those of the serial write.
 Where a worker cannot start, the process writes every row; where one exits
-non-zero, that share and every later row.  A read is one ``np.loadtxt``
-call over the file, in this process and at any size: given the file's
-path, loadtxt reads the file in blocks itself, and one CPU parses a
-million rows about as fast as two processes each parsing half.
+non-zero, that share and every later row.
 
 Run configuration is a flat ``key = value`` text file with explicit unit
 suffixes on dimensioned quantities::
@@ -60,6 +72,7 @@ reader takes; ``herald()`` builds each herald grid the config names and
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -97,23 +110,21 @@ __all__ = [
 ]
 
 EVENT_MAGIC = "# heraldtime events v1"
-# Where str.splitlines() breaks an ASCII line besides "\n".
-_OTHER_BREAKS = b"\r\x0b\x0c\x1c\x1d\x1e"
 # Rows formatted per write call: bounds the strings held at once.  A block
 # holds ~145 bytes a row at its peak (the scaled floats as an array, as a
 # list of Python floats and as a tuple, and the formatted text): 0.57 MiB at
 # 4096 rows.  Larger blocks write no faster.
 _WRITE_BLOCK_ROWS = 4096
-# Body bytes checked per read before the one-call parse: bounds the bytes
-# held at once.
-_SCAN_BLOCK = 1 << 20
+# Rows per np.loadtxt call of the scan that names a refused row: bounds the
+# lines held at once (~0.3 MiB).
+_SCAN_ROWS = 4096
 # Fewest rows a worker's share of a split write takes (see _split).  A
 # worker process takes ~0.25 s to start and import NumPy without a bytecode
 # cache: the time ~100 000 rows take to format (~2.3 us a row), by which the
 # caller's own share is larger, since it writes them meanwhile.  A worker's
 # 200 000 rows take ~0.46 s to format, so a smaller share would gain little.
 _PARALLEL_MIN_ROWS = 200_000
-# Names np.loadtxt would decompress by their suffix: read line by line.
+# Names np.loadtxt would decompress by their suffix: neither read nor written.
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 TIME_UNITS = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "ps": 1e-12,
@@ -200,11 +211,16 @@ def write_events(events: EventSet, path, unit: str = "s") -> None:
     """Write an event set as CSV with a header block; deterministic output.
 
     The ``units`` line states the unit, so a ``units`` metadata key is not
-    repeated in the ``meta`` JSON.  A large set is formatted in shares by
-    :func:`_split`; the bytes are those of the serial write.
+    repeated in the ``meta`` JSON.  A compressed name, which
+    :func:`read_events` refuses, raises :class:`ReportError`.  A large set
+    is formatted in shares by :func:`_split`; the bytes are those of the
+    serial write.
     """
     scale = _time_scale(unit)
     path = Path(path)
+    if path.name.endswith(_COMPRESSED):
+        raise ReportError(f"cannot write event file {path}: compressed event "
+                          f"files are not read")
     header = [EVENT_MAGIC, f"# units = {unit}", f"# count = {events.count}"]
     meta = {k: v for k, v in events.metadata.items() if k != "units"}
     if meta:
@@ -251,57 +267,75 @@ def _write_rows(fh, data: np.ndarray, scale: float) -> None:
 def read_events(path) -> EventSet:
     """Read an event file; all times are converted to seconds.
 
-    A body of ASCII lines broken only at "\\n" (what :func:`write_events`
-    writes) is checked in blocks of ``_SCAN_BLOCK`` bytes and then parsed
-    by one ``np.loadtxt`` call given the file's path, which reads the file
-    in blocks, so the reader holds one block or the parsed array, never the
-    file's text; the returned :class:`EventSet` takes that array without a
-    copy.  Any other body, one that call refuses, or a file whose name ends
-    in a suffix loadtxt would decompress by, is decoded whole and read line
-    by line.
+    The header is read in text mode up to its first row, and the rows are
+    parsed by one ``np.loadtxt`` call given the file's path, which skips the
+    header's lines and reads the file in blocks itself; the returned
+    :class:`EventSet` takes the parsed array without a copy.  Only where
+    that call refuses the rows are they scanned, to name the first bad one.
 
-    Raises :class:`EventFileError` naming the line for any malformed content.
+    Raises :class:`EventFileError` naming ``path:lineno`` for any content
+    outside the grammar in the module docstring, and for a name loadtxt
+    would decompress by its suffix.
     """
     path = Path(path)
-    try:
-        with path.open("rb") as fh:
-            reader = _EventReader(path)
-            plain = (None if path.name.endswith(_COMPRESSED)
-                     else _plain_body_start(fh, reader))
-            # A row loadtxt rejects or skips (a blank one) sends the body to
-            # the line walk below, which alone reports errors and reads what
-            # only float() accepts or what needs line order.
-            arr = None if plain is None else _parse_rows(path, *plain)
-            if arr is not None:
-                arr *= reader.scale
-                return _event_set(reader, arr)
-            fh.seek(0)
-            text = fh.read().decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise EventFileError(f"cannot read event file {path}: {exc}") from exc
-
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != EVENT_MAGIC:
-        raise EventFileError(
-            f"{path}:1: missing magic header {EVENT_MAGIC!r}")
+    if path.name.endswith(_COMPRESSED):
+        raise EventFileError(f"{path}: compressed event files are not read")
     reader = _EventReader(path)
-    arr = np.array(reader.walk(lines[1:], first_lineno=2),
-                   dtype=float).reshape(-1, 2)
-    if reader.scale is None:
-        raise EventFileError(f"{path}: missing mandatory '# units = ...' line")
-    return _event_set(reader, arr)
-
-
-def _parse_rows(path: Path, skip: int, rows: int) -> np.ndarray | None:
-    """The ``rows`` lines of the file at ``path`` after its first ``skip``
-    as a (rows, 2) array, or None where ``np.loadtxt`` refuses or skips one
-    or reads a non-finite value."""
     try:
-        arr = np.loadtxt(os.fspath(path), delimiter=",", comments=None,
-                         ndmin=2, skiprows=skip, encoding="utf-8")
-    except ValueError:
+        with path.open(encoding="utf-8", errors="surrogateescape") as fh:
+            skip, rows = reader.header(fh)
+        arr = _parse_rows(path, skip) if rows else np.empty((0, 2))
+        if arr is None:
+            raise _refused_row(path, skip)
+    except OSError as exc:
+        raise EventFileError(f"cannot read event file {path}: {exc}") from exc
+    if reader.count is not None and reader.count != len(arr):
+        raise EventFileError(
+            f"{path}:{reader.lines['count']}: header declares count = "
+            f"{reader.count} but file has {len(arr)} rows")
+    arr *= reader.scale
+    return EventSet._adopt(arr, reader.metadata)
+
+
+def _parse_rows(path: Path, skip: int) -> np.ndarray | None:
+    """The rows of the file at ``path`` after its first ``skip`` lines, by
+    one ``np.loadtxt`` call given the path, or None where it refuses them."""
+    return _two_columns(os.fspath(path), skiprows=skip)
+
+
+def _two_columns(source, skiprows: int = 0) -> np.ndarray | None:
+    """``np.loadtxt``'s (rows, 2) array of the lines of ``source``, or None
+    where it refuses one or reads another shape or a non-finite value."""
+    try:
+        arr = np.loadtxt(source, delimiter=",", comments=None, ndmin=2,
+                         skiprows=skiprows, encoding="utf-8")
+    except ValueError:  # UnicodeDecodeError among them
         return None
-    return arr if arr.shape == (rows, 2) and np.isfinite(arr).all() else None
+    return arr if arr.shape[1] == 2 and np.isfinite(arr).all() else None
+
+
+def _refused_row(path: Path, skip: int) -> EventFileError:
+    """The error naming the first row ``np.loadtxt`` refuses.
+
+    The lines after the first ``skip`` are read in text mode, as loadtxt
+    reads them, and parsed again by loadtxt itself, so that the scan
+    refuses what the one call refused: ``_SCAN_ROWS`` lines at a time, then
+    one at a time in the block it refuses.  Empty lines, which loadtxt
+    skips, are left out.
+    """
+    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
+        rows = ((lineno, line) for lineno, line in enumerate(fh, start=1)
+                if lineno > skip and line != "\n")
+        while block := list(itertools.islice(rows, _SCAN_ROWS)):
+            if _two_columns([line for _, line in block]) is None:
+                for lineno, line in block:
+                    if _two_columns([line]) is None:
+                        line = line.rstrip("\n")
+                        return EventFileError(
+                            f"{path}:{lineno}: expected two finite "
+                            f"comma-separated numbers, got {line!r}")
+    return EventFileError(f"{path}: np.loadtxt refused the rows but none "
+                          f"of their lines")
 
 
 def _cpu_count() -> int:
@@ -380,101 +414,44 @@ def _share_worker(scale: str) -> None:
     _write_rows(sys.stdout.buffer, rows, float(scale))
 
 
-def _body_start(lines: list[str]) -> int:
-    """Index of the first data row: the header block runs up to it."""
-    return next((i for i in range(1, len(lines))
-                 if lines[i].strip()[:1] not in ("", "#")), len(lines))
-
-
-def _plain_body_start(fh, reader: _EventReader) -> tuple[int, int] | None:
-    """Header and body line counts of a body ``np.loadtxt`` can read.
-
-    Reads the binary file ``fh`` from its start and walks the header block
-    into ``reader`` on the way.  Returns None, for the decoded text to
-    decide, unless the body is ASCII, breaks its lines only at "\\n" and
-    starts where ``str.splitlines`` would start it.  The header's lines are
-    counted as a text-mode file counts them ("\\n", "\\r\\n" and a lone
-    "\\r" each end one), the number loadtxt skips; the body is scanned in
-    blocks of ``_SCAN_BLOCK`` bytes.
-    """
-    head, start, skip = [], 0, 0
-    for line in fh:
-        head.append(line)
-        stripped = line.strip()
-        if stripped and not stripped.startswith(b"#"):
-            break
-        start += len(line)
-        skip += len(line.splitlines())
-    else:
-        return None
-    fh.seek(start)
-    block, rows, last = bytearray(_SCAN_BLOCK), 0, None
-    while size := fh.readinto(block):
-        del block[size:]  # a short read: the end of the file
-        if not block.isascii() or any(c in block for c in _OTHER_BREAKS):
-            return None
-        rows += block.count(b"\n")
-        last = block[-1]
-    lines = b"".join(head).decode("utf-8").splitlines()
-    if (lines[0].strip() != EVENT_MAGIC
-            or _body_start(lines) != len(lines) - 1):
-        return None
-    reader.walk(lines[1:-1], first_lineno=2)
-    if reader.scale is None:
-        return None
-    return skip, rows + (last != ord("\n"))
-
-
-def _event_set(reader: _EventReader, arr: np.ndarray) -> EventSet:
-    """The events, in seconds, once their number matches a declared count."""
-    if reader.count is not None and reader.count != len(arr):
-        raise EventFileError(
-            f"{reader.path}: header declares count = {reader.count} but file "
-            f"has {len(arr)} rows")
-    return EventSet._adopt(arr, reader.metadata)
-
-
 class _EventReader:
-    """Header state of an event file, fed its lines in file order."""
+    """The header of an event file, read from its text-mode lines."""
 
     def __init__(self, path: Path):
         self.path = path
         self.scale: float | None = None
         self.count: int | None = None
         self.metadata: dict = {}
+        self.lines: dict[str, int] = {}  # each header key's line
 
-    def walk(self, lines: list[str], first_lineno: int) -> list[tuple[float, float]]:
-        """Apply header lines and parse data rows (in seconds) one by one."""
-        path = self.path
-        rows: list[tuple[float, float]] = []
-        for lineno, line in enumerate(lines, start=first_lineno):
+    def header(self, fh) -> tuple[int, bool]:
+        """Read the magic line and the header block from the text file
+        ``fh``, up to and including the first row's line; return the number
+        of lines the header takes and whether a row follows it."""
+        lines = enumerate(fh, start=1)
+        if next(lines, (1, ""))[1].strip() != EVENT_MAGIC:
+            raise EventFileError(
+                f"{self.path}:1: missing magic header {EVENT_MAGIC!r}")
+        lineno, row = 1, False
+        for lineno, line in lines:
             line = line.strip()
-            if not line:
-                continue
             if line.startswith("#"):
                 self._header_line(lineno, line)
-                continue
-            if self.scale is None:
-                raise EventFileError(
-                    f"{path}:{lineno}: data row before the mandatory "
-                    f"'# units = ...' declaration")
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise EventFileError(
-                    f"{path}:{lineno}: expected two comma-separated numbers, "
-                    f"got {line!r}")
-            try:
-                t1, t2 = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise EventFileError(
-                    f"{path}:{lineno}: non-numeric row {line!r}") from None
-            if not (math.isfinite(t1) and math.isfinite(t2)):
-                raise EventFileError(f"{path}:{lineno}: non-finite row {line!r}")
-            rows.append((t1 * self.scale, t2 * self.scale))
-        return rows
+            elif line:
+                row = True
+                break
+        if self.scale is None:
+            raise EventFileError(
+                f"{self.path}:{lineno}: the header ends without the mandatory "
+                f"'# units = ...' line")
+        return lineno - row, row
 
     def _header_line(self, lineno: int, line: str) -> None:
         path = self.path
+        try:
+            line.encode("utf-8")  # the reader decodes bad bytes as surrogates
+        except UnicodeEncodeError:
+            raise EventFileError(f"{path}:{lineno}: not UTF-8 text") from None
         body = line[1:].strip()
         if "=" not in body:
             raise EventFileError(
@@ -482,6 +459,11 @@ class _EventReader:
         key, _, value = body.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in self.lines:
+            raise EventFileError(
+                f"{path}:{lineno}: header key {key!r} repeats line "
+                f"{self.lines[key]}")
+        self.lines[key] = lineno
         if key == "units":
             if value not in TIME_UNITS:
                 raise EventFileError(
@@ -600,7 +582,7 @@ CONFIG_SCHEMA: dict[str, tuple[str, str]] = {
     "landscape.sigma_min": ("frequency", "landscape sigma axis start"),
     "landscape.sigma_max": ("frequency", "landscape sigma axis stop"),
     "landscape.sigma_points": ("int", "landscape sigma axis size"),
-    "meta.delta_lambda": ("length", "pump bandwidth annotation, copied into reports"),
+    "meta.delta_lambda": ("length", "pump bandwidth annotation (> 0), copied into reports"),
 }
 
 _SOURCE_FORMS = ("(source.sigma + source.tau_p) | (source.sigma0 + source.rho) "
@@ -702,6 +684,16 @@ class RunConfig:
         return HeraldWindow(self.get("herald.center"), self.get("herald.width"),
                             self.get("herald.direction"))
 
+    def meta(self) -> dict:
+        """The annotations the config sets for the event metadata, each
+        finite and positive: ``delta_lambda``, the pump bandwidth."""
+        meta = self._settings("meta", ("delta_lambda",))
+        for name, value in meta.items():
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(
+                    f"{name} must be finite and positive, got {value!r}")
+        return meta
+
     def landscape(self) -> tuple[np.ndarray, np.ndarray]:
         """The tau_p and sigma axes."""
         return self.grid("landscape.tau_p"), self.grid("landscape.sigma")
@@ -745,7 +737,7 @@ _GRIDS = {"herald.width": ("log", lambda n: _check_grid_size(n, "widths")),
 _GROUPS = {"source": RunConfig.source, "link": RunConfig.link,
            "detector": RunConfig.detector, "fit": RunConfig.fit_config,
            "sample": RunConfig.sample, "herald": RunConfig.herald,
-           "landscape": RunConfig.landscape}
+           "landscape": RunConfig.landscape, "meta": RunConfig.meta}
 
 
 def _parse_pairs(pairs, problems: list[str]) -> tuple[dict, set]:

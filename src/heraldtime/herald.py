@@ -195,7 +195,7 @@ def heralded_width(events: EventSet, w: HeraldWindow,
     width, err = _estimate(
         analyzed[_in_window(heralding, w.center, w.width)],
         lambda x: np.std(x, ddof=1), _sd_error,
-        f"window (center={w.center!r}, width={w.width!r})")
+        f"window (center={float(w.center)!r}, width={float(w.width)!r})")
     return float(width), float(err)
 
 
@@ -354,8 +354,8 @@ def narrowing_curve(source, center: float, widths, herald_on: int = 2,
     for w, n_sel in zip(grid, np.cumsum(counts)[at]):
         if n_sel < MIN_EVENTS:
             raise TooFewEventsError(
-                f"window width {w!r} selects {n_sel} events; need at least "
-                f"{MIN_EVENTS}")
+                f"window width {float(w)!r} selects {n_sel} events; need at "
+                f"least {MIN_EVENTS}")
     x = t1 - np.mean(t1[shell == 0])
     sums = _shell_sums(shell, counts, x)
     inner = np.cumsum(sums, axis=1)
@@ -394,5 +394,5 @@ def centroid_curve(source, width: float, centers, herald_on: int = 2,
     t1, t2 = oriented
     means, errs = np.array([
         _estimate(t1[_in_window(t2, c, width)], np.mean, _mean_error,
-                  f"window center {c!r}") for c in grid]).T
+                  f"window center {float(c)!r}") for c in grid]).T
     return CentroidCurve(centers=grid, means=means, std_errors=errs)

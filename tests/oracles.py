@@ -405,12 +405,12 @@ def sample_concatenated(cov, det, n, seed):
 
 
 # --------------------------------------------------------------------------
-# Reference event-file codec: the row-by-row loops of release 0.1.0
+# Reference event-file codec: a row-by-row writer and a line-by-line reader
 # --------------------------------------------------------------------------
-# The package's block writer must produce the same bytes and its one-call
-# body parse the same arrays, decisions and error lines.  One departure from
-# 0.1.0, which the package shares: a ``units`` key in ``meta`` does not
-# override the ``# units`` line on read and is not written.
+# The writer is release 0.1.0's loop, with one departure the package shares:
+# a ``units`` key in ``meta`` is not written.  The reader states the grammar
+# of the package's event files one line at a time; the package's reader must
+# give the same arrays, decisions and messages.
 
 def write_events_loop(events, path, unit="s"):
     """Format an event file one row at a time."""
@@ -436,9 +436,27 @@ def write_events_loop(events, path, unit="s"):
         raise ReportError(f"cannot write event file {path}: {exc}") from exc
 
 
+def _number(field):
+    """A field as np.loadtxt reads a float: what float() reads from it once
+    stripped, if that is ASCII without an underscore; else None."""
+    field = field.strip()
+    if not field.isascii() or "_" in field:
+        return None
+    try:
+        return float(field)
+    except ValueError:
+        return None
+
+
 def read_events_loop(path):
-    """Parse an event file one line at a time, header and rows alike."""
+    r"""Parse an event file one line at a time by the grammar: lines end at
+    "\n", "\r\n" or "\r"; line 1 is the magic line; the header runs up to
+    the first line that, stripped, is neither empty nor starts with "#",
+    each header line a "# key = value" with no key repeated and ``units``
+    mandatory; after it every non-empty line is a row of two finite
+    comma-separated numbers."""
     import json
+    import re
     from pathlib import Path
 
     from heraldtime.dataio import EVENT_MAGIC, TIME_UNITS, EventFileError
@@ -446,81 +464,88 @@ def read_events_loop(path):
 
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        text = path.read_bytes().decode("utf-8", "surrogateescape")
+    except OSError as exc:
         raise EventFileError(f"cannot read event file {path}: {exc}") from exc
-
-    lines = text.splitlines()
+    lines = re.split(r"\r\n|\r|\n", text)
+    if lines[-1] == "":  # the break that ends the last line
+        lines.pop()
     if not lines or lines[0].strip() != EVENT_MAGIC:
         raise EventFileError(
             f"{path}:1: missing magic header {EVENT_MAGIC!r}")
     unit_scale = None
+    declared = {}  # header key -> its line number
     declared_count = None
     metadata: dict = {}
-    rows: list[tuple[float, float]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    # the index of the first row: the header block runs up to it
+    end = next((i for i, line in enumerate(lines) if i and line.strip()
+                and not line.strip().startswith("#")), len(lines))
+    for lineno, line in enumerate(lines[1:end], start=2):
         line = line.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" not in body:
-                raise EventFileError(
-                    f"{path}:{lineno}: header line must be '# key = value'")
-            key, _, value = body.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key == "units":
-                if value not in TIME_UNITS:
-                    raise EventFileError(
-                        f"{path}:{lineno}: unknown unit {value!r}; known: "
-                        f"{sorted(TIME_UNITS)}")
-                unit_scale = TIME_UNITS[value]
-                metadata["units"] = value
-            elif key == "count":
-                try:
-                    declared_count = int(value)
-                except ValueError:
-                    raise EventFileError(
-                        f"{path}:{lineno}: count must be an integer, got "
-                        f"{value!r}") from None
-            elif key == "meta":
-                try:
-                    parsed = json.loads(value)
-                except json.JSONDecodeError as exc:
-                    raise EventFileError(
-                        f"{path}:{lineno}: meta is not valid JSON: {exc}") from exc
-                if not isinstance(parsed, dict):
-                    raise EventFileError(
-                        f"{path}:{lineno}: meta must be a JSON object")
-                parsed.pop("units", None)
-                metadata.update(parsed)
-            else:
-                metadata[key] = value
-            continue
-        if unit_scale is None:
-            raise EventFileError(
-                f"{path}:{lineno}: data row before the mandatory "
-                f"'# units = ...' declaration")
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise EventFileError(
-                f"{path}:{lineno}: expected two comma-separated numbers, got "
-                f"{line!r}")
         try:
-            t1, t2 = float(parts[0]), float(parts[1])
-        except ValueError:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise EventFileError(f"{path}:{lineno}: not UTF-8 text") from None
+        body = line[1:].strip()
+        if "=" not in body:
             raise EventFileError(
-                f"{path}:{lineno}: non-numeric row {line!r}") from None
-        if not (math.isfinite(t1) and math.isfinite(t2)):
-            raise EventFileError(f"{path}:{lineno}: non-finite row {line!r}")
-        rows.append((t1 * unit_scale, t2 * unit_scale))
-    if unit_scale is None:
-        raise EventFileError(f"{path}: missing mandatory '# units = ...' line")
+                f"{path}:{lineno}: header line must be '# key = value'")
+        key, _, value = body.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key in declared:
+            raise EventFileError(
+                f"{path}:{lineno}: header key {key!r} repeats line "
+                f"{declared[key]}")
+        declared[key] = lineno
+        if key == "units":
+            if value not in TIME_UNITS:
+                raise EventFileError(
+                    f"{path}:{lineno}: unknown unit {value!r}; known: "
+                    f"{sorted(TIME_UNITS)}")
+            unit_scale = TIME_UNITS[value]
+            metadata["units"] = value
+        elif key == "count":
+            try:
+                declared_count = int(value)
+            except ValueError:
+                raise EventFileError(
+                    f"{path}:{lineno}: count must be an integer, got "
+                    f"{value!r}") from None
+        elif key == "meta":
+            try:
+                parsed = json.loads(value)
+            except json.JSONDecodeError as exc:
+                raise EventFileError(
+                    f"{path}:{lineno}: meta is not valid JSON: {exc}") from exc
+            if not isinstance(parsed, dict):
+                raise EventFileError(
+                    f"{path}:{lineno}: meta must be a JSON object")
+            parsed.pop("units", None)
+            metadata.update(parsed)
+        else:
+            metadata[key] = value
+    if unit_scale is None:  # named at the first row, or the last line
+        raise EventFileError(
+            f"{path}:{min(end + 1, len(lines))}: the header ends without the "
+            f"mandatory '# units = ...' line")
+    rows: list[tuple[float, float]] = []
+    for lineno, line in enumerate(lines[end:], start=end + 1):
+        if not line:
+            continue
+        values = [_number(field) for field in line.split(",")]
+        if (len(values) != 2 or None in values
+                or not all(map(math.isfinite, values))):
+            raise EventFileError(
+                f"{path}:{lineno}: expected two finite comma-separated "
+                f"numbers, got {line!r}")
+        rows.append((values[0] * unit_scale, values[1] * unit_scale))
     if declared_count is not None and declared_count != len(rows):
         raise EventFileError(
-            f"{path}: header declares count = {declared_count} but file has "
-            f"{len(rows)} rows")
+            f"{path}:{declared['count']}: header declares count = "
+            f"{declared_count} but file has {len(rows)} rows")
     arr = np.array(rows, dtype=float).reshape(len(rows), 2)
     return EventSet(arr, metadata)
 

@@ -306,6 +306,27 @@ def test_delta_lambda_annotation_flows_into_report(tmp_path, config_path):
     assert report["input_delta_lambda"] == pytest.approx(12.47e-9)
 
 
+@pytest.mark.parametrize("value", ["nan nm", "inf nm", "-1 nm", "0 nm"])
+def test_delta_lambda_must_be_finite_and_positive_at_load(
+        tmp_path, config_path, capsys, monkeypatch, value):
+    # a config error before any event is drawn or directory made, where a
+    # non-finite value once failed the event write after sampling (exit 4)
+    from heraldtime import sampler
+
+    drawn = []
+    draw = sampler.sample
+    monkeypatch.setattr(sampler, "sample",
+                        lambda *a, **k: drawn.append(a) or draw(*a, **k))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config_path), "--out", str(out),
+                 "--set", f"meta.delta_lambda={value}"]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert "meta: delta_lambda must be finite and positive" in err["message"]
+    assert drawn == []
+    assert not out.exists()
+
+
 def test_fit_nonconvergence_exit_code(tmp_path, config_path, monkeypatch):
     out = tmp_path / "out"
     main(["simulate", "--config", str(config_path), "--out", str(out)])

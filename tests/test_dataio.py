@@ -24,7 +24,6 @@ from heraldtime.dataio import (
     write_report,
     write_table,
     _EventReader,
-    _plain_body_start,
 )
 from heraldtime.fitting import FitConfig
 from heraldtime.herald import HeraldWindow
@@ -113,29 +112,65 @@ class TestEventFiles:
         ("# heraldtime events v1\n# units = ps\n# count = 5\n1,2\n", "count"),
         ("# heraldtime events v1\n# units = ps\nnan,1\n", ":3"),
         ("# heraldtime events v1\n# meta = not-json\n# units = ps\n", "JSON"),
+        # the header ends at the first row: a "#" line or a whitespace-only
+        # line after it is a row, and not two numbers
+        ("# heraldtime events v1\n# units = ps\n1,2\n# units = ns\n3,4\n",
+         ":4: expected two finite comma-separated numbers, got '# units = ns'"),
+        ("# heraldtime events v1\n# units = ps\n1,2\n \n3,4\n", ":4:"),
+        ("# heraldtime events v1\n# units = ps\n# units = ps\n",
+         ":3: header key 'units' repeats line 2"),
+        ("# heraldtime events v1\n# units = ps\n1,2\n3,4\xff\n", ":4:"),
     ])
     def test_malformed_files_name_the_problem(self, tmp_path, content,
                                               fragment):
         path = tmp_path / "bad.csv"
-        path.write_text(content)
+        path.write_bytes(content.encode("latin-1"))
         with pytest.raises(EventFileError, match=fragment):
             read_events(path)
+
+    def test_refused_row_named_by_a_streaming_scan(self, tmp_path, parses):
+        # 200 000 rows and a bad last one: the one call refuses them, and
+        # the scan that names the line holds a block of lines at a time.
+        # The bound is the rows' 16 bytes each, with the 25 % by which
+        # loadtxt grows its array, plus 2 MiB; holding every line, as the
+        # 0.1.0 line walk did, took ~48 MiB.
+        import tracemalloc
+
+        rows = 200_000
+        path = tmp_path / "ev.csv"
+        path.write_bytes(b"# heraldtime events v1\n# units = ps\n"
+                         + b"0.5,-1.25\n" * rows + b"1,2,3\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(EventFileError) as info:
+                read_events(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == (f"{path}:{rows + 3}: expected two finite "
+                                   "comma-separated numbers, got '1,2,3'")
+        assert peak < 1.25 * 16 * rows + (2 << 20)
+        assert parses == [None]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(EventFileError):
             read_events(tmp_path / "nope.csv")
 
-    def test_compressed_suffixes_read_as_plain_text(self, tmp_path):
-        # loadtxt given a path decompresses by suffix: these names take the
-        # line walk, which reads the file as it is
-        text = "# heraldtime events v1\n# units = ps\n1,2\n3,4\n"
-        outcomes = []
-        for name in ("ev.csv", "ev.csv.gz", "ev.csv.bz2", "ev.csv.xz",
-                     "ev.csv.lzma"):
-            (tmp_path / name).write_text(text)
-            outcomes.append(_read_outcome(read_events, tmp_path / name))
-        assert outcomes[0][0] == "ok"
-        assert outcomes == [outcomes[0]] * 5
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_names_neither_read_nor_written(self, tmp_path,
+                                                       suffix):
+        # loadtxt given a path decompresses by suffix, and a file that is
+        # not what its name says raises what it likes (LZMAError is not an
+        # OSError): such a name is refused both ways, so every file the
+        # writer makes reads back
+        path = tmp_path / ("ev.csv" + suffix)
+        path.write_text("# heraldtime events v1\n# units = ps\n1,2\n")
+        with pytest.raises(EventFileError,
+                           match=re.escape(f"{path}: compressed event files "
+                                           "are not read")):
+            read_events(path)
+        with pytest.raises(ReportError, match="compressed event files"):
+            write_events(EventSet(np.zeros((1, 2))), tmp_path / path.name)
 
     def test_write_rejects_unknown_unit(self, tmp_path):
         es = EventSet(np.array([[1.0, 2.0]]))
@@ -340,8 +375,8 @@ class TestEventCodecMatchesReference(EventWriterChecks):
     @pytest.mark.parametrize("text,plain", [
         ("\r\n# units = ps\r\n# count = 2\r\n1,2\n3,4\n", True),
         ("\r# units = ps\r\r# count = 2\n1,2\n3,4\n", True),
-        ("\n# units = ps\u2028# count = 2\n1,2\n3,4\n", True),
-        ("\x85# units = ps\x85# count = 2\n1,2\n3,4\n", True),
+        ("\n# units = ps\u2028# count = 2\n1,2\n3,4\n", False),
+        ("\x85# units = ps\x85# count = 2\n1,2\n3,4\n", False),
         ("\n# units = ps\n# note = a\x0c# count = 2\n1,2\n3,4\n", True),
         ('\n# meta = {"tag": "\u00b5s"}\n# units = ps\n1,2\n3,4\n', True),
         ("\n# units = ps\n# count = 0\n", False),
@@ -351,8 +386,10 @@ class TestEventCodecMatchesReference(EventWriterChecks):
     def test_header_lines_counted_as_loadtxt_skips_them(
             self, tmp_path, parses, text, plain):
         # loadtxt skips the header by text-mode lines, which end at "\n",
-        # "\r\n" and a lone "\r" but not at the other breaks
-        # str.splitlines honours: the one call reads each plain body here
+        # "\r\n" and a lone "\r", and the header reader counts the same
+        # lines; the other breaks str.splitlines honours end no line, so a
+        # header line holding one is read whole (and fails where its value
+        # or the magic line does)
         path = tmp_path / "ev.csv"
         path.write_text(EVENT_MAGIC + text, encoding="utf-8", newline="")
         assert _read_outcome(read_events, path) \
@@ -363,9 +400,10 @@ class TestEventCodecMatchesReference(EventWriterChecks):
         ({"seed": 3}, True), ({"tag": "\u00b5s"}, True), ({}, False)])
     def test_plain_body_read_holds_no_line_list(self, tmp_path, meta,
                                                 last_break):
-        # An ASCII body is scanned in blocks and parsed from the file: the
-        # peak is one block or the parse, where holding the file's bytes
-        # took its size and splitting it into lines 4.5 times that.
+        # The header is read line by line and the rows parsed from the
+        # file: the peak is the parse, within 1 MiB, where holding the
+        # file's text took its size (~1.7 MiB here) and splitting it into
+        # lines 4.5 times that.
         import tracemalloc
 
         rng = np.random.default_rng(5)
@@ -380,36 +418,42 @@ class TestEventCodecMatchesReference(EventWriterChecks):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < back.events.nbytes + dataio._SCAN_BLOCK
+        assert peak < back.events.nbytes + (1 << 20)
         assert _read_outcome(read_events, path) \
             == _read_outcome(read_events_loop, path)
         assert back.metadata == {"units": "ps", **meta}
 
-    @pytest.mark.parametrize("text,plain", [
-        ("# units = ps\n1,2\n3,4", True),
-        ('# meta = {"tag": "\u00b5s"}\r\n# units = ps\n\n1,2\n', True),
-        *((f"# units = ps\n1,2\n3,4{c}5,6\n", False)
+    @pytest.mark.parametrize("text,error", [
+        ("# units = ps\n1,2\n3,4", None),
+        ('# meta = {"tag": "\u00b5s"}\r\n# units = ps\n\n1,2\n', None),
+        *((f"# units = ps\n1,2\n3,4{c}5,6\n", None)
           for c in "\r\x0b\x0c\x1c\x1d\x1e"),
-        ("# units = ps\n1,\u00b52\n", False),
-        ("# units = ps\n\x1f# note = x\n1,2\n", False),
-        ("# units = ps\x0c1,2\n", False),
-        ("# count = 1\n1,2\n", False),
-        ("# units = ps\n", False),
-        ("# units = ps\r# note = a\x0c# b = c\r\n1,2\n", True),
+        ("# units = ps\n1,2\n3,\u00b54\n", None),
+        ("# units = ps\n\x1f# note = x\n1,2\n", None),
+        ("# units = ps\x0c1,2\n", "ev.csv:2: unknown unit 'ps\\x0c1,2'"),
+        ("# count = 1\n1,2\n", "ev.csv:3: the header ends without"),
+        ("# units = ps\n", None),
+        ("# units = ps\r# note = a\x0c# b = c\r\n1,2\n", None),
+        ("# units = ps\n# units = ns\n1,2\n",
+         "ev.csv:3: header key 'units' repeats line 2"),
+        ("# units = ps\n# bad = \udcff\n1,2\n", "ev.csv:3: not UTF-8 text"),
     ])
-    def test_plain_body_start(self, monkeypatch, text, plain):
-        raw = ("# heraldtime events v1\n" + text).encode()
+    def test_header_reader_skip_count(self, text, error):
+        # The lines the header takes, as a text-mode file counts them: the
+        # number loadtxt skips before the rows, whatever the rows hold.
+        raw = ("# heraldtime events v1\n" + text).encode("utf-8",
+                                                      "surrogateescape")
         start = raw.find(b"1,2")
-        # the lines loadtxt skips: the header's lines in text mode
-        skip = len(list(io.TextIOWrapper(io.BytesIO(raw[:start]),
-                                         encoding="utf-8")))
-        expected = (skip, len(raw[start:].splitlines())) if plain else None
-        # A 3-byte block splits the body's breaks and rows across blocks.
-        for block in (dataio._SCAN_BLOCK, 3):
-            monkeypatch.setattr(dataio, "_SCAN_BLOCK", block)
-            found = _plain_body_start(io.BytesIO(raw),
-                                      _EventReader(Path("ev.csv")))
-            assert found == expected
+        head, fh = (io.TextIOWrapper(io.BytesIO(text), encoding="utf-8",
+                                     errors="surrogateescape")
+                    for text in (raw if start < 0 else raw[:start], raw))
+        skip = len(list(head))
+        reader = _EventReader(Path("ev.csv"))
+        if error is None:
+            assert reader.header(fh) == (skip, start >= 0)
+        else:
+            with pytest.raises(EventFileError, match=re.escape(error)):
+                reader.header(fh)
 
 
 class TestGoldenEventFiles:

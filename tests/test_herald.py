@@ -271,6 +271,28 @@ class TestNarrowingCurve:
         with pytest.raises(TooFewEventsError):
             narrowing_curve(es, center=0.0, widths=[1e-13, 1e-12, 1e-11])
 
+    def test_refused_windows_named_as_plain_floats(self):
+        # grid points are NumPy scalars, which NumPy 2 reprs as
+        # np.float64(...); each curve, and heralded_width given a window of
+        # NumPy scalars, names its window by the float.  No
+        # event lies within 4 ps of 0 or of -100 ps, and the model has no
+        # mass 5e9 sd out.
+        x = np.geomspace(1e-11, 1e-9, 50)
+        es = EventSet(np.column_stack([np.r_[-x, x]] * 2))
+        with pytest.raises(TooFewEventsError,
+                           match=r"^window width 1e-12 selects 0 events"):
+            narrowing_curve(es, center=0.0, widths=[1e-12, 1e-11, 1e-9])
+        with pytest.raises(TooFewEventsError,
+                           match=r"^window center -1e-10 selects 0 events"):
+            centroid_curve(es, width=1e-12, centers=[-1e-10, 0.0, 1e-10])
+        with pytest.raises(TooFewEventsError, match=r"^window \(center=0\.0, "
+                                                    r"width=1e-12\) selects 0"):
+            heralded_width(es, HeraldWindow(np.float64(0.0), np.float64(1e-12)))
+        cov = TemporalCovariance(rho_t=0.5, tau1=1e-10, tau2=1e-10)
+        with pytest.raises(ValueError, match=r"^window \[0\.5, 1\.5\] carries "
+                                             "no probability mass"):
+            centroid_curve(cov, width=1.0, centers=[1.0, 2.0, 3.0])
+
 
 class TestCentroidCurve:
     def test_analytic_small_window_slope(self):
