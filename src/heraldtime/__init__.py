@@ -4,89 +4,20 @@ Simulate coincidence data from the joint Gaussian arrival-time model, recover
 its parameters by fitting, analyze heralded (windowed conditional) narrowing,
 and find the photon-pair-source settings that minimize temporal widths for a
 given fiber link.
+
+The package exports each module's ``__all__``, in the order imported below.
 """
 
-from .params import (
-    CWPumpError,
-    HeraldtimeError,
-    LinkParams,
-    SourceParams,
-    SourceParamsRho,
-    TemporalCovariance,
-    from_rho_form,
-    to_rho_form,
-)
-from .analytic import (
-    NoDispersionError,
-    OptimumReport,
-    WidthDivergesError,
-    conditional_density,
-    conditional_limit_density,
-    joint_density,
-    landscape,
-    narrowing_ratio_limit,
-    optimum,
-    rho_t_of,
-    tau1,
-    tau1h_0,
-    tau1h_dt_0,
-    temporal_covariance,
-)
-from .sampler import DetectorModel, EventSet, sample, sample_from_source
-from .fitting import (
-    DegenerateDataError,
-    FitConfig,
-    FitResult,
-    bootstrap_errors,
-    fit,
-    initial_guess,
-)
-from .herald import (
-    CentroidCurve,
-    HeraldWindow,
-    NarrowingCurve,
-    TooFewEventsError,
-    centroid_curve,
-    conditional_moments,
-    heralded_width,
-    narrowing_curve,
-    select,
-)
-from .dataio import (
-    ConfigError,
-    EventFileError,
-    ReportError,
-    RunConfig,
-    load_config,
-    parse_quantity,
-    read_events,
-    write_events,
-    write_report,
-)
+from .params import *
+from .analytic import *
+from .sampler import *
+from .fitting import *
+from .herald import *
+from .dataio import *
+from . import analytic, dataio, fitting, herald, params, sampler
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # params
-    "HeraldtimeError", "CWPumpError", "SourceParams", "SourceParamsRho",
-    "LinkParams", "TemporalCovariance", "to_rho_form", "from_rho_form",
-    # analytic
-    "WidthDivergesError", "NoDispersionError", "OptimumReport",
-    "joint_density", "conditional_density", "conditional_limit_density",
-    "narrowing_ratio_limit", "tau1", "tau1h_0", "tau1h_dt_0", "rho_t_of",
-    "temporal_covariance", "optimum", "landscape",
-    # sampler
-    "DetectorModel", "EventSet", "sample", "sample_from_source",
-    # fitting
-    "DegenerateDataError", "FitConfig", "FitResult", "initial_guess", "fit",
-    "bootstrap_errors",
-    # herald
-    "TooFewEventsError", "HeraldWindow", "NarrowingCurve", "CentroidCurve",
-    "select", "heralded_width", "conditional_moments", "narrowing_curve",
-    "centroid_curve",
-    # dataio
-    "EventFileError", "ConfigError", "ReportError", "RunConfig",
-    "read_events", "write_events", "write_report", "load_config",
-    "parse_quantity",
-]
+__all__ = list(dict.fromkeys(["__version__", *(
+    name for module in (params, analytic, sampler, fitting, herald, dataio)
+    for name in module.__all__)]))

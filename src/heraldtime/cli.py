@@ -50,7 +50,7 @@ from .dataio import (
 )
 from .fitting import DegenerateDataError, fit as run_fit
 from .params import HeraldtimeError
-from .sampler import sample_from_source
+from .sampler import _check_seed, sample_from_source
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -222,8 +222,9 @@ def _cmd_landscape(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    out = _out_dir(args)
+    _check_seed(args.seed)  # a bad --seed fails before any output is written
     bundle = reproduce.run_recipe(args.name, seed=args.seed)
+    out = _out_dir(args)
     for name, (header, rows) in sorted(bundle.tables.items()):
         write_table(out / f"{name}.csv", header, rows)
     write_report(bundle.summary(), out / f"{bundle.name}_summary.json")

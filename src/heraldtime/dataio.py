@@ -15,7 +15,8 @@ The grammar, in UTF-8 text:
 - line 1 is the magic line;
 - the header runs up to the first line that, once stripped, is neither
   empty nor starts with ``#``; each ``#`` line in it is ``# key = value``,
-  no key repeats, and ``units`` is mandatory;
+  no key repeats, ``units`` is mandatory, and ``count``, if given, is
+  ASCII digits and equals the number of rows;
 - after the header, every non-empty line is a row of two finite
   comma-separated numbers, each an ASCII field without underscores that
   ``float()`` reads once it is stripped.
@@ -472,12 +473,13 @@ class _EventReader:
             self.scale = TIME_UNITS[value]
             self.metadata["units"] = value
         elif key == "count":
-            try:
-                self.count = int(value)
-            except ValueError:
+            # ASCII digits only, as in the rows: int() would also take
+            # "1_0", "+2" and full-width digits
+            if not (value.isascii() and value.isdigit()):
                 raise EventFileError(
                     f"{path}:{lineno}: count must be an integer, got "
-                    f"{value!r}") from None
+                    f"{value!r}")
+            self.count = int(value)
         elif key == "meta":
             try:
                 parsed = json.loads(value)

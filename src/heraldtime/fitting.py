@@ -72,7 +72,7 @@ Implementation notes, all of which matter for robustness:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -174,28 +174,13 @@ class FitResult:
     condition_number: float | None = None
 
     def summary(self) -> dict:
-        """Flat mapping of everything worth serializing."""
-        out = {
-            "rho_t": self.cov.rho_t,
-            "tau1": self.cov.tau1,
-            "tau2": self.cov.tau2,
-            "mu1": self.cov.mu1,
-            "mu2": self.cov.mu2,
-            "narrowing_ratio_limit": narrowing_ratio_limit(self.cov),
-            "amplitude": self.amplitude,
-            "background_level": self.background_level,
-            "reduced_chisq": self.reduced_chisq,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "degenerate_signal": self.degenerate_signal,
-            "loss": self.loss,
-            "n_events": self.n_events,
-            "nfev": self.nfev,
-            "njev": self.njev,
-            "se_path": self.se_path,
-            "message": self.message,
-            "condition_number": self.condition_number,
-        }
+        """Flat mapping of everything worth serializing: the covariance
+        entries and their narrowing limit, then every other field, the
+        standard errors only when there are some."""
+        out = {name: getattr(self.cov, name) for name in PARAM_NAMES[:5]}
+        out["narrowing_ratio_limit"] = narrowing_ratio_limit(self.cov)
+        out.update((f.name, getattr(self, f.name)) for f in fields(self)
+                   if f.name not in ("cov", "std_errors"))
         if self.std_errors is not None:
             out["std_errors"] = dict(self.std_errors)
         return out

@@ -41,7 +41,7 @@ keyword stays so that callers that pass or bind it by name keep working.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -170,9 +170,7 @@ def select(events: EventSet, w: HeraldWindow) -> EventSet:
     rows = rows[_in_window(heralding, w.center, w.width)]
     out = EventSet._adopt(rows.view(float).reshape(-1, 2), events.metadata)
     out.metadata["selection"] = {
-        "herald_on": w.herald_on,
-        "center": w.center,
-        "width": w.width,
+        **asdict(w),
         "selected": out.count,
         "total": events.count,
         "empty": out.count == 0,

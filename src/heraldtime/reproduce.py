@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 import numpy as np
@@ -92,12 +92,7 @@ class Bundle:
         return {
             "recipe": self.name,
             "passed": self.passed,
-            "checks": [
-                {"name": c.name, "value": c.value, "target": c.target,
-                 "tolerance": c.tolerance, "passed": c.passed,
-                 "source": c.source}
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
             "tables": sorted(self.tables),
         }
 

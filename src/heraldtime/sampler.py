@@ -33,7 +33,7 @@ seeds) with 1% background over a +-1 ns window gives a mean rho_t pull of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Mapping
 
 import numpy as np
@@ -220,8 +220,8 @@ def sample(cov: TemporalCovariance, det: DetectorModel, n: int,
         "generator": "philox-chunked-v1",
         "seed": int(seed),
         "n": int(n),
-        "cov": {"rho_t": cov.rho_t, "tau1": cov.tau1, "tau2": cov.tau2,
-                "mu1": cov.mu1, "mu2": cov.mu2},
+        "cov": asdict(cov),
+        # written out: asdict would keep the window a tuple
         "detector": {"jitter1": det.jitter1, "jitter2": det.jitter2,
                      "reference_jitter": det.reference_jitter,
                      "background_rate": det.background_rate,
@@ -239,6 +239,6 @@ def sample_from_source(src: SourceParams, link: LinkParams, det: DetectorModel,
     """
     cov = temporal_covariance(src, link)
     out = sample(cov, det, n, seed)
-    out.metadata["source"] = {"sigma": src.sigma, "tau_p": src.tau_p, "cw": src.cw}
-    out.metadata["link"] = {"beta": link.beta, "length": link.length}
+    out.metadata["source"] = asdict(src)
+    out.metadata["link"] = asdict(link)
     return out

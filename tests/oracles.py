@@ -452,8 +452,9 @@ def read_events_loop(path):
     r"""Parse an event file one line at a time by the grammar: lines end at
     "\n", "\r\n" or "\r"; line 1 is the magic line; the header runs up to
     the first line that, stripped, is neither empty nor starts with "#",
-    each header line a "# key = value" with no key repeated and ``units``
-    mandatory; after it every non-empty line is a row of two finite
+    each header line a "# key = value" with no key repeated, ``units``
+    mandatory and ``count``, if given, ASCII digits equal to the number of
+    rows; after it every non-empty line is a row of two finite
     comma-separated numbers."""
     import json
     import re
@@ -508,12 +509,13 @@ def read_events_loop(path):
             unit_scale = TIME_UNITS[value]
             metadata["units"] = value
         elif key == "count":
-            try:
-                declared_count = int(value)
-            except ValueError:
+            # ASCII digits only, as in the rows: int() would also take
+            # "1_0", "+2" and full-width digits
+            if not (value.isascii() and value.isdigit()):
                 raise EventFileError(
                     f"{path}:{lineno}: count must be an integer, got "
-                    f"{value!r}") from None
+                    f"{value!r}")
+            declared_count = int(value)
         elif key == "meta":
             try:
                 parsed = json.loads(value)

@@ -649,6 +649,25 @@ def test_reproduce_fig4(tmp_path, capsys):
     assert summary["passed"] is True
 
 
+@pytest.mark.parametrize("recipe", ["table1", "fig4"])
+def test_reproduce_bad_seed_fails_before_any_output(tmp_path, capsys,
+                                                    monkeypatch, recipe):
+    # the seed is checked first, as simulate's --unit is: whether or not
+    # the recipe samples, no recipe runs and no directory is made
+    from heraldtime import reproduce
+
+    ran = []
+    monkeypatch.setattr(reproduce, "run_recipe",
+                        lambda *a, **k: ran.append(a) or 1 / 0)
+    out = tmp_path / "out"
+    assert main(["reproduce", recipe, "--seed", "-1", "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "config", "message":
+                   "seed must be a non-negative integer, got -1"}
+    assert ran == []
+    assert not out.exists()
+
+
 def test_module_entry_point(config_path, tmp_path):
     import subprocess
     import sys

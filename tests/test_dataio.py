@@ -120,6 +120,11 @@ class TestEventFiles:
         ("# heraldtime events v1\n# units = ps\n# units = ps\n",
          ":3: header key 'units' repeats line 2"),
         ("# heraldtime events v1\n# units = ps\n1,2\n3,4\xff\n", ":4:"),
+        # count is ASCII digits, as a row's numbers are: int() takes these
+        *((f"# heraldtime events v1\n# units = ps\n# count = {count}\n"
+           + "1,2\n" * 10, ":3: count must be an integer")
+          for count in ("1_0", "+2",
+                        "\uff11\uff10".encode().decode("latin-1"))),
     ])
     def test_malformed_files_name_the_problem(self, tmp_path, content,
                                               fragment):
