@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("landscape", _cmd_landscape,
                 "width landscape over (tau_p, sigma)")
-    p.add_argument("--which", choices=("tau1", "tau1h_0", "tau1h_dt_0"),
+    p.add_argument("--which", choices=tuple(analytic._LANDSCAPE_KERNELS),
                    default="tau1")
     p.add_argument("--svg", action="store_true", help="also render SVG heatmap")
 

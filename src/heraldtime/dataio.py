@@ -28,12 +28,19 @@ applies to both columns; times are converted to seconds on read, and the
 not repeat it there).  Values are written with shortest round-trip float
 formatting, so a file written and re-read in the same unit preserves every
 value bit-for-bit (and converting units is exact whenever the product is
-exactly representable).  A read is the header, read line by line, and one
-``np.loadtxt`` call given the file's path, in this process and at any
-size: loadtxt reads the file in blocks itself, and one CPU parses a
-million rows about as fast as two processes each parsing half.  Only when
-that call refuses the rows are they scanned, to name the first bad one.
-A name loadtxt would decompress by its suffix is neither read nor written.
+exactly representable).  A read is the header, read line by line, and the
+rows.  Those of a file this writer wrote, unchanged since, come from the
+binary copy written beside it, ``.<name>.rows``: the file's byte length and
+``zlib.crc32``, the crc32 of the rows, and the ``.npy`` array of the rows
+in file units.  The copy is used only while the file still has that length
+and crc32 and the rows their crc32, so it gives the parse's bits; as with
+a bytecode cache, a copy whose checks match is trusted, and whoever could
+plant one could as well edit the file.  Any other file is parsed by one
+``np.loadtxt`` call given its path, in this process and at any size:
+loadtxt reads the file in blocks itself, and one CPU parses a million rows
+about as fast as two processes each parsing half.  Only when that call
+refuses the rows are they scanned, to name the first bad one.  A name
+loadtxt would decompress by its suffix is neither read nor written.
 
 A large event set is written in contiguous shares of its rows, one for
 each CPU the process may run on, when each worker's share gets at least
@@ -127,6 +134,12 @@ _SCAN_ROWS = 4096
 _PARALLEL_MIN_ROWS = 200_000
 # Names np.loadtxt would decompress by their suffix: neither read nor written.
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+# The prefix of an event file's binary copy (see _write_copy): the file's
+# byte length, its zlib.crc32 and the crc32 of the rows.
+_COPY_PREFIX = "<QII"
+# Bytes read at a time to take an event file's crc32: 1 MiB blocks raised a
+# command's peak by ~2 MiB.
+_CHECK_BYTES = 1 << 16
 
 TIME_UNITS = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "ps": 1e-12,
               "fs": 1e-15}
@@ -215,7 +228,9 @@ def write_events(events: EventSet, path, unit: str = "s") -> None:
     repeated in the ``meta`` JSON.  A compressed name, which
     :func:`read_events` refuses, raises :class:`ReportError`.  A large set
     is formatted in shares by :func:`_split`; the bytes are those of the
-    serial write.
+    serial write.  Beside a regular file, :func:`_write_copy` then writes
+    the binary copy of its rows that :func:`read_events` reads instead of
+    parsing the file.
     """
     scale = _time_scale(unit)
     path = Path(path)
@@ -247,6 +262,8 @@ def write_events(events: EventSet, path, unit: str = "s") -> None:
                         break
     except OSError as exc:
         raise ReportError(f"cannot write event file {path}: {exc}") from exc
+    if path.is_file():  # not /dev/stdout or a FIFO
+        _write_copy(path, data, scale)
 
 
 def _time_scale(unit: str) -> float:
@@ -268,11 +285,14 @@ def _write_rows(fh, data: np.ndarray, scale: float) -> None:
 def read_events(path) -> EventSet:
     """Read an event file; all times are converted to seconds.
 
-    The header is read in text mode up to its first row, and the rows are
-    parsed by one ``np.loadtxt`` call given the file's path, which skips the
-    header's lines and reads the file in blocks itself; the returned
-    :class:`EventSet` takes the parsed array without a copy.  Only where
-    that call refuses the rows are they scanned, to name the first bad one.
+    The header is read in text mode up to its first row.  The rows come
+    from the binary copy :func:`write_events` wrote beside the file while
+    the file is byte for byte the one written (:func:`_copied_rows`), and
+    are otherwise parsed by one ``np.loadtxt`` call given the file's path,
+    which skips the header's lines and reads the file in blocks itself.
+    Both give the same bits, and the returned :class:`EventSet` takes the
+    array without a copy.  Only where the parse refuses the rows are they
+    scanned, to name the first bad one.  A read never writes a copy.
 
     Raises :class:`EventFileError` naming ``path:lineno`` for any content
     outside the grammar in the module docstring, and for a name loadtxt
@@ -285,9 +305,11 @@ def read_events(path) -> EventSet:
     try:
         with path.open(encoding="utf-8", errors="surrogateescape") as fh:
             skip, rows = reader.header(fh)
-        arr = _parse_rows(path, skip) if rows else np.empty((0, 2))
+        arr = _copied_rows(path) if rows else np.empty((0, 2))
         if arr is None:
-            raise _refused_row(path, skip)
+            arr = _parse_rows(path, skip)
+            if arr is None:
+                raise _refused_row(path, skip)
     except OSError as exc:
         raise EventFileError(f"cannot read event file {path}: {exc}") from exc
     if reader.count is not None and reader.count != len(arr):
@@ -296,6 +318,92 @@ def read_events(path) -> EventSet:
             f"{reader.count} but file has {len(arr)} rows")
     arr *= reader.scale
     return EventSet._adopt(arr, reader.metadata)
+
+
+def _copy_path(path: Path) -> Path:
+    """The binary copy of the rows of the event file at ``path``: hidden
+    beside it, so that listings and ``*.csv`` globs do not show it."""
+    return path.with_name(f".{path.name}.rows")
+
+
+def _checksum(path: Path) -> tuple[int, int]:
+    """The byte length and ``zlib.crc32`` of the file at ``path``, read
+    ``_CHECK_BYTES`` at a time."""
+    import zlib
+
+    size = crc = 0
+    with path.open("rb") as fh:
+        while block := fh.read(_CHECK_BYTES):
+            size += len(block)
+            crc = zlib.crc32(block, crc)
+    return size, crc
+
+
+def _write_copy(path: Path, data: np.ndarray, scale: float) -> None:
+    """Write the binary copy of the event file just written at ``path``.
+
+    The copy is the file's byte length and crc32 and the crc32 of the rows
+    (``_COPY_PREFIX``), then the ``.npy`` v1.0 array of the rows in file
+    units: ``data / scale``, divided one ``_WRITE_BLOCK_ROWS`` block at a
+    time as :func:`_write_rows` divides them.  The prefix is written last,
+    once the rows are summed and the file re-read.  As with a bytecode
+    cache, a copy that cannot be written is left out, not an error.
+    """
+    import struct
+    import zlib
+
+    copy = _copy_path(path)
+    try:
+        with copy.open("wb") as fh:
+            fh.write(bytes(struct.calcsize(_COPY_PREFIX)))
+            np.lib.format.write_array_header_1_0(
+                fh, {"descr": "<f8", "fortran_order": False,
+                     "shape": (len(data), 2)})
+            crc = 0
+            for start in range(0, len(data), _WRITE_BLOCK_ROWS):
+                rows = np.ascontiguousarray(
+                    data[start:start + _WRITE_BLOCK_ROWS] / scale)
+                crc = zlib.crc32(rows, crc)
+                fh.write(rows)
+            fh.seek(0)
+            fh.write(struct.pack(_COPY_PREFIX, *_checksum(path), crc))
+    except OSError:
+        with contextlib.suppress(OSError):
+            copy.unlink()
+
+
+def _copied_rows(path: Path) -> np.ndarray | None:
+    """The rows of the event file at ``path``, in file units, from its
+    binary copy; None unless the file has the length and crc32 the copy
+    states, and the copy holds a C-order ``(n, 2)`` ``<f8`` array of
+    finite values with the crc32 it states."""
+    import struct
+    import zlib
+
+    try:
+        with _copy_path(path).open("rb") as fh:
+            prefix = fh.read(struct.calcsize(_COPY_PREFIX))
+            if len(prefix) != struct.calcsize(_COPY_PREFIX):
+                return None
+            size, text_crc, crc = struct.unpack(_COPY_PREFIX, prefix)
+            if _checksum(path) != (size, text_crc):
+                return None
+            if np.lib.format.read_magic(fh) != (1, 0):
+                return None
+            shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+            # the header must declare the rows the copy holds, no more
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            if (dtype != np.dtype("<f8") or fortran or len(shape) != 2
+                    or shape[1] != 2 or left != 16 * shape[0]):
+                return None
+            rows = np.empty(shape, dtype)
+            if fh.readinto(rows) != rows.nbytes:
+                return None
+    except (OSError, ValueError):
+        return None
+    if zlib.crc32(rows) != crc or not np.isfinite(rows).all():
+        return None
+    return rows
 
 
 def _parse_rows(path: Path, skip: int) -> np.ndarray | None:
@@ -477,8 +585,8 @@ class _EventReader:
             # "1_0", "+2" and full-width digits
             if not (value.isascii() and value.isdigit()):
                 raise EventFileError(
-                    f"{path}:{lineno}: count must be an integer, got "
-                    f"{value!r}")
+                    f"{path}:{lineno}: count must be a non-negative "
+                    f"integer in ASCII digits, got {value!r}")
             self.count = int(value)
         elif key == "meta":
             try:

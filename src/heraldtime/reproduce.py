@@ -292,7 +292,7 @@ def _recipe_fig5(targets, seed) -> Bundle:
     tables = {}
     checks = []
     opt = analytic.optimum(link)
-    for which in ("tau1", "tau1h_0", "tau1h_dt_0"):
+    for which in analytic._LANDSCAPE_KERNELS:
         grid = analytic.landscape(tau_p, sigma, link, which)
         tables[f"fig5_{which}"] = landscape_table(tau_p, sigma, grid)
         if which in ("tau1", "tau1h_0"):

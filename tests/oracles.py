@@ -513,8 +513,8 @@ def read_events_loop(path):
             # "1_0", "+2" and full-width digits
             if not (value.isascii() and value.isdigit()):
                 raise EventFileError(
-                    f"{path}:{lineno}: count must be an integer, got "
-                    f"{value!r}")
+                    f"{path}:{lineno}: count must be a non-negative "
+                    f"integer in ASCII digits, got {value!r}")
             declared_count = int(value)
         elif key == "meta":
             try:

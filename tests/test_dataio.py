@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -122,8 +123,9 @@ class TestEventFiles:
         ("# heraldtime events v1\n# units = ps\n1,2\n3,4\xff\n", ":4:"),
         # count is ASCII digits, as a row's numbers are: int() takes these
         *((f"# heraldtime events v1\n# units = ps\n# count = {count}\n"
-           + "1,2\n" * 10, ":3: count must be an integer")
-          for count in ("1_0", "+2",
+           + "1,2\n" * 10,
+           ":3: count must be a non-negative integer in ASCII digits")
+          for count in ("1_0", "+2", "-3",
                         "\uff11\uff10".encode().decode("latin-1"))),
     ])
     def test_malformed_files_name_the_problem(self, tmp_path, content,
@@ -284,7 +286,8 @@ class EventWriterChecks:
             == (tmp_path / "ref.csv").read_bytes()
 
     def test_many_blocks_identical_both_ways(self, tmp_path):
-        # Crosses the writer's block boundary and takes the one-call read.
+        # Crosses the writer's block boundary; the read takes the rows from
+        # the binary copy, and without it from the one-call parse.
         rng = np.random.default_rng(3)
         es = EventSet(rng.normal(scale=1e-9, size=(2 * 65536 + 3, 2)),
                       {"seed": 3})
@@ -292,8 +295,10 @@ class EventWriterChecks:
         write_events(es, new, unit="ps")
         write_events_loop(es, ref, unit="ps")
         assert new.read_bytes() == ref.read_bytes()
-        assert _read_outcome(read_events, new) \
-            == _read_outcome(read_events_loop, new)
+        expected = _read_outcome(read_events_loop, new)
+        assert _read_outcome(read_events, new) == expected
+        dataio._copy_path(new).unlink()
+        assert _read_outcome(read_events, new) == expected
 
     @pytest.mark.parametrize("extra", [(1, -1), (1, 0), (1, 1), (2, 3)])
     def test_block_edges_identical(self, tmp_path, extra):
@@ -401,22 +406,26 @@ class TestEventCodecMatchesReference(EventWriterChecks):
             == _read_outcome(read_events_loop, path)
         assert [arr is not None for arr in parses] == ([True] if plain else [])
 
-    @pytest.mark.parametrize("meta,last_break", [
-        ({"seed": 3}, True), ({"tag": "\u00b5s"}, True), ({}, False)])
-    def test_plain_body_read_holds_no_line_list(self, tmp_path, meta,
-                                                last_break):
+    @pytest.mark.parametrize("meta,last_break,copied", [
+        ({"seed": 3}, True, False), ({"seed": 3}, True, True),
+        ({"tag": "\u00b5s"}, True, False), ({"tag": "\u00b5s"}, True, True),
+        ({}, False, False)])
+    def test_plain_body_read_holds_no_line_list(self, tmp_path, parses, meta,
+                                                last_break, copied):
         # The header is read line by line and the rows parsed from the
-        # file: the peak is the parse, within 1 MiB, where holding the
-        # file's text took its size (~1.7 MiB here) and splitting it into
-        # lines 4.5 times that.
+        # file or read from its binary copy: the peak is the rows, within
+        # 1 MiB, where holding the file's text took its size (~1.7 MiB
+        # here) and splitting it into lines 4.5 times that.
         import tracemalloc
 
         rng = np.random.default_rng(5)
         es = EventSet(rng.normal(scale=1e-9, size=(50000, 2)), meta)
         path = tmp_path / "ev.csv"
         write_events(es, path, unit="ps")
-        if not last_break:
+        if not last_break:  # a file the writer did not write: no copy
             path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        elif not copied:
+            dataio._copy_path(path).unlink()
         tracemalloc.start()
         try:
             back = read_events(path)
@@ -424,6 +433,7 @@ class TestEventCodecMatchesReference(EventWriterChecks):
         finally:
             tracemalloc.stop()
         assert peak < back.events.nbytes + (1 << 20)
+        assert len(parses) == (not copied)
         assert _read_outcome(read_events, path) \
             == _read_outcome(read_events_loop, path)
         assert back.metadata == {"units": "ps", **meta}
@@ -695,6 +705,181 @@ class TestSplitCodec:
             write_events(es, tmp_path / "full.csv", unit="ps")
         assert len(workers) == 2
         assert all(proc.returncode is not None for proc in workers)
+
+
+def _rewrite_copy(path, **header):
+    """Write the binary copy beside ``path`` again with its prefix and row
+    bytes unchanged and ``header`` over its ``.npy`` header's fields."""
+    copy = dataio._copy_path(path)
+    raw = copy.read_bytes()
+    with io.BytesIO(raw[16:]) as fh:
+        np.lib.format.read_magic(fh)
+        shape = np.lib.format.read_array_header_1_0(fh)[0]
+        rows = raw[16 + fh.tell():]
+    with io.BytesIO() as fh:
+        np.lib.format.write_array_header_1_0(
+            fh, {"descr": "<f8", "fortran_order": False, "shape": shape,
+                 **header})
+        copy.write_bytes(raw[:16] + fh.getvalue() + rows)
+
+
+class TestRowCopy:
+    """A read of a file the writer made takes its rows from the binary copy
+    beside it, with no parse, and gets the parse's bits; any file or copy
+    that does not match is parsed, with the reference reader's result."""
+
+    _ROWS = {
+        "normal": np.random.default_rng(8).normal(scale=1e-9, size=(300, 2)),
+        "signed-zeros": np.array([[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]]),
+        "subnormals": np.array([[5e-324, -5e-324],
+                                [2.2250738585072014e-308, -1e-310],
+                                [1e-320, 3e-12]]),
+        "empty": np.empty((0, 2)),
+    }
+
+    @staticmethod
+    def _written(path, n=300, unit="ps"):
+        rng = np.random.default_rng(n)
+        es = EventSet(rng.normal(scale=1e-9, size=(n, 2)), {"seed": n})
+        write_events(es, path, unit=unit)
+        return es
+
+    @pytest.mark.parametrize("cpus", [1, 3], ids=["serial", "split"])
+    @pytest.mark.parametrize("unit", ["ps", "s"])
+    @pytest.mark.parametrize("rows", sorted(_ROWS))
+    def test_round_trip_reads_the_copy_with_the_parse_bits(
+            self, tmp_path, monkeypatch, parses, cpus, unit, rows):
+        _split_across(monkeypatch, cpus)
+        es = EventSet(self._ROWS[rows], {"seed": 8, "tag": "x"})
+        path = tmp_path / "ev.csv"
+        write_events(es, path, unit=unit)
+        assert dataio._copy_path(path).is_file()
+        copied = _read_outcome(read_events, path)
+        assert parses == []
+        dataio._copy_path(path).unlink()
+        assert _read_outcome(read_events, path) == copied
+        assert len(parses) == (1 if es.count else 0)
+        assert copied == _read_outcome(read_events_loop, path)
+        assert copied[3] == {"units": unit, "seed": 8, "tag": "x"}
+        if unit == "s":  # seconds round-trip exactly
+            assert copied[2] == es.events.tobytes()
+
+    def test_copy_layout(self, tmp_path):
+        # the file's length and crc32, the rows' crc32, then the .npy array
+        # of the rows in file units, hidden beside the file
+        import struct
+        import zlib
+
+        path = tmp_path / "events.csv"
+        es = self._written(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == [".events.csv.rows", "events.csv"]
+        raw = dataio._copy_path(path).read_bytes()
+        text = path.read_bytes()
+        assert raw[16:24] == b"\x93NUMPY\x01\x00"  # .npy v1.0
+        with io.BytesIO(raw[16:]) as fh:
+            rows = np.lib.format.read_array(fh, allow_pickle=False)
+            assert fh.read() == b""
+        assert rows.dtype == np.dtype("<f8") and rows.shape == (300, 2)
+        assert rows.tobytes() == (es.events / 1e-12).tobytes()
+        assert struct.unpack("<QII", raw[:16]) \
+            == (len(text), zlib.crc32(text), zlib.crc32(rows))
+
+    @pytest.mark.parametrize("change", [
+        "copy-missing", "digit", "units", "truncated", "appended",
+        "row-byte-flipped", "copy-truncated", "copy-prefix-only",
+        "dtype", "shape", "fewer-rows", "more-rows", "fortran-order",
+        "copy-directory",
+    ])
+    def test_a_mismatch_reads_the_file_as_the_parse_does(
+            self, tmp_path, parses, change):
+        path = tmp_path / "ev.csv"
+        copy = dataio._copy_path(path)
+        if change == "copy-directory":  # the writer leaves it be
+            copy.mkdir()
+        self._written(path)
+        text = path.read_bytes()
+        if change == "copy-missing":
+            copy.unlink()
+        elif change == "digit":  # the last row's last digit, same length
+            digit = text[-2] - ord("0")
+            path.write_bytes(text[:-2] + str((digit + 1) % 10).encode()
+                             + b"\n")
+        elif change == "units":
+            path.write_bytes(text.replace(b"# units = ps", b"# units = ns"))
+        elif change == "truncated":
+            path.write_bytes(text[:-3])
+        elif change == "appended":
+            path.write_bytes(text + b"1,2\n")
+        elif change == "row-byte-flipped":
+            raw = copy.read_bytes()
+            copy.write_bytes(raw[:-1] + bytes([raw[-1] ^ 1]))
+        elif change == "copy-truncated":
+            copy.write_bytes(copy.read_bytes()[:-8])
+        elif change == "copy-prefix-only":
+            copy.write_bytes(copy.read_bytes()[:10])
+        elif change == "dtype":  # the same bytes, read big-endian
+            _rewrite_copy(path, descr=">f8")
+        elif change == "shape":  # the same bytes as one column
+            _rewrite_copy(path, shape=(600, 1))
+        elif change == "fewer-rows":
+            _rewrite_copy(path, shape=(299, 2))
+        elif change == "more-rows":  # refused before any array is made
+            _rewrite_copy(path, shape=(1 << 40, 2))
+        elif change == "fortran-order":
+            _rewrite_copy(path, fortran_order=True)
+        assert copy.is_dir() == (change == "copy-directory")
+        assert _read_outcome(read_events, path) \
+            == _read_outcome(read_events_loop, path)
+        assert len(parses) == 1
+
+    @pytest.mark.parametrize("body", ["1,2\n1,abc\n", "1,2\n1,inf\n",
+                                      "1,2\n# units = ns\n"])
+    def test_malformed_file_beside_a_stale_copy(self, tmp_path, parses,
+                                                body):
+        path = tmp_path / "ev.csv"
+        self._written(path, n=2)
+        path.write_text(f"{EVENT_MAGIC}\n# units = ps\n{body}")
+        expected = _read_outcome(read_events_loop, path)
+        assert expected[0] == "error"
+        assert _read_outcome(read_events, path) == expected
+        assert parses == [None]
+
+    def test_rows_the_parse_refuses_are_not_read_from_the_copy(
+            self, tmp_path, parses):
+        # 1e300 s is inf in fs: the file holds "inf", which the parse
+        # refuses, and so does the copy check
+        path = tmp_path / "ev.csv"
+        with np.errstate(over="ignore"):
+            write_events(EventSet(np.array([[1e300, 1.0]])), path, unit="fs")
+        assert dataio._copy_path(path).is_file()
+        expected = _read_outcome(read_events_loop, path)
+        assert expected[0] == "error" and ":4:" in expected[1]
+        assert _read_outcome(read_events, path) == expected
+        assert parses == [None]
+
+    def test_a_read_writes_no_copy(self, tmp_path):
+        path = tmp_path / "ev.csv"
+        path.write_text(f"{EVENT_MAGIC}\n# units = ps\n1,2\n")
+        read_events(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["ev.csv"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    def test_no_copy_beside_a_fifo(self, tmp_path):
+        import threading
+
+        path = tmp_path / "ev.fifo"
+        os.mkfifo(path)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(
+            path.read_bytes()))
+        reader.start()
+        es = self._written(path, n=5)
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        write_events_loop(es, tmp_path / "ref.csv", unit="ps")
+        assert received == [(tmp_path / "ref.csv").read_bytes()]
+        assert not dataio._copy_path(path).exists()
 
 
 class TestReports:
