@@ -42,6 +42,13 @@ about as fast as two processes each parsing half.  Only when that call
 refuses the rows are they scanned, to name the first bad one.  A name
 loadtxt would decompress by its suffix is neither read nor written.
 
+The rows' bytes are those ``repr`` writes, made without a Python float per
+value by :mod:`heraldtime._shortest`: Ryu's algorithm (Adams, PLDI 2018) on
+NumPy uint64 lanes, which writes a million rows serially in ~0.85 s
+against ~1.4 s with ``repr``.  Times whose value in the file's unit is not
+finite are refused before the file is opened, so every file written reads
+back.
+
 A large event set is written in contiguous shares of its rows, one for
 each CPU the process may run on, when each worker's share gets at least
 ``_PARALLEL_MIN_ROWS`` (200 000) rows and the process's own share half as
@@ -118,19 +125,23 @@ __all__ = [
 ]
 
 EVENT_MAGIC = "# heraldtime events v1"
-# Rows formatted per write call: bounds the strings held at once.  A block
-# holds ~145 bytes a row at its peak (the scaled floats as an array, as a
-# list of Python floats and as a tuple, and the formatted text): 0.57 MiB at
-# 4096 rows.  Larger blocks write no faster.
-_WRITE_BLOCK_ROWS = 4096
+# Rows formatted per write call: bounds the arrays held at once.  The
+# formatter (heraldtime._shortest) holds ~400 bytes a row at its peak, its
+# uint64 lanes and 52 bytes of text slots per value: 0.39 MiB at 1024 rows
+# and 0.77 MiB at 2048, which format ~10 % faster but pass 1 MiB with the
+# 0.25 MiB of tables the first write builds.
+_WRITE_BLOCK_ROWS = 1024
 # Rows per np.loadtxt call of the scan that names a refused row: bounds the
 # lines held at once (~0.3 MiB).
 _SCAN_ROWS = 4096
 # Fewest rows a worker's share of a split write takes (see _split).  A
 # worker process takes ~0.25 s to start and import NumPy without a bytecode
-# cache: the time ~100 000 rows take to format (~2.3 us a row), by which the
-# caller's own share is larger, since it writes them meanwhile.  A worker's
-# 200 000 rows take ~0.46 s to format, so a smaller share would gain little.
+# cache; the caller's own share is larger by half this, the rows it formats
+# meanwhile.  This was set when a row took ~2.3 us to format with repr; the
+# kernel formats those 100 000 rows in ~0.08 s, so at the threshold the
+# split no longer pays (500 000 rows: split 0.48-0.55 s against 0.33-0.46 s
+# serial), while a million rows still gain (0.60-0.78 s against 0.83-0.91
+# s; medians of 5, two sets, on a 2-vCPU host).
 _PARALLEL_MIN_ROWS = 200_000
 # Names np.loadtxt would decompress by their suffix: neither read nor written.
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
@@ -226,17 +237,25 @@ def write_events(events: EventSet, path, unit: str = "s") -> None:
 
     The ``units`` line states the unit, so a ``units`` metadata key is not
     repeated in the ``meta`` JSON.  A compressed name, which
-    :func:`read_events` refuses, raises :class:`ReportError`.  A large set
-    is formatted in shares by :func:`_split`; the bytes are those of the
-    serial write.  Beside a regular file, :func:`_write_copy` then writes
-    the binary copy of its rows that :func:`read_events` reads instead of
-    parsing the file.
+    :func:`read_events` refuses, raises :class:`ReportError`, and so do
+    times whose value in ``unit`` is not finite (``1e300`` s in fs), before
+    the file is opened.  A large set is formatted in shares by
+    :func:`_split`; the bytes are those of the serial write.  Beside a
+    regular file, :func:`_write_copy` then writes the binary copy of its
+    rows that :func:`read_events` reads instead of parsing the file.
     """
     scale = _time_scale(unit)
     path = Path(path)
     if path.name.endswith(_COMPRESSED):
         raise ReportError(f"cannot write event file {path}: compressed event "
                           f"files are not read")
+    data = events.events
+    # the largest magnitude gives the largest quotient: if it is finite, so
+    # is every row the file would hold
+    if len(data) and not math.isfinite(
+            max(float(data.max()), -float(data.min())) / scale):
+        raise ReportError(f"cannot write event file {path}: an event time "
+                          f"is not finite in {unit}")
     header = [EVENT_MAGIC, f"# units = {unit}", f"# count = {events.count}"]
     meta = {k: v for k, v in events.metadata.items() if k != "units"}
     if meta:
@@ -246,7 +265,6 @@ def write_events(events: EventSet, path, unit: str = "s") -> None:
         except ValueError as exc:
             raise ReportError(
                 f"event metadata contains non-finite values: {exc}") from exc
-    data = events.events
     try:
         with path.open("wb") as fh:
             fh.write(("\n".join(header) + "\n").encode("utf-8"))
@@ -275,11 +293,13 @@ def _time_scale(unit: str) -> float:
 
 def _write_rows(fh, data: np.ndarray, scale: float) -> None:
     """Write the rows of ``data / scale`` to the binary ``fh``, one
-    ``_WRITE_BLOCK_ROWS`` block at a time."""
+    ``_WRITE_BLOCK_ROWS`` block at a time, each value as ``repr`` writes
+    it (:func:`heraldtime._shortest.format_rows`)."""
+    from ._shortest import format_rows
+
     for start in range(0, len(data), _WRITE_BLOCK_ROWS):
-        # Same IEEE division and shortest repr as one row at a time.
-        flat = (data[start:start + _WRITE_BLOCK_ROWS] / scale).ravel().tolist()
-        fh.write(("%r,%r\n" * (len(flat) // 2) % tuple(flat)).encode("ascii"))
+        # Same IEEE division as one row at a time.
+        fh.write(format_rows(data[start:start + _WRITE_BLOCK_ROWS] / scale))
 
 
 def read_events(path) -> EventSet:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import dblquad, quad
 
 from heraldtime.params import TemporalCovariance
 
@@ -26,6 +25,8 @@ def joint_total_mass(cov: TemporalCovariance, half_span: float = 8.0) -> float:
 
     Integrates in standardized coordinates so the integrand is O(1).
     """
+    from scipy.integrate import dblquad
+
     from heraldtime.analytic import joint_density
 
     def integrand(z2, z1):
@@ -49,6 +50,8 @@ def conditional_pdf_quad(t1_grid, center: float, width: float,
 
     evaluated by adaptive quadrature on the joint density alone.
     """
+    from scipy.integrate import quad
+
     from heraldtime.analytic import joint_density
 
     lo = center - 0.5 * width
@@ -77,6 +80,8 @@ def conditional_pdf_quad(t1_grid, center: float, width: float,
 def conditional_moments_quad(cov: TemporalCovariance, center: float,
                              width: float, half_span: float = 8.0):
     """Mean and standard deviation of the windowed conditional by quadrature."""
+    from scipy.integrate import quad
+
     from heraldtime.analytic import conditional_density
 
     def moment(k):
@@ -149,6 +154,8 @@ def spectral_intensity_moments(sigma: float, tau_p: float):
     phi(nu1, nu2) ~ exp(-(nu1 - nu2)^2 / sigma^2 - (nu1 + nu2)^2 tau_p^2 / 4)
     evaluated in scaled coordinates for a well-conditioned integrand.
     """
+    from scipy.integrate import dblquad
+
     # scale each axis by a conservative width estimate
     s_minus = sigma / 2.0
     s_plus = 1.0 / tau_p

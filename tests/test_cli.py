@@ -830,6 +830,50 @@ def test_closed_form_herald_never_imports_numpy_random(config_path, tmp_path):
         res.stdout + res.stderr
 
 
+def test_only_event_writes_import_the_row_formatter(config_path, tmp_path):
+    # the shortest round-trip kernel and its tables load with the first
+    # event write: importing the CLI, and every command that writes no
+    # events, leaves it out
+    import subprocess
+    import sys
+    out = str(tmp_path)
+    events = f"{out}/sim/events.csv"
+    assert main(["simulate", "--config", str(config_path),
+                 "--out", f"{out}/sim"]) == 0
+    base = ["--config", str(config_path)]
+    grids = {"herald.width_min": "50 ps", "herald.width_max": "2 ns",
+             "herald.width_points": "6", "herald.width": "300 ps",
+             "herald.center_min": "-200 ps", "herald.center_max": "200 ps",
+             "herald.center_points": "5",
+             "landscape.tau_p_min": "10 fs", "landscape.tau_p_max": "1 ns",
+             "landscape.tau_p_points": "8", "landscape.sigma_min": "10 GHz",
+             "landscape.sigma_max": "10 THz", "landscape.sigma_points": "8"}
+    for key, value in grids.items():
+        base += ["--set", f"{key}={value}"]
+    commands = [
+        ["fit", events, "--out", f"{out}/fit"],
+        ["herald", events, *base, "--curve", "both", "--out", f"{out}/herald"],
+        ["optimize", *base, "--out", f"{out}/optimize"],
+        ["landscape", *base, "--which", "tau1", "--out", f"{out}/landscape"],
+    ]
+    script = ("import sys\n"
+              "import heraldtime.cli as cli\n"
+              "print('loaded: import',\n"
+              "      'heraldtime._shortest' in sys.modules)\n"
+              f"for argv in {commands!r}:\n"
+              "    code = cli.main(argv)\n"
+              "    print('loaded:', argv[0], code,\n"
+              "          'heraldtime._shortest' in sys.modules)\n")
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    loaded = [line for line in res.stdout.splitlines()
+              if line.startswith("loaded: ")]
+    assert loaded == ["loaded: import False", "loaded: fit 0 False",
+                      "loaded: herald 0 False", "loaded: optimize 0 False",
+                      "loaded: landscape 0 False"], res.stdout + res.stderr
+
+
 def test_fit_and_herald_never_import_numpy_ma(config_path, tmp_path):
     # np.percentile and np.unique import numpy.ma on NumPy >= 2, at a cost
     # of ~1.2 MiB and ~16 ms in each fresh process; the fit's percentile

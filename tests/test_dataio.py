@@ -184,6 +184,19 @@ class TestEventFiles:
         with pytest.raises(ValueError, match="unit"):
             write_events(es, tmp_path / "x.csv", unit="fortnights")
 
+    @pytest.mark.parametrize("rows", [[[1e300, 1.0]], [[1.0, -1e300]],
+                                      [[0.0, 0.0], [2e294, -0.0]]])
+    def test_times_not_finite_in_the_unit_are_refused(self, tmp_path, rows):
+        # 1e300 s is beyond the largest float in fs: its row would be "inf",
+        # which no read takes, so the writer refuses it before it opens the
+        # file; in seconds the same rows are written and read back
+        path = tmp_path / "ev.csv"
+        with pytest.raises(ReportError, match="not finite in fs"):
+            write_events(EventSet(np.array(rows)), path, unit="fs")
+        assert list(tmp_path.iterdir()) == []
+        write_events(EventSet(np.array(rows)), path, unit="s")
+        assert read_events(path).events.tolist() == rows
+
     def test_binary_garbage_reported_not_crashed(self, tmp_path):
         path = tmp_path / "garbage.csv"
         path.write_bytes(bytes([0xFF, 0xFE, 0x00, 0x9C, 0x80, 0x01]))
@@ -848,10 +861,13 @@ class TestRowCopy:
     def test_rows_the_parse_refuses_are_not_read_from_the_copy(
             self, tmp_path, parses):
         # 1e300 s is inf in fs: the file holds "inf", which the parse
-        # refuses, and so does the copy check
+        # refuses, and so does the copy check.  The writer refuses such
+        # rows, so the file and its copy are made by hand.
         path = tmp_path / "ev.csv"
+        path.write_text(f"{EVENT_MAGIC}\n# units = fs\n# count = 1\n"
+                        f"inf,1000000000000000.0\n")
         with np.errstate(over="ignore"):
-            write_events(EventSet(np.array([[1e300, 1.0]])), path, unit="fs")
+            dataio._write_copy(path, np.array([[1e300, 1.0]]), 1e-15)
         assert dataio._copy_path(path).is_file()
         expected = _read_outcome(read_events_loop, path)
         assert expected[0] == "error" and ":4:" in expected[1]
