@@ -49,17 +49,6 @@ against ~1.4 s with ``repr``.  Times whose value in the file's unit is not
 finite are refused before the file is opened, so every file written reads
 back.
 
-A large event set is written in contiguous shares of its rows, one for
-each CPU the process may run on, when each worker's share gets at least
-``_PARALLEL_MIN_ROWS`` (200 000) rows and the process's own share half as
-many more: a million events on two CPUs split, 82 000 stay serial.  The
-process writes the first share; each other share is formatted in a worker
-process (``sys.executable``) by the same block formatter, from one temporary
-file to another (16 and ~38 bytes a row), and the process appends the text
-once the worker has exited 0: the bytes are those of the serial write.
-Where a worker cannot start, the process writes every row; where one exits
-non-zero, that share and every later row.
-
 Run configuration is a flat ``key = value`` text file with explicit unit
 suffixes on dimensioned quantities::
 
@@ -91,8 +80,6 @@ import itertools
 import json
 import math
 import os
-import shutil
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -134,15 +121,6 @@ _WRITE_BLOCK_ROWS = 1024
 # Rows per np.loadtxt call of the scan that names a refused row: bounds the
 # lines held at once (~0.3 MiB).
 _SCAN_ROWS = 4096
-# Fewest rows a worker's share of a split write takes (see _split).  A
-# worker process takes ~0.25 s to start and import NumPy without a bytecode
-# cache; the caller's own share is larger by half this, the rows it formats
-# meanwhile.  This was set when a row took ~2.3 us to format with repr; the
-# kernel formats those 100 000 rows in ~0.08 s, so at the threshold the
-# split no longer pays (500 000 rows: split 0.48-0.55 s against 0.33-0.46 s
-# serial), while a million rows still gain (0.60-0.78 s against 0.83-0.91
-# s; medians of 5, two sets, on a 2-vCPU host).
-_PARALLEL_MIN_ROWS = 200_000
 # Names np.loadtxt would decompress by their suffix: neither read nor written.
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 # The prefix of an event file's binary copy (see _write_copy): the file's
@@ -239,10 +217,9 @@ def write_events(events: EventSet, path, unit: str = "s") -> None:
     repeated in the ``meta`` JSON.  A compressed name, which
     :func:`read_events` refuses, raises :class:`ReportError`, and so do
     times whose value in ``unit`` is not finite (``1e300`` s in fs), before
-    the file is opened.  A large set is formatted in shares by
-    :func:`_split`; the bytes are those of the serial write.  Beside a
-    regular file, :func:`_write_copy` then writes the binary copy of its
-    rows that :func:`read_events` reads instead of parsing the file.
+    the file is opened.  Beside a regular file, :func:`_write_copy` then
+    writes the binary copy of its rows that :func:`read_events` reads
+    instead of parsing the file.
     """
     scale = _time_scale(unit)
     path = Path(path)
@@ -268,16 +245,7 @@ def write_events(events: EventSet, path, unit: str = "s") -> None:
     try:
         with path.open("wb") as fh:
             fh.write(("\n".join(header) + "\n").encode("utf-8"))
-            with _split(data, scale) as shares:
-                for lo, hi, proc, text in shares:
-                    if proc is None:  # the caller's own share
-                        _write_rows(fh, data[lo:hi], scale)
-                    elif proc.wait() == 0:
-                        text.seek(0)  # the worker's writes moved it
-                        shutil.copyfileobj(text, fh)
-                    else:  # a worker failed: its share and the rest serially
-                        _write_rows(fh, data[lo:], scale)
-                        break
+            _write_rows(fh, data, scale)
     except OSError as exc:
         raise ReportError(f"cannot write event file {path}: {exc}") from exc
     if path.is_file():  # not /dev/stdout or a FIFO
@@ -465,82 +433,6 @@ def _refused_row(path: Path, skip: int) -> EventFileError:
                             f"comma-separated numbers, got {line!r}")
     return EventFileError(f"{path}: np.loadtxt refused the rows but none "
                           f"of their lines")
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
-
-
-@contextlib.contextmanager
-def _split(data: np.ndarray, scale: float):
-    """Contiguous shares of the rows of ``data``, one for each CPU, every
-    share but the first formatted as ``data / scale`` by a worker process;
-    the caller writes the first.  Each worker's share holds at least
-    ``_PARALLEL_MIN_ROWS`` rows, and the caller's half as many more: those
-    it writes while the workers start.
-
-    Yields ``[(lo, hi, proc, text), ...]``, the caller's share first with
-    ``proc`` and ``text`` None.  That share holds every row when the rows are
-    too few, there is one CPU or a worker cannot start.  A worker reads its
-    float64 rows from a temporary file on its stdin and writes their text to
-    ``text``, the temporary file on its stdout.  On exit every worker still
-    running is killed, all are waited for, and the files are closed.
-    """
-    rows, head = len(data), _PARALLEL_MIN_ROWS // 2
-    count = min(_cpu_count(), (rows - head) // _PARALLEL_MIN_ROWS)
-    if count < 2 or not sys.executable:
-        yield [(0, rows, None, None)]
-        return
-    import subprocess
-    import tempfile
-
-    bounds = [0] + [head + (rows - head) * k // count
-                    for k in range(1, count + 1)]
-    shares = [(0, bounds[1], None, None)]
-    root = str(Path(__file__).resolve().parent.parent)
-    with contextlib.ExitStack() as stack:
-        try:
-            for lo, hi in zip(bounds[1:], bounds[2:]):
-                text = stack.enter_context(tempfile.TemporaryFile())
-                with tempfile.TemporaryFile() as stdin:
-                    stdin.write(np.ascontiguousarray(data[lo:hi]))
-                    stdin.seek(0)
-                    proc = subprocess.Popen(
-                        [sys.executable, "-c", _WORKER, root, repr(scale)],
-                        stdin=stdin, stdout=text)
-                stack.callback(_stop, proc)
-                shares.append((lo, hi, proc, text))
-        except OSError:
-            stack.close()
-            shares = [(0, rows, None, None)]
-        yield shares
-
-
-# How a worker process starts: this interpreter imports this package from
-# where this process found it.  Ctrl-C ends a worker without a traceback;
-# the caller stops the others.
-_WORKER = ("import signal, sys; signal.signal(signal.SIGINT, signal.SIG_DFL); "
-           "sys.path.insert(0, sys.argv[1]); "
-           "from heraldtime.dataio import _share_worker; "
-           "_share_worker(*sys.argv[2:])")
-
-
-def _stop(proc) -> None:
-    """Kill a worker (nothing to do once it has exited) and wait for it."""
-    proc.kill()
-    proc.wait()
-
-
-def _share_worker(scale: str) -> None:
-    """One share of a split write, in a worker process: the float64 rows on
-    stdin, divided by ``scale``, go to stdout, a temporary file, as
-    :func:`write_events` writes them.  A failed write exits non-zero."""
-    rows = np.frombuffer(sys.stdin.buffer.read()).reshape(-1, 2)
-    _write_rows(sys.stdout.buffer, rows, float(scale))
 
 
 class _EventReader:

@@ -3,7 +3,6 @@ import json
 import math
 import os
 import re
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +158,18 @@ class TestEventFiles:
         assert peak < 1.25 * 16 * rows + (2 << 20)
         assert parses == [None]
 
+    def test_read_of_any_size_is_one_call_in_this_process(self, tmp_path,
+                                                          parses):
+        path = tmp_path / "ev.csv"
+        path.write_bytes(b"# heraldtime events v1\n# units = ps\n"
+                         + b"0.5,-1.25\n" * 600_000 + b"3,4\n")
+        back = read_events(path)
+        # the array the one call built, with no line walk
+        assert len(parses) == 1 and parses[0] is back.events
+        assert back.events.shape == (600_001, 2)
+        assert back.events[0].tolist() == [0.5 * 1e-12, -1.25 * 1e-12]
+        assert back.events[-1].tolist() == [3 * 1e-12, 4 * 1e-12]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(EventFileError):
             read_events(tmp_path / "nope.csv")
@@ -183,6 +194,17 @@ class TestEventFiles:
         es = EventSet(np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError, match="unit"):
             write_events(es, tmp_path / "x.csv", unit="fortnights")
+
+    def test_row_write_error_is_a_report_error_with_no_copy(self, tmp_path,
+                                                           monkeypatch):
+        def fail(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(dataio, "_write_rows", fail)
+        path = tmp_path / "full.csv"
+        with pytest.raises(ReportError, match="No space left"):
+            write_events(EventSet(np.zeros((1000, 2))), path, unit="ps")
+        assert not dataio._copy_path(path).exists()
 
     @pytest.mark.parametrize("rows", [[[1e300, 1.0]], [[1.0, -1e300]],
                                       [[0.0, 0.0], [2e294, -0.0]]])
@@ -274,10 +296,8 @@ def _event_files(draw, breaks=_BREAKS):
     return text if draw(st.booleans()) else text.rstrip("\r\n\x0c\u2028\x85")
 
 
-class EventWriterChecks:
-    """The block writer against the 0.1.0 loop, run serially by
-    :class:`TestEventCodecMatchesReference` and in shares by
-    :class:`TestSplitCodecMatchesReference`."""
+class TestEventCodecMatchesReference:
+    """The block writer and one-call reader against the 0.1.0 loops."""
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -335,6 +355,9 @@ class EventWriterChecks:
 
         es = EventSet(np.random.default_rng(4).normal(scale=1e-9,
                                                       size=(n, 2)))
+        # a first write imports the formatter and builds its tables (up to
+        # ~1.7 MiB where no bytecode cache is written), outside the trace
+        write_events(EventSet(np.zeros((1, 2))), tmp_path / "warm.csv")
         tracemalloc.start()
         try:
             write_events(es, tmp_path / "ev.csv", unit="ps")
@@ -343,9 +366,6 @@ class EventWriterChecks:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-
-class TestEventCodecMatchesReference(EventWriterChecks):
-    """The block writer and one-call reader against the 0.1.0 loops."""
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -394,6 +414,22 @@ class TestEventCodecMatchesReference(EventWriterChecks):
         path.write_text(header + body, encoding="utf-8", newline="")
         assert _read_outcome(read_events, path) \
             == _read_outcome(read_events_loop, path)
+
+    @pytest.mark.parametrize("row", [1, 500, 999])
+    def test_malformed_row_deep_in_a_written_file(self, tmp_path, row):
+        # a malformed first, middle or next-to-last row of a 1000-row file
+        # the writer made, beside its stale copy: the read gives the loop's
+        # error
+        path = tmp_path / "ev.csv"
+        rng = np.random.default_rng(1000)
+        write_events(EventSet(rng.normal(scale=1e-9, size=(1000, 2)),
+                              {"seed": 1000}), path, unit="ps")
+        lines = path.read_bytes().split(b"\n")
+        lines[3 + row] = b"1,abc"
+        path.write_bytes(b"\n".join(lines))
+        expected = _read_outcome(read_events_loop, path)
+        assert expected[0] == "error" and f":{4 + row}:" in expected[1]
+        assert _read_outcome(read_events, path) == expected
 
     @pytest.mark.parametrize("text,plain", [
         ("\r\n# units = ps\r\n# count = 2\r\n1,2\n3,4\n", True),
@@ -517,22 +553,6 @@ class TestGoldenEventFiles:
 
 
 @pytest.fixture
-def workers(monkeypatch):
-    """Every worker process the event codec starts, as it was started."""
-    import subprocess
-
-    started = []
-
-    class Recorded(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            started.append(self)
-
-    monkeypatch.setattr(subprocess, "Popen", Recorded)
-    return started
-
-
-@pytest.fixture
 def parses(monkeypatch):
     """What each one-call parse of an event body returned, in order."""
     parsed = []
@@ -540,184 +560,6 @@ def parses(monkeypatch):
     monkeypatch.setattr(dataio, "_parse_rows", lambda *a: parsed.append(
         parse_rows(*a)) or parsed[-1])
     return parsed
-
-
-def _split_across(monkeypatch, cpus):
-    """Split every event body of two or more rows across ``cpus`` shares."""
-    monkeypatch.setattr(dataio, "_PARALLEL_MIN_ROWS", 1)
-    monkeypatch.setattr(dataio, "_cpu_count", lambda: cpus)
-
-
-_SPLIT_HYPOTHESIS = settings(
-    max_examples=20, deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture])
-
-
-class TestSplitCodecMatchesReference(TestEventCodecMatchesReference):
-    """The codec checks with every body of two or more rows split across two
-    or three shares: the writes split, and every read stays one call in this
-    process.  The write property test draws fewer examples: each split
-    starts worker processes."""
-
-    @pytest.fixture(autouse=True, params=[2, 3], ids=["2cpus", "3cpus"])
-    def _split(self, request, monkeypatch, workers):
-        _split_across(monkeypatch, request.param)
-
-        def read_alone(path):
-            started = len(workers)
-            try:
-                return dataio.read_events(path)
-            finally:
-                assert len(workers) == started
-
-        # the read checks call the module's read_events: each starts no
-        # worker, however many shares a write of its body would take
-        monkeypatch.setattr(sys.modules[__name__], "read_events", read_alone)
-
-    @_SPLIT_HYPOTHESIS
-    @given(rows=st.lists(st.tuples(_FINITE, _FINITE), min_size=2, max_size=30),
-           unit=st.sampled_from(sorted(TIME_UNITS)),
-           meta=st.dictionaries(st.sampled_from(["seed", "units", "tag"]),
-                                st.integers() | st.text(max_size=5),
-                                max_size=3))
-    def test_write_bytes_identical(self, tmp_path, rows, unit, meta):
-        super().test_write_bytes_identical.hypothesis.inner_test(
-            self, tmp_path, rows, unit, meta)
-
-
-class TestSplitGoldenEventFiles(TestGoldenEventFiles):
-    @pytest.fixture(autouse=True, params=[2, 3], ids=["2cpus", "3cpus"])
-    def _split(self, request, monkeypatch):
-        _split_across(monkeypatch, request.param)
-
-
-class TestSplitCodec:
-    """The split write runs, falls back to the serial write when a worker
-    cannot start or dies, and leaves no worker running; a read of any size
-    starts none."""
-
-    @staticmethod
-    def _events(n=1000):
-        rng = np.random.default_rng(n)
-        return EventSet(rng.normal(scale=1e-9, size=(n, 2)), {"seed": n})
-
-    @pytest.mark.parametrize("cpus", [2, 3])
-    def test_split_runs_in_workers(self, tmp_path, monkeypatch, workers,
-                                   cpus):
-        _split_across(monkeypatch, cpus)
-        es, path = self._events(), tmp_path / "ev.csv"
-        write_events(es, path, unit="ps")
-        # one worker per share but the caller's, each exited cleanly
-        assert len(workers) == cpus - 1
-        assert [proc.returncode for proc in workers] == [0] * len(workers)
-        write_events_loop(es, tmp_path / "ref.csv", unit="ps")
-        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
-
-    def test_small_bodies_and_one_cpu_stay_serial(self, tmp_path,
-                                                  monkeypatch, workers):
-        monkeypatch.setattr(dataio, "_cpu_count", lambda: 2)
-        path = tmp_path / "ev.csv"
-        # 82 000 rows: two shares would each take fewer than the minimum
-        write_events(self._events(82_000), path, unit="ps")
-        _split_across(monkeypatch, 1)
-        write_events(self._events(), path, unit="ps")
-        assert workers == []
-
-    def test_read_of_any_size_is_one_call_in_this_process(
-            self, tmp_path, monkeypatch, workers, parses):
-        # 600 001 rows on three CPUs: enough for a write of them to split
-        path = tmp_path / "ev.csv"
-        path.write_bytes(b"# heraldtime events v1\n# units = ps\n"
-                         + b"0.5,-1.25\n" * 600_000 + b"3,4\n")
-        monkeypatch.setattr(dataio, "_cpu_count", lambda: 3)
-        back = read_events(path)
-        assert workers == []
-        # the array the one call built, with no line walk
-        assert len(parses) == 1 and parses[0] is back.events
-        assert back.events.shape == (600_001, 2)
-        assert back.events[0].tolist() == [0.5 * 1e-12, -1.25 * 1e-12]
-        assert back.events[-1].tolist() == [3 * 1e-12, 4 * 1e-12]
-
-    @pytest.mark.parametrize("executable", ["", "missing", "false"])
-    def test_worker_that_cannot_run_gives_the_serial_result(
-            self, tmp_path, monkeypatch, workers, executable):
-        # no interpreter, one that cannot start, or one that exits 1 at once
-        import shutil
-
-        if executable == "missing":
-            executable = str(tmp_path / "missing")
-        elif executable == "false":
-            executable = shutil.which("false")
-            if executable is None:
-                pytest.skip("no false command")
-        es, path = self._events(), tmp_path / "ev.csv"
-        write_events(es, tmp_path / "ref.csv", unit="ps")
-        _split_across(monkeypatch, 3)
-        monkeypatch.setattr(sys, "executable", executable)
-        write_events(es, path, unit="ps")
-        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
-        assert all(proc.returncode is not None for proc in workers)
-
-    def test_worker_that_dies_gives_the_serial_result(self, tmp_path,
-                                                      monkeypatch, workers):
-        import subprocess
-
-        class Killed(subprocess.Popen):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                self.kill()
-
-        es, path = self._events(), tmp_path / "ev.csv"
-        write_events(es, tmp_path / "ref.csv", unit="ps")
-        _split_across(monkeypatch, 3)
-        monkeypatch.setattr(subprocess, "Popen", Killed)
-        write_events(es, path, unit="ps")
-        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
-
-    def test_worker_that_dies_after_part_of_its_text_gives_the_serial_result(
-            self, tmp_path, monkeypatch, workers):
-        # each worker writes rows no share holds, then exits 3: none of its
-        # text reaches the file
-        es, path = self._events(), tmp_path / "ev.csv"
-        write_events_loop(es, tmp_path / "ref.csv", unit="ps")
-        _split_across(monkeypatch, 3)
-        monkeypatch.setattr(dataio, "_WORKER", "import sys; "
-                            "sys.stdout.buffer.write(b'9,9\\n' * 50); "
-                            "sys.exit(3)")
-        write_events(es, path, unit="ps")
-        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
-        assert len(workers) == 2
-        assert all(proc.returncode is not None for proc in workers)
-
-    @pytest.mark.parametrize("row", [1, 500, 999])
-    def test_malformed_row_in_any_share_reads_as_serial(
-            self, tmp_path, monkeypatch, workers, row):
-        # a malformed row where a split write's first, middle or last share
-        # would start: the read starts no worker and gives the loop's error
-        path = tmp_path / "ev.csv"
-        write_events(self._events(), path, unit="ps")
-        lines = path.read_bytes().split(b"\n")
-        lines[3 + row] = b"1,abc"
-        path.write_bytes(b"\n".join(lines))
-        expected = _read_outcome(read_events_loop, path)
-        assert expected[0] == "error" and f":{4 + row}:" in expected[1]
-        _split_across(monkeypatch, 3)
-        assert _read_outcome(read_events, path) == expected
-        assert workers == []
-
-    def test_no_worker_left_after_the_caller_raises(self, tmp_path,
-                                                    monkeypatch, workers):
-        es = self._events()
-        _split_across(monkeypatch, 3)
-
-        def fail(*args):
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(dataio, "_write_rows", fail)
-        with pytest.raises(ReportError, match="No space left"):
-            write_events(es, tmp_path / "full.csv", unit="ps")
-        assert len(workers) == 2
-        assert all(proc.returncode is not None for proc in workers)
 
 
 def _rewrite_copy(path, **header):
@@ -757,12 +599,10 @@ class TestRowCopy:
         write_events(es, path, unit=unit)
         return es
 
-    @pytest.mark.parametrize("cpus", [1, 3], ids=["serial", "split"])
     @pytest.mark.parametrize("unit", ["ps", "s"])
     @pytest.mark.parametrize("rows", sorted(_ROWS))
     def test_round_trip_reads_the_copy_with_the_parse_bits(
-            self, tmp_path, monkeypatch, parses, cpus, unit, rows):
-        _split_across(monkeypatch, cpus)
+            self, tmp_path, parses, unit, rows):
         es = EventSet(self._ROWS[rows], {"seed": 8, "tag": "x"})
         path = tmp_path / "ev.csv"
         write_events(es, path, unit=unit)
