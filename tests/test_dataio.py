@@ -319,11 +319,11 @@ class TestEventCodecMatchesReference:
             == (tmp_path / "ref.csv").read_bytes()
 
     def test_many_blocks_identical_both_ways(self, tmp_path):
-        # Crosses the writer's block boundary; the read takes the rows from
-        # the binary copy, and without it from the one-call parse.
+        # Crosses the writer's block boundary 128 times; the read takes the
+        # rows from the binary copy, and without it from the one-call parse.
         rng = np.random.default_rng(3)
-        es = EventSet(rng.normal(scale=1e-9, size=(2 * 65536 + 3, 2)),
-                      {"seed": 3})
+        n = 128 * dataio._WRITE_BLOCK_ROWS + 3
+        es = EventSet(rng.normal(scale=1e-9, size=(n, 2)), {"seed": 3})
         new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
         write_events(es, new, unit="ps")
         write_events_loop(es, ref, unit="ps")
@@ -552,6 +552,32 @@ class TestGoldenEventFiles:
         assert es.events[0, 0] == 1e-12
 
 
+@pytest.fixture(params=[2, 3], ids=["2rows", "3rows"])
+def small_blocks(request, monkeypatch):
+    """Every write cut into blocks of two or three rows, for the event file
+    and its binary copy, and the scan that names a refused row read two or
+    three lines at a time."""
+    monkeypatch.setattr(dataio, "_WRITE_BLOCK_ROWS", request.param)
+    monkeypatch.setattr(dataio, "_SCAN_ROWS", request.param)
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestSmallBlockCodecMatchesReference(TestEventCodecMatchesReference):
+    """The codec checks with every body of two or more rows written across
+    block edges and every refused row named across scan edges."""
+
+    # Sized for 1024-row blocks: the write peak test's 200 000 rows and the
+    # read peak test's 50 000-row setup would take ~100 000 and ~25 000
+    # two-row blocks.  The read peak does not depend on the block size.
+    test_write_peak_does_not_grow_with_rows = None
+    test_plain_body_read_holds_no_line_list = None
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestSmallBlockGoldenEventFiles(TestGoldenEventFiles):
+    pass
+
+
 @pytest.fixture
 def parses(monkeypatch):
     """What each one-call parse of an event body returned, in order."""
@@ -736,6 +762,12 @@ class TestRowCopy:
         write_events_loop(es, tmp_path / "ref.csv", unit="ps")
         assert received == [(tmp_path / "ref.csv").read_bytes()]
         assert not dataio._copy_path(path).exists()
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestSmallBlockRowCopy(TestRowCopy):
+    """The copy checks with the copy's rows and crc32 written across block
+    edges."""
 
 
 class TestReports:
