@@ -68,7 +68,6 @@ def _engineering(value: float, unit: str) -> str:
     for scale, prefix in prefixes:
         if mag >= scale or (scale, prefix) == prefixes[-1]:
             return f"{value / scale:.3g} {prefix}{unit}"
-    return f"{value:.3g} {unit}"
 
 
 def _out_dir(args) -> Path:

@@ -522,8 +522,6 @@ class _EventReader:
 
 def write_report(payload, path) -> None:
     """Serialize a result mapping as deterministic JSON; NaN is rejected."""
-    if hasattr(payload, "summary"):
-        payload = payload.summary()
     try:
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False,
                           default=_json_default)

@@ -19,6 +19,10 @@ Implementation notes, all of which matter for robustness:
   time translations and well conditioned regardless of the absolute scale;
   the means, the SDs and the starting correlation come from one pass per
   statistic, shared with ``initial_guess``;
+* ``fit`` and each refit of ``bootstrap_errors`` go through one entry,
+  ``_fit_channels(t1, t2, cfg, out)``, which takes the two channels; a
+  refit passes the gather buffer whose rows they are as ``out``, which is
+  then standardized in place;
 * parameters are transformed so every iterate stays in-domain: atanh for the
   correlation, log for the widths and the amplitude, logit (kept in
   [-30, 30]) for the likelihood's background weight; the histogram's flat
@@ -73,7 +77,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -684,66 +687,53 @@ def _damped_newton(full, x0, tolerance, max_nfev, lower=None, upper=None,
 # Histogram least squares
 # --------------------------------------------------------------------------
 
-def _hist_ls_loss(counts, nodes, area):
-    """Model and Jacobian callables of the histogram fit.
+def _hist_ls_terms(theta, g1, g2, counts, area):
+    """The histogram model at theta and the terms its loss is built from.
 
-    ``nodes`` holds the (bins1, 1) and (1, bins2) coordinates of the four
-    Gauss-Legendre nodes per bin; all four are evaluated in one broadcast
-    (4, bins1, bins2) pass.  ``model_terms(theta)`` returns a one-entry
-    cache holding, among others, the model, its floor-clipped copy ``m``,
-    the residuals ``res`` and the model's derivatives ``dm`` (7, bins), so
-    the Jacobian at an accepted step costs no second model evaluation.
+    ``g1`` and ``g2`` hold the (4, bins1, 1) and (4, 1, bins2) coordinates
+    of the four Gauss-Legendre nodes per bin; all four are evaluated in one
+    broadcast (4, bins1, bins2) pass.  Returns the model, its floor-clipped
+    copy m, counts / m, the signed-root deviance residuals and the model's
+    derivatives dm (7, bins).
     """
-    g1 = np.stack([n1 for n1, _ in nodes])
-    g2 = np.stack([n2 for _, n2 in nodes])
-    cache = {}
-    counted = counts > 0
+    shape = _theta_to_shape(theta)
+    # the node terms q = (a, b, xy, c, ax, by) the scores are linear in,
+    # stacked for one sum over the nodes
+    q = np.empty((6, g1.shape[0]) + counts.shape)
+    x, y, _, _, phi, _, _, _ = _gauss_terms(
+        g1, g2, *shape[3:], *shape[:3],
+        out=(None, None, q[0], q[1], None, q[4], q[5], q[3]))
+    np.multiply(x, y, out=q[2])
+    # node sums of phi q, after the plain density sum, so that the model's
+    # shape derivatives are scale * M times them
+    z = np.empty((7,) + counts.shape)
+    phi.sum(axis=0, out=z[0])
+    np.einsum("knij,nij->kij", q, phi, out=z[1:])
+    scale = math.exp(theta[5]) * area / 4.0
+    model = scale * z[0] + theta[6]
+    dm = np.empty((7, counts.size))
+    np.matmul(scale * _score_map(*shape[:3]), z.reshape(7, -1), out=dm[:5])
+    dm[5] = (model - theta[6]).ravel()
+    dm[6] = 1.0
+    m = np.maximum(model, 1e-12)
+    ratio = counts / m
+    dev = 2.0 * (m - counts
+                 + counts * np.log(np.where(counts > 0, ratio, 1.0)))
+    res = np.sign(m - counts) * np.sqrt(np.maximum(dev, 0.0))
+    return model, m, ratio, res, dm
 
-    def model_terms(theta):
-        key = theta.tobytes()
-        if cache.get("key") == key:
-            return cache
-        shape = _theta_to_shape(theta)
-        # the node terms q = (a, b, xy, c, ax, by) the scores are linear
-        # in, stacked for one sum over the nodes
-        q = np.empty((6, g1.shape[0]) + counts.shape)
-        x, y, _, _, phi, _, _, _ = _gauss_terms(
-            g1, g2, *shape[3:], *shape[:3],
-            out=(None, None, q[0], q[1], None, q[4], q[5], q[3]))
-        np.multiply(x, y, out=q[2])
-        # node sums of phi q, after the plain density sum, so that the
-        # model's shape derivatives are scale * M times them
-        z = np.empty((7,) + counts.shape)
-        phi.sum(axis=0, out=z[0])
-        np.einsum("knij,nij->kij", q, phi, out=z[1:])
-        scale = math.exp(theta[5]) * area / 4.0
-        model = scale * z[0] + theta[6]
-        dm = np.empty((7, counts.size))
-        np.matmul(scale * _score_map(*shape[:3]), z.reshape(7, -1),
-                  out=dm[:5])
-        dm[5] = (model - theta[6]).ravel()
-        dm[6] = 1.0
-        m = np.maximum(model, 1e-12)
-        ratio = counts / m
-        dev = 2.0 * (m - counts + counts * np.log(
-            np.where(counted, ratio, 1.0)))
-        res = np.sign(m - counts) * np.sqrt(np.maximum(dev, 0.0))
-        cache.update(key=key, model=model, m=m, ratio=ratio, res=res, dm=dm)
-        return cache
 
-    def jac(theta):
-        c = model_terms(theta)
-        model, m, res = c["model"], c["m"], c["res"]
-        # d(signed root deviance)/dm = (1 - counts/m) / res; where m and
-        # the counts agree to 1e-5 that ratio cancels, and its limit
-        # 1/sqrt(m) is closer than the rounding; clipped bins are flat
-        close = np.abs(m - counts) <= 1e-5 * m
-        drdm = np.where(close, 1.0 / np.sqrt(m),
-                        (1.0 - c["ratio"]) / np.where(close, 1.0, res))
-        drdm[model < 1e-12] = 0.0
-        return (c["dm"] * drdm.ravel()).T
-
-    return jac, model_terms
+def _hist_ls_jacobian(terms, counts):
+    """The Jacobian of the residuals from :func:`_hist_ls_terms`' terms."""
+    model, m, ratio, res, dm = terms
+    # d(signed root deviance)/dm = (1 - counts/m) / res; where m and the
+    # counts agree to 1e-5 that ratio cancels, and its limit 1/sqrt(m) is
+    # closer than the rounding; clipped bins are flat
+    close = np.abs(m - counts) <= 1e-5 * m
+    drdm = np.where(close, 1.0 / np.sqrt(m),
+                    (1.0 - ratio) / np.where(close, 1.0, res))
+    drdm[model < 1e-12] = 0.0
+    return (dm * drdm.ravel()).T
 
 
 def _fit_hist_ls(u, scales, rho0: float):
@@ -762,8 +752,10 @@ def _fit_hist_ls(u, scales, rho0: float):
     # binning; the quadrature nodes remove that error.
     d1 = 0.5 * h1 / math.sqrt(3.0)
     d2 = 0.5 * h2 / math.sqrt(3.0)
-    nodes = [((c1 + o1)[:, None], (c2 + o2)[None, :])
-             for o1 in (-d1, d1) for o2 in (-d2, d2)]
+    # node k of each bin sits at (g1[k], g2[k])
+    g1 = np.stack([(c1 + o)[:, None] for o in (-d1, -d1, d1, d1)])
+    g2 = np.stack([(c2 + o)[None, :] for o in (-d2, d2, -d2, d2)])
+    area = h1 * h2
 
     # theta = [atanh rho, log w1, log w2, c1, c2, log A, B], starting from
     # the sample moments and, for B, the mean count of the box's outer
@@ -776,7 +768,6 @@ def _fit_hist_ls(u, scales, rho0: float):
     x0 = np.array([math.atanh(rho0), 0.0, 0.0, 0.0, 0.0,
                    math.log(max(n_box, 1.0)),
                    max(float(ring.mean()), 1.0 / nbins)])
-    jac, model_terms = _hist_ls_loss(counts, nodes, h1 * h2)
     counted = (counts > 0).ravel()
 
     def full(theta):
@@ -789,24 +780,25 @@ def _fit_hist_ls(u, scales, rho0: float):
         # c whose model falls to the floor has the deviance c log(c/m) ->
         # inf that the floor hides; clipped, it would stay flat at a loss
         # ~27 c too high, a false minimum, so such a trial point is refused.
-        c = model_terms(theta)
-        live = (c["model"] >= 1e-12).ravel()
+        model, m, ratio, r, dm = _hist_ls_terms(theta, g1, g2, counts, area)
+        live = (model >= 1e-12).ravel()
         if not live[counted].all():
             return math.inf, None, None
-        dm, m = c["dm"], c["m"].ravel()
-        score = np.where(live, 1.0 - c["ratio"].ravel(), 0.0)
+        m = m.ravel()
+        score = np.where(live, 1.0 - ratio.ravel(), 0.0)
         fisher = (dm * np.where(live, 1.0 / m, 0.0)) @ dm.T
-        r = c["res"].ravel()
+        r = r.ravel()
         return 0.5 * _wsum(r, r), dm @ score, 0.5 * (fisher + fisher.T)
 
     res = _damped_newton(full, x0, TOLERANCE, MAX_EVALUATIONS,
                          max_step=_MAX_STEP)
     # the errors come from J^T J, the Gauss-Newton curvature of the
     # residuals, as in a least-squares fit
-    jm = jac(res.x).T
-    res = replace(res, hess=jm @ jm.T)
     theta = res.x
-    model = model_terms(theta)["m"]
+    terms = _hist_ls_terms(theta, g1, g2, counts, area)
+    jm = _hist_ls_jacobian(terms, counts).T
+    res = replace(res, hess=jm @ jm.T)
+    model = terms[1]
     total_model = float(model.sum())
     bg_level = float(np.clip(theta[6] * nbins / total_model, 0.0, 1.0)) \
         if total_model > 0 else 1.0
@@ -984,26 +976,22 @@ def fit(events: EventSet, cfg: FitConfig | None = None) -> FitResult:
     iterate) rather than raising when the optimizer stalls; raises
     :class:`DegenerateDataError` for data without usable variance.
     """
-    if events.count < 100:
-        raise DegenerateDataError(
-            f"need at least 100 events to fit, got {events.count}")
-    out = events.u if isinstance(events, _Resample) else None
-    u, scales, rho0 = _moments(events.t1, events.t2, out)
+    return _fit_channels(events.t1, events.t2, cfg)
+
+
+def _fit_channels(t1, t2, cfg, out=None) -> FitResult:
+    """:func:`fit` on the channels t1 and t2, the one entry of every fit.
+
+    ``out`` is passed to :func:`_moments`: a (2, n) array that t1 and t2
+    may be the rows of, standardized in place.
+    """
+    n = t1.shape[0]
+    if n < 100:
+        raise DegenerateDataError(f"need at least 100 events to fit, got {n}")
+    u, scales, rho0 = _moments(t1, t2, out)
     if cfg is not None and cfg.loss == "ml":
         return _fit_ml(u, scales, rho0)
     return _fit_hist_ls(u, scales, rho0)
-
-
-class _Resample(NamedTuple):
-    """One bootstrap resample's channels: all of an EventSet that
-    :func:`fit` reads, without an EventSet's validation and copy.  t1 and
-    t2 are the rows of ``u``, a (2, n) array that fit standardizes in
-    place."""
-
-    t1: np.ndarray
-    t2: np.ndarray
-    count: int
-    u: np.ndarray
 
 
 def bootstrap_errors(events: EventSet, cfg: FitConfig | None = None,
@@ -1015,9 +1003,10 @@ def bootstrap_errors(events: EventSet, cfg: FitConfig | None = None,
     resample k being row k of ``default_rng(seed).integers(0, n, size=
     (n_resamples, n))``.  Each resample's channels are gathered straight
     from the events, which were checked when their EventSet was made, into
-    the one (2, n) array that every refit standardizes in place; the
-    resample's indices are dropped before it is refitted.  ValueError
-    unless ``n_resamples`` >= 2.
+    the one (2, n) array whose rows every refit takes as its channels and
+    standardizes in place (through :func:`fit`'s own entry, without an
+    EventSet); the resample's indices are dropped before it is refitted.
+    ValueError unless ``n_resamples`` >= 2.
     """
     if not (isinstance(n_resamples, (int, np.integer)) and n_resamples >= 2):
         raise ValueError(f"the number of resamples must be an integer >= 2, "
@@ -1027,7 +1016,6 @@ def bootstrap_errors(events: EventSet, cfg: FitConfig | None = None,
     # strided channel whole, and with mode "raise" buffer its output too
     flat = events.events.reshape(-1)
     u = np.empty((2, n))
-    resample = _Resample(u[0], u[1], n, u)
     for _ in range(n_resamples):
         idx = rng.integers(0, n, size=n)
         idx *= 2
@@ -1035,7 +1023,7 @@ def bootstrap_errors(events: EventSet, cfg: FitConfig | None = None,
         idx += 1
         np.take(flat, idx, out=u[1], mode="clip")
         del idx
-        res = fit(resample, cfg)
+        res = _fit_channels(u[0], u[1], cfg, u)
         params.append([res.cov.rho_t, res.cov.tau1, res.cov.tau2, res.cov.mu1,
                        res.cov.mu2, res.amplitude, res.background_level])
     return dict(zip(PARAM_NAMES, map(float, np.std(params, axis=0, ddof=1))))

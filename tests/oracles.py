@@ -376,6 +376,25 @@ def refit_bootstrap_loop(events, cfg, n_resamples, seed):
 
 
 # --------------------------------------------------------------------------
+# Cramer-Rao bound of a clean bivariate normal
+# --------------------------------------------------------------------------
+
+def clean_cramer_rao(cov: TemporalCovariance, n: int) -> dict[str, float]:
+    """Smallest standard errors any unbiased estimator of the five
+    parameters can reach from n events of the bivariate normal ``cov``.
+
+    The inverse Fisher information of n draws: the means decouple from the
+    second moments, with variances tau_k^2 / n, and the second-moment block
+    inverts to tau_k^2 / 2n for the widths and (1 - rho^2)^2 / n for the
+    correlation, the sample correlation's asymptotic variance.
+    """
+    rho, t1, t2 = cov.rho_t, cov.tau1, cov.tau2
+    return {"rho_t": (1.0 - rho * rho) / math.sqrt(n),
+            "tau1": t1 / math.sqrt(2 * n), "tau2": t2 / math.sqrt(2 * n),
+            "mu1": t1 / math.sqrt(n), "mu2": t2 / math.sqrt(n)}
+
+
+# --------------------------------------------------------------------------
 # Reference sampler: each chunk its own array, then one concatenation
 # --------------------------------------------------------------------------
 # The package fills one preallocated array chunk by chunk; its events must

@@ -8,7 +8,8 @@ import pytest
 
 from heraldtime import fitting
 from heraldtime.cli import build_parser, main
-from heraldtime.dataio import load_config
+from heraldtime.dataio import load_config, read_events, write_events
+from heraldtime.sampler import DetectorModel, EventSet
 
 REFERENCE_CFG = """\
 source.sigma   = 3.29 THz
@@ -327,12 +328,45 @@ def test_delta_lambda_must_be_finite_and_positive_at_load(
     assert not out.exists()
 
 
+def test_config_background_window_reaches_the_events(tmp_path, config_path):
+    # a background declared in the config brings its window, which the
+    # simulated events record
+    with open(config_path, "a") as fh:
+        fh.write("detector.background_rate = 0.05\n"
+                 "detector.window_lo = -1 ns\ndetector.window_hi = 1 ns\n")
+    assert load_config(config_path).detector() == DetectorModel(
+        background_rate=0.05, window=(-1e-9, 1e-9))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config_path),
+                 "--out", str(out)]) == 0
+    assert '"window": [-1e-09, 1e-09]' in (out / "events.csv").read_text()
+    events = read_events(out / "events.csv")
+    assert events.metadata["detector"]["window"] == [-1e-09, 1e-09]
+
+
 def test_fit_nonconvergence_exit_code(tmp_path, config_path, monkeypatch):
     out = tmp_path / "out"
     main(["simulate", "--config", str(config_path), "--out", str(out)])
     monkeypatch.setattr(fitting, "MAX_EVALUATIONS", 1)
     code = main(["fit", str(out / "events.csv"), "--out", str(out)])
     assert code == 3
+
+
+@pytest.mark.parametrize("n,constant,message", [
+    (200, True, "events have zero variance on a channel"),
+    (50, False, "need at least 100 events to fit, got 50")])
+def test_fit_degenerate_data_exit_code(tmp_path, capsys, n, constant,
+                                       message):
+    # the fit's DegenerateDataError is a numerical failure, exit 3
+    t = np.arange(n) * 1e-12
+    t1 = np.zeros(n) if constant else t
+    path = tmp_path / "events.csv"
+    write_events(EventSet(np.column_stack([t1, 2.0 * t])), path)
+    out = tmp_path / "out"
+    assert main(["fit", str(path), "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "numerical", "message": message}
+    assert not (out / "fit_report.json").exists()
 
 
 @pytest.mark.parametrize("setting", [
