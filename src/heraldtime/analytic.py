@@ -49,6 +49,7 @@ from .params import (
     LinkParams,
     SourceParams,
     TemporalCovariance,
+    _finite_positive,
 )
 
 __all__ = [
@@ -340,9 +341,21 @@ def rho_t_of(src: SourceParams, link: LinkParams) -> float:
 
 
 def temporal_covariance(src: SourceParams, link: LinkParams) -> TemporalCovariance:
-    """Observable-level statistics for a symmetric link (tau1 = tau2)."""
+    """Observable-level statistics for a symmetric link (tau1 = tau2).
+
+    Raises ValueError, naming the settings, where the statistics are not a
+    valid covariance: where |rho_t| rounds to 1 (1 - |rho_t| below about
+    1e-16).
+    """
     width = tau1(src, link)
-    return TemporalCovariance(rho_t=rho_t_of(src, link), tau1=width, tau2=width)
+    try:
+        return TemporalCovariance(rho_t=rho_t_of(src, link), tau1=width,
+                                  tau2=width)
+    except ValueError as exc:
+        raise ValueError(
+            f"sigma={src.sigma!r} 1/s, tau_p={src.tau_p!r} s and "
+            f"beta*L={link.beta * link.length!r} s^2 give no valid temporal "
+            f"covariance: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -390,8 +403,7 @@ def optimum(link: LinkParams, sigma_fixed: float | None = None) -> OptimumReport
             "is degenerate")
     tau_p_opt = math.sqrt(2.0 * bl)
     if sigma_fixed is not None:
-        if not (isinstance(sigma_fixed, (int, float)) and sigma_fixed > 0):
-            raise ValueError(f"sigma_fixed must be positive, got {sigma_fixed!r}")
+        _finite_positive(sigma_fixed, "sigma_fixed")
         s = float(sigma_fixed)
         bls2 = bl * s * s
         tau1_min = (bls2 + 2.0) / (2.0 * s)

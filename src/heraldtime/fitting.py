@@ -219,6 +219,10 @@ def _moments(t1, t2, out=None):
     sq = np.empty(n)
     scales = []
     for row, t in zip(u, (t1, t2)):
+        # a constant channel is caught on its raw times: their mean may
+        # round off the one value and leave a tiny SD that is not zero
+        if not (t != t[0]).any():
+            raise DegenerateDataError("events have zero variance on a channel")
         m = float(np.mean(t))
         np.subtract(t, m, out=row)
         scales.append((m, math.sqrt(

@@ -237,16 +237,19 @@ class CentroidCurve:
         return float(np.polyfit(self.centers, self.means, 1)[0])
 
 
-def _as_grid(values, name: str) -> np.ndarray:
-    grid = np.asarray(values, dtype=float)
-    _check_grid_size(grid.size if grid.ndim == 1 else 0, name)
-    return grid
-
-
 def _check_grid_size(size: int, name: str) -> None:
     """The fewest points a width or center grid takes."""
     if size < 3:
         raise ValueError(f"{name} must be a 1-D grid of at least 3 values")
+
+
+def _curve_input(source, values, name: str, herald_on: int, n_boot):
+    """A curve's grid of ``values`` as floats and its oriented source,
+    checked after ``n_boot`` in that order."""
+    _check_n_boot(n_boot)
+    grid = np.asarray(values, dtype=float)
+    _check_grid_size(grid.size if grid.ndim == 1 else 0, name)
+    return grid, _oriented(source, herald_on)
 
 
 def _shell_sums(shell: np.ndarray, counts: np.ndarray,
@@ -321,9 +324,7 @@ def narrowing_curve(source, center: float, widths, herald_on: int = 2,
     raise ValueError for a width that is not positive, a center that is not
     finite, a ``herald_on`` other than 1 or 2 or an ``n_boot`` other than 0.
     """
-    _check_n_boot(n_boot)
-    grid = _as_grid(widths, "widths")
-    oriented = _oriented(source, herald_on)
+    grid, oriented = _curve_input(source, widths, "widths", herald_on, n_boot)
     if isinstance(oriented, TemporalCovariance):
         full = oriented.tau1
         ratios = np.array([conditional_moments(oriented, center, w)[1] / full
@@ -379,9 +380,7 @@ def centroid_curve(source, width: float, centers, herald_on: int = 2,
     raise ValueError for a width that is not positive, a center that is not
     finite, a ``herald_on`` other than 1 or 2 or an ``n_boot`` other than 0.
     """
-    _check_n_boot(n_boot)
-    grid = _as_grid(centers, "centers")
-    oriented = _oriented(source, herald_on)
+    grid, oriented = _curve_input(source, centers, "centers", herald_on, n_boot)
     if isinstance(oriented, TemporalCovariance):
         means = np.array([conditional_moments(oriented, c, width)[0]
                           for c in grid])

@@ -204,8 +204,6 @@ def from_rho_form(p: SourceParamsRho) -> SourceParams:
         tau_p = 1 / (sigma0 sqrt(1 + rho))
         sigma = 2 sigma0 sqrt(1 - rho)
     """
-    if not -1.0 < p.rho < 1.0:
-        raise ValueError(f"rho must lie strictly inside (-1, 1), got {p.rho!r}")
     tau_p = 1.0 / (p.sigma0 * math.sqrt(1.0 + p.rho))
     sigma = 2.0 * p.sigma0 * math.sqrt(1.0 - p.rho)
     return SourceParams(sigma=sigma, tau_p=tau_p)

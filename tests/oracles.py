@@ -3,6 +3,8 @@
 Nothing in here reuses the closed-form widths or correlation from the
 package; each oracle goes back to a defining integral or to first-principles
 phase-space sampling so the tests genuinely cross-check the implementation.
+The mpmath oracles (``*_mp``) restate a closed form at 50 digits instead, to
+check its rounding.
 """
 
 from __future__ import annotations
@@ -146,6 +148,32 @@ def conditional_density_mp(t1: float, center: float, width: float,
         s = tau2 * mpmath.sqrt(1 - rho ** 2)
         return float(mpmath.npdf(x1, 0, tau1) * mass((a - m) / s, (b - m) / s)
                      / mass(a / tau2, b / tau2))
+
+
+def closed_forms_mp(sigma: float, tau_p: float, beta_l: float, dps: int = 50):
+    """The source-to-observable closed forms of ``heraldtime.analytic`` as
+    ``dps``-digit mpf values: tau1, tau1h_0, tau1h_dt_0, rho_t and the
+    narrowing limit sqrt(1 - rho_t^2), from the exact values of the float
+    inputs.  The formulas are the module's own, so this checks rounding only.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        s2 = mpmath.mpf(sigma) ** 2
+        tp2 = mpmath.mpf(tau_p) ** 2
+        b2 = mpmath.mpf(beta_l) ** 2
+        tau1_sq = (s2 * tp2 ** 2 + (b2 * s2 ** 2 + 4) * tp2
+                   + 4 * b2 * s2) / (4 * s2 * tp2)
+        rho = ((s2 * tp2 - 4) * (tp2 - b2 * s2)
+               / ((s2 * tp2 + 4) * (tp2 + b2 * s2)))
+        return {
+            "tau1": mpmath.sqrt(tau1_sq),
+            "tau1h_0": mpmath.sqrt((b2 * s2 ** 2 + 4) * (tp2 ** 2 + 4 * b2)
+                                   / (4 * s2 * tp2 * tau1_sq)),
+            "tau1h_dt_0": mpmath.sqrt(b2 * s2 ** 2 + 4) / mpmath.sqrt(s2),
+            "rho_t": rho,
+            "narrowing_ratio_limit": mpmath.sqrt(1 - rho ** 2),
+        }
 
 
 def spectral_intensity_moments(sigma: float, tau_p: float):

@@ -184,6 +184,18 @@ class TestOrderings:
         assert cov.tau1 == cov.tau2 == tau1(src, REFERENCE_LINK)
         assert cov.rho_t == rho_t_of(src, REFERENCE_LINK)
 
+    def test_temporal_covariance_names_settings_where_rho_t_rounds_to_one(self):
+        # 1 - rho_t = 1.45e-17 here, below the rounding of 1
+        src = SourceParams(sigma=2.23e12, tau_p=334e-6)
+        link = LinkParams(beta=-1.15e-26, length=2.8)
+        assert rho_t_of(src, link) == 1.0
+        with pytest.raises(ValueError) as info:
+            temporal_covariance(src, link)
+        assert str(info.value) == (
+            f"sigma=2230000000000.0 1/s, tau_p=0.000334 s and "
+            f"beta*L={-1.15e-26 * 2.8!r} s^2 give no valid temporal "
+            "covariance: rho_t must lie strictly inside (-1, 1), got 1.0")
+
 
 class TestOptimum:
     def test_reference_link_values(self):
@@ -224,6 +236,14 @@ class TestOptimum:
                                      [rep.sigma_opt * (1 + 0.01 * ds)],
                                      link, which)
                     assert grid[0, 0] > best
+
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan, 0.0, -1e12, "1e12"])
+    def test_fixed_sigma_must_be_finite_positive(self, sigma):
+        # the rule SourceParams applies to sigma: an infinite sigma would
+        # give a report of NaNs
+        with pytest.raises(ValueError, match="sigma_fixed must be a finite "
+                                             "positive number"):
+            optimum(REFERENCE_LINK, sigma_fixed=sigma)
 
     def test_no_dispersion_degenerate(self):
         with pytest.raises(NoDispersionError):

@@ -353,13 +353,16 @@ def test_fit_nonconvergence_exit_code(tmp_path, config_path, monkeypatch):
 
 
 @pytest.mark.parametrize("n,constant,message", [
-    (200, True, "events have zero variance on a channel"),
-    (50, False, "need at least 100 events to fit, got 50")])
+    (200, 0.0, "events have zero variance on a channel"),
+    # the mean of 200 copies of 1 ns rounds off the value, but the channel
+    # is refused on its raw times
+    (200, 1e-9, "events have zero variance on a channel"),
+    (50, None, "need at least 100 events to fit, got 50")])
 def test_fit_degenerate_data_exit_code(tmp_path, capsys, n, constant,
                                        message):
     # the fit's DegenerateDataError is a numerical failure, exit 3
     t = np.arange(n) * 1e-12
-    t1 = np.zeros(n) if constant else t
+    t1 = t if constant is None else np.full(n, constant)
     path = tmp_path / "events.csv"
     write_events(EventSet(np.column_stack([t1, 2.0 * t])), path)
     out = tmp_path / "out"
@@ -367,6 +370,25 @@ def test_fit_degenerate_data_exit_code(tmp_path, capsys, n, constant,
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err == {"error": "numerical", "message": message}
     assert not (out / "fit_report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "herald"])
+def test_rho_t_rounding_to_one_names_the_settings(tmp_path, capsys, command):
+    # 1 - rho_t is ~1e-17 here, below the rounding of 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("source.sigma = 2.23 THz\nsource.tau_p = 334 us\n"
+                   "link.beta = -1.15e-26 s^2/m\nlink.length = 2.8 m\n"
+                   "sample.n = 4000\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert err["message"].startswith(
+        "sigma=2230000000000.0 1/s, tau_p=0.000334 s and beta*L=")
+    assert err["message"].endswith(
+        "give no valid temporal covariance: rho_t must lie strictly inside "
+        "(-1, 1), got 1.0")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("setting", [

@@ -75,6 +75,29 @@ class TestInitialGuess:
         assert result.background_level == pytest.approx(0.5, abs=0.05)
 
 
+def constant_channel_events(n=200):
+    # t1 = 1 ns throughout: the mean of 200 copies rounds off 1e-9, which
+    # leaves a standard deviation of ~1e-25 s that is not zero
+    return EventSet(np.column_stack([np.full(n, 1e-9),
+                                     2e-12 * np.arange(n)]))
+
+
+def refit_gathered(events):
+    # a bootstrap refit: the channels are the rows of the buffer that it
+    # standardizes in place
+    u = events.events.T.copy()
+    return fitting._fit_channels(u[0], u[1], None, u)
+
+
+@pytest.mark.parametrize("run", [
+    fit, lambda ev: fit(ev, FitConfig(loss="ml")), initial_guess,
+    refit_gathered], ids=["hist-ls", "ml", "initial_guess", "refit"])
+def test_constant_channel_rejected(run):
+    with pytest.raises(DegenerateDataError,
+                       match="events have zero variance on a channel"):
+        run(constant_channel_events())
+
+
 class TestHistogramFit:
     def test_requires_hundred_events(self):
         with pytest.raises(DegenerateDataError):
@@ -717,6 +740,42 @@ class TestDampedNewton:
         assert not res.converged and res.nfev == 1 and res.nit == 0
         np.testing.assert_array_equal(res.x, 0.0)
         assert "limit" in res.message
+
+    def test_every_coordinate_held_at_a_bound(self):
+        # the minimum lies outside the box on both coordinates: the first
+        # step is clipped onto the corner, where both gradients point out
+        res = fitting._damped_newton(
+            self.quadratic(np.array([2.0, 3.0])), np.zeros(2), 1e-10, 100,
+            upper=[1.0, 1.0])
+        assert res.converged
+        assert res.message == "every coordinate held at a bound"
+        np.testing.assert_array_equal(res.x, 1.0)
+        assert np.all(res.grad < 0) and res.nit == 1
+
+    def test_step_too_small_to_move_x(self):
+        # the minimum is 1 away from x = 1e20, less than half its spacing
+        # of 16384, and the decrement 5e3 is far above the tolerance
+        def full(x):
+            d = (x[0] - 1e20) - 1.0
+            return 5e3 * d * d, np.array([1e4 * d]), np.array([[1e4]])
+
+        res = fitting._damped_newton(full, np.array([1e20]), 1e-10, 100)
+        assert not res.converged
+        assert res.message == "step too small to move x"
+        assert res.x[0] == 1e20 and res.nit == 0 and res.nfev == 1
+
+    def test_decrease_below_rounding_is_taken(self):
+        # at f ~ 1e20 every decrease is below the rounding of f, so the
+        # gain ratio is noise: a step that does not go uphill is taken, and
+        # the solver walks to the minimum with every step accepted
+        def full(x):
+            d = x[0] - 1.0
+            return 1e20 + 0.5 * d * d, np.array([d]), np.array([[1.0]])
+
+        res = fitting._damped_newton(full, np.zeros(1), 0.0, 100)
+        assert res.converged
+        assert res.message == "Newton decrement below tolerance"
+        assert res.x[0] == 1.0 and res.nit == res.nfev - 1
 
     def test_indefinite_start_descends(self):
         # double well (x^2 - 1)^2 / 4 + y^2: the curvature at x = 0.1 is
