@@ -49,8 +49,8 @@ from .dataio import (
     _time_scale,
 )
 from .fitting import DegenerateDataError, fit as run_fit
-from .params import HeraldtimeError
-from .sampler import _check_seed, sample_from_source
+from .params import HeraldtimeError, _count
+from .sampler import sample_from_source
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -221,7 +221,8 @@ def _cmd_landscape(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    _check_seed(args.seed)  # a bad --seed fails before any output is written
+    # a bad --seed fails before any output is written
+    _count(args.seed, "seed", "be a non-negative integer", 0)
     bundle = reproduce.run_recipe(args.name, seed=args.seed)
     out = _out_dir(args)
     for name, (header, rows) in sorted(bundle.tables.items()):

@@ -93,9 +93,11 @@ from .params import (
     LinkParams,
     SourceParams,
     SourceParamsRho,
+    _count,
+    _real,
     from_rho_form,
 )
-from .sampler import DetectorModel, EventSet, _check_count, _check_seed
+from .sampler import DetectorModel, EventSet
 
 __all__ = [
     "EventFileError",
@@ -691,8 +693,8 @@ class RunConfig:
 
     def sample(self) -> tuple[int, int]:
         """The sample size and seed."""
-        _check_count(self.get("sample.n"))
-        _check_seed(self.get("sample.seed"))
+        _count(self.get("sample.n"), "n", "be a positive integer", 1)
+        _count(self.get("sample.seed"), "seed", "be a non-negative integer", 0)
         return self.get("sample.n"), self.get("sample.seed")
 
     def herald(self) -> HeraldWindow:
@@ -709,9 +711,7 @@ class RunConfig:
         finite and positive: ``delta_lambda``, the pump bandwidth."""
         meta = self._settings("meta", ("delta_lambda",))
         for name, value in meta.items():
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(
-                    f"{name} must be finite and positive, got {value!r}")
+            _real(value, name, "be finite and positive", lambda v: v > 0)
         return meta
 
     def landscape(self) -> tuple[np.ndarray, np.ndarray]:

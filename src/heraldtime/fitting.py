@@ -81,7 +81,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .analytic import narrowing_ratio_limit
-from .params import HeraldtimeError, TemporalCovariance
+from .params import HeraldtimeError, TemporalCovariance, _count
 from .sampler import EventSet
 
 __all__ = [
@@ -1012,9 +1012,7 @@ def bootstrap_errors(events: EventSet, cfg: FitConfig | None = None,
     EventSet); the resample's indices are dropped before it is refitted.
     ValueError unless ``n_resamples`` >= 2.
     """
-    if not (isinstance(n_resamples, (int, np.integer)) and n_resamples >= 2):
-        raise ValueError(f"the number of resamples must be an integer >= 2, "
-                         f"got {n_resamples!r}")
+    _count(n_resamples, "the number of resamples", "be an integer >= 2", 2)
     rng, n, params = np.random.default_rng(seed), events.count, []
     # t1 and t2 of event i sit at 2i and 2i + 1: np.take would copy a
     # strided channel whole, and with mode "raise" buffer its output too

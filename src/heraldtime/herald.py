@@ -46,7 +46,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .analytic import _window, conditional_moments, narrowing_ratio_limit
-from .params import HeraldtimeError, TemporalCovariance
+from .params import HeraldtimeError, TemporalCovariance, _count
 from .sampler import EventSet
 
 __all__ = [
@@ -92,8 +92,7 @@ class HeraldWindow:
 
 
 def _check_herald_on(herald_on: int) -> None:
-    if herald_on not in (1, 2):
-        raise ValueError(f"herald_on must be 1 or 2, got {herald_on!r}")
+    _count(herald_on, "herald_on", "be 1 or 2", 1, 2)
 
 
 def _oriented(source, herald_on: int):
@@ -114,9 +113,8 @@ def _oriented(source, herald_on: int):
 def _check_n_boot(n_boot) -> None:
     """ValueError unless ``n_boot`` is 0: the errors are closed forms, which
     draw no resamples and never import ``numpy.random``."""
-    if not (isinstance(n_boot, (int, np.integer)) and n_boot == 0):
-        raise ValueError(f"the number of resamples must be 0: the heralded "
-                         f"errors are closed forms, got {n_boot!r}")
+    _count(n_boot, "the number of resamples",
+           "be 0: the heralded errors are closed forms", 0, 0)
 
 
 def _estimate(x: np.ndarray, statistic, closed_form,

@@ -23,6 +23,7 @@ infinity tricks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 __all__ = [
@@ -50,9 +51,29 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
+def _is_real(x) -> bool:
+    """An int or a float (NumPy's float64 is one), never a bool, and finite.
+    NumPy integers are refused: the closed forms would square them in int64."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
+def _real(x, name: str, rule: str = "be finite", inside=lambda v: True) -> None:
+    _require(_is_real(x) and inside(x), f"{name} must {rule}, got {x!r}")
+
+
 def _finite_positive(x, name: str) -> None:
-    _require(isinstance(x, (int, float)) and math.isfinite(x) and x > 0,
-             f"{name} must be a finite positive number, got {x!r}")
+    _real(x, name, "be a finite positive number", lambda v: v > 0)
+
+
+def _correlation(x, name: str) -> None:
+    _real(x, name, "lie strictly inside (-1, 1)", lambda v: -1.0 < v < 1.0)
+
+
+def _count(n, name: str, rule: str, least: int, most=math.inf) -> None:
+    """A count is a Python or NumPy integer, never a bool, in [least, most]."""
+    _require(isinstance(n, numbers.Integral) and not isinstance(n, bool)
+             and least <= n <= most, f"{name} must {rule}, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -102,8 +123,7 @@ class SourceParamsRho:
 
     def __post_init__(self):
         _finite_positive(self.sigma0, "sigma0")
-        _require(math.isfinite(self.rho) and -1.0 < self.rho < 1.0,
-                 f"rho must lie strictly inside (-1, 1), got {self.rho!r}")
+        _correlation(self.rho, "rho")
 
 
 @dataclass(frozen=True)
@@ -120,11 +140,8 @@ class LinkParams:
     length: float
 
     def __post_init__(self):
-        _require(isinstance(self.beta, (int, float)) and math.isfinite(self.beta),
-                 f"beta must be finite, got {self.beta!r}")
-        _require(isinstance(self.length, (int, float))
-                 and math.isfinite(self.length) and self.length >= 0,
-                 f"length must be finite and >= 0, got {self.length!r}")
+        _real(self.beta, "beta")
+        _real(self.length, "length", "be finite and >= 0", lambda v: v >= 0)
 
     @property
     def abs_beta_length(self) -> float:
@@ -151,14 +168,11 @@ class TemporalCovariance:
     mu2: float = 0.0
 
     def __post_init__(self):
-        _require(math.isfinite(self.rho_t) and -1.0 < self.rho_t < 1.0,
-                 f"rho_t must lie strictly inside (-1, 1), got {self.rho_t!r}")
+        _correlation(self.rho_t, "rho_t")
         _finite_positive(self.tau1, "tau1")
         _finite_positive(self.tau2, "tau2")
-        for name in ("mu1", "mu2"):
-            v = getattr(self, name)
-            _require(isinstance(v, (int, float)) and math.isfinite(v),
-                     f"{name} must be finite, got {v!r}")
+        _real(self.mu1, "mu1")
+        _real(self.mu2, "mu2")
 
     def swapped(self) -> "TemporalCovariance":
         """Statistics with the roles of the two photons exchanged."""

@@ -39,7 +39,8 @@ from typing import Any, Mapping
 import numpy as np
 
 from .analytic import temporal_covariance
-from .params import LinkParams, SourceParams, TemporalCovariance
+from .params import (LinkParams, SourceParams, TemporalCovariance, _count,
+                     _is_real, _real, _require)
 
 __all__ = ["CHUNK_SIZE", "DetectorModel", "EventSet", "sample", "sample_from_source"]
 
@@ -66,17 +67,14 @@ class DetectorModel:
 
     def __post_init__(self):
         for name in ("jitter1", "jitter2", "reference_jitter"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
-        if not (0.0 <= self.background_rate < 1.0):
-            raise ValueError(
-                f"background_rate must lie in [0, 1), got {self.background_rate!r}")
+            _real(getattr(self, name), name, "be finite and >= 0",
+                  lambda v: v >= 0)
+        _real(self.background_rate, "background_rate", "lie in [0, 1)",
+              lambda v: 0 <= v < 1)
         if self.window is not None:
             lo, hi = self.window
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise ValueError(f"window must be a finite (lo, hi) with lo < hi, "
-                                 f"got {self.window!r}")
+            _require(_is_real(lo) and _is_real(hi) and lo < hi, "window must "
+                     f"be a finite (lo, hi) with lo < hi, got {self.window!r}")
         elif self.background_rate > 0.0:
             raise ValueError("background_rate > 0 requires a window")
 
@@ -197,21 +195,11 @@ def _sample_chunk(cov: TemporalCovariance, det: DetectorModel,
             out[start:start + rows][sel] = piece[sel]
 
 
-def _check_count(n) -> None:
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-
-
-def _check_seed(seed) -> None:
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-
-
 def sample(cov: TemporalCovariance, det: DetectorModel, n: int,
            seed: int) -> EventSet:
     """Draw ``n`` coincidence events; deterministic for a fixed seed."""
-    _check_count(n)
-    _check_seed(seed)
+    _count(n, "n", "be a positive integer", 1)
+    _count(seed, "seed", "be a non-negative integer", 0)
     events = np.empty((n, 2))
     for k, start in enumerate(range(0, n, CHUNK_SIZE)):
         _sample_chunk(cov, det, _chunk_rng(seed, k),

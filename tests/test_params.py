@@ -1,8 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from heraldtime.analytic import optimum
+from heraldtime.dataio import RunConfig
+from heraldtime.fitting import bootstrap_errors
+from heraldtime.herald import HeraldWindow, heralded_width, narrowing_curve
 from heraldtime.params import (
     CWPumpError,
     LinkParams,
@@ -12,6 +17,7 @@ from heraldtime.params import (
     from_rho_form,
     to_rho_form,
 )
+from heraldtime.sampler import DetectorModel, EventSet, sample
 
 from oracles import spectral_intensity_moments
 
@@ -63,6 +69,102 @@ class TestValidation:
         sw = cov.swapped()
         assert (sw.tau1, sw.tau2, sw.mu1, sw.mu2) == (2e-10, 1e-10, -1e-11, 1e-11)
         assert sw.rho_t == cov.rho_t
+
+
+COV = TemporalCovariance(rho_t=0.5, tau1=1e-9, tau2=1e-9)
+LINK = LinkParams(beta=-1.15e-26, length=1e4)
+EVENTS = sample(COV, DetectorModel(), 200, 3)
+
+# Every real field: (name in the message, a valid value, a call that takes
+# the value for that field alone).
+REAL_FIELDS = [
+    ("sigma", 3.29e12, lambda v: SourceParams(sigma=v, tau_p=1e-12)),
+    ("tau_p", 1e-12, lambda v: SourceParams(sigma=3.29e12, tau_p=v)),
+    ("sigma0", 1e12, lambda v: SourceParamsRho(sigma0=v, rho=0.5)),
+    ("rho", 0.5, lambda v: SourceParamsRho(sigma0=1e12, rho=v)),
+    ("beta", -1.15e-26, lambda v: LinkParams(beta=v, length=1e4)),
+    ("length", 1e4, lambda v: LinkParams(beta=-1.15e-26, length=v)),
+    ("rho_t", 0.5, lambda v: TemporalCovariance(rho_t=v, tau1=1e-9, tau2=1e-9)),
+    ("tau1", 1e-9, lambda v: TemporalCovariance(rho_t=0.5, tau1=v, tau2=1e-9)),
+    ("tau2", 1e-9, lambda v: TemporalCovariance(rho_t=0.5, tau1=1e-9, tau2=v)),
+    ("mu1", 1e-12, lambda v: TemporalCovariance(0.5, 1e-9, 1e-9, mu1=v)),
+    ("mu2", 1e-12, lambda v: TemporalCovariance(0.5, 1e-9, 1e-9, mu2=v)),
+    ("jitter1", 3e-11, lambda v: DetectorModel(jitter1=v)),
+    ("jitter2", 3e-11, lambda v: DetectorModel(jitter2=v)),
+    ("reference_jitter", 1e-11, lambda v: DetectorModel(reference_jitter=v)),
+    ("background_rate", 0.01,
+     lambda v: DetectorModel(background_rate=v, window=(-1e-9, 1e-9))),
+    ("window", -1e-9,
+     lambda v: DetectorModel(background_rate=0.01, window=(v, 1e-9))),
+    ("window", 1e-9,
+     lambda v: DetectorModel(background_rate=0.01, window=(-1e-9, v))),
+    ("sigma_fixed", 3.29e12, lambda v: optimum(LINK, sigma_fixed=v)),
+    ("delta_lambda", 1.2e-8,
+     lambda v: RunConfig({"meta.delta_lambda": v}).meta()),
+]
+
+# Every count field, in the same form, with its least value.
+COUNT_FIELDS = [
+    ("n", 1, lambda v: sample(COV, DetectorModel(), v, 1)),
+    ("seed", 0, lambda v: sample(COV, DetectorModel(), 3, v)),
+    ("n", 1, lambda v: RunConfig({"sample.n": v}).sample()),
+    ("seed", 0, lambda v: RunConfig({"sample.seed": v}).sample()),
+    ("the number of resamples", 2,
+     lambda v: bootstrap_errors(EVENTS, n_resamples=v)),
+    ("herald_on", 1, lambda v: HeraldWindow(0.0, 1e-9, v)),
+    ("herald_on", 1,
+     lambda v: narrowing_curve(COV, 0.0, [1e-10, 1e-9, 1e-8], herald_on=v)),
+    ("the number of resamples", 0,
+     lambda v: heralded_width(EVENTS, HeraldWindow(0.0, math.inf), n_boot=v)),
+]
+
+
+def ids(fields):
+    return [f"{name}-{i}" for i, (name, _, _) in enumerate(fields)]
+
+
+class TestNumberRules:
+    """One rule for a real and one for a count, pinned per field."""
+
+    @pytest.mark.parametrize("name, valid, make", REAL_FIELDS,
+                             ids=ids(REAL_FIELDS))
+    def test_real_field(self, name, valid, make):
+        make(valid)
+        make(np.float64(valid))
+        for bad in (True, False, math.nan, math.inf, -math.inf,
+                    np.int64(1), np.float32(valid), str(valid)):
+            with pytest.raises(ValueError, match=f"{name} must .*, got"):
+                make(bad)
+
+    @pytest.mark.parametrize("name, valid, make", COUNT_FIELDS,
+                             ids=ids(COUNT_FIELDS))
+    def test_count_field(self, name, valid, make):
+        make(valid)
+        make(np.int64(valid))
+        make(np.uint8(valid))
+        for bad in (True, False, math.nan, math.inf, -math.inf,
+                    float(valid), np.float64(valid), valid - 1, str(valid)):
+            with pytest.raises(ValueError, match=f"{name} must .*, got"):
+                make(bad)
+
+    def test_messages_name_the_value(self):
+        with pytest.raises(ValueError, match=r"^rho_t must lie strictly "
+                           r"inside \(-1, 1\), got np\.int64\(0\)$"):
+            TemporalCovariance(rho_t=np.int64(0), tau1=1e-9, tau2=1e-9)
+        with pytest.raises(ValueError, match=r"^sigma must be a finite "
+                           r"positive number, got True$"):
+            SourceParams(sigma=True, tau_p=1e-12)
+        with pytest.raises(ValueError, match=r"^herald_on must be 1 or 2, "
+                           r"got True$"):
+            HeraldWindow(0.0, 1e-9, herald_on=True)
+        with pytest.raises(ValueError, match=r"^n must be a positive "
+                           r"integer, got True$"):
+            sample(COV, DetectorModel(), True, 1)
+
+    def test_numpy_integers_stay_out_of_the_closed_forms(self):
+        # squared in int64, 3.29e12 overflows with only a RuntimeWarning
+        with pytest.raises(ValueError, match="sigma must be a finite"):
+            SourceParams(sigma=np.int64(3290000000000), tau_p=1e-12)
 
 
 class TestConversions:
