@@ -37,6 +37,7 @@ left to the fitting layer where it is a free parameter anyway.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -294,16 +295,36 @@ def _rho_t(sigma, tau_p, beta_l):
     return (st2 - 4.0) * (tp2 - bls * bls) / ((st2 + 4.0) * (tp2 + bls * bls))
 
 
+def _settings(src: SourceParams, link: LinkParams) -> str:
+    return (f"sigma={src.sigma!r} 1/s, tau_p={src.tau_p!r} s and "
+            f"beta*L={link.beta * link.length!r} s^2")
+
+
+def _in_float_range(what: str, src: SourceParams, link: LinkParams, kernel,
+                    *args) -> float:
+    """``kernel(*args)`` in float64 as a float, where every intermediate is
+    a normal, finite number.  ValueError naming the settings where one
+    overflows, or underflows and so loses digits."""
+    try:
+        with np.errstate(all="raise"):
+            return float(kernel(*map(np.float64, args)))
+    except FloatingPointError as exc:
+        raise ValueError(f"{_settings(src, link)} take the closed form of "
+                         f"{what} outside the float range ({exc})") from None
+
+
 def tau1(src: SourceParams, link: LinkParams) -> float:
     """Unconditional temporal width of one photon after the link, s.
 
     Diverges for a CW pump (the emission time is completely undetermined),
-    which raises :class:`WidthDivergesError`.
+    which raises :class:`WidthDivergesError`.  Settings that take the
+    closed form outside the float range raise ValueError.
     """
     if src.cw:
         raise WidthDivergesError(
             "the unconditional width diverges for a CW pump")
-    return float(np.sqrt(_tau1_sq(src.sigma, src.tau_p, link.beta * link.length)))
+    return _in_float_range("tau1", src, link, _LANDSCAPE_KERNELS["tau1"],
+                           src.sigma, src.tau_p, link.beta * link.length)
 
 
 def tau1h_0(src: SourceParams, link: LinkParams) -> float:
@@ -314,7 +335,8 @@ def tau1h_0(src: SourceParams, link: LinkParams) -> float:
     """
     if src.cw:
         return tau1h_dt_0(src, link)
-    return float(np.sqrt(_tau1h_0_sq(src.sigma, src.tau_p, link.beta * link.length)))
+    return _in_float_range("tau1h_0", src, link, _LANDSCAPE_KERNELS["tau1h_0"],
+                           src.sigma, src.tau_p, link.beta * link.length)
 
 
 def tau1h_dt_0(src: SourceParams, link: LinkParams) -> float:
@@ -322,7 +344,8 @@ def tau1h_dt_0(src: SourceParams, link: LinkParams) -> float:
 
     Independent of the pump settings: sqrt(beta^2 L^2 sigma^4 + 4) / sigma.
     """
-    return float(_tau1h_dt_0(src.sigma, link.beta * link.length))
+    return _in_float_range("tau1h_dt_0", src, link, _tau1h_dt_0, src.sigma,
+                           link.beta * link.length)
 
 
 def rho_t_of(src: SourceParams, link: LinkParams) -> float:
@@ -337,7 +360,8 @@ def rho_t_of(src: SourceParams, link: LinkParams) -> float:
     """
     if src.cw:
         return 1.0
-    return float(_rho_t(src.sigma, src.tau_p, link.beta * link.length))
+    return _in_float_range("rho_t", src, link, _rho_t, src.sigma, src.tau_p,
+                           link.beta * link.length)
 
 
 def temporal_covariance(src: SourceParams, link: LinkParams) -> TemporalCovariance:
@@ -345,17 +369,14 @@ def temporal_covariance(src: SourceParams, link: LinkParams) -> TemporalCovarian
 
     Raises ValueError, naming the settings, where the statistics are not a
     valid covariance: where |rho_t| rounds to 1 (1 - |rho_t| below about
-    1e-16).
+    1e-16), and where a closed form leaves the float range.
     """
-    width = tau1(src, link)
+    width, rho_t = tau1(src, link), rho_t_of(src, link)
     try:
-        return TemporalCovariance(rho_t=rho_t_of(src, link), tau1=width,
-                                  tau2=width)
+        return TemporalCovariance(rho_t=rho_t, tau1=width, tau2=width)
     except ValueError as exc:
-        raise ValueError(
-            f"sigma={src.sigma!r} 1/s, tau_p={src.tau_p!r} s and "
-            f"beta*L={link.beta * link.length!r} s^2 give no valid temporal "
-            f"covariance: {exc}") from exc
+        raise ValueError(f"{_settings(src, link)} give no valid temporal "
+                         f"covariance: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -449,7 +470,9 @@ def landscape(tau_p_grid, sigma_grid, link: LinkParams, which: str) -> np.ndarra
     Returns an array of shape (len(sigma_grid), len(tau_p_grid)); row i holds
     the width at sigma_grid[i] for every pump duration, so the
     emission-time-unknown width produces constant rows.  ``which`` is one of
-    "tau1", "tau1h_0", "tau1h_dt_0".
+    "tau1", "tau1h_0", "tau1h_dt_0".  Raises ValueError for an axis value
+    that is not finite and positive, and for a cell that takes the closed
+    form outside the float range, naming the first of either.
     """
     try:
         kernel = _LANDSCAPE_KERNELS[which]
@@ -459,8 +482,18 @@ def landscape(tau_p_grid, sigma_grid, link: LinkParams, which: str) -> np.ndarra
         ) from None
     tp = np.asarray(tau_p_grid, dtype=float)
     sig = np.asarray(sigma_grid, dtype=float)
-    for axis in (tp, sig):
+    for name, axis in (("tau_p_grid", tp), ("sigma_grid", sig)):
         _check_axis_size(axis.size if axis.ndim == 1 else 0)
-    if not (np.all(tp > 0) and np.all(sig > 0)):
-        raise ValueError("grid values must be positive")
-    return kernel(sig[:, None], tp[None, :], link.beta * link.length)
+        bad = np.flatnonzero(~(np.isfinite(axis) & (axis > 0)))
+        if bad.size:
+            raise ValueError(f"grid values must be finite and positive, got "
+                             f"{name}[{bad[0]}] = {float(axis[bad[0]])!r}")
+    bl = link.beta * link.length
+    try:
+        with np.errstate(all="raise"):
+            return kernel(sig[:, None], tp[None, :], bl)
+    except FloatingPointError:
+        # the first cell out of the float range, row by row, names itself
+        for s, t in itertools.product(sig.tolist(), tp.tolist()):
+            _in_float_range(which, SourceParams(s, t), link, kernel, s, t, bl)
+        raise

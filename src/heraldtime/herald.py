@@ -46,6 +46,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .analytic import _window, conditional_moments, narrowing_ratio_limit
+from .fitting import _check_varies
 from .params import HeraldtimeError, TemporalCovariance, _count
 from .sampler import EventSet
 
@@ -264,10 +265,9 @@ def _shell_sums(shell: np.ndarray, counts: np.ndarray,
 
 
 def _width_ratios(m, s1, s2, at) -> np.ndarray:
-    """Width ratios of windows ``at`` to the last from prefix sums."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        var = np.maximum(s2 - s1 * s1 / m, 0.0) / (m - 1)
-    var[m < 2] = np.nan  # as np.std(ddof=1) of fewer than two events
+    """Width ratios of windows ``at`` to the last from prefix sums, over
+    windows of at least ``MIN_EVENTS`` events of a channel that varies."""
+    var = np.maximum(s2 - s1 * s1 / m, 0.0) / (m - 1)
     return np.sqrt(var[at] / var[-1])
 
 
@@ -321,6 +321,8 @@ def narrowing_curve(source, center: float, widths, herald_on: int = 2,
     does its error, 0, at any width that holds every event.  Both paths
     raise ValueError for a width that is not positive, a center that is not
     finite, a ``herald_on`` other than 1 or 2 or an ``n_boot`` other than 0.
+    The empirical path raises :class:`~heraldtime.fitting.DegenerateDataError`
+    where either channel holds one value, as ``fit`` does.
     """
     grid, oriented = _curve_input(source, widths, "widths", herald_on, n_boot)
     if isinstance(oriented, TemporalCovariance):
@@ -353,6 +355,8 @@ def narrowing_curve(source, center: float, widths, herald_on: int = 2,
             raise TooFewEventsError(
                 f"window width {float(w)!r} selects {n_sel} events; need at "
                 f"least {MIN_EVENTS}")
+    for t in oriented:  # the ratios and the asymptote divide by each spread
+        _check_varies(t)
     x = t1 - np.mean(t1[shell == 0])
     sums = _shell_sums(shell, counts, x)
     inner = np.cumsum(sums, axis=1)

@@ -8,6 +8,7 @@ checked.  The bounds are the README's "Accuracy" table.
 """
 
 import math
+import re
 
 import mpmath
 import pytest
@@ -75,3 +76,35 @@ def test_closed_forms_within_stated_bounds(sigma, tau_p, beta_l):
     name = "narrowing_ratio_limit"
     rel = error(limit, name) / float(want[name])
     assert rel * float(1 - abs(want["rho_t"])) <= ACCURACY[name][1]
+
+
+# Where the closed forms leave the float range at the reference crystal
+# (3.29 THz) and link (-1.15e-26 s^2/m, 10 km), bisected in tau_p when the
+# refusal was set: below the lower pump an intermediate underflows (and tau1
+# lost all its digits, or divided by zero), above the upper one an
+# intermediate overflows (and tau1 was inf, tau1h_0 and rho_t NaN).
+FLOAT_RANGE = {"tau1": (6.73e-84, 6.38e70), "tau1h_0": (1.22e-77, 6.38e70),
+               "rho_t": (1.49e-154, 6.38e70)}
+
+
+@pytest.mark.parametrize("name, closed_form", [
+    ("tau1", tau1), ("tau1h_0", tau1h_0), ("rho_t", rho_t_of)])
+def test_pumps_at_the_float_range_edges(name, closed_form):
+    sigma, link = 3.29e12, LinkParams(-1.15e-26, 1e4)
+    lo, hi = FLOAT_RANGE[name]
+    for tau_p in (lo * 1.1, hi / 1.1):
+        want = closed_forms_mp(sigma, tau_p, link.beta * link.length)[name]
+        err = float(abs(mpmath.mpf(closed_form(SourceParams(sigma, tau_p),
+                                               link)) - want))
+        if ACCURACY[name][0] == "relative":
+            err /= float(want)
+        assert err <= ACCURACY[name][1]
+    for tau_p in (1e-200, lo / 1.1, hi * 1.1, 1e80):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"sigma=3290000000000.0 1/s, tau_p={tau_p!r} s and "
+                f"beta*L={link.beta * link.length!r} s^2 take the closed "
+                f"form of {name} outside the float range (")):
+            closed_form(SourceParams(sigma, tau_p), link)
+    for tau_p in (1e-200, 1e80):
+        with pytest.raises(ValueError, match="outside the float range"):
+            temporal_covariance(SourceParams(sigma, tau_p), link)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -294,6 +295,29 @@ class TestLandscape:
                     assert product < 2.0
                 else:
                     assert product > 2.0
+
+    @pytest.mark.parametrize("tau_p, sigma, named", [
+        ([1e-12, math.inf], [1e11], r"tau_p_grid\[1\] = inf"),
+        ([1e-12], [1e11, math.nan, -1.0], r"sigma_grid\[1\] = nan"),
+        ([1e-12, 0.0], [1e11], r"tau_p_grid\[1\] = 0\.0"),
+    ], ids=["inf", "nan", "zero"])
+    def test_refuses_axis_values_naming_the_first(self, tau_p, sigma, named):
+        with pytest.raises(ValueError, match="^grid values must be finite "
+                           "and positive, got " + named + "$"):
+            landscape(tau_p, sigma, REFERENCE_LINK, "tau1")
+
+    @pytest.mark.parametrize("which", ["tau1", "tau1h_0"])
+    def test_refuses_cells_out_of_float_range_naming_the_first(self, which):
+        # tau_p = 1e-200 s divided by zero and wrote inf cells, 1e80 s
+        # overflowed to inf and NaN; the first row's cell is named
+        for tau_p in (1e-200, 1e80):
+            bl = REFERENCE_LINK.beta * REFERENCE_LINK.length
+            with pytest.raises(ValueError, match="^" + re.escape(
+                    f"sigma=1000000000000.0 1/s, tau_p={tau_p!r} s and "
+                    f"beta*L={bl!r} s^2 take the closed form of {which} "
+                    "outside the float range (")):
+                landscape([1e-12, tau_p, 1e-11], [1e12, 1e11, 2e11],
+                          REFERENCE_LINK, which)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

@@ -372,6 +372,55 @@ def test_fit_degenerate_data_exit_code(tmp_path, capsys, n, constant,
     assert not (out / "fit_report.json").exists()
 
 
+def _pump(tau_p: str) -> str:
+    return f"source.sigma = 3.29 THz\nsource.tau_p = {tau_p}\n"
+
+
+@pytest.mark.parametrize("command, settings, named", [
+    ("simulate", _pump("1e-200 s"), "sigma=3290000000000.0 1/s, tau_p=1e-200"),
+    ("herald", _pump("1e-200 s"), "sigma=3290000000000.0 1/s, tau_p=1e-200"),
+    ("simulate", _pump("1e80 s"), "sigma=3290000000000.0 1/s, tau_p=1e+80"),
+    ("landscape", "landscape.tau_p_min = 1e-200 s\n"
+                  "landscape.tau_p_max = 1 ns\nlandscape.tau_p_points = 4\n"
+                  "landscape.sigma_min = 1 THz\nlandscape.sigma_max = 5 THz\n"
+                  "landscape.sigma_points = 3\n",
+     "sigma=1000000000000.0 1/s, tau_p=1e-200")],
+    ids=["simulate", "herald", "simulate-long", "landscape"])
+def test_pumps_outside_the_float_range_name_the_settings(tmp_path, capsys,
+                                                         command, settings,
+                                                         named):
+    # at 1e-200 s simulate and herald died in a ZeroDivisionError, and
+    # landscape wrote inf cells and exited 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("link.beta = -1.15e-26 s^2/m\nlink.length = 10 km\n"
+                   "sample.n = 4000\n" + settings)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert err["message"].startswith(named + " s and beta*L=-1.15")
+    assert "take the closed form of tau1 outside the float range" in \
+        err["message"]
+    assert not out.exists()
+
+
+def test_herald_constant_channel_exit_code(tmp_path, capsys):
+    # t1 = 1 ns on all 2000 events: the narrowing curve is refused as the
+    # fit refuses the file, a numerical failure, exit 3, with no table
+    t2 = np.random.default_rng(0).normal(0.0, 1e-10, 2000)
+    path = tmp_path / "events.csv"
+    write_events(EventSet(np.column_stack([np.full(2000, 1e-9), t2])), path)
+    out = tmp_path / "out"
+    assert main(["herald", str(path), "--curve", "narrowing", "--out",
+                 str(out), "--set", "herald.width_min=10 ps", "--set",
+                 "herald.width_max=1 ns", "--set",
+                 "herald.width_points=5"]) == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "numerical",
+                   "message": "events have zero variance on a channel"}
+    assert not (out / "narrowing_curve.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "herald"])
 def test_rho_t_rounding_to_one_names_the_settings(tmp_path, capsys, command):
     # 1 - rho_t is ~1e-17 here, below the rounding of 1

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from heraldtime import analytic, herald
-from heraldtime.fitting import FitConfig, bootstrap_errors
+from heraldtime.fitting import (DegenerateDataError, FitConfig,
+                                bootstrap_errors)
 from heraldtime.herald import (
     HeraldWindow,
     TooFewEventsError,
@@ -270,6 +271,20 @@ class TestNarrowingCurve:
         es = sample(REFERENCE_SETS[0], DetectorModel.ideal(), 1000, seed=10)
         with pytest.raises(TooFewEventsError):
             narrowing_curve(es, center=0.0, widths=[1e-13, 1e-12, 1e-11])
+
+    @pytest.mark.parametrize("constant", [0, 1], ids=["analyzed", "heralding"])
+    @pytest.mark.parametrize("herald_on", [2, 1])
+    def test_constant_channel_refused_as_fit_refuses_it(self, constant,
+                                                       herald_on):
+        # 2000 events with one channel at 1 ns: its mean rounds off the
+        # value, and the ratios and asymptote would be 0/0
+        events = np.random.default_rng(0).normal(0.0, 1e-10, (2000, 2))
+        events[:, constant if herald_on == 2 else 1 - constant] = 1e-9
+        center = 1e-9 if constant else 0.0
+        with pytest.raises(DegenerateDataError,
+                           match="^events have zero variance on a channel$"):
+            narrowing_curve(EventSet(events), center, [1e-11, 1e-10, 1e-9],
+                            herald_on=herald_on)
 
     def test_refused_windows_named_as_plain_floats(self):
         # grid points are NumPy scalars, which NumPy 2 reprs as
