@@ -1,10 +1,14 @@
-"""Accuracy of the source-to-observable closed forms against 50-digit mpmath.
+"""Accuracy of the closed forms against 50-digit mpmath.
 
 Draws sigma, tau_p and beta*L log-uniformly over the box below, plus
 beta*L = 0, and compares ``tau1``, ``tau1h_0``, ``tau1h_dt_0``, ``rho_t_of``
 and ``narrowing_ratio_limit(temporal_covariance(...))`` with the same
 formulas at 50 digits (``oracles.closed_forms_mp``), so only rounding is
-checked.  The bounds are the README's "Accuracy" table.
+checked.  Then draws covariances and windows and compares the window
+quantities ``conditional_moments`` and ``conditional_density`` with
+``oracles.truncated_normal_moments_mp``, composed with the regression, and
+``oracles.conditional_density_mp``.  The bounds are the README's "Accuracy"
+table.
 """
 
 import math
@@ -15,6 +19,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heraldtime.analytic import (
+    conditional_density,
+    conditional_moments,
     narrowing_ratio_limit,
     rho_t_of,
     tau1,
@@ -22,9 +28,13 @@ from heraldtime.analytic import (
     tau1h_dt_0,
     temporal_covariance,
 )
-from heraldtime.params import LinkParams, SourceParams
+from heraldtime.params import LinkParams, SourceParams, TemporalCovariance
 
-from oracles import closed_forms_mp
+from oracles import (
+    closed_forms_mp,
+    conditional_density_mp,
+    truncated_normal_moments_mp,
+)
 
 EPS = 2.0 ** -52
 
@@ -108,3 +118,54 @@ def test_pumps_at_the_float_range_edges(name, closed_form):
     for tau_p in (1e-200, 1e80):
         with pytest.raises(ValueError, match="outside the float range"):
             temporal_covariance(SourceParams(sigma, tau_p), link)
+
+
+# Window quantities: (error measure, stated bound, worst case measured when
+# the bound was set, over 200 000 draws like the test's and the 3645 corners
+# of its box).  The loss regions are in the bounds, not left out: the far
+# tail's truncated variance (ROADMAP item 4) sets the mean's and the SD's
+# worst cases, at windows about 1 sd wide some 35 sd out with |rho_t| near
+# 0.99; the density's normalizing mass cancels in windows of 1e-6 sd,
+# worst some 35 sd out.
+WINDOW_ACCURACY = {
+    "conditional mean": ("absolute / conditional SD", 5e-11, 1.33e-11),
+    "conditional SD": ("relative", 5e-9, 1.68e-9),
+    "conditional_density": ("relative", 5e-8, 1.44e-8),
+}
+
+
+def window_errors(rho_t, tau1, tau2, center, width, k):
+    """Errors of ``conditional_moments`` and of ``conditional_density`` at
+    t1 = mean + k sd, for the covariance (rho_t, tau1, tau2) with zero
+    means and the window of ``center`` and ``width`` (in tau2), against
+    50-digit mpmath."""
+    cov = TemporalCovariance(rho_t=rho_t, tau1=tau1, tau2=tau2)
+    center, width = center * tau2, width * tau2
+    mean, sd = conditional_moments(cov, center, width)
+    # the window is analytic._window's [center - width/2, center + width/2]
+    m2, v2 = truncated_normal_moments_mp(0.0, tau2, center - 0.5 * width,
+                                         center + 0.5 * width)
+    t1 = mean + k * sd
+    density = float(conditional_density(t1, center, width, cov))
+    density_mp = conditional_density_mp(t1, center, width, cov)
+    with mpmath.workdps(50):
+        rho, tau1, tau2 = map(mpmath.mpf, (rho_t, tau1, tau2))
+        slope = rho * tau1 / tau2
+        mean_mp = slope * mpmath.mpf(m2)
+        sd_mp = mpmath.sqrt(tau1 ** 2 * (1 - rho ** 2) + slope ** 2 * v2)
+        return (float(abs(mean - mean_mp) / sd_mp),
+                float(abs(sd - sd_mp) / sd_mp),
+                abs(density - density_mp) / density_mp)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(rho_t=st.floats(-0.99, 0.99), tau1=decades(-13, -8),
+       tau2=decades(-13, -8), center=st.floats(-37.0, 37.0),
+       width=st.one_of(st.just(math.inf), decades(-6, 3)),
+       k=st.floats(-6.0, 6.0))
+def test_window_quantities_within_stated_bounds(rho_t, tau1, tau2, center,
+                                                width, k):
+    # centers out to 37 sd and widths from 1e-6 sd to infinite, in tau2
+    errors = window_errors(rho_t, tau1, tau2, center, width, k)
+    for (name, (_, bound, _)), error in zip(WINDOW_ACCURACY.items(), errors):
+        assert error <= bound, name
