@@ -51,6 +51,9 @@ from .params import (
     SourceParams,
     TemporalCovariance,
     _finite_positive,
+    _grid,
+    _real,
+    _window,
 )
 
 __all__ = [
@@ -122,15 +125,6 @@ def _tail_window(a: float, b: float):
 _normal_mass = np.frompyfunc(lambda a, b: _tail_window(a, b)[3], 2, 1)
 
 
-def _window(center: float, width: float) -> tuple[float, float]:
-    """Bounds center -/+ width/2 of a positive width and a finite center."""
-    if not width > 0:
-        raise ValueError(f"window width must be positive, got {float(width)!r}")
-    if not math.isfinite(center):
-        raise ValueError(f"window center must be finite, got {float(center)!r}")
-    return center - 0.5 * width, center + 0.5 * width
-
-
 def _standard_window(mu: float, sd: float, lo: float, hi: float):
     """The window [lo, hi] of N(mu, sd^2) in sd, as :func:`_tail_window`;
     ValueError where its mass is subnormal (past ~37.5 sd) and lacks the
@@ -181,6 +175,7 @@ def conditional_limit_density(t1, center: float, cov: TemporalCovariance):
     A Gaussian with mean mu1 + rho_t (tau1/tau2) (center - mu2) and standard
     deviation tau1 sqrt(1 - rho_t^2).
     """
+    _real(center, "window center")
     mean = cov.mu1 + cov.rho_t * (cov.tau1 / cov.tau2) * (center - cov.mu2)
     std = cov.tau1 * math.sqrt(1.0 - cov.rho_t ** 2)
     x = (np.asarray(t1, dtype=float) - mean) / std
@@ -458,12 +453,6 @@ _LANDSCAPE_KERNELS = {
 }
 
 
-def _check_axis_size(size: int) -> None:
-    """A landscape axis is not empty."""
-    if size < 1:
-        raise ValueError("tau_p_grid and sigma_grid must be non-empty 1-D arrays")
-
-
 def landscape(tau_p_grid, sigma_grid, link: LinkParams, which: str) -> np.ndarray:
     """Evaluate one width on a (tau_p, sigma) grid.
 
@@ -480,14 +469,7 @@ def landscape(tau_p_grid, sigma_grid, link: LinkParams, which: str) -> np.ndarra
         raise ValueError(
             f"which must be one of {sorted(_LANDSCAPE_KERNELS)}, got {which!r}"
         ) from None
-    tp = np.asarray(tau_p_grid, dtype=float)
-    sig = np.asarray(sigma_grid, dtype=float)
-    for name, axis in (("tau_p_grid", tp), ("sigma_grid", sig)):
-        _check_axis_size(axis.size if axis.ndim == 1 else 0)
-        bad = np.flatnonzero(~(np.isfinite(axis) & (axis > 0)))
-        if bad.size:
-            raise ValueError(f"grid values must be finite and positive, got "
-                             f"{name}[{bad[0]}] = {float(axis[bad[0]])!r}")
+    tp, sig = _grid(tau_p_grid, "tau_p_grid"), _grid(sigma_grid, "sigma_grid")
     bl = link.beta * link.length
     try:
         with np.errstate(all="raise"):

@@ -85,14 +85,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytic import _check_axis_size
 from .fitting import FitConfig
-from .herald import HeraldWindow, _check_grid_size
+from .herald import HeraldWindow
 from .params import (
     HeraldtimeError,
     LinkParams,
     SourceParams,
     SourceParamsRho,
+    _GRID_RULES,
     _count,
     _real,
     from_rho_form,
@@ -730,7 +730,7 @@ class RunConfig:
 
     def _grid(self, prefix: str) -> np.ndarray:
         """The grid of all three keys, checked and spaced as _GRIDS says."""
-        spacing, check_size = _GRIDS[prefix]
+        spacing, name = _GRIDS[prefix]
         keys = [f"{prefix}_{end}" for end in ("min", "max", "points")]
         if not all(map(self.has, keys)):
             raise ConfigError(f"the grid keys {'/'.join(keys)} are all required")
@@ -742,16 +742,17 @@ class RunConfig:
         if not math.isfinite(hi - lo):
             raise ConfigError(f"{prefix} must span a finite interval, got "
                               f"{keys[0]} = {lo!r} and {keys[1]} = {hi!r}")
-        check_size(n)
+        subject, rule, least, _ = _GRID_RULES[name]
+        _count(n, subject, rule, least)
         return (np.geomspace if spacing == "log" else np.linspace)(lo, hi, n)
 
 
-# The grids the commands read: their spacing and their reader's size rule.
+# The grids the commands read: their spacing and their rule's name in params.
 # A log grid, of window widths or landscape axis values, has positive ends.
-_GRIDS = {"herald.width": ("log", lambda n: _check_grid_size(n, "widths")),
-          "herald.center": ("linear", lambda n: _check_grid_size(n, "centers")),
-          "landscape.tau_p": ("log", _check_axis_size),
-          "landscape.sigma": ("log", _check_axis_size)}
+_GRIDS = {"herald.width": ("log", "widths"),
+          "herald.center": ("linear", "centers"),
+          "landscape.tau_p": ("log", "tau_p_grid"),
+          "landscape.sigma": ("log", "sigma_grid")}
 
 # The groups a config may name, each checked by the resolver that builds it.
 _GROUPS = {"source": RunConfig.source, "link": RunConfig.link,

@@ -16,7 +16,8 @@ Every curve function accepts either an :class:`~heraldtime.sampler.EventSet`
 window moments of ``analytic.conditional_moments``, re-exported here).
 Statistics are always computed on raw counts; any display scaling is left to
 presentation code.  Every empirical window is the closed interval
-``lo <= t <= hi`` of ``analytic._window``, the model paths' rule.
+``lo <= t <= hi`` of the window rule of :mod:`~heraldtime.params`, the
+model paths' rule, and every curve grid keeps its grid rule.
 
 Error bars.  Each error is the closed-form delta-method standard error of
 its statistic, the square root of the summed squared empirical influence
@@ -45,9 +46,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .analytic import _window, conditional_moments, narrowing_ratio_limit
+from .analytic import conditional_moments, narrowing_ratio_limit
 from .fitting import _check_varies
-from .params import HeraldtimeError, TemporalCovariance, _count
+from .params import HeraldtimeError, TemporalCovariance, _count, _grid, _window
 from .sampler import EventSet
 
 __all__ = [
@@ -236,21 +237,6 @@ class CentroidCurve:
         return float(np.polyfit(self.centers, self.means, 1)[0])
 
 
-def _check_grid_size(size: int, name: str) -> None:
-    """The fewest points a width or center grid takes."""
-    if size < 3:
-        raise ValueError(f"{name} must be a 1-D grid of at least 3 values")
-
-
-def _curve_input(source, values, name: str, herald_on: int, n_boot):
-    """A curve's grid of ``values`` as floats and its oriented source,
-    checked after ``n_boot`` in that order."""
-    _check_n_boot(n_boot)
-    grid = np.asarray(values, dtype=float)
-    _check_grid_size(grid.size if grid.ndim == 1 else 0, name)
-    return grid, _oriented(source, herald_on)
-
-
 def _shell_sums(shell: np.ndarray, counts: np.ndarray,
                 x: np.ndarray) -> np.ndarray:
     """Sums of x**0 ... x**4 per shell, one row per degree; ``counts`` is
@@ -324,7 +310,8 @@ def narrowing_curve(source, center: float, widths, herald_on: int = 2,
     The empirical path raises :class:`~heraldtime.fitting.DegenerateDataError`
     where either channel holds one value, as ``fit`` does.
     """
-    grid, oriented = _curve_input(source, widths, "widths", herald_on, n_boot)
+    _check_n_boot(n_boot)
+    grid, oriented = _grid(widths, "widths"), _oriented(source, herald_on)
     if isinstance(oriented, TemporalCovariance):
         full = oriented.tau1
         ratios = np.array([conditional_moments(oriented, center, w)[1] / full
@@ -382,7 +369,8 @@ def centroid_curve(source, width: float, centers, herald_on: int = 2,
     raise ValueError for a width that is not positive, a center that is not
     finite, a ``herald_on`` other than 1 or 2 or an ``n_boot`` other than 0.
     """
-    grid, oriented = _curve_input(source, centers, "centers", herald_on, n_boot)
+    _check_n_boot(n_boot)
+    grid, oriented = _grid(centers, "centers"), _oriented(source, herald_on)
     if isinstance(oriented, TemporalCovariance):
         means = np.array([conditional_moments(oriented, c, width)[0]
                           for c in grid])

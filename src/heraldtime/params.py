@@ -26,6 +26,8 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 __all__ = [
     "HeraldtimeError",
     "CWPumpError",
@@ -51,6 +53,15 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
+def _show(x) -> str:
+    """``x`` as rule messages print it, the same on NumPy 1 and 2: a float,
+    float64 included, by ``repr(float(x))``, any other NumPy scalar as
+    ``np.<type>(<item>)`` and anything else by its repr."""
+    if isinstance(x, np.generic) and not isinstance(x, float):
+        return f"np.{type(x).__name__.rstrip('_')}({x.item()!r})"
+    return repr(float(x) if isinstance(x, float) else x)
+
+
 def _is_real(x) -> bool:
     """An int or a float (NumPy's float64 is one), never a bool, and finite.
     NumPy integers are refused: the closed forms would square them in int64."""
@@ -59,7 +70,7 @@ def _is_real(x) -> bool:
 
 
 def _real(x, name: str, rule: str = "be finite", inside=lambda v: True) -> None:
-    _require(_is_real(x) and inside(x), f"{name} must {rule}, got {x!r}")
+    _require(_is_real(x) and inside(x), f"{name} must {rule}, got {_show(x)}")
 
 
 def _finite_positive(x, name: str) -> None:
@@ -73,7 +84,41 @@ def _correlation(x, name: str) -> None:
 def _count(n, name: str, rule: str, least: int, most=math.inf) -> None:
     """A count is a Python or NumPy integer, never a bool, in [least, most]."""
     _require(isinstance(n, numbers.Integral) and not isinstance(n, bool)
-             and least <= n <= most, f"{name} must {rule}, got {n!r}")
+             and least <= n <= most, f"{name} must {rule}, got {_show(n)}")
+
+
+def _window(center, width) -> tuple[float, float]:
+    """Bounds center -/+ width/2 of a real width above 0, or a float inf for
+    every event, and a real center."""
+    if not (isinstance(width, float) and width == math.inf):
+        _real(width, "window width", "be positive", lambda v: v > 0)
+    _real(center, "window center")
+    return center - 0.5 * width, center + 0.5 * width
+
+
+# Each grid's rule: the grids it names, the rule, the fewest values, and
+# whether each value must be finite and positive (a curve's are windows).
+_CURVE = ("be a 1-D grid of at least 3 numbers", 3, False)
+_AXES = ("tau_p_grid and sigma_grid", "be non-empty 1-D arrays of numbers",
+         1, True)
+_GRID_RULES = {"widths": ("widths", *_CURVE), "centers": ("centers", *_CURVE),
+               "tau_p_grid": _AXES, "sigma_grid": _AXES}
+
+
+def _grid(values, name: str) -> np.ndarray:
+    """``values`` read through np.asarray as the float grid ``name``: an
+    integer or float array that keeps its rule in ``_GRID_RULES``."""
+    subject, rule, least, positive = _GRID_RULES[name]
+    grid = np.asarray(values)
+    _require(grid.dtype.kind in "iuf" and grid.ndim == 1 and grid.size >= least,
+             f"{subject} must {rule}, got {name} = a {grid.shape} array of "
+             f"{grid.dtype}")
+    grid = grid.astype(float, copy=False)
+    bad = np.flatnonzero(~(np.isfinite(grid) & (grid > 0))) if positive else []
+    if len(bad):
+        raise ValueError(f"grid values must be finite and positive, got "
+                         f"{name}[{bad[0]}] = {_show(grid[bad[0]])}")
+    return grid
 
 
 @dataclass(frozen=True)
