@@ -173,7 +173,8 @@ def conditional_limit_density(t1, center: float, cov: TemporalCovariance):
     """Zero-window limit of :func:`conditional_density`.
 
     A Gaussian with mean mu1 + rho_t (tau1/tau2) (center - mu2) and standard
-    deviation tau1 sqrt(1 - rho_t^2).
+    deviation tau1 sqrt(1 - rho_t^2).  Raises ValueError for a center the
+    window rule refuses: one that is not a finite int or float.
     """
     _real(center, "window center")
     mean = cov.mu1 + cov.rho_t * (cov.tau1 / cov.tau2) * (center - cov.mu2)
@@ -296,16 +297,18 @@ def _settings(src: SourceParams, link: LinkParams) -> str:
 
 
 def _in_float_range(what: str, src: SourceParams, link: LinkParams, kernel,
-                    *args) -> float:
-    """``kernel(*args)`` in float64 as a float, where every intermediate is
-    a normal, finite number.  ValueError naming the settings where one
-    overflows, or underflows and so loses digits."""
+                    *args):
+    """``kernel(*args)`` in float64 as a float, or a tuple of floats where
+    the kernel returns a tuple, where every intermediate is a normal, finite
+    number.  ValueError naming the settings where one overflows, or
+    underflows and so loses digits."""
     try:
         with np.errstate(all="raise"):
-            return float(kernel(*map(np.float64, args)))
+            out = kernel(*map(np.float64, args))
     except FloatingPointError as exc:
         raise ValueError(f"{_settings(src, link)} take the closed form of "
                          f"{what} outside the float range ({exc})") from None
+    return tuple(map(float, out)) if isinstance(out, tuple) else float(out)
 
 
 def tau1(src: SourceParams, link: LinkParams) -> float:
@@ -403,6 +406,15 @@ class OptimumReport:
     tau1h_dt_abs: float
 
 
+def _fixed_sigma_optimum(s, bl):
+    """rho_opt, tau1_min, tau1h_min and tau1h_dt_abs at the optimal pump for
+    the crystal width ``s`` and the dispersion |beta| L ``bl``."""
+    bls2 = bl * s * s
+    return ((2.0 - bls2) / (2.0 + bls2), (bls2 + 2.0) / (2.0 * s),
+            2.0 * np.sqrt(bl * (bls2 * bls2 + 4.0)) / (bls2 + 2.0),
+            _tau1h_dt_0(s, bl))
+
+
 def optimum(link: LinkParams, sigma_fixed: float | None = None) -> OptimumReport:
     """Source settings minimizing the widths for a given link.
 
@@ -410,7 +422,9 @@ def optimum(link: LinkParams, sigma_fixed: float | None = None) -> OptimumReport
     is optimized; otherwise both knobs are free and the absolute minima are
     reported (the two minima coincide and the optimal pair is spectrally
     decorrelated).  Raises :class:`NoDispersionError` when beta*L == 0: the
-    widths are then monotone in the pump duration and no optimum exists.
+    widths are then monotone in the pump duration and no optimum exists; and
+    ValueError, naming the settings, where ``sigma_fixed`` takes the closed
+    forms outside the float range.
     """
     bl = link.abs_beta_length
     if bl == 0.0:
@@ -420,18 +434,17 @@ def optimum(link: LinkParams, sigma_fixed: float | None = None) -> OptimumReport
     tau_p_opt = math.sqrt(2.0 * bl)
     if sigma_fixed is not None:
         _finite_positive(sigma_fixed, "sigma_fixed")
-        s = float(sigma_fixed)
-        bls2 = bl * s * s
-        tau1_min = (bls2 + 2.0) / (2.0 * s)
-        tau1h_min = 2.0 * math.sqrt(bl * (bls2 * bls2 + 4.0)) / (bls2 + 2.0)
+        rho_opt, tau1_min, tau1h_min, tau1h_dt = _in_float_range(
+            "the fixed-sigma optimum", SourceParams(sigma_fixed, tau_p_opt),
+            link, _fixed_sigma_optimum, sigma_fixed, bl)
         return OptimumReport(
             tau_p_opt=tau_p_opt,
             sigma_opt=None,
-            rho_opt=(2.0 - bls2) / (2.0 + bls2),
+            rho_opt=rho_opt,
             tau1_min=tau1_min,
             tau1h_min=tau1h_min,
             tau1_abs=None,
-            tau1h_dt_abs=float(_tau1h_dt_0(s, bl)),
+            tau1h_dt_abs=tau1h_dt,
         )
     abs_min = math.sqrt(2.0 * bl)
     return OptimumReport(
@@ -459,9 +472,11 @@ def landscape(tau_p_grid, sigma_grid, link: LinkParams, which: str) -> np.ndarra
     Returns an array of shape (len(sigma_grid), len(tau_p_grid)); row i holds
     the width at sigma_grid[i] for every pump duration, so the
     emission-time-unknown width produces constant rows.  ``which`` is one of
-    "tau1", "tau1h_0", "tau1h_dt_0".  Raises ValueError for an axis value
-    that is not finite and positive, and for a cell that takes the closed
-    form outside the float range, naming the first of either.
+    "tau1", "tau1h_0", "tau1h_dt_0".  Raises ValueError for an axis the
+    grid rule refuses (not a non-empty 1-D array of integer or float
+    values), for an axis value that is not finite and positive, and for a
+    cell that takes the closed form outside the float range, naming the
+    first of either.
     """
     try:
         kernel = _LANDSCAPE_KERNELS[which]

@@ -20,9 +20,10 @@ names built, so a bad value even in a group the command never reads is a
 configuration error, and so is a key the command needs but the config lacks.
 ``--help`` lists the full key table with units.
 
-Exit codes: 0 success, 1 reproduction targets missed or unexpected error,
-2 configuration error, 3 numerical non-convergence, 4 I/O error.  Failures
-print a machine-readable JSON object to stderr.
+Exit codes: 0 success, 1 reproduction targets missed, out of memory or
+unexpected error, 2 configuration error, 3 numerical non-convergence, 4 I/O
+error.  Failures print a machine-readable JSON object to stderr; running
+out of memory prints ``{"error": "memory", ...}``.
 """
 
 from __future__ import annotations
@@ -366,6 +367,11 @@ def main(argv=None) -> int:
         # ConfigError and every other rejected input
         _emit_error("config", exc)
         return EXIT_CONFIG
+    except MemoryError as exc:
+        # NumPy's names the allocation it could not make, such as the events
+        # of a sample.n too large for the machine
+        _emit_error("memory", exc)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

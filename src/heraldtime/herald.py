@@ -305,8 +305,10 @@ def narrowing_curve(source, center: float, widths, herald_on: int = 2,
     width).  The empirical ratio at width=inf equals 1 by construction:
     numerator and denominator are the same estimator on the same events; so
     does its error, 0, at any width that holds every event.  Both paths
-    raise ValueError for a width that is not positive, a center that is not
-    finite, a ``herald_on`` other than 1 or 2 or an ``n_boot`` other than 0.
+    raise ValueError for widths that are not a 1-D array of at least 3
+    integer or float values, a window the window rule refuses (a width
+    that is not an int or a float above 0, a center that is not a finite
+    one), a ``herald_on`` other than 1 or 2 or an ``n_boot`` other than 0.
     The empirical path raises :class:`~heraldtime.fitting.DegenerateDataError`
     where either channel holds one value, as ``fit`` does.
     """
@@ -366,8 +368,10 @@ def centroid_curve(source, width: float, centers, herald_on: int = 2,
     For small windows the curve is linear with slope rho_t * tau1 / tau2; at
     finite widths the exact conditional mean is reported without any
     linearity assumption.  Empirical errors are ``sd / sqrt(m)``.  Both paths
-    raise ValueError for a width that is not positive, a center that is not
-    finite, a ``herald_on`` other than 1 or 2 or an ``n_boot`` other than 0.
+    raise ValueError for centers that are not a 1-D array of at least 3
+    integer or float values, a window the window rule refuses (a width
+    that is not an int or a float above 0, a center that is not a finite
+    one), a ``herald_on`` other than 1 or 2 or an ``n_boot`` other than 0.
     """
     _check_n_boot(n_boot)
     grid, oriented = _grid(centers, "centers"), _oriented(source, herald_on)

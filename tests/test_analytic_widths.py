@@ -246,6 +246,20 @@ class TestOptimum:
                                              "positive number"):
             optimum(REFERENCE_LINK, sigma_fixed=sigma)
 
+    @pytest.mark.parametrize("sigma, error", [(1e200, "overflow"),
+                                              (1e-200, "underflow")])
+    def test_fixed_sigma_outside_the_float_range_names_the_settings(
+            self, sigma, error):
+        # 1e200 returned rho_opt=nan and tau1_min=inf; 1e-200 returned a
+        # tau1_min whose |beta| L sigma^2 term had underflowed to 0
+        bl = REFERENCE_LINK.beta * REFERENCE_LINK.length
+        tau_p = optimum(REFERENCE_LINK).tau_p_opt
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"sigma={sigma!r} 1/s, tau_p={tau_p!r} s and beta*L={bl!r} "
+                "s^2 take the closed form of the fixed-sigma optimum outside "
+                f"the float range ({error} encountered")):
+            optimum(REFERENCE_LINK, sigma_fixed=sigma)
+
     def test_no_dispersion_degenerate(self):
         with pytest.raises(NoDispersionError):
             optimum(LinkParams(beta=0.0, length=1e4))

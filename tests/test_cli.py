@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from heraldtime import fitting
+from heraldtime import cli, fitting
 from heraldtime.cli import build_parser, main
 from heraldtime.dataio import load_config, read_events, write_events
 from heraldtime.sampler import DetectorModel, EventSet
@@ -703,6 +703,40 @@ def test_optimize_fix_sigma_takes_rho_form_source(tmp_path):
         reports.append((out / "optimum.json").read_bytes())
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["sigma_fixed_per_s"] == source.sigma
+
+
+def test_optimize_fix_sigma_outside_the_float_range_is_config_error(
+        tmp_path, capsys):
+    # printed rho_opt = +nan, then exited 4 on the non-finite report
+    out = tmp_path / "out"
+    assert main(["optimize", "--fix-sigma", "--out", str(out),
+                 "--set", "source.sigma=1e200 Hz", "--set", "source.tau_p=1 ps",
+                 "--set", "link.beta=-1.15e-26 s^2/m",
+                 "--set", "link.length=10 km"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert err["message"].startswith("sigma=1e+200 1/s, tau_p=")
+    assert "the fixed-sigma optimum outside the float range" in err["message"]
+    assert not out.exists()
+
+
+def test_out_of_memory_is_a_json_error(tmp_path, config_path, capsys,
+                                       monkeypatch):
+    # a sample too large for the machine ended in a traceback from np.empty
+    message = "Unable to allocate 14.6 TiB for an array"
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "sample_from_source", no_memory)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config_path), "--out", str(out),
+                 "--set", "sample.n=1000000000000"]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "memory", "message": message}
+    assert not out.exists()
 
 
 def test_optimize_fix_sigma_requires_sigma(tmp_path):

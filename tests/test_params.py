@@ -1,19 +1,32 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heraldtime.analytic import optimum
+from heraldtime.analytic import (
+    conditional_density,
+    conditional_limit_density,
+    conditional_moments,
+    landscape,
+    optimum,
+)
 from heraldtime.dataio import RunConfig
 from heraldtime.fitting import bootstrap_errors
-from heraldtime.herald import HeraldWindow, heralded_width, narrowing_curve
+from heraldtime.herald import (
+    HeraldWindow,
+    centroid_curve,
+    heralded_width,
+    narrowing_curve,
+)
 from heraldtime.params import (
     CWPumpError,
     LinkParams,
     SourceParams,
     SourceParamsRho,
     TemporalCovariance,
+    _show,
     from_rho_form,
     to_rho_form,
 )
@@ -119,8 +132,52 @@ COUNT_FIELDS = [
 ]
 
 
+# Every window field: (name in the message, a valid int, whether a width of
+# inf, every event, is taken, a call that takes the value for that field
+# alone).  A 1 s window holds every event of EVENTS.
+WINDOW_FIELDS = [
+    ("window center", 0, False, lambda v: HeraldWindow(v, 1e-9)),
+    ("window width", 1, True, lambda v: HeraldWindow(0.0, v)),
+    ("window center", 0, False, lambda v: conditional_moments(COV, v, 1e-9)),
+    ("window width", 1, True, lambda v: conditional_moments(COV, 0.0, v)),
+    ("window center", 0, False,
+     lambda v: conditional_density(0.0, v, 1e-9, COV)),
+    ("window width", 1, True,
+     lambda v: conditional_density(0.0, 0.0, v, COV)),
+    ("window center", 0, False,
+     lambda v: conditional_limit_density(0.0, v, COV)),
+    ("window center", 0, False,
+     lambda v: narrowing_curve(COV, v, [1e-9, 2e-9, 4e-9])),
+    ("window center", 0, False,
+     lambda v: narrowing_curve(EVENTS, v, [1e-9, 2e-9, 4e-9])),
+    ("window width", 1, True,
+     lambda v: centroid_curve(COV, v, [-1e-10, 0.0, 1e-10])),
+    ("window width", 1, True,
+     lambda v: centroid_curve(EVENTS, v, [-1e-10, 0.0, 1e-10])),
+]
+
+# Every grid: (name in the grid's message, name in a value's message, a
+# valid grid of ints, of the fewest values the grid takes, whether inf
+# values are taken, a call that takes the grid alone).  A 3 s window holds
+# every event of EVENTS.
+GRID_FIELDS = [
+    ("widths", "window width", [1, 2, 4], True,
+     lambda g: narrowing_curve(COV, 0.0, g)),
+    ("widths", "window width", [1, 2, 4], True,
+     lambda g: narrowing_curve(EVENTS, 0.0, g)),
+    ("centers", "window center", [-1, 0, 1], False,
+     lambda g: centroid_curve(COV, 3, g)),
+    ("centers", "window center", [-1, 0, 1], False,
+     lambda g: centroid_curve(EVENTS, 3, g)),
+    ("tau_p_grid and sigma_grid", "grid values", [1], False,
+     lambda g: landscape(g, [1e12], LINK, "tau1")),
+    ("tau_p_grid and sigma_grid", "grid values", [1], False,
+     lambda g: landscape([1e-12], g, LINK, "tau1")),
+]
+
+
 def ids(fields):
-    return [f"{name}-{i}" for i, (name, _, _) in enumerate(fields)]
+    return [f"{field[0]}-{i}" for i, field in enumerate(fields)]
 
 
 class TestNumberRules:
@@ -146,6 +203,48 @@ class TestNumberRules:
                     float(valid), np.float64(valid), valid - 1, str(valid)):
             with pytest.raises(ValueError, match=f"{name} must .*, got"):
                 make(bad)
+
+    @pytest.mark.parametrize("name, valid, inf_ok, make", WINDOW_FIELDS,
+                             ids=ids(WINDOW_FIELDS))
+    def test_window_field(self, name, valid, inf_ok, make):
+        for good in (valid, float(valid), np.float64(valid)):
+            make(good)
+        if inf_ok:
+            make(math.inf)
+            make(np.float64(math.inf))
+        for bad in (True, False, np.int64(valid), np.float32(valid),
+                    str(valid), math.nan, -math.inf, np.array([True]),
+                    *([] if inf_ok else [math.inf])):
+            with pytest.raises(ValueError, match=f"^{name} must .*, got"):
+                make(bad)
+
+    @pytest.mark.parametrize("name, value_name, valid, inf_ok, make",
+                             GRID_FIELDS, ids=ids(GRID_FIELDS))
+    def test_grid_field(self, name, value_name, valid, inf_ok, make):
+        floats = [float(v) for v in valid]
+        for good in (valid, floats, np.array(valid), np.array(floats),
+                     np.array(floats, dtype=np.float32)):
+            make(good)
+        if inf_ok:
+            make(floats[:-1] + [math.inf])
+        for bad in (True, np.int64(valid[0]), np.float32(valid[0]),
+                    str(valid), [True] * len(valid), np.array(valid) > 0,
+                    np.array(valid, dtype=str), np.array(valid, dtype=object),
+                    floats[:-1], [floats]):
+            with pytest.raises(ValueError,
+                               match=f"^{re.escape(name)} must .*, got"):
+                make(bad)
+        for bad in (math.nan, -math.inf, *([] if inf_ok else [math.inf])):
+            with pytest.raises(ValueError, match=f"^{value_name} must .*, got"):
+                make(floats[:-1] + [bad])
+
+    @pytest.mark.parametrize("value, shown", [
+        (True, "True"), (3, "3"), (0.1, "0.1"), (math.nan, "nan"),
+        (np.float64(0.1), "0.1"), (np.float32(0.5), "np.float32(0.5)"),
+        (np.int64(0), "np.int64(0)"), (np.bool_(True), "np.bool(True)"),
+        ("2", "'2'")])
+    def test_values_read_the_same_on_numpy_1_and_2(self, value, shown):
+        assert _show(value) == shown
 
     def test_messages_name_the_value(self):
         with pytest.raises(ValueError, match=r"^rho_t must lie strictly "
