@@ -368,8 +368,8 @@ def main(argv=None) -> int:
         _emit_error("config", exc)
         return EXIT_CONFIG
     except MemoryError as exc:
-        # NumPy's names the allocation it could not make, such as the events
-        # of a sample.n too large for the machine
+        # NumPy's message names the allocation it could not make, such as
+        # the events of a sample.n too large for the machine
         _emit_error("memory", exc)
         return EXIT_FAIL
 

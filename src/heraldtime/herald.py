@@ -16,8 +16,8 @@ Every curve function accepts either an :class:`~heraldtime.sampler.EventSet`
 window moments of ``analytic.conditional_moments``, re-exported here).
 Statistics are always computed on raw counts; any display scaling is left to
 presentation code.  Every empirical window is the closed interval
-``lo <= t <= hi`` of the window rule of :mod:`~heraldtime.params`, the
-model paths' rule, and every curve grid keeps its grid rule.
+``lo <= t <= hi`` of ``params._window``, the model paths' window rule,
+and every curve grid is read by ``params._grid``.
 
 Error bars.  Each error is the closed-form delta-method standard error of
 its statistic, the square root of the summed squared empirical influence

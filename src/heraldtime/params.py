@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,10 +64,11 @@ def _show(x) -> str:
 
 
 def _is_real(x) -> bool:
-    """An int or a float (NumPy's float64 is one), never a bool, and finite.
+    """An int or a float (NumPy's float64 is one), never a bool, and finite
+    as a float: an int past the float range is refused, not overflowed.
     NumPy integers are refused: the closed forms would square them in int64."""
     return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and math.isfinite(x))
+            and abs(x) <= sys.float_info.max)
 
 
 def _real(x, name: str, rule: str = "be finite", inside=lambda v: True) -> None:

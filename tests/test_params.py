@@ -188,8 +188,9 @@ class TestNumberRules:
     def test_real_field(self, name, valid, make):
         make(valid)
         make(np.float64(valid))
+        # 10**400 overflowed in math.isfinite, an OverflowError
         for bad in (True, False, math.nan, math.inf, -math.inf,
-                    np.int64(1), np.float32(valid), str(valid)):
+                    np.int64(1), np.float32(valid), str(valid), 10 ** 400):
             with pytest.raises(ValueError, match=f"{name} must .*, got"):
                 make(bad)
 
@@ -214,7 +215,7 @@ class TestNumberRules:
             make(np.float64(math.inf))
         for bad in (True, False, np.int64(valid), np.float32(valid),
                     str(valid), math.nan, -math.inf, np.array([True]),
-                    *([] if inf_ok else [math.inf])):
+                    10 ** 400, *([] if inf_ok else [math.inf])):
             with pytest.raises(ValueError, match=f"^{name} must .*, got"):
                 make(bad)
 
