@@ -1,7 +1,8 @@
-"""Event rows as text, each value in its shortest round-trip form.
+"""Event and table rows as text, each value in its shortest round-trip form.
 
-:func:`format_rows` writes an ``(n, 2)`` block of finite floats as the lines
-``"%r,%r\\n"`` writes, byte for byte, without a Python float per value.
+:func:`format_rows` writes an ``(n, k)`` block of finite floats as the lines
+``",".join(map(repr, row)) + "\\n"`` writes, byte for byte, without a
+Python float per value.
 Each value's digits are Ryu's (Adams, "Ryu: fast float-to-string
 conversion", PLDI 2018): the shortest digits that read back as the value,
 the closest to it where several are that short and the even one on a tie,
@@ -51,10 +52,13 @@ _USED = 0xFF  # a digit slot the layout uses; an unused slot is 0
 
 
 def format_rows(block) -> bytes:
-    """The text of the finite float64 ``(n, 2)`` array ``block``: one
-    ``"x,y\\n"`` line per row, each value written as ``repr`` writes it."""
+    """The text of the finite float64 ``(n, k)`` array ``block``, k >= 1:
+    one line per row, its values written as ``repr`` writes them and
+    joined by ","."""
     t = _tables()
-    bits = np.ascontiguousarray(block, dtype=np.float64).reshape(-1).view(_U)
+    block = np.ascontiguousarray(block, dtype=np.float64)
+    columns = block.shape[1]
+    bits = block.reshape(-1).view(_U)
     digits, exp10 = _shortest(t, bits)
     count = np.searchsorted(t.count, digits, side="right")
     decpt = count + exp10 + _DECPT
@@ -71,9 +75,9 @@ def format_rows(block) -> bytes:
             words[k] &= quad
     words[_E // 4:] &= t.exponent.take(decpt, axis=1)
     text = words.view(np.uint8)
-    sep = _SEP % 4  # the separator's byte in its word, for even values
-    text[_SEP // 4, sep::8] = ord(",")
-    text[_SEP // 4, sep + 4::8] = ord("\n")
+    sep = _SEP % 4  # the separator's byte in its word
+    text[_SEP // 4, sep::4] = ord(",")
+    text[_SEP // 4, sep + 4 * (columns - 1)::4 * columns] = ord("\n")
     return words.T.tobytes().translate(None, b"\0")
 
 

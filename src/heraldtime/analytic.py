@@ -9,15 +9,16 @@ approaches sqrt(1 - rho_t^2) as the window shrinks.
 
 The observable-level parameters follow from the source and link settings:
 with sigma the effective phase-matching width, tau_p the pump duration and
-(beta, L) the per-arm dispersion coefficient and fiber length,
+(beta, L) the per-arm dispersion coefficient and fiber length, equal arms
+spread the arrival times by two variances, the crystal's a = Var(t1 - t2)/2
+and the pump's b = Var(t1 + t2)/2, each widened by the dispersion:
 
-    tau1^2        = [sigma^2 tau_p^4 + (beta^2 L^2 sigma^4 + 4) tau_p^2
-                     + 4 beta^2 L^2 sigma^2] / (4 sigma^2 tau_p^2)
-    tau1h(0)^2    = (beta^2 L^2 sigma^4 + 4)(tau_p^4 + 4 beta^2 L^2)
-                     / (4 sigma^2 tau_p^2 tau1^2)
-    tau1h_dt(0)   = sqrt(beta^2 L^2 sigma^4 + 4) / sigma
-    rho_t         = (sigma^2 tau_p^2 - 4)(tau_p^2 - beta^2 L^2 sigma^2)
-                     / [(sigma^2 tau_p^2 + 4)(tau_p^2 + beta^2 L^2 sigma^2)]
+    a = 2 / sigma^2 + (beta L sigma)^2 / 2,    tau1        = sqrt((a + b) / 2)
+    b = tau_p^2 / 2 + 2 (beta L / tau_p)^2,    tau1h(0)    = sqrt(2 a b / (a + b))
+    rho_t = (b - a) / (b + a),                 tau1h_dt(0) = sqrt(2 a)
+
+so 1 - rho_t = 2 a / (a + b) and 1 + rho_t = 2 b / (a + b) carry no
+cancellation.  Unequal arms add one cross term, Cov(t1 - t2, t1 + t2).
 
 ``tau1`` is the unconditional width, ``tau1h(0)`` the heralded width when the
 partner's arrival time is known exactly, and ``tau1h_dt(0)`` the heralded
@@ -259,36 +260,31 @@ def conditional_moments(cov: TemporalCovariance, center: float,
 # --------------------------------------------------------------------------
 # Widths from source and link settings
 # --------------------------------------------------------------------------
-# The kernels below work element-wise on arrays so that the landscape scan
-# and the property tests can evaluate them in bulk.
+# Element-wise on arrays, for landscape and the property tests.  Each variance
+# is halved after its terms are summed, so that no halved term underflows.
 
-def _tau1_sq(sigma, tau_p, beta_l):
-    b2l2 = beta_l * beta_l
-    s2 = sigma * sigma
-    tp2 = tau_p * tau_p
-    num = s2 * tp2 * tp2 + (b2l2 * s2 * s2 + 4.0) * tp2 + 4.0 * b2l2 * s2
-    return num / (4.0 * s2 * tp2)
-
-
-def _tau1h_0_sq(sigma, tau_p, beta_l):
-    b2l2 = beta_l * beta_l
-    s2 = sigma * sigma
-    tp2 = tau_p * tau_p
-    num = (b2l2 * s2 * s2 + 4.0) * (tp2 * tp2 + 4.0 * b2l2)
-    den = s2 * tp2 * tp2 + (b2l2 * s2 * s2 + 4.0) * tp2 + 4.0 * b2l2 * s2
-    return num / den
-
-
-def _tau1h_dt_0(sigma, beta_l):
-    s2 = sigma * sigma
-    return np.sqrt((beta_l * s2) ** 2 + 4.0) / sigma
-
-
-def _rho_t(sigma, tau_p, beta_l):
-    st2 = (sigma * tau_p) ** 2
+def _a(sigma, beta_l):
+    """Var(t1 - t2)/2: the crystal's spread, widened by the dispersion."""
     bls = beta_l * sigma
-    tp2 = tau_p * tau_p
-    return (st2 - 4.0) * (tp2 - bls * bls) / ((st2 + 4.0) * (tp2 + bls * bls))
+    return 0.5 * (4.0 / (sigma * sigma) + bls * bls)
+
+
+def _b(tau_p, beta_l):
+    """Var(t1 + t2)/2: the pump's spread, widened by the dispersion."""
+    blt = beta_l / tau_p
+    return 0.5 * (tau_p * tau_p + 4.0 * (blt * blt))
+
+
+def _tau1(a, b):
+    return np.sqrt(0.5 * (a + b))
+
+
+def _tau1h_0(a, b):
+    return np.sqrt(2.0 * a * (b / (a + b)))
+
+
+def _rho_t(a, b):
+    return (b - a) / (b + a)
 
 
 def _settings(src: SourceParams, link: LinkParams) -> str:
@@ -340,9 +336,10 @@ def tau1h_0(src: SourceParams, link: LinkParams) -> float:
 def tau1h_dt_0(src: SourceParams, link: LinkParams) -> float:
     """Heralded width when the pair emission time is unknown, s.
 
-    Independent of the pump settings: sqrt(beta^2 L^2 sigma^4 + 4) / sigma.
+    Independent of the pump settings: sqrt(2 a), with a = Var(t1 - t2)/2.
     """
-    return _in_float_range("tau1h_dt_0", src, link, _tau1h_dt_0, src.sigma,
+    return _in_float_range("tau1h_dt_0", src, link,
+                           lambda s, bl: np.sqrt(2.0 * _a(s, bl)), src.sigma,
                            link.beta * link.length)
 
 
@@ -358,8 +355,8 @@ def rho_t_of(src: SourceParams, link: LinkParams) -> float:
     """
     if src.cw:
         return 1.0
-    return _in_float_range("rho_t", src, link, _rho_t, src.sigma, src.tau_p,
-                           link.beta * link.length)
+    return _in_float_range("rho_t", src, link, lambda s, tp, bl: _rho_t(
+        _a(s, bl), _b(tp, bl)), src.sigma, src.tau_p, link.beta * link.length)
 
 
 def temporal_covariance(src: SourceParams, link: LinkParams) -> TemporalCovariance:
@@ -408,11 +405,12 @@ class OptimumReport:
 
 def _fixed_sigma_optimum(s, bl):
     """rho_opt, tau1_min, tau1h_min and tau1h_dt_abs at the optimal pump for
-    the crystal width ``s`` and the dispersion |beta| L ``bl``."""
+    the crystal width ``s`` and the dispersion |beta| L ``bl``, where the
+    pump's variance b is 2 |beta| L."""
     bls2 = bl * s * s
-    return ((2.0 - bls2) / (2.0 + bls2), (bls2 + 2.0) / (2.0 * s),
-            2.0 * np.sqrt(bl * (bls2 * bls2 + 4.0)) / (bls2 + 2.0),
-            _tau1h_dt_0(s, bl))
+    a, b = _a(s, bl), 2.0 * bl
+    return ((2.0 - bls2) / (2.0 + bls2), _tau1(a, b), _tau1h_0(a, b),
+            np.sqrt(2.0 * a))
 
 
 def optimum(link: LinkParams, sigma_fixed: float | None = None) -> OptimumReport:
@@ -459,10 +457,10 @@ def optimum(link: LinkParams, sigma_fixed: float | None = None) -> OptimumReport
 
 
 _LANDSCAPE_KERNELS = {
-    "tau1": lambda sig, tp, bl: np.sqrt(_tau1_sq(sig, tp, bl)),
-    "tau1h_0": lambda sig, tp, bl: np.sqrt(_tau1h_0_sq(sig, tp, bl)),
-    "tau1h_dt_0": lambda sig, tp, bl: np.broadcast_to(
-        _tau1h_dt_0(sig, bl), np.broadcast_shapes(np.shape(sig), np.shape(tp))).copy(),
+    "tau1": lambda sig, tp, bl: _tau1(_a(sig, bl), _b(tp, bl)),
+    "tau1h_0": lambda sig, tp, bl: _tau1h_0(_a(sig, bl), _b(tp, bl)),
+    "tau1h_dt_0": lambda sig, tp, bl: np.broadcast_to(np.sqrt(
+        2.0 * _a(sig, bl)), np.broadcast_shapes(np.shape(sig), np.shape(tp))).copy(),
 }
 
 

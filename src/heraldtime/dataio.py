@@ -114,7 +114,8 @@ __all__ = [
 ]
 
 EVENT_MAGIC = "# heraldtime events v1"
-# Rows formatted per write call: bounds the arrays held at once.  The
+# Event rows formatted per write call, and so 2 * _WRITE_BLOCK_ROWS values
+# of a table's float block: bounds the arrays held at once.  The
 # formatter (heraldtime._shortest) holds ~400 bytes a row at its peak, its
 # uint64 lanes and 52 bytes of text slots per value: 0.39 MiB at 1024 rows
 # and 0.77 MiB at 2048, which format ~10 % faster but pass 1 MiB with the
@@ -555,12 +556,29 @@ def _cell(value) -> str:
 
 
 def write_table(path, header: list[str], rows) -> None:
-    """Write a plot-ready CSV table with shortest round-trip float formatting."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
+    """Write a plot-ready CSV table with shortest round-trip float formatting.
+
+    ``rows`` is a list of rows, whose cells may be strings and integers, or
+    a 2-D float64 array.  An array's finite values go through
+    :func:`heraldtime._shortest.format_rows`, about ``2 * _WRITE_BLOCK_ROWS``
+    values a call; an array that holds NaN or inf takes the list's path,
+    which refuses NaN before the file is opened and writes inf as ``inf``.
+    """
+    block = (isinstance(rows, np.ndarray) and rows.ndim == 2
+             and rows.dtype == np.float64 and rows.shape[1] > 0
+             and bool(np.isfinite(rows).all()))
+    text = ",".join(header) + "\n"
+    if not block:
+        text += "".join(",".join(_cell(v) for v in row) + "\n" for row in rows)
     try:
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with Path(path).open("wb") as fh:
+            fh.write(text.encode("utf-8"))
+            if block:
+                from ._shortest import format_rows
+
+                step = max(1, 2 * _WRITE_BLOCK_ROWS // rows.shape[1])
+                for start in range(0, len(rows), step):
+                    fh.write(format_rows(rows[start:start + step]))
     except OSError as exc:
         raise ReportError(f"cannot write table {path}: {exc}") from exc
 

@@ -115,6 +115,11 @@ def _grid(values, name: str) -> np.ndarray:
     _require(grid.dtype.kind in "iuf" and grid.ndim == 1 and grid.size >= least,
              f"{subject} must {rule}, got {name} = a {grid.shape} array of "
              f"{grid.dtype}")
+    # np.asarray reads a bool among numbers as the number 0 or 1
+    for i, v in enumerate(values if isinstance(values, (list, tuple)) else []):
+        if isinstance(v, (bool, np.bool_)):
+            raise ValueError(f"{subject} must {rule}, got {name}[{i}] = "
+                             f"{_show(v)}")
     grid = grid.astype(float, copy=False)
     bad = np.flatnonzero(~(np.isfinite(grid) & (grid > 0))) if positive else []
     if len(bad):

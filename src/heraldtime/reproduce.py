@@ -78,10 +78,11 @@ class TargetCheck:
 
 @dataclass
 class Bundle:
-    """Tables (name -> header, rows) and checks produced by one recipe."""
+    """Tables (name -> header, rows) and checks produced by one recipe; the
+    rows are a list of rows or a 2-D float array."""
 
     name: str
-    tables: dict[str, tuple[list[str], list[list[float]]]]
+    tables: dict[str, tuple[list[str], list | np.ndarray]]
     checks: list[TargetCheck]
 
     @property
@@ -144,11 +145,11 @@ def centroid_table(curve: herald.CentroidCurve) -> tuple[list[str], list]:
                         [curve.centers, curve.means, curve.std_errors])
 
 
-def landscape_table(tau_p, sigma, grid) -> tuple[list[str], list]:
+def landscape_table(tau_p, sigma, grid) -> tuple[list[str], np.ndarray]:
     """A width landscape as one row per sigma, one column per tau_p (named
     by its repr)."""
     header = ["sigma_per_s"] + [repr(float(tp)) for tp in tau_p]
-    return header, [[s] + list(row) for s, row in zip(sigma, grid)]
+    return header, np.column_stack([sigma, grid])
 
 
 # --------------------------------------------------------------------------
@@ -256,7 +257,7 @@ def _recipe_fig4(targets, seed) -> Bundle:
     t1hdt = analytic.landscape(tau_p, [sigma], link, "tau1h_dt_0")[0]
     tables = {"fig4_widths": (
         ["tau_p_s", "tau1_s", "tau1h_0_s", "tau1h_dt_0_s"],
-        [[tp, a, b, c] for tp, a, b, c in zip(tau_p, t1, t1h, t1hdt)])}
+        np.column_stack([tau_p, t1, t1h, t1hdt]))}
     tables["fig4_markers"] = (
         ["tau_p_s", "tau1_s"],
         [[s["tau_p_s"], s["tau1_s"]] for s in targets["table1"]])

@@ -4,7 +4,8 @@ Nothing in here reuses the closed-form widths or correlation from the
 package; each oracle goes back to a defining integral or to first-principles
 phase-space sampling so the tests genuinely cross-check the implementation.
 The mpmath oracles (``*_mp``) restate a closed form at 50 digits instead, to
-check its rounding.
+check its rounding; ``closed_forms_mp`` states it in another algebraic form,
+so it checks the algebra too.
 """
 
 from __future__ import annotations
@@ -154,7 +155,9 @@ def closed_forms_mp(sigma: float, tau_p: float, beta_l: float, dps: int = 50):
     """The source-to-observable closed forms of ``heraldtime.analytic`` as
     ``dps``-digit mpf values: tau1, tau1h_0, tau1h_dt_0, rho_t and the
     narrowing limit sqrt(1 - rho_t^2), from the exact values of the float
-    inputs.  The formulas are the module's own, so this checks rounding only.
+    inputs.  The formulas are the expanded polynomials in sigma, tau_p and
+    beta L, not the module's two variances, so this checks the algebra as
+    well as the rounding.
     """
     import mpmath
 
@@ -459,7 +462,8 @@ def sample_concatenated(cov, det, n, seed):
 
 
 # --------------------------------------------------------------------------
-# Reference event-file codec: a row-by-row writer and a line-by-line reader
+# Reference event-file codec: a row-by-row writer and a line-by-line reader,
+# and the cell-by-cell table writer
 # --------------------------------------------------------------------------
 # The writer is release 0.1.0's loop, with one departure the package shares:
 # a ``units`` key in ``meta`` is not written.  The reader states the grammar
@@ -488,6 +492,35 @@ def write_events_loop(events, path, unit="s"):
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     except OSError as exc:
         raise ReportError(f"cannot write event file {path}: {exc}") from exc
+
+
+def _cell(value) -> str:
+    from heraldtime.dataio import ReportError
+
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    value = float(value)
+    if math.isnan(value):
+        raise ReportError("table contains NaN")
+    return repr(value)
+
+
+def write_table_loop(path, header, rows):
+    """Format a CSV table one cell at a time: release 0.1.0's table writer,
+    which the package's writes byte for byte."""
+    from pathlib import Path
+
+    from heraldtime.dataio import ReportError
+
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_cell(v) for v in row))
+    try:
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise ReportError(f"cannot write table {path}: {exc}") from exc
 
 
 def _number(field):

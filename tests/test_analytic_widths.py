@@ -7,6 +7,12 @@ import pytest
 from heraldtime.analytic import (
     NoDispersionError,
     WidthDivergesError,
+    _LANDSCAPE_KERNELS,
+    _a,
+    _b,
+    _rho_t,
+    _tau1,
+    _tau1h_0,
     landscape,
     optimum,
     rho_t_of,
@@ -135,11 +141,11 @@ class TestRhoT:
 
     def test_closes_loop_with_width_ratio(self):
         sigma, tau_p, beta, length = random_draws(10000, seed=3)
-        from heraldtime.analytic import _rho_t, _tau1_sq, _tau1h_0_sq
         bl = beta * length
-        rho = _rho_t(sigma, tau_p, bl)
-        ratio_sq = _tau1h_0_sq(sigma, tau_p, bl) / _tau1_sq(sigma, tau_p, bl)
-        np.testing.assert_allclose(rho ** 2 + ratio_sq, 1.0, atol=1e-10)
+        a, b = _a(sigma, bl), _b(tau_p, bl)
+        ratio_sq = (_tau1h_0(a, b) / _tau1(a, b)) ** 2
+        np.testing.assert_allclose(_rho_t(a, b) ** 2 + ratio_sq, 1.0,
+                                   atol=1e-10)
 
     def test_matches_wigner_monte_carlo(self):
         rng = np.random.default_rng(42)
@@ -152,6 +158,20 @@ class TestRhoT:
             z = (math.atanh(r_hat) - math.atanh(r)) * math.sqrt(n - 3)
             assert abs(z) < 3.0
 
+    def test_wigner_variances_of_the_difference_and_the_sum(self):
+        # Var(t1 - t2)/2 = a holds no pump term and Var(t1 + t2)/2 = b no
+        # crystal term; each sample variance lies within 5 of its SEs,
+        # var * sqrt(2 / (n - 1)) for a Gaussian
+        rng = np.random.default_rng(43)
+        n = 200000
+        for s, tp, beta, ln in zip(*random_draws(10, seed=13)):
+            pairs = wigner_pairs(s, tp, beta, ln, n, rng)
+            for got, want in ((np.var(pairs[:, 0] - pairs[:, 1]) / 2,
+                               _a(s, beta * ln)),
+                              (np.var(pairs[:, 0] + pairs[:, 1]) / 2,
+                               _b(tp, beta * ln))):
+                assert abs(got - want) < 5 * want * math.sqrt(2 / (n - 1))
+
     def test_wigner_and_closed_form_match_fourier_bruteforce(self):
         # validates both the closed forms and the phase-space oracle against
         # a direct numerical Fourier transform of the dispersed amplitude
@@ -163,6 +183,9 @@ class TestRhoT:
             assert math.sqrt(var1) == pytest.approx(tau1(src, link), rel=1e-9)
             assert cov12 / var1 == pytest.approx(rho_t_of(src, link),
                                                  abs=1e-9)
+            # the two variances: Var(t1 -/+ t2)/2 = var1 -/+ cov12
+            assert var1 - cov12 == pytest.approx(_a(s, b * ln), rel=1e-9)
+            assert var1 + cov12 == pytest.approx(_b(tp, b * ln), rel=1e-9)
             rng = np.random.default_rng(5)
             pairs = wigner_pairs(s, tp, b, ln, 400000, rng)
             assert np.var(pairs[:, 0]) == pytest.approx(var1, rel=0.02)
@@ -170,12 +193,11 @@ class TestRhoT:
 
 class TestOrderings:
     def test_heralded_never_exceeds_unconditional(self):
-        from heraldtime.analytic import _tau1_sq, _tau1h_0_sq, _tau1h_dt_0
         sigma, tau_p, beta, length = random_draws(10000, seed=7)
         bl = beta * length
-        t1 = np.sqrt(_tau1_sq(sigma, tau_p, bl))
-        t1h = np.sqrt(_tau1h_0_sq(sigma, tau_p, bl))
-        t1hdt = _tau1h_dt_0(sigma, bl)
+        a, b = _a(sigma, bl), _b(tau_p, bl)
+        t1, t1h = _tau1(a, b), _tau1h_0(a, b)
+        t1hdt = _LANDSCAPE_KERNELS["tau1h_dt_0"](sigma, tau_p, bl)
         assert np.all(t1h <= t1 * (1 + 1e-12))
         assert np.all(t1h <= t1hdt * (1 + 1e-12))
 
@@ -322,9 +344,9 @@ class TestLandscape:
 
     @pytest.mark.parametrize("which", ["tau1", "tau1h_0"])
     def test_refuses_cells_out_of_float_range_naming_the_first(self, which):
-        # tau_p = 1e-200 s divided by zero and wrote inf cells, 1e80 s
-        # overflowed to inf and NaN; the first row's cell is named
-        for tau_p in (1e-200, 1e80):
+        # tau_p = 1e-200 s divided by zero and wrote inf cells; at 1e140 s
+        # (beta*L/tau_p)^2 underflows; the first row's cell is named
+        for tau_p in (1e-200, 1e140):
             bl = REFERENCE_LINK.beta * REFERENCE_LINK.length
             with pytest.raises(ValueError, match="^" + re.escape(
                     f"sigma=1000000000000.0 1/s, tau_p={tau_p!r} s and "

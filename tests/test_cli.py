@@ -379,7 +379,7 @@ def _pump(tau_p: str) -> str:
 @pytest.mark.parametrize("command, settings, named", [
     ("simulate", _pump("1e-200 s"), "sigma=3290000000000.0 1/s, tau_p=1e-200"),
     ("herald", _pump("1e-200 s"), "sigma=3290000000000.0 1/s, tau_p=1e-200"),
-    ("simulate", _pump("1e80 s"), "sigma=3290000000000.0 1/s, tau_p=1e+80"),
+    ("simulate", _pump("1e140 s"), "sigma=3290000000000.0 1/s, tau_p=1e+140"),
     ("landscape", "landscape.tau_p_min = 1e-200 s\n"
                   "landscape.tau_p_max = 1 ns\nlandscape.tau_p_points = 4\n"
                   "landscape.sigma_min = 1 THz\nlandscape.sigma_max = 5 THz\n"
@@ -390,7 +390,8 @@ def test_pumps_outside_the_float_range_name_the_settings(tmp_path, capsys,
                                                          command, settings,
                                                          named):
     # at 1e-200 s simulate and herald died in a ZeroDivisionError, and
-    # landscape wrote inf cells and exited 0
+    # landscape wrote inf cells and exited 0; at 1e140 s (beta*L/tau_p)^2
+    # underflows
     cfg = tmp_path / "run.cfg"
     cfg.write_text("link.beta = -1.15e-26 s^2/m\nlink.length = 10 km\n"
                    "sample.n = 4000\n" + settings)
@@ -969,10 +970,11 @@ def test_closed_form_herald_never_imports_numpy_random(config_path, tmp_path):
         res.stdout + res.stderr
 
 
-def test_only_event_writes_import_the_row_formatter(config_path, tmp_path):
+def test_only_event_and_landscape_writes_import_the_row_formatter(config_path,
+                                                                 tmp_path):
     # the shortest round-trip kernel and its tables load with the first
-    # event write: importing the CLI, and every command that writes no
-    # events, leaves it out
+    # event write or float-block table, the landscape's: importing the CLI,
+    # and the commands that write neither, leave it out
     import subprocess
     import sys
     out = str(tmp_path)
@@ -1010,7 +1012,7 @@ def test_only_event_writes_import_the_row_formatter(config_path, tmp_path):
               if line.startswith("loaded: ")]
     assert loaded == ["loaded: import False", "loaded: fit 0 False",
                       "loaded: herald 0 False", "loaded: optimize 0 False",
-                      "loaded: landscape 0 False"], res.stdout + res.stderr
+                      "loaded: landscape 0 True"], res.stdout + res.stderr
 
 
 def test_fit_and_herald_never_import_numpy_ma(config_path, tmp_path):

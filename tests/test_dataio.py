@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from heraldtime.params import SourceParams
 from heraldtime.sampler import DetectorModel, EventSet, sample
 
 from conftest import REFERENCE_SETS
-from oracles import read_events_loop, write_events_loop
+from oracles import read_events_loop, write_events_loop, write_table_loop
 
 DATA = Path(__file__).parent / "data"
 
@@ -795,6 +796,76 @@ class TestReports:
         with pytest.raises(ReportError, match="non-finite"):
             write_events(EventSet(np.zeros((1, 2)), {"x": float("nan")}),
                          tmp_path / "ev.csv")
+
+
+# Table cells from the row formatter's bit patterns: any finite float64 bit
+# pattern, and the layout edges with their neighbours: zero, the smallest
+# subnormal and normal, repr's 1e-4/1e-5 and 1e16 switch points and the
+# largest float; each with either sign, -0.0 included.
+_EDGES = [float(x) for v in (0.0, 5e-324, 2.2250738585072014e-308, 1e-5,
+                             1e-4, 1e16, 1.7976931348623157e308)
+          for x in (v, math.nextafter(v, 0.0), math.nextafter(v, math.inf))
+          if math.isfinite(x)]
+_BITS = st.integers(0, 2 ** 64 - 1).map(
+    lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]).filter(math.isfinite)
+_CELLS = st.builds(math.copysign, st.one_of(st.sampled_from(_EDGES), _BITS),
+                   st.sampled_from([1.0, -1.0]))
+
+
+class TestTables:
+    """Float blocks go through the row formatter, and lists cell by cell;
+    both write the bytes of the reference writer, one cell at a time."""
+
+    @staticmethod
+    def written(tmp_path, header, rows):
+        """What write_table and write_table_loop write, or raise."""
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        outcomes = []
+        for writer, path, table in ((write_table, got, rows),
+                                    (write_table_loop, want, rows.tolist())):
+            try:
+                writer(path, header, table)
+                outcomes.append(path.read_bytes())
+            except ReportError as exc:
+                outcomes.append((str(exc), path.exists()))
+            path.unlink(missing_ok=True)
+        return outcomes
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(columns=st.sampled_from([1, 2, 3, 201]), data=st.data())
+    def test_float_blocks_write_the_reference_bytes(self, tmp_path, columns,
+                                                    data):
+        rows = data.draw(st.integers(0, 2 if columns == 201 else 12))
+        cells = data.draw(st.lists(_CELLS, min_size=rows * columns,
+                                   max_size=rows * columns))
+        block = np.array(cells, dtype=np.float64).reshape(rows, columns)
+        header = [f"c{j}" for j in range(columns)]
+        got, want = self.written(tmp_path, header, block)
+        assert got == want
+
+    @pytest.mark.parametrize("rows, columns", [(5000, 1), (2100, 3),
+                                               (25, 201)])
+    def test_blocks_across_formatter_calls(self, tmp_path, rows, columns):
+        # each call formats about 2 * _WRITE_BLOCK_ROWS values
+        bits = np.random.default_rng(columns).bytes(8 * rows * columns)
+        block = np.frombuffer(bits, np.float64).reshape(rows, columns)
+        block = np.where(np.isfinite(block), block, -0.0)
+        got, want = self.written(tmp_path, ["x"] * columns, block)
+        assert got == want
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_blocks_as_the_reference(self, tmp_path, bad):
+        # NaN is refused with the same message before a file is made; inf is
+        # written as "inf"
+        block = np.array([[1.5, 2.0, -0.0], [3e-300, 4e16, 5.0]])
+        block[1, 1] = bad
+        got, want = self.written(tmp_path, ["a", "b", "c"], block)
+        assert got == want
+        if math.isnan(bad):
+            assert got == ("table contains NaN", False)
+        else:
+            assert repr(bad).encode() in got
 
 
 CONFIG_OK = """\

@@ -238,6 +238,15 @@ class TestNumberRules:
         for bad in (math.nan, -math.inf, *([] if inf_ok else [math.inf])):
             with pytest.raises(ValueError, match=f"^{value_name} must .*, got"):
                 make(floats[:-1] + [bad])
+        # np.asarray would read a bool among numbers as 0 or 1: a 1 s window
+        # or pump
+        for bad, index, shown in (
+                (floats + [True], len(valid), "True"),
+                (tuple(valid) + (np.True_,), len(valid), r"np\.bool\(True\)"),
+                ([False] + floats, 0, "False")):
+            with pytest.raises(ValueError, match=f"^{re.escape(name)} must "
+                               rf".*, got \w+\[{index}\] = {shown}$"):
+                make(bad)
 
     @pytest.mark.parametrize("value, shown", [
         (True, "True"), (3, "3"), (0.1, "0.1"), (math.nan, "nan"),

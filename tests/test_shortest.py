@@ -1,4 +1,4 @@
-"""The event-row formatter against ``repr``, byte for byte.
+"""The row formatter against ``repr``, byte for byte.
 
 ``heraldtime._shortest.format_rows`` computes each value's shortest
 round-trip digits with Ryu's arithmetic on uint64 lanes and lays them out
@@ -105,6 +105,33 @@ def test_rows_of_a_block():
     assert format_rows(np.empty((0, 2))) == b""
     block = np.arange(6, dtype=np.float64).reshape(3, 2) - 2.5
     assert format_rows(block) == b"-2.5,-1.5\n-0.5,0.5\n1.5,2.5\n"
+    assert format_rows(block.reshape(6, 1)) == \
+        b"-2.5\n-1.5\n-0.5\n0.5\n1.5\n2.5\n"
+    assert format_rows(block.reshape(2, 3)) == b"-2.5,-1.5,-0.5\n0.5,1.5,2.5\n"
+    assert format_rows(np.empty((0, 3))) == b""
+
+
+def _repr_table(block):
+    return "".join(",".join(map(repr, row)) + "\n"
+                   for row in block.tolist()).encode("ascii")
+
+
+@pytest.mark.parametrize("columns", [1, 3, 7, 201])
+def test_random_bit_patterns_in_rows_of_k_columns(columns):
+    # every value's separator is ",", but the row's last one's "\n"
+    rng = np.random.default_rng(columns)
+    values = np.frombuffer(rng.bytes(8 * columns * 300), np.float64)
+    block = np.where(np.isfinite(values), values, -0.0).reshape(-1, columns)
+    assert format_rows(block) == _repr_table(block)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda k: st.lists(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False),
+             min_size=k, max_size=k), min_size=1, max_size=6)))
+def test_drawn_rows_of_k_columns(rows):
+    block = np.array(rows, dtype=np.float64)
+    assert format_rows(block) == _repr_table(block)
 
 
 @settings(max_examples=300, deadline=None)
