@@ -82,24 +82,6 @@ def _load(args) -> RunConfig:
     return load_config(args.config, args.set or ())
 
 
-def _write_summary(out: Path, stem: str, report: dict, fmt: str) -> Path:
-    """Write a key/value report as JSON, or as a CSV table of dotted keys."""
-    path = out / f"{stem}.{fmt}"
-    if fmt == "csv":
-        write_table(path, ["key", "value"],
-                    [[k, json.dumps(v)] for k, v in sorted(_flat(report))])
-    else:
-        write_report(report, path)
-    return path
-
-
-def _flat(report: dict, prefix: str = "") -> list:
-    """A report's values as (key, value) pairs, nested keys dotted."""
-    return [pair for key, value in report.items() for pair in (
-        _flat(value, f"{prefix}{key}.") if isinstance(value, dict)
-        else [(prefix + key, value)])]
-
-
 # --------------------------------------------------------------------------
 # Subcommands
 # --------------------------------------------------------------------------
@@ -121,7 +103,6 @@ def _cmd_fit(args) -> int:
     cfg = _load(args)
     events = read_events(args.events)
     result = run_fit(events, cfg.fit_config())
-    out = _out_dir(args)
     report = result.summary()
     meta = events.metadata
     source_meta = meta.get("source") if isinstance(meta.get("source"), dict) else {}
@@ -130,7 +111,8 @@ def _cmd_fit(args) -> int:
     for key in ("source", "link", "seed"):
         if key in meta:
             report[f"input_{key}"] = meta[key]
-    path = _write_summary(out, "fit_report", report, args.format)
+    path = _out_dir(args) / f"fit_report.{args.format}"
+    write_report(report, path)
     c = result.cov
     print(f"rho_t = {c.rho_t:+.4f}   tau1 = {_engineering(c.tau1, 's')}   "
           f"tau2 = {_engineering(c.tau2, 's')}")
@@ -189,7 +171,6 @@ def _cmd_optimize(args) -> int:
     print(f"tau1_min  = {_engineering(report.tau1_min, 's')}")
     print(f"tau1h_min = {_engineering(report.tau1h_min, 's')}")
     print(f"tau1h_dt  = {_engineering(report.tau1h_dt_abs, 's')}")
-    out = _out_dir(args)
     payload = {
         "tau_p_opt_s": report.tau_p_opt,
         "sigma_opt_per_s": report.sigma_opt,
@@ -202,7 +183,8 @@ def _cmd_optimize(args) -> int:
         "link_length_m": link.length,
         "sigma_fixed_per_s": sigma_fixed,
     }
-    path = _write_summary(out, "optimum", payload, args.format)
+    path = _out_dir(args) / f"optimum.{args.format}"
+    write_report(payload, path)
     print(f"report: {path}")
     return EXIT_OK
 

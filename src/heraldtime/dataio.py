@@ -47,7 +47,10 @@ value by :mod:`heraldtime._shortest`: Ryu's algorithm (Adams, PLDI 2018) on
 NumPy uint64 lanes, which writes a million rows serially in ~0.85 s
 against ~1.4 s with ``repr``.  Times whose value in the file's unit is not
 finite are refused before the file is opened, so every file written reads
-back.
+back.  One JSON encoder, :func:`_json`, writes ``meta``, the reports and
+the list cells of tables: keys sorted, NumPy values as their Python values,
+and NaN, inf or anything else JSON cannot hold refused before the file is
+opened.
 
 Run configuration is a flat ``key = value`` text file with explicit unit
 suffixes on dimensioned quantities::
@@ -158,7 +161,7 @@ class ConfigError(HeraldtimeError):
 
 
 class ReportError(HeraldtimeError):
-    """A result report could not be serialized (I/O failure or NaN)."""
+    """An output could not be written: an I/O failure, or a value like NaN."""
 
 
 # --------------------------------------------------------------------------
@@ -217,12 +220,12 @@ def write_events(events: EventSet, path, unit: str = "s") -> None:
     """Write an event set as CSV with a header block; deterministic output.
 
     The ``units`` line states the unit, so a ``units`` metadata key is not
-    repeated in the ``meta`` JSON.  A compressed name, which
-    :func:`read_events` refuses, raises :class:`ReportError`, and so do
-    times whose value in ``unit`` is not finite (``1e300`` s in fs), before
-    the file is opened.  Beside a regular file, :func:`_write_copy` then
-    writes the binary copy of its rows that :func:`read_events` reads
-    instead of parsing the file.
+    repeated in the ``meta`` JSON, which :func:`_json` writes.  Metadata it
+    refuses, a compressed name, which :func:`read_events` refuses, and times
+    whose value in ``unit`` is not finite (``1e300`` s in fs) raise
+    :class:`ReportError` before the file is opened.  Beside a regular file,
+    :func:`_write_copy` then writes the binary copy of its rows that
+    :func:`read_events` reads instead of parsing the file.
     """
     scale = _time_scale(unit)
     path = Path(path)
@@ -239,12 +242,7 @@ def write_events(events: EventSet, path, unit: str = "s") -> None:
     header = [EVENT_MAGIC, f"# units = {unit}", f"# count = {events.count}"]
     meta = {k: v for k, v in events.metadata.items() if k != "units"}
     if meta:
-        try:
-            header.append("# meta = " + json.dumps(meta, sort_keys=True,
-                                                  allow_nan=False, default=str))
-        except ValueError as exc:
-            raise ReportError(
-                f"event metadata contains non-finite values: {exc}") from exc
+        header.append("# meta = " + _json(meta, f"event metadata of {path}"))
     try:
         with path.open("wb") as fh:
             fh.write(("\n".join(header) + "\n").encode("utf-8"))
@@ -262,15 +260,22 @@ def _time_scale(unit: str) -> float:
     return TIME_UNITS[unit]
 
 
+def _blocks(rows: np.ndarray, scale: float = 1.0):
+    """``rows / scale`` as new arrays of about ``2 * _WRITE_BLOCK_ROWS``
+    values, the blocks of every row write; dividing by 1.0 keeps the bits."""
+    step = max(1, 2 * _WRITE_BLOCK_ROWS // rows.shape[1])
+    for start in range(0, len(rows), step):
+        yield rows[start:start + step] / scale
+
+
 def _write_rows(fh, data: np.ndarray, scale: float) -> None:
     """Write the rows of ``data / scale`` to the binary ``fh``, one
-    ``_WRITE_BLOCK_ROWS`` block at a time, each value as ``repr`` writes
-    it (:func:`heraldtime._shortest.format_rows`)."""
+    :func:`_blocks` block at a time, each value as ``repr`` writes it
+    (:func:`heraldtime._shortest.format_rows`)."""
     from ._shortest import format_rows
 
-    for start in range(0, len(data), _WRITE_BLOCK_ROWS):
-        # Same IEEE division as one row at a time.
-        fh.write(format_rows(data[start:start + _WRITE_BLOCK_ROWS] / scale))
+    for block in _blocks(data, scale):
+        fh.write(format_rows(block))
 
 
 def read_events(path) -> EventSet:
@@ -335,8 +340,8 @@ def _write_copy(path: Path, data: np.ndarray, scale: float) -> None:
 
     The copy is the file's byte length and crc32 and the crc32 of the rows
     (``_COPY_PREFIX``), then the ``.npy`` v1.0 array of the rows in file
-    units: ``data / scale``, divided one ``_WRITE_BLOCK_ROWS`` block at a
-    time as :func:`_write_rows` divides them.  The prefix is written last,
+    units: ``data / scale``, divided one :func:`_blocks` block at a time as
+    :func:`_write_rows` divides them.  The prefix is written last,
     once the rows are summed and the file re-read.  As with a bytecode
     cache, a copy that cannot be written is left out, not an error.
     """
@@ -351,11 +356,9 @@ def _write_copy(path: Path, data: np.ndarray, scale: float) -> None:
                 fh, {"descr": "<f8", "fortran_order": False,
                      "shape": (len(data), 2)})
             crc = 0
-            for start in range(0, len(data), _WRITE_BLOCK_ROWS):
-                rows = np.ascontiguousarray(
-                    data[start:start + _WRITE_BLOCK_ROWS] / scale)
-                crc = zlib.crc32(rows, crc)
-                fh.write(rows)
+            for block in _blocks(data, scale):
+                crc = zlib.crc32(block, crc)
+                fh.write(block)
             fh.seek(0)
             fh.write(struct.pack(_COPY_PREFIX, *_checksum(path), crc))
     except OSError:
@@ -523,62 +526,76 @@ class _EventReader:
 # Reports
 # --------------------------------------------------------------------------
 
-def write_report(payload, path) -> None:
-    """Serialize a result mapping as deterministic JSON; NaN is rejected."""
+def _json(value, what: str, indent: int | None = None) -> str:
+    """The JSON text of ``value``, keys sorted and NumPy values as Python's:
+    the one encoder of reports, event ``meta`` and table list cells.  NaN,
+    inf and what else JSON cannot hold raise :class:`ReportError`."""
     try:
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False,
-                          default=_json_default)
-    except ValueError as exc:
-        raise ReportError(f"report contains non-finite values: {exc}") from exc
-    try:
-        Path(path).write_text(text + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise ReportError(f"cannot write report {path}: {exc}") from exc
+        return json.dumps(value, sort_keys=True, indent=indent,
+                          allow_nan=False, default=_json_default)
+    except (TypeError, ValueError) as exc:  # ValueError: NaN and inf
+        raise ReportError(
+            f"{what} holds a non-finite or non-JSON value: {exc}") from exc
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
-
-
-def _cell(value) -> str:
-    if isinstance(value, str):
+    """A NumPy scalar or array as ``tolist`` gives it, unless still NumPy's."""
+    if isinstance(obj, (np.generic, np.ndarray)) and not isinstance(
+            value := obj.tolist(), np.generic):  # a long double stays one
         return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    value = float(value)
-    if math.isnan(value):
-        raise ReportError("table contains NaN")
-    return repr(value)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _leaves(value, key: str = "") -> list:
+    """The ``(dotted key, value)`` leaves of decoded JSON in its order, a
+    list's items by index (``key.0``); an empty mapping or list is a leaf."""
+    if not (value and isinstance(value, (dict, list))):
+        return [(key, value)]
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    return [leaf for name, item in items
+            for leaf in _leaves(item, f"{key}.{name}" if key else str(name))]
+
+
+def write_report(payload, path) -> None:
+    """Write a result mapping as the JSON of :func:`_json`, or, to a path
+    ending in ``.csv``, as ``key,value`` rows of its dotted leaves in that
+    JSON's order, each value its JSON; what JSON cannot hold, NaN and inf
+    among it, raises :class:`ReportError` before the file is opened."""
+    text = _json(payload, f"report {path}", indent=2) + "\n"
+    if str(path).endswith(".csv"):
+        text = "key,value\n" + "".join(
+            f"{key},{_json(value, 'report')}\n"
+            for key, value in _leaves(json.loads(text)))
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ReportError(f"cannot write report {path}: {exc}") from exc
 
 
 def write_table(path, header: list[str], rows) -> None:
     """Write a plot-ready CSV table with shortest round-trip float formatting.
 
-    ``rows`` is a list of rows, whose cells may be strings and integers, or
-    a 2-D float64 array.  An array's finite values go through
-    :func:`heraldtime._shortest.format_rows`, about ``2 * _WRITE_BLOCK_ROWS``
-    values a call; an array that holds NaN or inf takes the list's path,
-    which refuses NaN before the file is opened and writes inf as ``inf``.
+    ``rows`` is a 2-D float64 array, whose :func:`_blocks` go through
+    :func:`heraldtime._shortest.format_rows`, or a list of number rows,
+    whose cells :func:`_json` writes.  NaN and inf in either raise
+    :class:`ReportError` before the file is opened.
     """
     block = (isinstance(rows, np.ndarray) and rows.ndim == 2
-             and rows.dtype == np.float64 and rows.shape[1] > 0
-             and bool(np.isfinite(rows).all()))
-    text = ",".join(header) + "\n"
+             and rows.dtype == np.float64 and rows.shape[1] > 0)
+    if block and not np.isfinite(rows).all():
+        raise ReportError(f"table {path} holds non-finite values")
+    text, what = ",".join(header) + "\n", f"table {path}"
     if not block:
-        text += "".join(",".join(_cell(v) for v in row) + "\n" for row in rows)
+        text += "".join(",".join(_json(v, what) for v in row) + "\n"
+                        for row in rows)
     try:
         with Path(path).open("wb") as fh:
             fh.write(text.encode("utf-8"))
             if block:
                 from ._shortest import format_rows
 
-                step = max(1, 2 * _WRITE_BLOCK_ROWS // rows.shape[1])
-                for start in range(0, len(rows), step):
-                    fh.write(format_rows(rows[start:start + step]))
+                for part in _blocks(rows):
+                    fh.write(format_rows(part))
     except OSError as exc:
         raise ReportError(f"cannot write table {path}: {exc}") from exc
 

@@ -465,26 +465,56 @@ def test_fit_missing_file_exit_code(tmp_path):
                  "--out", str(tmp_path)]) == 4
 
 
+@pytest.mark.parametrize("seed", [None, [1, 2]], ids=["int", "list"])
 def test_fit_csv_report_holds_the_nested_values_under_dotted_keys(
-        tmp_path, config_path):
+        tmp_path, config_path, seed):
     # the CSV report holds every value of the JSON one: a nested mapping's
-    # under dotted keys, such as std_errors.rho_t and input_link.beta
+    # under dotted keys, such as std_errors.rho_t and input_link.beta, and
+    # a list's items under their indices, such as input_seed.0, each row
+    # two fields
     out = tmp_path / "out"
     main(["simulate", "--config", str(config_path), "--out", str(out)])
+    if seed is not None:
+        events = read_events(out / "events.csv")
+        events.metadata["seed"] = seed
+        write_events(events, out / "events.csv")
     for fmt in ("json", "csv"):
         assert main(["fit", str(out / "events.csv"), "--out", str(out),
                      "--format", fmt]) == 0
     report = json.loads((out / "fit_report.json").read_text())
-    flat = {f"{key}.{name}": value for key, nested in report.items()
-            if isinstance(nested, dict) for name, value in nested.items()}
-    flat.update((key, value) for key, value in report.items()
-                if not isinstance(value, dict))
+    flat = {}
+    for key, value in report.items():
+        items = (value.items() if isinstance(value, dict) else
+                 enumerate(value) if isinstance(value, list) else None)
+        flat.update({f"{key}.{name}": item for name, item in items}
+                    if items is not None else {key: value})
     lines = (out / "fit_report.csv").read_text().splitlines()
     assert lines[0] == "key,value"
     assert lines[1:] == [f"{key},{json.dumps(flat[key])}"
                          for key in sorted(flat)]
+    assert all(len(line.split(",")) == 2 for line in lines)
     for key in ("std_errors.rho_t", "input_source.sigma", "input_link.beta"):
         assert key in flat
+    if seed is not None:
+        assert {"input_seed.0,1", "input_seed.1,2"} <= set(lines)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_fit_report_of_nan_metadata_is_an_io_error(tmp_path, config_path,
+                                                   capsys, fmt):
+    # the reader takes a NaN in meta, the report refuses it: exit 4 and no
+    # report in either format, where the CSV one once wrote
+    # "input_delta_lambda,NaN"
+    out = tmp_path / "out"
+    main(["simulate", "--config", str(config_path), "--out", str(out)])
+    path = out / "events.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[3] = '# meta = {"delta_lambda": NaN}\n'
+    path.write_text("".join(lines))
+    assert main(["fit", str(path), "--out", str(out), "--format", fmt]) == 4
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "io" and "non-finite" in err["message"]
+    assert not (out / f"fit_report.{fmt}").exists()
 
 
 def test_fit_csv_format(tmp_path, config_path):

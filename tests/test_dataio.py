@@ -555,9 +555,9 @@ class TestGoldenEventFiles:
 
 @pytest.fixture(params=[2, 3], ids=["2rows", "3rows"])
 def small_blocks(request, monkeypatch):
-    """Every write cut into blocks of two or three rows, for the event file
-    and its binary copy, and the scan that names a refused row read two or
-    three lines at a time."""
+    """Every write cut into blocks of two or three rows, for the event file,
+    its binary copy and a table's float block (four or six values), and the
+    scan that names a refused row read two or three lines at a time."""
     monkeypatch.setattr(dataio, "_WRITE_BLOCK_ROWS", request.param)
     monkeypatch.setattr(dataio, "_SCAN_ROWS", request.param)
 
@@ -792,6 +792,45 @@ class TestReports:
         with pytest.raises(ReportError):
             write_table(tmp_path / "t.csv", ["a"], [[math.nan]])
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    @pytest.mark.parametrize("block", [False, True], ids=["list", "block"])
+    def test_table_rejects_inf_before_a_file_is_made(self, tmp_path, bad,
+                                                      block):
+        # a table that holds inf is refused like NaN, as lists and as float
+        # blocks, with no file made
+        rows = [[1, 2.5], [3, bad]]
+        path = tmp_path / "t.csv"
+        with pytest.raises(ReportError, match="non-finite"):
+            write_table(path, ["a", "b"], np.array(rows) if block else rows)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", [
+        pytest.param({1, 2}, id="set"),
+        pytest.param(np.longdouble(1.5), id="longdouble",
+                     marks=pytest.mark.skipif(np.longdouble is np.float64,
+                                              reason="long double is double"))])
+    def test_a_value_json_cannot_hold_is_a_report_error(self, tmp_path,
+                                                        value):
+        # refused like NaN, not with json's TypeError or, for the long
+        # double that tolist gives back as itself, a RecursionError; and
+        # before the file is opened
+        path = tmp_path / "r.json"
+        with pytest.raises(ReportError, match=type(value).__name__):
+            write_report({"s": value}, path)
+        assert not path.exists()
+
+    def test_numpy_metadata_reads_back_as_json_values(self, tmp_path):
+        # NumPy metadata is written as its JSON value, not as its str: an
+        # int64 reads back as a number, not "5"
+        meta = {"n": np.int64(5), "x": np.float32(0.5), "on": np.bool_(True),
+                "seeds": np.arange(3)}
+        path = tmp_path / "ev.csv"
+        write_events(EventSet(np.zeros((1, 2)), meta), path)
+        assert read_events(path).metadata == {
+            "units": "s", "n": 5, "x": 0.5, "on": True, "seeds": [0, 1, 2]}
+        assert '# meta = {"n": 5, "on": true, "seeds": [0, 1, 2], "x": 0.5}' \
+            in path.read_text().splitlines()
+
     def test_event_metadata_nan_rejected(self, tmp_path):
         with pytest.raises(ReportError, match="non-finite"):
             write_events(EventSet(np.zeros((1, 2)), {"x": float("nan")}),
@@ -813,8 +852,9 @@ _CELLS = st.builds(math.copysign, st.one_of(st.sampled_from(_EDGES), _BITS),
 
 
 class TestTables:
-    """Float blocks go through the row formatter, and lists cell by cell;
-    both write the bytes of the reference writer, one cell at a time."""
+    """Float blocks go through the row formatter, and lists through the JSON
+    encoder; finite tables in both write the bytes of the reference writer,
+    one cell at a time."""
 
     @staticmethod
     def written(tmp_path, header, rows):
@@ -855,17 +895,23 @@ class TestTables:
         assert got == want
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_blocks_as_the_reference(self, tmp_path, bad):
-        # NaN is refused with the same message before a file is made; inf is
-        # written as "inf"
+    def test_non_finite_blocks_are_refused(self, tmp_path, bad):
+        # NaN and inf are refused before a file is made; the reference
+        # refuses NaN only and writes inf as "inf"
         block = np.array([[1.5, 2.0, -0.0], [3e-300, 4e16, 5.0]])
         block[1, 1] = bad
         got, want = self.written(tmp_path, ["a", "b", "c"], block)
-        assert got == want
+        path = tmp_path / "got.csv"
+        assert got == (f"table {path} holds non-finite values", False)
         if math.isnan(bad):
-            assert got == ("table contains NaN", False)
+            assert want == ("table contains NaN", False)
         else:
-            assert repr(bad).encode() in got
+            assert repr(bad).encode() in want
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestSmallBlockTables(TestTables):
+    """The table checks with every float block written across block edges."""
 
 
 CONFIG_OK = """\
