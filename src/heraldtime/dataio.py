@@ -47,10 +47,10 @@ value by :mod:`heraldtime._shortest`: Ryu's algorithm (Adams, PLDI 2018) on
 NumPy uint64 lanes, which writes a million rows serially in ~0.85 s
 against ~1.4 s with ``repr``.  Times whose value in the file's unit is not
 finite are refused before the file is opened, so every file written reads
-back.  One JSON encoder, :func:`_json`, writes ``meta``, the reports and
-the list cells of tables: keys sorted, NumPy values as their Python values,
-and NaN, inf or anything else JSON cannot hold refused before the file is
-opened.
+back.  Every table is a header and one float block, written by the same
+rows' writer.  One JSON encoder, :func:`_json`, writes ``meta`` and the
+reports: keys sorted, NumPy values as their Python values, and NaN, inf or
+anything else JSON cannot hold refused before the file is opened.
 
 Run configuration is a flat ``key = value`` text file with explicit unit
 suffixes on dimensioned quantities::
@@ -260,7 +260,7 @@ def _time_scale(unit: str) -> float:
     return TIME_UNITS[unit]
 
 
-def _blocks(rows: np.ndarray, scale: float = 1.0):
+def _blocks(rows: np.ndarray, scale: float):
     """``rows / scale`` as new arrays of about ``2 * _WRITE_BLOCK_ROWS``
     values, the blocks of every row write; dividing by 1.0 keeps the bits."""
     step = max(1, 2 * _WRITE_BLOCK_ROWS // rows.shape[1])
@@ -528,8 +528,8 @@ class _EventReader:
 
 def _json(value, what: str, indent: int | None = None) -> str:
     """The JSON text of ``value``, keys sorted and NumPy values as Python's:
-    the one encoder of reports, event ``meta`` and table list cells.  NaN,
-    inf and what else JSON cannot hold raise :class:`ReportError`."""
+    the one encoder of reports and event ``meta``.  NaN, inf and what else
+    JSON cannot hold raise :class:`ReportError`."""
     try:
         return json.dumps(value, sort_keys=True, indent=indent,
                           allow_nan=False, default=_json_default)
@@ -573,29 +573,18 @@ def write_report(payload, path) -> None:
 
 
 def write_table(path, header: list[str], rows) -> None:
-    """Write a plot-ready CSV table with shortest round-trip float formatting.
-
-    ``rows`` is a 2-D float64 array, whose :func:`_blocks` go through
-    :func:`heraldtime._shortest.format_rows`, or a list of number rows,
-    whose cells :func:`_json` writes.  NaN and inf in either raise
-    :class:`ReportError` before the file is opened.
+    """Write a plot-ready CSV table: the header, then ``rows`` read as one
+    2-D float64 array and written by :func:`_write_rows`, each value as
+    ``repr`` writes it.  NaN and inf raise :class:`ReportError` before the
+    file is opened.
     """
-    block = (isinstance(rows, np.ndarray) and rows.ndim == 2
-             and rows.dtype == np.float64 and rows.shape[1] > 0)
-    if block and not np.isfinite(rows).all():
+    rows = np.asarray(rows, dtype=np.float64)
+    if not np.isfinite(rows).all():
         raise ReportError(f"table {path} holds non-finite values")
-    text, what = ",".join(header) + "\n", f"table {path}"
-    if not block:
-        text += "".join(",".join(_json(v, what) for v in row) + "\n"
-                        for row in rows)
     try:
         with Path(path).open("wb") as fh:
-            fh.write(text.encode("utf-8"))
-            if block:
-                from ._shortest import format_rows
-
-                for part in _blocks(rows):
-                    fh.write(format_rows(part))
+            fh.write((",".join(header) + "\n").encode("utf-8"))
+            _write_rows(fh, rows, 1.0)
     except OSError as exc:
         raise ReportError(f"cannot write table {path}: {exc}") from exc
 

@@ -79,10 +79,11 @@ class TargetCheck:
 @dataclass
 class Bundle:
     """Tables (name -> header, rows) and checks produced by one recipe; the
-    rows are a list of rows or a 2-D float array."""
+    rows of every table are one 2-D float64 array, a column per header
+    name."""
 
     name: str
-    tables: dict[str, tuple[list[str], list | np.ndarray]]
+    tables: dict[str, tuple[list[str], np.ndarray]]
     checks: list[TargetCheck]
 
     @property
@@ -125,21 +126,24 @@ def _reference_link(targets) -> LinkParams:
 # Table layouts, shared with the command line
 # --------------------------------------------------------------------------
 
-def _curve_table(header: list[str], columns: list) -> tuple[list[str], list]:
+def _curve_table(header: list[str],
+                 columns: list) -> tuple[list[str], np.ndarray]:
     """Header and rows of a curve's columns; a None error column, as on the
     analytic path, is left out."""
     if columns[-1] is None:
         header, columns = header[:-1], columns[:-1]
-    return header, list(zip(*columns))
+    return header, np.column_stack(columns)
 
 
-def narrowing_table(curve: herald.NarrowingCurve) -> tuple[list[str], list]:
+def narrowing_table(
+        curve: herald.NarrowingCurve) -> tuple[list[str], np.ndarray]:
     """The narrowing-curve table: width, ratio and, if any, its error."""
     return _curve_table(["width_s", "ratio", "std_error"],
                         [curve.widths, curve.ratios, curve.std_errors])
 
 
-def centroid_table(curve: herald.CentroidCurve) -> tuple[list[str], list]:
+def centroid_table(
+        curve: herald.CentroidCurve) -> tuple[list[str], np.ndarray]:
     """The centroid-curve table: center, mean and, if any, its error."""
     return _curve_table(["center_s", "mean_s", "std_error_s"],
                         [curve.centers, curve.means, curve.std_errors])
@@ -184,7 +188,8 @@ def _recipe_table1(targets, seed) -> Bundle:
                      ratio, result.reduced_chisq])
     tables = {"table1_recovered": (
         ["set", "rho_t", "rho_t_err", "tau1_s", "tau1_err_s", "tau2_s",
-         "tau2_err_s", "narrowing_limit", "reduced_chisq"], rows)}
+         "tau2_err_s", "narrowing_limit", "reduced_chisq"],
+        np.array(rows, dtype=np.float64))}
     return Bundle("table1", tables, checks)
 
 
@@ -237,7 +242,7 @@ def _recipe_fig3b(targets, seed) -> Bundle:
         emp = herald.centroid_curve(events, width=1e-10, centers=emp_centers)
         tables[f"fig3b_set{i + 1}_analytic"] = (
             ["center_s", "mean_100ps_s", "mean_smallwindow_s"],
-            [[c, m, t] for c, m, t in zip(centers, finite.means, tiny.means)])
+            np.column_stack([centers, finite.means, tiny.means]))
         tables[f"fig3b_set{i + 1}_empirical"] = centroid_table(emp)
         slope = tiny.slope()
         target = slope_entry["value"]
@@ -260,7 +265,8 @@ def _recipe_fig4(targets, seed) -> Bundle:
         np.column_stack([tau_p, t1, t1h, t1hdt]))}
     tables["fig4_markers"] = (
         ["tau_p_s", "tau1_s"],
-        [[s["tau_p_s"], s["tau1_s"]] for s in targets["table1"]])
+        np.array([[s["tau_p_s"], s["tau1_s"]] for s in targets["table1"]],
+                 dtype=np.float64))
 
     opt = analytic.optimum(link, sigma_fixed=sigma)
     checks = [
@@ -314,7 +320,7 @@ def _recipe_fig5(targets, seed) -> Bundle:
             src = from_rho_form(SourceParamsRho(sigma0=float(s0), rho=rho))
             loci_rows.append([rho, s0, src.tau_p, src.sigma])
     tables["fig5_rho_loci"] = (["rho", "sigma0_per_s", "tau_p_s", "sigma_per_s"],
-                               loci_rows)
+                               np.array(loci_rows, dtype=np.float64))
     zero_locus = [row for row in loci_rows if row[0] == 0.0]
     worst = max(abs(row[2] * row[3] - 2.0) for row in zero_locus)
     checks.append(_check("rho0_locus_on_decorrelation_line", worst, 0.0, 1e-12,

@@ -209,11 +209,7 @@ def sample(cov: TemporalCovariance, det: DetectorModel, n: int,
         "seed": int(seed),
         "n": int(n),
         "cov": asdict(cov),
-        # written out: asdict would keep the window a tuple
-        "detector": {"jitter1": det.jitter1, "jitter2": det.jitter2,
-                     "reference_jitter": det.reference_jitter,
-                     "background_rate": det.background_rate,
-                     "window": list(det.window) if det.window else None},
+        "detector": asdict(det),
     }
     return EventSet._adopt(events, meta)
 

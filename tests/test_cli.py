@@ -1000,10 +1000,9 @@ def test_closed_form_herald_never_imports_numpy_random(config_path, tmp_path):
         res.stdout + res.stderr
 
 
-def test_only_event_and_landscape_writes_import_the_row_formatter(config_path,
-                                                                 tmp_path):
+def test_only_row_writes_import_the_row_formatter(config_path, tmp_path):
     # the shortest round-trip kernel and its tables load with the first
-    # event write or float-block table, the landscape's: importing the CLI,
+    # event write or table, herald's or the landscape's: importing the CLI,
     # and the commands that write neither, leave it out
     import subprocess
     import sys
@@ -1023,8 +1022,8 @@ def test_only_event_and_landscape_writes_import_the_row_formatter(config_path,
         base += ["--set", f"{key}={value}"]
     commands = [
         ["fit", events, "--out", f"{out}/fit"],
-        ["herald", events, *base, "--curve", "both", "--out", f"{out}/herald"],
         ["optimize", *base, "--out", f"{out}/optimize"],
+        ["herald", events, *base, "--curve", "both", "--out", f"{out}/herald"],
         ["landscape", *base, "--which", "tau1", "--out", f"{out}/landscape"],
     ]
     script = ("import sys\n"
@@ -1041,7 +1040,7 @@ def test_only_event_and_landscape_writes_import_the_row_formatter(config_path,
     loaded = [line for line in res.stdout.splitlines()
               if line.startswith("loaded: ")]
     assert loaded == ["loaded: import False", "loaded: fit 0 False",
-                      "loaded: herald 0 False", "loaded: optimize 0 False",
+                      "loaded: optimize 0 False", "loaded: herald 0 True",
                       "loaded: landscape 0 True"], res.stdout + res.stderr
 
 

@@ -852,9 +852,8 @@ _CELLS = st.builds(math.copysign, st.one_of(st.sampled_from(_EDGES), _BITS),
 
 
 class TestTables:
-    """Float blocks go through the row formatter, and lists through the JSON
-    encoder; finite tables in both write the bytes of the reference writer,
-    one cell at a time."""
+    """Every table goes through the row formatter as one float block; finite
+    tables write the bytes of the reference writer, one cell at a time."""
 
     @staticmethod
     def written(tmp_path, header, rows):

@@ -2,6 +2,7 @@ import dataclasses
 import math
 from statistics import NormalDist
 
+import numpy as np
 import pytest
 
 from heraldtime import reproduce
@@ -28,6 +29,11 @@ def test_every_recipe_passes_its_checks(name):
     failed = [c.line() for c in bundle.checks if not c.passed]
     assert bundle.passed, "\n".join(failed)
     assert bundle.tables
+    for header, rows in bundle.tables.values():
+        # one finite float64 block per table, a column per header name
+        assert isinstance(rows, np.ndarray) and rows.dtype == np.float64
+        assert rows.ndim == 2 and rows.shape[1] == len(header)
+        assert np.isfinite(rows).all()
     summary = bundle.summary()
     assert summary["recipe"] == name
     assert all("name" in c and "tolerance" in c for c in summary["checks"])
@@ -53,8 +59,10 @@ def test_recipes_are_deterministic():
     a = run_recipe("fig3b")
     b = run_recipe("fig3b")
     assert a.summary() == b.summary()
-    assert a.tables["fig3b_set1_empirical"][1] \
-        == b.tables["fig3b_set1_empirical"][1]
+    assert a.tables.keys() == b.tables.keys()
+    for name, (header, rows) in a.tables.items():
+        assert header == b.tables[name][0]
+        assert np.array_equal(rows, b.tables[name][1]), name
 
 
 def test_fig3a_asymptote_checks_compare_the_sample_with_the_model():
